@@ -113,9 +113,6 @@ class Exponent:
         c = Fraction(c)
         return Exponent(self.rational * c, {k: v * c for k, v in self.param})
 
-    def is_constant(self):
-        return not self.param
-
     def is_integer(self):
         return not self.param and self.rational.denominator == 1
 

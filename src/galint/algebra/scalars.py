@@ -148,22 +148,6 @@ class GroundField:
         """True iff f is a rational number (free of all generators)."""
         return f.numer.is_ground and f.denom.is_ground
 
-    def as_fraction(self, f):
-        """Extract a Fraction from a rational constant element."""
-        if not self.is_rational_const(f):
-            raise ValueError(f"{f} is not a rational constant")
-        num = f.numer.coeff(1)
-        den = f.denom.coeff(1)
-        q = QQ(num) / QQ(den)
-        return Fraction(int(q.numerator), int(q.denominator))
-
-    def s_degree(self, f):
-        """deg_s(numer) - deg_s(denom); -inf convention: returns None for 0."""
-        if not f:
-            return None
-        i = self._s_index
-        return f.numer.degree(i) - f.denom.degree(i)
-
     # ----------------------------------------------------- polynomial views
 
     def spoly(self, f):
@@ -186,10 +170,6 @@ class GroundField:
         n = max(coeffs) if coeffs else -1
         dense = [coeffs.get(k, self.zero) for k in range(n + 1)]
         return SPoly(self, dense)
-
-    def spoly_from_coeffs(self, coeffs):
-        """Build an SPoly from a low-to-high list of parameter scalars."""
-        return SPoly(self, list(coeffs))
 
     def numer_spoly(self, f):
         """Numerator of f as a polynomial in s (parameter-scalar coefficients)."""
@@ -305,34 +285,6 @@ class GroundField:
 
     # ----------------------------------------------------------- evaluation
 
-    def eval_frac(self, f, assignment):
-        """Evaluate at rational values; ``assignment`` maps name -> Fraction.
-
-        Every generator must be assigned.  Raises ZeroDivisionError when the
-        denominator vanishes.
-        """
-        for name in self._gen_by_name:
-            if name not in assignment:
-                raise ValueError(f"missing value for {name!r}")
-        num = self._eval_poly(f.numer, assignment)
-        den = self._eval_poly(f.denom, assignment)
-        if not den:
-            raise ZeroDivisionError(f"denominator of {f} vanishes at {assignment}")
-        q = num / den
-        return Fraction(int(q.numerator), int(q.denominator))
-
-    def _eval_poly(self, p, assignment):
-        names = self.param_names + (self.curve_var,)
-        vals = [_to_QQ(assignment[n]) for n in names]
-        acc = QQ(0)
-        for mono, c in p.terms():
-            t = c
-            for v, e in zip(vals, mono):
-                if e:
-                    t = t * v**e
-            acc += t
-        return acc
-
     def eval_complex(self, f, assignment):
         """Evaluate at complex values; ``assignment`` maps name -> complex."""
         num = self._eval_poly_c(f.numer, assignment)
@@ -441,10 +393,6 @@ class SPoly:
         self.coeffs = coeffs
 
     # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_element(cls, gf, f):
-        return gf.spoly(f)
 
     def to_element(self):
         """Back to a FracElement of the ground field."""
@@ -591,21 +539,6 @@ class SPoly:
         for k in range(1, len(self.coeffs)):
             out.append(self.coeffs[k] * gf.from_rational(k))
         return SPoly(gf, out)
-
-    def diff_coeffs(self):
-        """Coefficient-wise d/ds is zero (coefficients are s-free); provided
-        for symmetry with shifted-polynomial code paths."""
-        return SPoly(self.gf, [self.gf.zero] * len(self.coeffs))
-
-    def eval(self, value):
-        """Horner evaluation at a parameter scalar (or rational)."""
-        gf = self.gf
-        if not isinstance(value, type(gf.zero)):
-            value = gf.from_rational(value)
-        acc = gf.zero
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
 
     def valuation_of(self, f_num):
         """Multiplicity of self in the polynomial-in-s element f_num (an SPoly)."""

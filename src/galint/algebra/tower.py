@@ -628,12 +628,3 @@ class FieldElem:
 
     def norm(self):
         return self.tower.norm(self)
-
-    def subs_ground(self, fn):
-        """Map every coordinate through ``fn`` (ground-field endomap)."""
-        out = {}
-        for e, c in self.coords.items():
-            v = fn(c)
-            if v:
-                out[e] = v
-        return FieldElem(self.tower, out)

@@ -22,18 +22,6 @@ class InputError(GalintError):
     """Malformed user input (problem file, expression, declaration)."""
 
 
-class ParseError(InputError):
-    """Syntax error in the expression grammar or the problem file.
-
-    Carries ``position`` (offset or line) and ``expected`` where available.
-    """
-
-    def __init__(self, message, position=None, expected=None):
-        super().__init__(message)
-        self.position = position
-        self.expected = expected
-
-
 class TowerError(GalintError):
     """Structural problem with a radical tower declaration."""
 
@@ -162,11 +150,3 @@ class OrbitIncomplete(GalintError):
 class PrecisionLoss(GalintError):
     """Numeric evaluator could not separate a quantity from 0 at the working
     precision."""
-
-
-class PathNearSingularity(GalintError):
-    """Numeric integration path passes too close to a singular place."""
-
-
-class SchemaMismatch(GalintError):
-    """Certificate file does not match the emitted JSON schema."""

@@ -24,24 +24,23 @@ coefficient-wise application of the declared automorphisms.
 from itertools import combinations
 
 from ..algebra.linalg import rref
-from ..algebra.tower import AlgebraicTower, FieldElem
+from ..algebra.tower import AlgebraicTower
 from ..errors import (
     InputError,
     OrbitIncomplete,
     RankDeficiency,
     VerificationFailed,
 )
-from ..series import RatioSeries, TruncSeries
+from ..series import RatioSeries, TruncSeries, linear_subst
 from .fields import (
     CertifiedField,
-    _radd,
-    _rmul,
-    _scan_residual,
-    _trim,
     lie_bracket,
     ratio_lie,
+    rderive_s,
+    rpartial,
+    scan_residual,
 )
-from .flows import FormalFlow, _gauge_inverse, _linear_subst
+from .flows import _gauge_inverse
 from .integrals import FirstIntegral
 
 __all__ = [
@@ -168,8 +167,8 @@ def _original_ratio(R, r, subst):
 
 def original_integral(R, r):
     """A reduced-chart first-integral ratio rewritten in the original chart."""
-    subst = _linear_subst(r.num.basis, _gauge_inverse(R), r.num.N)
-    return _trim(_original_ratio(R, r, subst))
+    subst = linear_subst(r.num.basis, _gauge_inverse(R), r.num.N)
+    return _original_ratio(R, r, subst).trim()
 
 
 def original_frame_field(R, components, s_component):
@@ -185,7 +184,7 @@ def original_frame_field(R, components, s_component):
     P = R.gauge
     base = components[0].num
     basis, N = base.basis, base.N
-    subst = _linear_subst(basis, _gauge_inverse(R), N)
+    subst = linear_subst(basis, _gauge_inverse(R), N)
     one_s = TruncSeries.constant(basis, "q", N, tower.one)
     rzero = RatioSeries(TruncSeries.zero(basis, "q", N), one_s)
     qvars = [
@@ -197,14 +196,14 @@ def original_frame_field(R, components, s_component):
         acc = rzero
         for l in range(nq):
             if P[i][l]:
-                acc = _radd(acc, RatioSeries(
-                    components[l].num.scale(P[i][l]), components[l].den))
+                acc = acc + RatioSeries(
+                    components[l].num.scale(P[i][l]), components[l].den)
             dP = P[i][l].derive()
             if not dP.is_zero():
-                drift = _rmul(qvars[l], s_component)
-                acc = _radd(acc, RatioSeries(drift.num.scale(dP), drift.den))
-        out.append(_trim(_original_ratio(R, acc, subst)))
-    out.append(_trim(_original_ratio(R, s_component, subst)))
+                drift = qvars[l] * s_component
+                acc = acc + RatioSeries(drift.num.scale(dP), drift.den)
+        out.append(_original_ratio(R, acc, subst).trim())
+    out.append(_original_ratio(R, s_component, subst).trim())
     return out
 
 
@@ -266,8 +265,6 @@ def _point_rank(rows_of_ratios, tower):
 
 
 def _gradient_row(r, nq):
-    from .fields import rderive_s, rpartial
-
     return [rpartial(r, j) for j in range(nq)] + [rderive_s(r)]
 
 
@@ -275,22 +272,18 @@ def _gradient_row(r, nq):
 # descent proper
 # ---------------------------------------------------------------------------
 
-def _field_cols(field):
-    return list(field.components) + [field.s_component]
-
-
 def _scale_cols(cols, weight, rzero):
-    return [_rmul(weight, x) if x else rzero for x in cols]
+    return [weight * x if x else rzero for x in cols]
 
 
 def _add_cols(a, b):
-    return [_radd(x, y) for x, y in zip(a, b)]
+    return [x + y for x, y in zip(a, b)]
 
 
 def _ratio_pow(r, m, rone):
     out = rone
     for _ in range(m):
-        out = _rmul(out, r)
+        out = out * r
     return out
 
 
@@ -345,12 +338,12 @@ def galois_descent(certificate, *, cap=_GROUP_CAP):
         for m in range(1, len(group) + 1):
             acc = rzero
             for conj in orbits[t]:
-                acc = _radd(acc, _ratio_pow(conj, m, rone))
+                acc = acc + _ratio_pow(conj, m, rone)
             candidates.append(acc)
     for ta, tb in combinations(range(n_int), 2):
         acc = rzero
         for ca, cb in zip(orbits[ta], orbits[tb]):
-            acc = _radd(acc, _rmul(ca, cb))
+            acc = acc + ca * cb
         candidates.append(acc)
 
     new_ints = []
@@ -428,7 +421,7 @@ def galois_descent(certificate, *, cap=_GROUP_CAP):
     for a in range(len(new_fields)):
         for b in range(a + 1, len(new_fields)):
             for r in lie_bracket(new_fields[a], new_fields[b]):
-                defect, cert = _scan_residual(r, 2)
+                defect, cert = scan_residual(r, 2)
                 if defect is not None:
                     raise VerificationFailed(
                         f"descended fields {a} and {b} fail to commute at "
@@ -437,7 +430,7 @@ def galois_descent(certificate, *, cap=_GROUP_CAP):
                 order = min(order, cert)
         for F in new_ints:
             res = ratio_lie(new_fields[a], F)
-            defect, cert = _scan_residual(res, 2)
+            defect, cert = scan_residual(res, 2)
             if defect is not None:
                 raise VerificationFailed(
                     f"a descended integral moves along field {a} at order "

@@ -25,8 +25,9 @@ from ..series import (
     RatioSeries,
     SymbolMonomial,
     TruncSeries,
+    q_series,
 )
-from .flows import FormalFlow, _int_elem, _q_series, invert_flow
+from .flows import FormalFlow, _int_elem, invert_flow
 
 __all__ = [
     "CertifiedField",
@@ -38,6 +39,7 @@ __all__ = [
     "ratio_order",
     "rderive_s",
     "rpartial",
+    "scan_residual",
     "stabilize_frame",
 ]
 
@@ -88,69 +90,22 @@ class CommutingFrame:
 
 # ------------------------------------------------------------ ratio calculus
 
-def _valuation(series):
-    degs = [sum(i) for i, _, _ in series.cells()]
-    return min(degs) if degs else None
-
-
-def _trim(r):
-    """Cancel the common monomial content of numerator and denominator.
-
-    Cross-multiplied arithmetic piles valuation onto denominators until
-    truncation would annihilate them; the common q-monomial factor is exact
-    and cancels losslessly.  Cells that would shift in from above the window
-    were never computed, so the window shrinks by the content degree — the
-    result is a smaller exact object instead of a dying denominator.
-    """
-    num, den = r.num, r.den
-    if num.alphabet != "q" or den.alphabet != "q":
-        return r
-    m = None
-    for tab in (num.table, den.table):
-        for i, _sym in tab:
-            m = list(i) if m is None else [min(a, b) for a, b in zip(m, i)]
-    if m is None or not any(m):
-        return r
-    drop = sum(m)
-
-    def shift(s):
-        return TruncSeries(
-            s.basis, "q", s.N - drop,
-            {(tuple(a - b for a, b in zip(i, m)), sym): c
-             for (i, sym), c in s.table.items()},
-        )
-
-    return RatioSeries(shift(num), shift(den))
-
-
-def _radd(a, b):
-    return _trim(a + b)
-
-
-def _rsub(a, b):
-    return _trim(a - b)
-
-
-def _rmul(a, b):
-    return _trim(a * b)
-
-
 def rpartial(r, j):
     """d/dq_{j+1} of a quotient, by the quotient rule."""
-    return _trim(RatioSeries(
+    return RatioSeries(
         r.num.partial(j) * r.den - r.num * r.den.partial(j),
         r.den * r.den,
-    ))
+    ).trim()
 
 
 def rderive_s(r):
-    return _trim(RatioSeries(
+    return RatioSeries(
         r.num.derive_s() * r.den - r.num * r.den.derive_s(),
         r.den * r.den,
-    ))
+    ).trim()
 
 
-def _scan_residual(r, debt):
+def scan_residual(r, debt):
     """(defect order or None, certified order) for a residual quotient.
 
     ``debt`` is the number of q-partials nested in the computation: each
@@ -159,10 +114,10 @@ def _scan_residual(r, debt):
     the remaining window are ignored as potential junk; the quotient's
     power-series order is the numerator's shifted down by the denominator
     valuation."""
-    r = _trim(r)
+    r = r.trim()
     W = r.num.N - debt
-    v = _valuation(r.den)
-    f = _valuation(r.num)
+    v = r.den.valuation()
+    f = r.num.valuation()
     if f is None or f > W:
         return None, W - v
     return f - v, f - v - 1
@@ -172,7 +127,7 @@ def ratio_order(r):
     """Largest degree through which ``r`` is certifiably zero within its
     own window (may be negative when a nonzero cell sits at or below the
     denominator valuation)."""
-    return _scan_residual(r, 0)[1]
+    return scan_residual(r, 0)[1]
 
 
 def as_cols(f):
@@ -185,9 +140,9 @@ def as_cols(f):
 def ratio_lie(field, f):
     """Derivative of the quotient ``f`` along a field with ratio columns."""
     cols = as_cols(field)
-    acc = _rmul(cols[-1], rderive_s(f))
+    acc = cols[-1] * rderive_s(f)
     for j in range(len(cols) - 1):
-        acc = _radd(acc, _rmul(cols[j], rpartial(f, j)))
+        acc = acc + cols[j] * rpartial(f, j)
     return acc
 
 
@@ -195,8 +150,7 @@ def lie_bracket(a, b):
     """Componentwise [a, b], both given as ratio columns or fields."""
     ca = as_cols(a)
     cb = as_cols(b)
-    return [_rsub(ratio_lie(ca, x), ratio_lie(cb, y))
-            for x, y in zip(cb, ca)]
+    return [ratio_lie(ca, x) - ratio_lie(cb, y) for x, y in zip(cb, ca)]
 
 
 # ------------------------------------------------------------- construction
@@ -267,7 +221,7 @@ def _dot(row, vec, rzero):
     acc = rzero
     for a, b in zip(row, vec):
         if a and b:
-            acc = _radd(acc, _rmul(a, b))
+            acc = acc + a * b
     return acc
 
 
@@ -314,12 +268,12 @@ def commuting_fields(flow, report=None, *, conditions=None):
                         lg[j][c].num.scale(_int_elem(tower, k)),
                         lg[j][c].den,
                     )
-                    acc = _radd(acc, scaled)
+                    acc = acc + scaled
             cols.append(acc)
         grows.append(cols)
 
     if grows:
-        V = [[_trim(x) for x in v] for v in nullspace(grows, rzero, rone)]
+        V = nullspace(grows, rzero, rone)
     else:
         V = []
         for j in range(n):
@@ -340,7 +294,6 @@ def commuting_fields(flow, report=None, *, conditions=None):
     inv, _ker = mat_inv(jac, rzero, rone)
     if inv is None:
         raise RankDeficiency("coframe degenerates along the level sets")
-    inv = [[_trim(x) for x in row_] for row_ in inv]
 
     cols_by_field = []
     for m in range(l):
@@ -348,12 +301,12 @@ def commuting_fields(flow, report=None, *, conditions=None):
         for k in range(l):
             c = inv[k][m]
             if c:
-                col = [_radd(a, _rmul(c, b)) for a, b in zip(col, V[k])]
+                col = [a + c * b for a, b in zip(col, V[k])]
         cols_by_field.append(col)
 
     # the original-time dynamics, exact in the reduced chart
-    T = _q_series(basis, N, R.t)
-    xt = [RatioSeries(_q_series(basis, N, R.qdot_series(j)), T)
+    T = q_series(basis, N, R.t)
+    xt = [RatioSeries(q_series(basis, N, R.qdot_series(j)), T)
           for j in range(nq)]
     xt.append(RatioSeries(one_s, T))
 
@@ -363,8 +316,8 @@ def commuting_fields(flow, report=None, *, conditions=None):
     for i, r in enumerate(rows):
         p = _dot(r, xt, rzero)
         if i == len(rows) - 1:
-            p = _rsub(p, rone)
-        defect, _cert = _scan_residual(p, 1)
+            p = p - rone
+        defect, _cert = scan_residual(p, 1)
         if defect is not None:
             raise VerificationFailed(
                 "the original-time dynamics fails its coframe pairing at "
@@ -381,7 +334,7 @@ def commuting_fields(flow, report=None, *, conditions=None):
     for a in range(l):
         for b in range(a + 1, l):
             for r in lie_bracket(cols_by_field[a], cols_by_field[b]):
-                defect, cert = _scan_residual(r, 2)
+                defect, cert = scan_residual(r, 2)
                 if defect is not None:
                     raise VerificationFailed(
                         f"frame fields {a} and {b} fail to commute at "
@@ -433,13 +386,13 @@ def stabilize_frame(frame, flow, integrals=()):
     for a in range(len(wide)):
         for b in range(a + 1, len(wide)):
             for r in lie_bracket(wide[a], wide[b]):
-                defect, cert = _scan_residual(r, 1)
+                defect, cert = scan_residual(r, 1)
                 if defect is not None:
                     return frame
                 order = min(order, cert)
         for F in integrals:
             res = ratio_lie(wide[a], F.series)
-            defect, cert = _scan_residual(res, 1)
+            defect, cert = scan_residual(res, 1)
             if defect is not None:
                 return frame
             order = min(order, cert)

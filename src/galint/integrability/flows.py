@@ -39,11 +39,11 @@ from ..series import (
     HyperexpBasis,
     SymbolMonomial,
     TruncSeries,
+    linear_subst,
+    q_series,
     ts_invert_map,
     ts_lie,
 )
-
-_NEUTRAL = SymbolMonomial()
 
 #: classification labels used by :class:`Obstruction`
 LOG_IN_NORMAL_PART = "log-in-normal-part"
@@ -180,12 +180,6 @@ class Linearization:
 # ---------------------------------------------------------------------------
 # small helpers
 # ---------------------------------------------------------------------------
-
-def _q_series(basis, N, tab):
-    """A plain coefficient table as a neutral q-alphabet series."""
-    table = {(tuple(i), _NEUTRAL): c for i, c in tab.items() if sum(i) <= N}
-    return TruncSeries(basis, "q", N, table)
-
 
 def _int_elem(tower, m):
     return tower.from_ground(tower.gf.from_rational(m))
@@ -354,7 +348,7 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
     basis = HyperexpBasis(hs)
     one = tower.one
     phi = [TruncSeries.variable(basis, "u", N, j, one) for j in range(nq)]
-    rhs = [_q_series(basis, N, R.qdot_series(j)) for j in range(nq)]
+    rhs = [q_series(basis, N, R.qdot_series(j)) for j in range(nq)]
 
     def partial(upto):
         comps = tuple(p.truncate(upto) for p in phi)
@@ -387,7 +381,7 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
                     resonant.append((j + 1, index))
 
     # ---- the time series --------------------------------------------------
-    image = _q_series(basis, N, R.t).compose(phi)
+    image = q_series(basis, N, R.t).compose(phi)
     plain = {}
     symbols = []
     log_cells = []
@@ -456,13 +450,13 @@ def _verify_flow(flow):
     N = flow.N
     comps = list(flow.components)
     for j in range(R.nq):
-        rhs = _q_series(basis, N, R.qdot_series(j))
+        rhs = q_series(basis, N, R.qdot_series(j))
         res = rhs.compose(comps) - comps[j].derive_s()
         if not res.is_zero():
             raise VerificationFailed(
                 f"defining residual of component {j + 1} is nonzero"
             )
-    res = _q_series(basis, N, R.t).compose(comps) - flow.time.derive_s()
+    res = q_series(basis, N, R.t).compose(comps) - flow.time.derive_s()
     if not res.is_zero():
         raise VerificationFailed(
             "defining residual of the time series is nonzero"
@@ -480,20 +474,6 @@ def invert_flow(flow):
 # chart transport along the accumulated gauge
 # ---------------------------------------------------------------------------
 
-def _linear_subst(basis, M, N, alphabet="q"):
-    """Series rows  q_j -> sum_l M[j][l] q_l."""
-    n = len(M)
-    out = []
-    for row in M:
-        tab = {}
-        for l, c in enumerate(row):
-            if c:
-                e = tuple(1 if k == l else 0 for k in range(n))
-                tab[(e, _NEUTRAL)] = c
-        out.append(TruncSeries(basis, alphabet, N, tab))
-    return out
-
-
 def _gauge_inverse(R):
     inv, _bad = mat_inv([list(r) for r in R.gauge],
                         R.tower.zero, R.tower.one)
@@ -507,7 +487,7 @@ def original_series(R, a):
     chart (original q = gauge * reduced q)."""
     if a.alphabet != "q":
         raise InputError("chart transport applies to q-alphabet series")
-    subst = _linear_subst(a.basis, _gauge_inverse(R), a.N)
+    subst = linear_subst(a.basis, _gauge_inverse(R), a.N)
     return a.compose(subst)
 
 
@@ -525,7 +505,7 @@ def original_field(R, components, s_component):
     basis, N = base.basis, base.N
     if base.alphabet != "q":
         raise InputError("chart transport applies to q-alphabet series")
-    subst = _linear_subst(basis, _gauge_inverse(R), N)
+    subst = linear_subst(basis, _gauge_inverse(R), N)
     qvars = [TruncSeries.variable(basis, "q", N, l, tower.one)
              for l in range(nq)]
     out = []
@@ -558,7 +538,7 @@ def _unit_time(R):
 def _system_fixed(R, basis, names):
     """Whether the original-chart right sides are fixed by every declared
     Galois generator (i.e. the input system is defined over the base)."""
-    qdot = [_q_series(basis, R.order, R.qdot_series(j)) for j in range(R.nq)]
+    qdot = [q_series(basis, R.order, R.qdot_series(j)) for j in range(R.nq)]
     sc = TruncSeries.constant(basis, "q", R.order, R.tower.one)
     comps, sc_o = original_field(R, qdot, sc)
     for series in list(comps) + [sc_o]:
@@ -599,7 +579,7 @@ def linearize(R, N=None, s0=None, *, conditions=None):
     M = flow.N
 
     # in the reduced chart the inverse map straightens the field exactly
-    qdot = [_q_series(basis, M, R.qdot_series(j)) for j in range(nq)]
+    qdot = [q_series(basis, M, R.qdot_series(j)) for j in range(nq)]
     field = FormalVectorField(
         qdot, TruncSeries.constant(basis, "q", M, tower.one)
     )
@@ -611,7 +591,7 @@ def linearize(R, N=None, s0=None, *, conditions=None):
             )
 
     P = R.gauge
-    subst = _linear_subst(basis, _gauge_inverse(R), M)
+    subst = linear_subst(basis, _gauge_inverse(R), M)
     moved = [p.compose(subst) for p in Phi]
     comps = []
     for i in range(nq):

@@ -10,8 +10,14 @@ cross-multiplied polynomial identity.
 
 from ..errors import InputError, OrderExceedsTable, VerificationFailed
 from ..galois.resonance import relation_lattice
-from ..series import FormalVectorField, RatioSeries, TruncSeries, ts_lie
-from .flows import FormalFlow, _q_series, invert_flow
+from ..series import (
+    FormalVectorField,
+    RatioSeries,
+    TruncSeries,
+    q_series,
+    ts_lie,
+)
+from .flows import FormalFlow, invert_flow
 
 
 class FirstIntegral:
@@ -38,20 +44,10 @@ class FirstIntegral:
 def _reduced_field(R, basis, N):
     """The time-reduced dynamics as a formal vector field (ds/ds = 1)."""
     tower = R.tower
-    comps = [_q_series(basis, N, R.qdot_series(j)) for j in range(R.nq)]
+    comps = [q_series(basis, N, R.qdot_series(j)) for j in range(R.nq)]
     return FormalVectorField(
         comps, TruncSeries.constant(basis, "q", N, tower.one)
     )
-
-
-def _residual_floor(res):
-    """Smallest degree with a nonzero cell, or None for a clean residual."""
-    bad = None
-    for index, _sym, _c in res.cells():
-        d = sum(index)
-        if bad is None or d < bad:
-            bad = d
-    return bad
 
 
 def lie_ratio_residual(F, field):
@@ -103,7 +99,7 @@ def first_integrals(flow, report=None, *, order=None, k_max=None,
             for _ in range(-k, 0, -1):
                 den = den * Phi[j]
         F = RatioSeries(num, den)
-        bad = _residual_floor(lie_ratio_residual(F, field))
+        bad = lie_ratio_residual(F, field).valuation()
         if bad is not None and bad <= flow.N:
             raise VerificationFailed(
                 f"integral residual for {tuple(row)} fails inside the "

@@ -8,11 +8,12 @@ user-supplied gauge transformations to diagonalize the linear part, extract
 variational systems of any jet order, and finally locate and classify the
 singular places of the reduced diagonal data.
 
-The nonlinear data is stored as truncated polynomial tables
-``{exponent tuple: FieldElem}`` — plain dictionaries, since no symbol
-bookkeeping (H/L markers) is needed at this stage.  Downstream consumers can
-ask for :class:`~galint.series.TruncSeries` views once a hyperexponential
-basis is fixed.
+All series work here runs on :class:`~galint.series.TruncSeries` over a
+neutral basis (no cell carries H- or L-content at this stage): expanding a
+:class:`CoordRat` around the curve, inverting the tangential speed, and
+substituting a gauge.  A :class:`ReducedSystem` stores its results as plain
+tables ``{exponent tuple: FieldElem}``; :func:`~galint.series.q_series` and
+:func:`~galint.series.q_table` convert between the two.
 
 Conventions:
 
@@ -23,8 +24,6 @@ Conventions:
 """
 
 from __future__ import annotations
-
-from math import comb
 
 from .errors import (
     DivisionByZero,
@@ -53,7 +52,7 @@ from .algebra.places import (
     fe_local_exponent,
     scalarize_constant,
 )
-from .series import SymbolMonomial, TruncSeries
+from .series import HyperexpBasis, TruncSeries, linear_subst, q_series, q_table
 
 __all__ = [
     "CoordRat",
@@ -70,111 +69,17 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# truncated polynomial tables {exponent tuple: FieldElem}
+# series over a neutral basis
 
 
-def _zero_exp(nq):
-    return (0,) * nq
+# Rational functions in the coordinates are never truncated.
+_EXACT = 10**9
 
 
-def _deg(e):
-    return sum(e)
-
-
-def _ser_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        cur = out.get(e)
-        s = c if cur is None else cur + c
-        if s:
-            out[e] = s
-        elif e in out:
-            del out[e]
-    return out
-
-
-def _ser_neg(a):
-    return {e: -c for e, c in a.items()}
-
-
-def _ser_scale(a, c):
-    if not c:
-        return {}
-    return {e: v * c for e, v in a.items() if v * c}
-
-
-def _ser_mul(a, b, N):
-    out = {}
-    for ea, ca in a.items():
-        da = _deg(ea)
-        for eb, cb in b.items():
-            if da + _deg(eb) > N:
-                continue
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = ca * cb
-            cur = out.get(e)
-            s = c if cur is None else cur + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _ser_inv(a, N, tower):
-    """Inverse of a table with unit constant term, through total degree N."""
-    z = _zero_exp_of(a, tower)
-    c0 = a.get(z)
-    if c0 is None or c0.is_zero():
-        raise DivisionByZero("series constant term vanishes; cannot invert")
-    u = tower.one / c0
-    w = {e: c * u for e, c in a.items() if e != z}  # a/c0 - 1
-    out = {z: u}
-    if not w:
-        return out
-    power = {z: tower.one}
-    sign = 1
-    for _ in range(N):
-        power = _ser_mul(power, w, N)
-        if not power:
-            break
-        sign = -sign
-        out = _ser_add(out, _ser_scale(power, u if sign > 0 else -u))
-    return out
-
-
-def _zero_exp_of(a, tower):
-    for e in a:
-        return (0,) * len(e)
-    return ()
-
-
-def _ser_subst_linear(a, P, N, tower):
-    """Substitute q_l -> sum_k P[l][k] * q~_k into a table."""
-    if not a:
-        return {}
-    nq = len(next(iter(a)))
-    lin = [{} for _ in range(nq)]
-    for l in range(nq):
-        for k in range(nq):
-            c = P[l][k]
-            if c:
-                e = [0] * nq
-                e[k] = 1
-                lin[l][tuple(e)] = c
-    pow_cache = [[{_zero_exp(nq): tower.one}] for _ in range(nq)]
-    out = {}
-    for e, c in a.items():
-        term = {_zero_exp(nq): c}
-        for l, k in enumerate(e):
-            if not k:
-                continue
-            cache = pow_cache[l]
-            while len(cache) <= k:
-                cache.append(_ser_mul(cache[-1], lin[l], N))
-            term = _ser_mul(term, cache[k], N)
-        out = _ser_add(out, term)
-    return out
+def _neutral_basis(tower, nq):
+    """A symbol basis for plain q-series: its hs are never read, since no
+    cell carries H- or L-content."""
+    return HyperexpBasis((tower.zero,) * nq)
 
 
 def _split_table(ser, nq):
@@ -182,8 +87,8 @@ def _split_table(ser, nq):
     const = None
     row = [None] * nq
     high = {}
-    for e, c in ser.items():
-        d = _deg(e)
+    for e, c in q_table(ser).items():
+        d = sum(e)
         if d == 0:
             const = c
         elif d == 1:
@@ -210,30 +115,42 @@ def _mono_str(e, names):
 class CoordRat:
     """A rational function in the coordinates x_1..x_{n-1} and s.
 
-    Stored as a pair of polynomial tables (numerator, denominator) with
-    coefficients in a radical tower; the tower carries the s-dependence.
-    Supports enough arithmetic for expression evaluation, substitution of a
-    point, and series expansion around a moving center.
+    Built from a pair of polynomial tables ``{exponent: coeff}`` (numerator,
+    denominator) with coefficients in a radical tower, which carries the
+    s-dependence; ``num`` and ``den`` hold them as untruncated neutral
+    q-series.  Supports enough arithmetic for expression evaluation,
+    substitution of a point, and series expansion around a moving center.
     """
 
     __slots__ = ("tower", "nq", "num", "den")
 
     def __init__(self, tower, nq, num, den=None):
+        basis = _neutral_basis(tower, nq)
+        if den is None:
+            den = {(0,) * nq: tower.one}
+        self._set(tower, nq, q_series(basis, _EXACT, num),
+                  q_series(basis, _EXACT, den))
+
+    def _set(self, tower, nq, num, den):
+        if den.is_zero():
+            raise DivisionByZero("zero denominator in coordinate expression")
         self.tower = tower
         self.nq = nq
-        self.num = {tuple(e): c for e, c in num.items() if c}
-        if den is None:
-            den = {_zero_exp(nq): tower.one}
-        self.den = {tuple(e): c for e, c in den.items() if c}
-        if not self.den:
-            raise DivisionByZero("zero denominator in coordinate expression")
+        self.num = num
+        self.den = den
+
+    def _new(self, num, den):
+        """A CoordRat in this tower from numerator and denominator series."""
+        out = object.__new__(CoordRat)
+        out._set(self.tower, self.nq, num, den)
+        return out
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def constant(cls, tower, nq, c):
         c = tower.coerce(c)
-        return cls(tower, nq, {_zero_exp(nq): c} if c else {})
+        return cls(tower, nq, {(0,) * nq: c})
 
     @classmethod
     def coordinate(cls, tower, nq, j):
@@ -254,14 +171,12 @@ class CoordRat:
 
     def __add__(self, other):
         o = self._coerce(other)
-        N = 10**9
-        num = _ser_add(_ser_mul(self.num, o.den, N), _ser_mul(o.num, self.den, N))
-        return CoordRat(self.tower, self.nq, num, _ser_mul(self.den, o.den, N))
+        return self._new(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CoordRat(self.tower, self.nq, _ser_neg(self.num), self.den)
+        return self._new(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -271,23 +186,15 @@ class CoordRat:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        N = 10**9
-        return CoordRat(
-            self.tower, self.nq,
-            _ser_mul(self.num, o.num, N), _ser_mul(self.den, o.den, N),
-        )
+        return self._new(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if not o.num:
+        if o.num.is_zero():
             raise DivisionByZero("division by zero coordinate expression")
-        N = 10**9
-        return CoordRat(
-            self.tower, self.nq,
-            _ser_mul(self.num, o.den, N), _ser_mul(self.den, o.num, N),
-        )
+        return self._new(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -306,10 +213,9 @@ class CoordRat:
 
     # -- evaluation and expansion ---------------------------------------------
 
-    def _poly_eval(self, table, point):
-        tower = self.tower
-        out = tower.zero
-        for e, c in table.items():
+    def _poly_eval(self, ser, point):
+        out = self.tower.zero
+        for e, c in q_table(ser).items():
             term = c
             for l, k in enumerate(e):
                 if k:
@@ -325,52 +231,46 @@ class CoordRat:
             raise DivisionByZero("denominator vanishes at the evaluation point")
         return self._poly_eval(self.num, point) / den
 
-    def _poly_shift(self, table, center, N):
-        """Table of p(center + q) truncated to total degree N in q."""
-        nq = self.nq
-        tower = self.tower
-        out = {}
-        # (center_l + q_l)^k expanded once per (l, k)
-        cache = {}
-        for e, c in table.items():
-            term = {_zero_exp(nq): c}
+    def _poly_shift(self, ser, center, N):
+        """The series p(center + q) truncated to total degree N in q."""
+        basis, one = ser.basis, self.tower.one
+        unit = TruncSeries.constant(basis, "q", N, one)
+        # powers of (center_l + q_l), extended on demand
+        pows = [[unit, unit.scale(c) + TruncSeries.variable(basis, "q", N, l, one)]
+                for l, c in enumerate(center)]
+        out = TruncSeries.zero(basis, "q", N)
+        for e, c in q_table(ser).items():
+            term = unit.scale(c)
             for l, k in enumerate(e):
-                if not k:
-                    continue
-                fac = cache.get((l, k))
-                if fac is None:
-                    fac = {}
-                    for t in range(min(k, N) + 1):
-                        coeff = tower.from_ground(comb(k, t)) * center[l] ** (k - t)
-                        if coeff:
-                            ee = [0] * nq
-                            ee[l] = t
-                            fac[tuple(ee)] = coeff
-                    cache[(l, k)] = fac
-                term = _ser_mul(term, fac, N)
-            out = _ser_add(out, term)
+                if k:
+                    while len(pows[l]) <= k:
+                        pows[l].append(pows[l][-1] * pows[l][1])
+                    term = term * pows[l][k]
+            out = out + term
         return out
 
     def expand_around(self, center, N):
-        """Series table of self(center + q, s) through total degree N."""
+        """Neutral q-series of self(center + q, s) through total degree N."""
         center = [self.tower.coerce(p) for p in center]
         num = self._poly_shift(self.num, center, N)
         den = self._poly_shift(self.den, center, N)
-        if _zero_exp(self.nq) not in den:
+        if den.coeff((0,) * self.nq) is None:
             raise DivisionByZero("denominator vanishes along the curve")
-        return _ser_mul(num, _ser_inv(den, N, self.tower), N)
+        return num * den.inverse()
 
     def __repr__(self):
         names = [f"x{j + 1}" for j in range(self.nq)]
-        num = " + ".join(
-            f"({c})*{_mono_str(e, names)}" for e, c in sorted(self.num.items())
-        ) or "0"
-        if self.den == {_zero_exp(self.nq): self.tower.one}:
+
+        def show(ser):
+            return " + ".join(
+                f"({c})*{_mono_str(e, names)}"
+                for e, c in sorted(q_table(ser).items())
+            )
+
+        num = show(self.num) or "0"
+        if q_table(self.den) == {(0,) * self.nq: self.tower.one}:
             return num
-        den = " + ".join(
-            f"({c})*{_mono_str(e, names)}" for e, c in sorted(self.den.items())
-        )
-        return f"({num}) / ({den})"
+        return f"({num}) / ({show(self.den)})"
 
 
 # --------------------------------------------------------------------------
@@ -430,8 +330,8 @@ class VectorFieldSpec:
                     raise InputError("component has wrong coordinate count")
                 comps.append(CoordRat(
                     T, self.nq,
-                    {e: T.coerce(v) for e, v in c.num.items()},
-                    {e: T.coerce(v) for e, v in c.den.items()},
+                    {e: T.coerce(v) for e, v in q_table(c.num).items()},
+                    {e: T.coerce(v) for e, v in q_table(c.den).items()},
                 ))
             else:
                 comps.append(CoordRat.constant(T, self.nq, c))
@@ -485,8 +385,8 @@ class ReducedSystem:
             i = tuple(i)
             if not 0 <= j < nq or len(i) != nq:
                 raise InputError(f"bad table key ({j}, {i})")
-            if not 2 <= _deg(i) <= order:
-                raise InputError(f"table degree {_deg(i)} outside 2..{order}")
+            if not 2 <= sum(i) <= order:
+                raise InputError(f"table degree {sum(i)} outside 2..{order}")
             c = tower.coerce(c)
             if c:
                 tab[(j, i)] = c
@@ -529,22 +429,6 @@ class ReducedSystem:
             if jj == j:
                 out[i] = c
         return out
-
-    def xn_series(self, basis, N=None):
-        """The tangential component as a TruncSeries over ``basis``."""
-        return self._as_trunc(self.xn, basis, N)
-
-    def t_series(self, basis, N=None):
-        if self.t is None:
-            raise NotTimeReduced("no t-equation: time has not been normalized")
-        return self._as_trunc(self.t, basis, N)
-
-    def _as_trunc(self, tab, basis, N):
-        if N is None:
-            N = self.order
-        neutral = SymbolMonomial()
-        table = {(e, neutral): c for e, c in tab.items() if _deg(e) <= N}
-        return TruncSeries(basis, "q", N, table)
 
     def __repr__(self):
         flag = ", time-reduced" if self.time_reduced else ""
@@ -589,8 +473,7 @@ def reduce_to_curve(spec, order=4):
     lin = []
     table = {}
     for j in range(nq):
-        ser = _ser_add(comp_series[j],
-                       _ser_scale(xn, -spec.curve_deriv[j]))
+        ser = comp_series[j] - xn.scale(spec.curve_deriv[j])
         const, row, high = _split_table(ser, nq)
         if const is not None and const:
             raise VerificationFailed(
@@ -610,7 +493,7 @@ def reduce_to_curve(spec, order=4):
                 curve_places.add(("inf",))
         except NotExpandable:
             curve_places.add(("inf",))
-    return ReducedSystem(T, nq, order, lin, table, xn,
+    return ReducedSystem(T, nq, order, lin, table, q_table(xn),
                          curve_places=curve_places)
 
 
@@ -627,24 +510,25 @@ def time_reduce(R):
         return R
     T = R.tower
     nq = R.nq
-    z = _zero_exp(nq)
+    z = (0,) * nq
     c0 = R.xn.get(z)
     if c0 is None or c0.is_zero():
         raise TangentiallySingular(
             "tangential component vanishes on the curve (equilibrium curve)"
         )
-    inv = _ser_inv(R.xn, R.order, T)
+    basis = _neutral_basis(T, nq)
+    inv = q_series(basis, R.order, R.xn).inverse()
     lin = []
     table = {}
     for j in range(nq):
-        ser = _ser_mul(R.qdot_series(j), inv, R.order)
+        ser = q_series(basis, R.order, R.qdot_series(j)) * inv
         const, row, high = _split_table(ser, nq)
         if const is not None and const:
             raise VerificationFailed("time reduction created a constant term")
         lin.append([c if c is not None else T.zero for c in row])
         for e, c in high.items():
             table[(j, e)] = c
-    return ReducedSystem(T, nq, R.order, lin, table, {z: T.one}, inv,
+    return ReducedSystem(T, nq, R.order, lin, table, {z: T.one}, q_table(inv),
                          time_reduced=True, gauge=R.gauge,
                          curve_places=R.curve_places,
                          gauge_places=R.gauge_places)
@@ -671,31 +555,34 @@ def apply_gauge(R, P, *, assert_diagonal=False):
         raise SingularGauge(f"gauge matrix is singular; kernel witness {ker}")
     Pd = [[c.derive() for c in row] for row in P]
 
-    def lift_tab(tab):
-        return {e: T.coerce(c) for e, c in tab.items()}
-
     lin = [[T.coerce(c) for c in row] for row in R.lin]
     AP = linalg.mat_mul(lin, P, T.zero)
     M = [[AP[i][j] - Pd[i][j] for j in range(nq)] for i in range(nq)]
     lin_new = linalg.mat_mul(Pinv, M, T.zero)
 
-    high = [dict() for _ in range(nq)]
+    basis = _neutral_basis(T, nq)
+    subst = linear_subst(basis, P, R.order)
+
+    def substituted(tab):
+        lifted = {e: T.coerce(c) for e, c in tab.items()}
+        return q_series(basis, R.order, lifted).compose(subst)
+
+    high = [{} for _ in range(nq)]
     for (j, i), c in R.table.items():
-        high[j][i] = T.coerce(c)
-    substituted = [_ser_subst_linear(h, P, R.order, T) for h in high]
+        high[j][i] = c
+    moved = [substituted(h) for h in high]
     table = {}
     for j in range(nq):
-        acc = {}
+        acc = TruncSeries.zero(basis, "q", R.order)
         for l in range(nq):
-            c = Pinv[j][l]
-            if c and substituted[l]:
-                acc = _ser_add(acc, _ser_scale(substituted[l], c))
-        for e, c in acc.items():
-            if _deg(e) < 2:
+            if Pinv[j][l]:
+                acc = acc + moved[l].scale(Pinv[j][l])
+        for e, c in q_table(acc).items():
+            if sum(e) < 2:
                 raise VerificationFailed("gauge leaked low-order terms")
             table[(j, e)] = c
-    xn = _ser_subst_linear(lift_tab(R.xn), P, R.order, T)
-    t = None if R.t is None else _ser_subst_linear(lift_tab(R.t), P, R.order, T)
+    xn = q_table(substituted(R.xn))
+    t = None if R.t is None else q_table(substituted(R.t))
 
     gf = T.gf
     gauge_places = set(R.gauge_places)
@@ -780,7 +667,7 @@ def _build_variational(R, k, with_t):
     size = len(variables)
     M = [[T.zero] * size for _ in range(size)]
     rhs = [R.qdot_series(j) for j in range(nq)]
-    ttab = {e: c for e, c in (R.t or {}).items() if _deg(e) >= 1}
+    ttab = {e: c for e, c in (R.t or {}).items() if sum(e) >= 1}
     for row, v in enumerate(variables):
         m = v[:nq]
         mt = v[nq] if with_t else 0

@@ -15,11 +15,26 @@ shapes are validated by their producers.
 
 Everything is immutable; operations return new series.  Truncation is by
 total variable degree |i| <= N.
+
+These two classes are the one construction-side series engine: reduction
+(transverse expansion, time normalisation, gauges), flows, integrals, frames
+and descent all compute with :class:`TruncSeries` and :class:`RatioSeries`.
+Plain ``{exponent: coeff}`` tables cross the boundary through
+:func:`q_series` and :func:`q_table`; a rational function of the
+coordinates uses a neutral basis whose symbols never carry H- or L-content.
+The dense dictionaries in ``integrability/certificates.py`` are a deliberate
+second, independent engine: the certificate verifier recomputes every claim
+there so that a defect here cannot certify itself.
 """
 
 from __future__ import annotations
 
-from .errors import AlphabetMismatch, NonzeroConstantTerm, NotTangentToIdentity
+from .errors import (
+    AlphabetMismatch,
+    DivisionByZero,
+    NonzeroConstantTerm,
+    NotTangentToIdentity,
+)
 
 __all__ = [
     "HyperexpBasis",
@@ -27,6 +42,9 @@ __all__ = [
     "TruncSeries",
     "FormalVectorField",
     "RatioSeries",
+    "linear_subst",
+    "q_series",
+    "q_table",
     "ts_arith",
     "ts_derive_s",
     "ts_compose",
@@ -237,6 +255,10 @@ class TruncSeries:
     def coeff(self, i, sym=_NEUTRAL):
         return self.table.get((tuple(i), _norm_sym(sym, self.basis.n)))
 
+    def valuation(self):
+        """Least total variable degree of a nonzero cell; None for zero."""
+        return min((sum(i) for i, _ in self.table), default=None)
+
     def truncate(self, M):
         if M >= self.N:
             return TruncSeries(self.basis, self.alphabet, M, self.table)
@@ -310,6 +332,32 @@ class TruncSeries:
             self.basis, self.alphabet, self.N,
             {k: v * c for k, v in self.table.items()},
         )
+
+    def inverse(self):
+        """The multiplicative inverse through order N.
+
+        The constant cell must be a symbol-free unit c; with u = 1/c and
+        w = 1 - u * self the inverse is u * sum_k w^k, a finite sum because
+        w has no cell of degree 0.
+        """
+        zero_i = (0,) * self.basis.n
+        c0 = self.table.get((zero_i, _NEUTRAL))
+        if c0 is None:
+            raise DivisionByZero("series constant term vanishes; cannot invert")
+        u = c0.tower.one / c0
+        w = TruncSeries(
+            self.basis, self.alphabet, self.N,
+            {k: -(c * u) for k, c in self.table.items()
+             if k != (zero_i, _NEUTRAL)},
+        )
+        if w.valuation() == 0:
+            raise ValueError("inverse needs a symbol-free constant term")
+        out = TruncSeries.constant(self.basis, self.alphabet, self.N, u)
+        power = w
+        while not power.is_zero():
+            out = out + power.scale(u)
+            power = power * w
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -478,7 +526,8 @@ class RatioSeries:
 
     Division of series is avoided throughout: equality and arithmetic use
     cross-multiplication, so every identity checked through a RatioSeries is
-    an exact statement about polynomial cells.
+    an exact statement about polynomial cells.  ``+ - * /`` return trimmed
+    quotients (see :meth:`trim`).
     """
 
     __slots__ = ("num", "den")
@@ -489,28 +538,51 @@ class RatioSeries:
         self.num = num
         self.den = den
 
-    @classmethod
-    def of(cls, series):
-        one = TruncSeries.constant(
-            series.basis, series.alphabet, series.N, _one_of(series)
-        )
-        return cls(series, one)
+    def trim(self):
+        """Cancel the common monomial content of numerator and denominator.
+
+        Cross-multiplied arithmetic piles valuation onto denominators until
+        truncation would annihilate them; the common q-monomial factor is
+        exact and cancels losslessly.  Cells that would shift in from above
+        the window were never computed, so the window shrinks by the content
+        degree — the result is a smaller exact object instead of a dying
+        denominator.
+        """
+        num, den = self.num, self.den
+        if num.alphabet != "q" or den.alphabet != "q":
+            return self
+        m = None
+        for tab in (num.table, den.table):
+            for i, _sym in tab:
+                m = list(i) if m is None else [min(a, b) for a, b in zip(m, i)]
+        if m is None or not any(m):
+            return self
+        drop = sum(m)
+
+        def shift(s):
+            return TruncSeries(
+                s.basis, "q", s.N - drop,
+                {(tuple(a - b for a, b in zip(i, m)), sym): c
+                 for (i, sym), c in s.table.items()},
+            )
+
+        return RatioSeries(shift(num), shift(den))
 
     def __add__(self, other):
         return RatioSeries(
             self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        ).trim()
 
     def __sub__(self, other):
         return RatioSeries(
             self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        ).trim()
 
     def __mul__(self, other):
-        return RatioSeries(self.num * other.num, self.den * other.den)
+        return RatioSeries(self.num * other.num, self.den * other.den).trim()
 
     def __truediv__(self, other):
-        return RatioSeries(self.num * other.den, self.den * other.num)
+        return RatioSeries(self.num * other.den, self.den * other.num).trim()
 
     def __neg__(self):
         return RatioSeries(-self.num, self.den)
@@ -528,10 +600,32 @@ class RatioSeries:
         return f"RatioSeries({self.num.render()}) / ({self.den.render()})"
 
 
-def _one_of(series):
-    for c in series.table.values():
-        return c.tower.one
-    raise ValueError("cannot infer the coefficient tower of a zero series")
+# ---------------------------------------------------------------------------
+# plain coefficient tables and linear substitutions
+# ---------------------------------------------------------------------------
+
+def q_series(basis, N, tab):
+    """A plain table ``{exponent: coeff}`` as a neutral q-alphabet series."""
+    return TruncSeries(basis, "q", N, {(i, _NEUTRAL): c for i, c in tab.items()})
+
+
+def q_table(series):
+    """The plain table ``{exponent: coeff}`` of a neutral q-series."""
+    if any(not sym.is_neutral() for _i, sym in series.table):
+        raise ValueError("only symbol-free series have a plain table")
+    return {i: c for (i, _sym), c in series.table.items()}
+
+
+def linear_subst(basis, M, N):
+    """Substitution rows  q_j -> sum_l M[j][l] q_l  for :meth:`compose`."""
+    return [
+        TruncSeries(
+            basis, "q", N,
+            {(tuple(int(k == l) for k in range(len(row))), _NEUTRAL): c
+             for l, c in enumerate(row) if c},
+        )
+        for row in M
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ Hand oracles, worked out independently before implementation:
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from galint.algebra import AlgebraicTower, Exponent, GroundField
 from galint.algebra.scalars import SPoly
@@ -490,3 +491,30 @@ def test_scan_ramified_curve_pole_is_half_order(gf):
                   if p.location is not INF and p.kind == "curve-singularity"]
     assert len(over_curve) == 2
     assert all(p.m == 2 and p.exponents == (Exponent(0),) for p in over_curve)
+
+
+# --------------------------------------------------------------------------
+# CoordRat expansion, checked against sympy
+
+
+def test_expand_around_matches_sympy_series(gf, T):
+    # f(x) = (alpha x^3 + x + s) / (x^2 - s x + s + 1) on the curve x = s:
+    # the shifted denominator s + 1 + s q + q^2 has a q-linear term, so the
+    # inverse works through every order
+    s, alpha = gf.s, gf.gen("alpha")
+    f = CoordRat(T, 1, {(3,): T.from_ground(alpha), (1,): T.one,
+                        (0,): T.from_ground(s)},
+                 {(2,): T.one, (1,): T.from_ground(-s),
+                  (0,): T.from_ground(s + 1)})
+    N = 6
+    ser = f.expand_around([T.from_ground(s)], N)
+
+    S, A, Q = sympy.symbols("s alpha q")
+    x = S + Q
+    expr = (A * x**3 + x + S) / (x**2 - S * x + S + 1)
+    want = sympy.series(expr, Q, 0, N + 1).removeO()
+    for k in range(N + 1):
+        cell = ser.coeff((k,))
+        got = 0 if cell is None else gf.to_expr(cell.scalar_part())
+        assert sympy.cancel(got - want.coeff(Q, k)) == 0, k
+    assert ser.N == N
