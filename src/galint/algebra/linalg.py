@@ -9,7 +9,7 @@ the right tool.  Pivoting is "first nonzero", which keeps results
 deterministic (a requirement for byte-stable golden output).
 """
 
-__all__ = ["rref", "solve", "nullspace", "det", "mat_mul", "mat_vec", "mat_inv"]
+__all__ = ["rref", "solve", "nullspace", "det", "mat_mul", "mat_inv"]
 
 
 def rref(M, *, limit_cols=None, pivot_values=None):
@@ -139,17 +139,6 @@ def mat_mul(A, B, zero):
                     acc = acc + a * b
             row.append(acc)
         out.append(row)
-    return out
-
-
-def mat_vec(A, v, zero):
-    out = []
-    for row in A:
-        acc = zero
-        for a, b in zip(row, v):
-            if a and b:
-                acc = acc + a * b
-        out.append(acc)
     return out
 
 

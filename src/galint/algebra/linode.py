@@ -40,12 +40,11 @@ from ..errors import (
     DegreeBoundExceeded,
     IntegrationIncomplete,
     NoTowerSolution,
-    TowerError,
     VerificationFailed,
 )
 from . import linalg
 from .scalars import SPoly
-from .tower import FieldElem
+from .tower import FieldElem, deepest_tower
 
 __all__ = ["rational_ode_solve", "fe_integrate_rational", "solve_rational_system"]
 
@@ -418,15 +417,6 @@ def solve_rational_system(gf, M, G, *, extra_cols=(), conditions=None):
 # tower-level wrappers
 # ---------------------------------------------------------------------------
 
-def _join(a, b):
-    ta, tb = a.tower, b.tower
-    if ta.ancestor_of(tb):
-        return tb.coerce(a), b, tb
-    if tb.ancestor_of(ta):
-        return a, ta.coerce(b), ta
-    raise TowerError("elements live in unrelated towers")
-
-
 def _flatten_operator(tower, delta):
     """Matrix of  y -> y' + delta*y  acting on coordinate columns."""
     basis = tower.basis_monomials()
@@ -457,7 +447,8 @@ def rational_ode_solve(delta, g, *, with_kernel=False, conditions=None,
     Raises ``NoTowerSolution`` when provably none exists, and
     ``DegreeBoundExceeded`` when only the heuristic bounds were exhausted.
     """
-    delta, g, tower = _join(delta, g)
+    tower = deepest_tower((delta.tower, g.tower))
+    delta, g = tower.coerce(delta), tower.coerce(g)
     gf = tower.gf
     M, basis, _ = _flatten_operator(tower, delta)
     G = [gf.zero] * len(basis)

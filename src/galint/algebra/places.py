@@ -1,5 +1,10 @@
 """Local analysis at points of the base curve.
 
+This module owns singular-place discovery and residue exponents: where a
+coefficient can be singular (:func:`pole_places`) and the residue exponent of
+h·ds at such a place (:func:`residue_exponent`).  The Fuchsian scan and the
+resonance lattice's pruning both read them from here.
+
 For a tower element and a place of the s-line (a scalar point, a conjugacy
 class of algebraic points given by an irreducible monic polynomial, or the
 point at infinity) this module produces truncated ramified Laurent–Puiseux
@@ -40,6 +45,9 @@ __all__ = [
     "Exponent",
     "SingularPlace",
     "PlaceContext",
+    "place_context",
+    "pole_places",
+    "residue_exponent",
     "fe_local_exponent",
     "fiber_tower",
     "evaluate_at",
@@ -113,9 +121,6 @@ class Exponent:
         c = Fraction(c)
         return Exponent(self.rational * c, {k: v * c for k, v in self.param})
 
-    def is_integer(self):
-        return not self.param and self.rational.denominator == 1
-
     def __eq__(self, other):
         if isinstance(other, Exponent):
             return self.rational == other.rational and self.param == other.param
@@ -162,9 +167,6 @@ class SingularPlace:
         self.m = m
         self.exponents = tuple(exponents)
         self.kind = kind
-
-    def location_key(self):
-        return _location_key(_normalize_location(None, self.location))
 
     def __repr__(self):
         loc = self.location
@@ -348,6 +350,7 @@ class PlaceContext:
         elif self.loc is INF:
             self.s0 = None
             self.place_poly = None
+            self.s2 = tower.from_ground(gf.s * gf.s)
         else:
             self.s0 = ct.from_ground(self.loc)
             self.place_poly = SPoly(gf, [-self.loc, gf.one])
@@ -613,7 +616,8 @@ class PlaceContext:
         return self.expand(a, k).coeff(k)
 
 
-def _place_context(tower, location):
+def place_context(tower, location):
+    """The :class:`PlaceContext` of a tower at a place, cached on the tower."""
     try:
         cache = tower._place_ctxs
     except AttributeError:
@@ -624,6 +628,48 @@ def _place_context(tower, location):
         ctx = PlaceContext(tower, location)
         cache[key] = ctx
     return ctx
+
+
+def pole_places(elems):
+    """``{location key: location}`` of the poles of tower elements.
+
+    Collects the irreducible s-factors of every coordinate denominator: a
+    linear factor s - s0 gives the scalar s0, any other factor the monic
+    SPoly itself (a class of conjugate algebraic points).  Keys are
+    ``("pt", str(s0))`` and ``("poly", SPoly.key())``.
+    """
+    out = {}
+    for a in elems:
+        gf = a.tower.gf
+        for c in a.coords.values():
+            for p, mult in gf.monic_s_factors(c):
+                if mult < 0:
+                    loc = -p.coeffs[0] if p.degree == 1 else p
+                    out[_location_key(loc)] = loc
+    return out
+
+
+def residue_exponent(ctx, a):
+    """Residue exponent of the coefficient ``a`` of a log-derivative h·ds.
+
+    The u^{-m} coefficient of a at a finite place u^m = s - s0, and of
+    -s^2·a (the local system's coefficient in τ = 1/s) at infinity; it is
+    branch-invariant.  Returned as an :class:`Exponent` when affine in the
+    parameters, else as the string rendering of its value.
+    """
+    gf = ctx.gf
+    if ctx.loc is INF:
+        a = -(a * ctx.s2)
+    if a.is_zero():
+        return Exponent(0)
+    resid = ctx.coefficient(a, -ctx.m)
+    if resid.is_zero():
+        return Exponent(0)
+    scalar = scalarize_constant(resid)
+    if scalar is None:
+        return str(resid)
+    e = Exponent.from_scalar(gf, scalar)
+    return e if e is not None else str(gf.to_expr(scalar))
 
 
 def fe_local_exponent(a, place):
@@ -643,7 +689,7 @@ def fe_local_exponent(a, place):
             "public exponent extraction is restricted to scalar points and "
             "infinity"
         )
-    ctx = _place_context(a.tower, loc)
+    ctx = place_context(a.tower, loc)
     exp, _ = ctx.leading(a)
     return exp
 

@@ -128,9 +128,6 @@ class GroundField:
     def to_expr(self, f):
         return f.as_expr()
 
-    def is_zero(self, f):
-        return not f
-
     # ------------------------------------------------------------ derivation
 
     def diff_s(self, f):
@@ -284,24 +281,6 @@ class GroundField:
         return const, {self.param_names[i]: v for i, v in out.items()}
 
     # ----------------------------------------------------------- evaluation
-
-    def eval_complex(self, f, assignment):
-        """Evaluate at complex values; ``assignment`` maps name -> complex."""
-        num = self._eval_poly_c(f.numer, assignment)
-        den = self._eval_poly_c(f.denom, assignment)
-        return num / den
-
-    def _eval_poly_c(self, p, assignment):
-        names = self.param_names + (self.curve_var,)
-        vals = [complex(assignment[n]) for n in names]
-        acc = 0j
-        for mono, c in p.terms():
-            t = complex(Fraction(int(c.numerator), int(c.denominator)))
-            for v, e in zip(vals, mono):
-                if e:
-                    t *= v**e
-            acc += t
-        return acc
 
     def subs_s(self, f, value):
         """Substitute a *scalar* (parameter-only FracElement or rational) for s.

@@ -42,7 +42,9 @@ from ..errors import (
 )
 from . import linalg
 
-__all__ = ["AlgebraicTower", "FieldElem", "GenInfo", "GaloisGen"]
+__all__ = [
+    "AlgebraicTower", "FieldElem", "GenInfo", "GaloisGen", "deepest_tower",
+]
 
 
 class GenInfo:
@@ -397,44 +399,18 @@ class AlgebraicTower:
         x, _ = sol
         return FieldElem(self, {basis[k]: c for k, c in enumerate(x) if c})
 
-    # ------------------------------------------------------ numeric evaluation
 
-    def eval_complex(self, a, assignment, branches=None):
-        """Numeric value of ``a``; radicals take principal roots.
-
-        ``assignment`` maps parameter/curve-variable names to complex values;
-        ``branches`` optionally maps generator names to an integer k selecting
-        the k-th root (multiplying the principal one by exp(2*pi*i*k/d)).
-        """
-        import cmath
-
-        vals = []
-        for i, info in enumerate(self.gens):
-            if not info.radical:
-                raise TowerError(
-                    f"cannot numerically evaluate non-radical generator "
-                    f"{info.name!r}"
-                )
-            bval = 0j
-            for e, c in info.radicand.coords.items():
-                t = self.gf.eval_complex(c, assignment)
-                for v, k in zip(vals, e):
-                    if k:
-                        t *= v**k
-                bval += t
-            root = bval ** (1.0 / info.degree)
-            if branches and info.name in branches:
-                k = branches[info.name] % info.degree
-                root *= cmath.exp(2j * cmath.pi * k / info.degree)
-            vals.append(root)
-        acc = 0j
-        for e, c in a.coords.items():
-            t = self.gf.eval_complex(c, assignment)
-            for v, k in zip(vals, e):
-                if k:
-                    t *= v**k
-            acc += t
-        return acc
+def deepest_tower(towers):
+    """The deepest of nested towers; ``TowerError`` when two are unrelated."""
+    towers = iter(towers)
+    deepest = next(towers)
+    for t in towers:
+        if t.ancestor_of(deepest):
+            continue
+        if not deepest.ancestor_of(t):
+            raise TowerError("data lives in unrelated towers")
+        deepest = t
+    return deepest
 
 
 class FieldElem:

@@ -24,8 +24,10 @@ The lattice sweep prunes candidates with an exact necessary condition before
 the ODE solver runs: at every usable singular place, the residue of
 sum_l k_l h_l must be a parameter-free rational whose denominator divides
 the ramification index, because for a would-be witness it equals
-ord(y)/m.  Residues are branch-invariant data (the u^{-m} coefficient), and
-places where they fail to scalarize simply contribute no constraint.
+ord(y)/m.  The places and the residues (branch-invariant u^{-m}
+coefficients) come from :func:`~galint.algebra.places.pole_places` and
+:func:`~galint.algebra.places.residue_exponent`; places where a residue
+fails to scalarize simply contribute no constraint.
 
 Verdicts are generic in the parameters.  Since those are independent
 transcendentals, a combination delta = delta_0 + sum_p alpha_p delta_p that
@@ -48,7 +50,6 @@ from ..errors import (
     DegreeBoundExceeded,
     InputError,
     NotExpandable,
-    TowerError,
     VerificationFailed,
     ZeroDivisor,
 )
@@ -57,11 +58,11 @@ from ..algebra.places import (
     INF,
     Exponent,
     SingularPlace,
-    _location_key,
-    _normalize_location,
-    _place_context,
-    scalarize_constant,
+    place_context,
+    pole_places,
+    residue_exponent,
 )
+from ..algebra.tower import deepest_tower
 
 __all__ = [
     "Resonant",
@@ -105,17 +106,6 @@ class NonResonant:
         if self.detail:
             return f"NonResonant({self.detail!r})"
         return "NonResonant()"
-
-
-def _common_tower(elems):
-    tower = None
-    for a in elems:
-        t = a.tower
-        if tower is None or tower.ancestor_of(t):
-            tower = t
-        elif not t.ancestor_of(tower):
-            raise TowerError("log-derivatives live on unrelated towers")
-    return tower
 
 
 def _combination(tower, k, h):
@@ -222,7 +212,7 @@ def resonance_test(h, j, k, *, conditions=None):
         raise InputError("multi-index entries must be nonnegative")
     if sum(k) < 2:
         raise InputError("resonance multi-indices have |k| >= 2")
-    tower = _common_tower(h)
+    tower = deepest_tower(a.tower for a in h)
     h = [tower.coerce(a) for a in h]
     delta = _combination(tower, k, h) - h[j - 1]
     return _witness_verdict(delta, conditions=conditions)
@@ -325,65 +315,30 @@ def _nonneg_members(basis, d, k_max):
 # residue pruning for the lattice sweep
 # ---------------------------------------------------------------------------
 
-def _candidate_locations(tower, h):
-    gf = tower.gf
-    cands = {}
-
-    def collect(elem):
-        for c in elem.coords.values():
-            for p, mult in gf.monic_s_factors(c):
-                if mult < 0:
-                    loc = -p.coeffs[0] if p.degree == 1 else p
-                    cands[_location_key(_normalize_location(gf, loc))] = loc
-
-    for a in h:
-        collect(a)
-    for info in tower.gens:
-        if info.radicand is not None:
-            collect(tower.coerce(info.radicand))
-    locs = [loc for _, loc in sorted(cands.items(), key=lambda kv: str(kv[0]))]
-    locs.append(INF)
-    return locs
-
-
 def _residue_rows(tower, h):
     """Exact residue vectors of the h_l at every usable singular place.
 
-    Each entry is ``(m, exps)`` with one affine Exponent per h_l: the
-    u^{-m} coefficient at a finite place u^m = s - s0, respectively of
-    -s^2 h at infinity.  Places with branch-dependent or non-affine residues
-    are dropped entirely (they impose no pruning constraint).
+    Each entry is ``(m, exps)`` with one affine Exponent per h_l, from
+    :func:`~galint.algebra.places.residue_exponent`.  Places with
+    branch-dependent or non-affine residues are dropped entirely (they
+    impose no pruning constraint).
     """
-    gf = tower.gf
-    s2 = tower.from_ground(gf.s * gf.s)
+    radicands = [g.radicand for g in tower.gens if g.radicand is not None]
+    places = pole_places(h + radicands)
     rows = []
-    for loc in _candidate_locations(tower, h):
+    for loc in [places[key] for key in sorted(places, key=str)] + [INF]:
         try:
-            ctx = _place_context(tower, loc)
+            ctx = place_context(tower, loc)
+            exps = []
+            for a in h:
+                e = residue_exponent(ctx, a)
+                if not isinstance(e, Exponent):
+                    break
+                exps.append(e)
+            else:
+                rows.append((ctx.m, exps))
         except (NotExpandable, ZeroDivisor):
             continue
-        exps = []
-        for a in h:
-            target = -(a * s2) if loc is INF else a
-            if target.is_zero():
-                exps.append(Exponent(0))
-                continue
-            try:
-                val = ctx.coefficient(target, -ctx.m)
-            except (NotExpandable, ZeroDivisor):
-                exps = None
-                break
-            scal = scalarize_constant(val)
-            if scal is None:
-                exps = None
-                break
-            e = Exponent.from_scalar(gf, scal)
-            if e is None:
-                exps = None
-                break
-            exps.append(e)
-        if exps is not None:
-            rows.append((ctx.m, exps))
     return rows
 
 
@@ -445,7 +400,7 @@ class ResonanceReport:
         coeffs = _express(self.basis, k)
         if coeffs is None:
             raise InputError(f"{k} is not in the computed relation lattice")
-        tower = _common_tower(self.h)
+        tower = deepest_tower(a.tower for a in self.h)
         y = tower.one
         for c, row in zip(coeffs, self.basis):
             if c:
@@ -501,7 +456,7 @@ def relation_lattice(h, k_max, *, conditions=None):
     k_max = int(k_max)
     if k_max < 1:
         raise InputError("k_max must be at least 1")
-    tower = _common_tower(h)
+    tower = deepest_tower(a.tower for a in h)
     h = [tower.coerce(a) for a in h]
     d = len(h)
     rows = _residue_rows(tower, h)

@@ -14,7 +14,7 @@ from ..errors import InputError, RankDeficiency, VerificationFailed
 from ..galois.resonance import relation_lattice
 from ..reduction import ReducedSystem
 from .fields import commuting_fields, stabilize_frame
-from .flows import FormalFlow, _int_elem, formal_flow
+from .flows import FormalFlow, formal_flow
 from .integrals import first_integrals
 
 __all__ = [
@@ -158,7 +158,7 @@ def _dpartial(A, j, tower):
         if not i[j]:
             continue
         k = i[:j] + (i[j] - 1,) + i[j + 1:]
-        out[k] = c * _int_elem(tower, i[j])
+        out[k] = c * tower.from_ground(i[j])
     return out
 
 

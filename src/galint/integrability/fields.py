@@ -27,7 +27,7 @@ from ..series import (
     TruncSeries,
     q_series,
 )
-from .flows import FormalFlow, _int_elem, invert_flow
+from .flows import FormalFlow, invert_flow
 
 __all__ = [
     "CertifiedField",
@@ -36,7 +36,6 @@ __all__ = [
     "commuting_fields",
     "lie_bracket",
     "ratio_lie",
-    "ratio_order",
     "rderive_s",
     "rpartial",
     "scan_residual",
@@ -121,13 +120,6 @@ def scan_residual(r, debt):
     if f is None or f > W:
         return None, W - v
     return f - v, f - v - 1
-
-
-def ratio_order(r):
-    """Largest degree through which ``r`` is certifiably zero within its
-    own window (may be negative when a nonzero cell sits at or below the
-    denominator valuation)."""
-    return scan_residual(r, 0)[1]
 
 
 def as_cols(f):
@@ -265,7 +257,7 @@ def commuting_fields(flow, report=None, *, conditions=None):
             for j, k in enumerate(row):
                 if k:
                     scaled = RatioSeries(
-                        lg[j][c].num.scale(_int_elem(tower, k)),
+                        lg[j][c].num.scale(tower.from_ground(k)),
                         lg[j][c].den,
                     )
                     acc = acc + scaled

@@ -181,16 +181,12 @@ class Linearization:
 # small helpers
 # ---------------------------------------------------------------------------
 
-def _int_elem(tower, m):
-    return tower.from_ground(tower.gf.from_rational(m))
-
-
 def _combo(tower, hs, index):
     """The combination  sum_l index_l * h_l  as a tower element."""
     acc = tower.zero
     for m, h in zip(index, hs):
         if m:
-            acc = acc + h * _int_elem(tower, m)
+            acc = acc + h * tower.from_ground(m)
     return acc
 
 
@@ -480,15 +476,6 @@ def _gauge_inverse(R):
     if inv is None:
         raise SingularGauge("the accumulated gauge is singular")
     return inv
-
-
-def original_series(R, a):
-    """A reduced-chart function series rewritten in the original transverse
-    chart (original q = gauge * reduced q)."""
-    if a.alphabet != "q":
-        raise InputError("chart transport applies to q-alphabet series")
-    subst = linear_subst(a.basis, _gauge_inverse(R), a.N)
-    return a.compose(subst)
 
 
 def original_field(R, components, s_component):

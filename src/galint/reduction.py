@@ -37,20 +37,18 @@ from .errors import (
     OrderExceedsTable,
     SingularGauge,
     TangentiallySingular,
-    TowerError,
     VerificationFailed,
 )
 from .algebra import linalg
-from .algebra.tower import FieldElem
+from .algebra.tower import FieldElem, deepest_tower
 from .algebra.places import (
     INF,
     Exponent,
     SingularPlace,
-    _location_key,
-    _normalize_location,
-    _place_context,
     fe_local_exponent,
-    scalarize_constant,
+    place_context,
+    pole_places,
+    residue_exponent,
 )
 from .series import HyperexpBasis, TruncSeries, linear_subst, q_series, q_table
 
@@ -277,18 +275,6 @@ class CoordRat:
 # vector fields tangent to a parametrized curve
 
 
-def _deepest_tower(towers):
-    t = towers[0]
-    for u in towers[1:]:
-        if u is t or u.ancestor_of(t):
-            continue
-        if t.ancestor_of(u):
-            t = u
-        else:
-            raise TowerError("data lives in unrelated towers")
-    return t
-
-
 class VectorFieldSpec:
     """A rational vector field together with an invariant parametrized curve.
 
@@ -320,7 +306,7 @@ class VectorFieldSpec:
             cand.append(tower)
         if not cand:
             raise InputError("no tower declared anywhere in the field data")
-        self.tower = T = _deepest_tower(cand)
+        self.tower = T = deepest_tower(cand)
         self.n = n
         self.nq = n - 1
         comps = []
@@ -436,26 +422,6 @@ class ReducedSystem:
                 f"{len(self.table)} nonlinear terms{flag})")
 
 
-def _pole_keys(gf, elem):
-    """Keys of irreducible s-factors in the coordinate denominators."""
-    keys = set()
-    for c in elem.coords.values():
-        for p, mult in gf.monic_s_factors(c):
-            if mult < 0:
-                keys.add(("poly", p.key()) if p.degree > 1 else
-                         ("pt", str(-p.coeffs[0])))
-    return keys
-
-
-def _pole_locations(gf, elem, into):
-    """Collect {location_key: location} for coordinate denominator factors."""
-    for c in elem.coords.values():
-        for p, mult in gf.monic_s_factors(c):
-            if mult < 0:
-                loc = -p.coeffs[0] if p.degree == 1 else p
-                into[_location_key(_normalize_location(gf, loc))] = loc
-
-
 def reduce_to_curve(spec, order=4):
     """Rewrite the field in transverse coordinates q = x - gamma.
 
@@ -466,7 +432,6 @@ def reduce_to_curve(spec, order=4):
     if order < 1:
         raise InputError("expansion order must be at least 1")
     T = spec.tower
-    gf = T.gf
     nq = spec.nq
     comp_series = [c.expand_around(spec.curve, order) for c in spec.components]
     xn = comp_series[nq]
@@ -482,9 +447,7 @@ def reduce_to_curve(spec, order=4):
         lin.append([c if c is not None else T.zero for c in row])
         for e, c in high.items():
             table[(j, e)] = c
-    curve_places = set()
-    for g in list(spec.curve) + list(spec.curve_deriv):
-        curve_places |= _pole_keys(gf, g)
+    curve_places = set(pole_places(spec.curve + spec.curve_deriv))
     for g in spec.curve_deriv:
         if g.is_zero():
             continue
@@ -546,7 +509,7 @@ def apply_gauge(R, P, *, assert_diagonal=False):
     nq = R.nq
     towers = [R.tower] + [c.tower for row in P for c in row
                           if isinstance(c, FieldElem)]
-    T = _deepest_tower(towers)
+    T = deepest_tower(towers)
     P = [[T.coerce(c) for c in row] for row in P]
     if len(P) != nq or any(len(row) != nq for row in P):
         raise InputError("gauge matrix has wrong shape")
@@ -584,11 +547,9 @@ def apply_gauge(R, P, *, assert_diagonal=False):
     xn = q_table(substituted(R.xn))
     t = None if R.t is None else q_table(substituted(R.t))
 
-    gf = T.gf
     gauge_places = set(R.gauge_places)
-    for row in (*P, *Pinv, *Pd):
-        for c in row:
-            gauge_places |= _pole_keys(gf, c)
+    gauge_places.update(
+        pole_places(c for row in (*P, *Pinv, *Pd) for c in row))
     gauge_new = linalg.mat_mul([[T.coerce(c) for c in row] for row in R.gauge],
                                P, T.zero)
     out = ReducedSystem(T, nq, R.order, lin_new, table, xn, t,
@@ -712,47 +673,27 @@ def build_NVE(R, k):
 # Fuchsian scan
 
 
-def _exponent_entry(gf, resid):
-    if resid.is_zero():
-        return Exponent(0)
-    scalar = scalarize_constant(resid)
-    if scalar is not None:
-        e = Exponent.from_scalar(gf, scalar)
-        if e is not None:
-            return e
-        return str(gf.to_expr(scalar))
-    return str(resid)
-
-
 def fuchsian_scan(R):
     """Locate and classify the singular places of a diagonal reduced system.
 
-    Walks the poles of the diagonal exponents and of the nonlinear table
-    (plus the place at infinity), checks that every diagonal pole is simple
-    after ramification normalization, and reports each singular place with
-    its ramification index, local exponent vector, and a provenance tag.
-    Raises :class:`NonFuchsian` as soon as some diagonal entry has a pole of
-    order > 1.
+    Walks the poles of the diagonal exponents, of the nonlinear table and of
+    the tower's radicands, then the place at infinity, where the local
+    system's coefficient is -s^2 lambda.  Checks that every diagonal pole is
+    simple after ramification normalization, and reports each singular place
+    with its ramification index, its local exponent vector (the residue
+    exponents of :func:`~galint.algebra.places.residue_exponent`) and a
+    provenance tag.  Raises :class:`NonFuchsian` as soon as some diagonal
+    entry has a pole of order > 1.
     """
     if not R.is_diagonal():
         raise GaugeRequired("fuchsian_scan needs a diagonal linear part")
     T = R.tower
-    gf = T.gf
     lams = [T.coerce(c) for c in R.lambdas]
     fs = [T.coerce(c) for c in R.table.values()]
-
-    cands = {}
-    for lam in lams:
-        _pole_locations(gf, lam, cands)
-    fkeys = set()
-    for f in fs:
-        local = {}
-        _pole_locations(gf, f, local)
-        fkeys |= set(local)
-        cands.update(local)
-    for info in T.gens:
-        if info.radicand is not None:
-            _pole_locations(gf, info.radicand, cands)
+    table_poles = pole_places(fs)
+    radicands = [g.radicand for g in T.gens if g.radicand is not None]
+    places = pole_places(lams + radicands)
+    places.update(table_poles)
 
     def kind_of(key):
         if key in R.curve_places:
@@ -761,73 +702,32 @@ def fuchsian_scan(R):
             return "gauge-artifact"
         return "vector-field-singularity"
 
-    found = []
-    for key, loc in sorted(cands.items(), key=lambda kv: str(kv[0])):
-        ctx = _place_context(T, loc)
-        exps = []
-        has_pole = False
-        for lam in lams:
-            if lam.is_zero():
-                exps.append(Exponent(0))
-                continue
-            e, _ = ctx.leading(lam)
-            if e.rational < -1:
-                raise NonFuchsian(
-                    f"pole of order {-e.rational} at {loc}",
-                    place=loc, order=-e.rational,
-                )
-            if e.rational < 0:
-                has_pole = True
-            exps.append(_exponent_entry(gf, ctx.coefficient(lam, -ctx.m)))
-        include = has_pole or key in fkeys
-        include = include or any(
-            isinstance(e, Exponent) and (e.rational or e.param) for e in exps
-        ) or any(isinstance(e, str) for e in exps)
-        if not include:
-            for f in fs:
-                if f.is_zero():
-                    continue
-                try:
-                    ef, _ = ctx.leading(f)
-                except NotExpandable:
-                    include = True
-                    break
-                if ef.rational < 0:
-                    include = True
-                    break
-        if include:
-            found.append(SingularPlace(loc, ctx.m, exps, kind_of(key)))
-
-    # the place at infinity
-    ctx = _place_context(T, INF)
-    s2 = T.from_ground(gf.s * gf.s)
-    exps = []
-    include = False
-    for lam in lams:
-        if lam.is_zero():
-            exps.append(Exponent(0))
-            continue
-        e, _ = ctx.leading(lam)
-        if e.rational < 1:
-            raise NonFuchsian(
-                f"pole of order {2 - e.rational} of the local system at infinity",
-                place=INF, order=2 - e.rational,
-            )
-        if e.rational < 2:
-            include = True
-        exps.append(_exponent_entry(gf, ctx.coefficient(-(lam * s2), -ctx.m)))
-    if not include:
+    def table_singular_at(ctx):
         for f in fs:
-            if f.is_zero():
-                continue
             try:
-                ef, _ = ctx.leading(f)
+                if ctx.leading(f)[0].rational < 0:
+                    return True
             except NotExpandable:
-                include = True
-                break
-            if ef.rational < 0:
-                include = True
-                break
-    if include:
-        found.append(SingularPlace(INF, ctx.m, exps, kind_of(("inf",))))
+                return True
+        return False
+
+    found = []
+    for key in sorted(places, key=str) + [("inf",)]:
+        loc = places.get(key, INF)
+        ctx = place_context(T, loc)
+        # at infinity the local coefficient -s^2 lambda has pole order 2 - e
+        shift = 2 if loc is INF else 0
+        poles = []
+        for lam in lams:
+            order = shift - ctx.leading(lam)[0].rational if lam else 0
+            if order > 1:
+                where = ("of the local system at infinity" if loc is INF
+                         else f"at {loc}")
+                raise NonFuchsian(f"pole of order {order} {where}",
+                                  place=loc, order=order)
+            poles.append(order > 0)
+        if any(poles) or key in table_poles or table_singular_at(ctx):
+            exps = [residue_exponent(ctx, lam) if pole else Exponent(0)
+                    for lam, pole in zip(lams, poles)]
+            found.append(SingularPlace(loc, ctx.m, exps, kind_of(key)))
     return found

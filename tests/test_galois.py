@@ -21,7 +21,7 @@ from galint.galois import (
     relation_lattice,
     resonance_test,
 )
-from galint.galois.resonance import _hnf_with_transform
+from galint.galois.resonance import _hnf_with_transform, _residue_rows
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +195,16 @@ class TestRelationLattice:
         assert not rep.query(2, (1, 1, 0, 0))  # H^k/H_2 = H_1, not in field
         v = rep.query(2, (1, 2, 0, 0))
         assert v and (v.witness.derive() * w2 - v.witness * w2.derive()).is_zero()
+
+    def test_residue_rows_drop_non_affine_places(self, gf):
+        # h1 = alpha^2/s + 1/(s-1) has a non-affine residue at 0 and at
+        # infinity, so only the place 1 constrains the sweep
+        s, alpha = gf.s, gf.gen("alpha")
+        T = AlgebraicTower(gf)
+        h = [T.from_ground(alpha**2 / s + 1 / (s - 1)),
+             T.from_ground(alpha / (s - 1))]
+        assert _residue_rows(T, h) == [
+            (1, [Exponent(1), Exponent(0, {"alpha": 1})])]
 
     def test_k_max_validation(self, gf):
         T = AlgebraicTower(gf)

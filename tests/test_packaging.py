@@ -2,9 +2,12 @@
 
 import ast
 import importlib
+import pkgutil
 import re
 import tomllib
 from pathlib import Path
+
+import galint
 
 ROOT = Path(__file__).resolve().parent.parent
 PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
@@ -36,3 +39,12 @@ def test_every_runtime_dependency_is_imported():
         dist = re.match(r"[A-Za-z0-9_.\-]+", spec).group(0)
         module = dist.lower().replace("-", "_")
         assert module in imported, f"dependency {dist!r} is never imported"
+
+
+def test_every_exported_name_resolves():
+    names = ["galint"] + [info.name for info in
+                          pkgutil.walk_packages(galint.__path__, "galint.")]
+    for modname in names:
+        module = importlib.import_module(modname)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{modname}.__all__ lists {name!r}"

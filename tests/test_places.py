@@ -7,11 +7,13 @@ import pytest
 
 from galint.algebra import (
     AlgebraicTower,
+    Exponent,
     GroundField,
     evaluate_at,
     fe_local_exponent,
     fiber_tower,
 )
+from galint.algebra.places import INF, place_context, residue_exponent
 from galint.errors import NotExpandable
 
 
@@ -96,6 +98,18 @@ def test_exponents_add_on_products(gf, T):
 def test_zero_element_not_expandable(gf, T):
     with pytest.raises(NotExpandable):
         fe_local_exponent(T.zero, 0)
+
+
+def test_residue_exponents(gf, T):
+    # alpha/s: residue alpha at 0, and -alpha at infinity (of -s^2 * alpha/s
+    # in 1/s); alpha^2/s is not affine in the parameter; zero gives 0
+    s, alpha = gf.s, gf.gen("alpha")
+    at0, atinf = place_context(T, 0), place_context(T, INF)
+    a = T.from_ground(alpha / s)
+    assert residue_exponent(at0, a) == Exponent(0, {"alpha": 1})
+    assert residue_exponent(atinf, a) == Exponent(0, {"alpha": -1})
+    assert isinstance(residue_exponent(at0, T.from_ground(alpha**2 / s)), str)
+    assert residue_exponent(at0, T.zero) == Exponent(0)
 
 
 def test_fiber_evaluation(gf, T):

@@ -493,6 +493,52 @@ def test_scan_ramified_curve_pole_is_half_order(gf):
     assert all(p.m == 2 and p.exponents == (Exponent(0),) for p in over_curve)
 
 
+def test_scan_table_poles_and_infinity_fallback(gf, T):
+    # lambda = alpha/(s(s-1)) has residues -alpha at 0 and alpha at 1 and no
+    # pole of the local system at infinity; place 3 enters only through the
+    # table's denominator, infinity only through the table entry's leading
+    # exponent there (s + 1/(s-3) has a pole at infinity)
+    s, alpha = gf.s, gf.gen("alpha")
+    lam = T.from_ground(alpha / (s * (s - 1)))
+    R = mk(T, [[lam]], {(0, (2,)): T.from_ground(s + 1 / (s - 3))})
+    places = fuchsian_scan(R)
+    got = [(str(p.location), p.m, p.exponents) for p in places]
+    assert got == [
+        ("0", 1, (Exponent(0, {"alpha": -1}),)),
+        ("1", 1, (Exponent(0, {"alpha": 1}),)),
+        ("3", 1, (Exponent(0),)),
+        ("inf", 1, (Exponent(0),)),
+    ]
+    assert all(p.kind == "vector-field-singularity" for p in places)
+
+
+def test_scan_counts_coordinate_poles_of_the_table(gf):
+    # on w^2 = (s-3)^2 (1+s) the entry w/(s-3) is regular at 3, but its
+    # coordinate has a pole there, which alone puts 3 on the list
+    s, alpha = gf.s, gf.gen("alpha")
+    T = AlgebraicTower(gf).extend("w", 2, (s - 3) ** 2 * (1 + s))
+    lam = T.from_ground(alpha / (s * (s - 1)))
+    f = T.gen("w") / T.from_ground(s - 3)
+    places = fuchsian_scan(mk(T, [[lam]], {(0, (2,)): f}))
+    assert [(str(p.location), p.m) for p in places] == [
+        ("0", 1), ("1", 1), ("3", 1), ("inf", 2)]
+
+
+def test_scan_radicand_pole_enters_through_the_table(gf):
+    # on w^2 = 1/(s-2) the branch point 2 is a candidate only through the
+    # radicand; it is reported because the table entry w has a pole there
+    s, alpha = gf.s, gf.gen("alpha")
+    T = AlgebraicTower(gf).extend("w", 2, 1 / (s - 2))
+    lam = T.from_ground(alpha / (s * (s - 1)))
+    places = fuchsian_scan(mk(T, [[lam]], {(0, (2,)): T.gen("w")}))
+    got = [(str(p.location), p.m, p.exponents) for p in places]
+    assert got == [
+        ("0", 1, (Exponent(0, {"alpha": -1}),)),
+        ("1", 1, (Exponent(0, {"alpha": 1}),)),
+        ("2", 2, (Exponent(0),)),
+    ]
+
+
 # --------------------------------------------------------------------------
 # CoordRat expansion, checked against sympy
 
