@@ -9,16 +9,18 @@ non-diagonal) matrix of  w^e -> (w^e)'.
 The system is solved by the classical pole-bound / undetermined-coefficients
 method:
 
-* candidate poles of a rational solution are confined to the irreducible
-  s-factors appearing in denominators of M, G (solutions of a linear system
-  are analytic at every regular point, so a rational solution has no other
-  poles);
-* at a place where M has at most a simple pole, the local exponents of the
-  homogeneous system are the eigenvalues of the residue matrix, so the pole
-  order of y is bounded by the largest positive integer eigenvalue (taken
-  generically in the parameters) or by the pole order forced by G;
-* the substitution y = z/Den turns the bound into a polynomial ansatz, whose
-  degree is bounded the same way at infinity via s -> 1/s;
+* the candidate places are the poles of the data: the irreducible s-factors
+  of the denominators of M, G (solutions of a linear system are analytic at
+  every regular point, so a rational solution has no other poles), and
+  infinity;
+* one routine bounds every place: where M has at most a simple pole, the
+  local exponents of the homogeneous system are the eigenvalues of the
+  residue matrix, so the pole order of y (its degree, at infinity) is
+  bounded by the largest integer eigenvalue (taken generically in the
+  parameters) or by the order forced by G;
+* the substitution y = z/Den turns the finite bounds into a polynomial
+  ansatz, whose degree is the bound at infinity; there the valuations and
+  residues of the system in tau = 1/s are read from degrees in s;
 * the remaining finite-dimensional linear system is solved exactly, and every
   scalar divided by along the way is recorded so callers can report the
   exceptional parameter values.
@@ -60,14 +62,23 @@ def _pinv(a, p):
     return u % p
 
 
-def _residue_matrix(gf, M, p):
-    """(M * p/p') mod p for a matrix with at most simple poles along p.
+def _inf_order(gf, f):
+    """Order at tau = 0 of -f(1/tau)/tau^2, f's entry in the tau = 1/s system."""
+    s = gf.s.numer
+    return f.denom.degree(s) - f.numer.degree(s) - 2
 
-    Entries regular at p contribute zero; an entry n/d with p | d exactly once
-    contributes n * (d/p * p')^{-1}.  Fractions are reduced, so the
-    p-multiplicity of the denominator is the (clamped) pole order.
+
+def _residue_matrix(gf, M, p):
+    """Residue matrix of a matrix with at most simple poles at a place.
+
+    At a finite place p it is (M * p/p') mod p: entries regular at p
+    contribute zero; an entry n/d with p | d exactly once contributes
+    n * (d/p * p')^{-1}.  Fractions are reduced, so the p-multiplicity of the
+    denominator is the (clamped) pole order.  At infinity (p None) an entry's
+    order is that of :func:`_inf_order`, and at order -1 its residue is the
+    constant -lc(n)/lc(d).
     """
-    dp = p.diff()
+    dp = None if p is None else p.diff()
     out = []
     for row in M:
         orow = []
@@ -76,16 +87,19 @@ def _residue_matrix(gf, M, p):
                 orow.append(SPoly(gf, []))
                 continue
             den = gf.denom_spoly(f)
-            k = p.valuation_of(den)
-            if k == 0:
+            k = -_inf_order(gf, f) if p is None else p.valuation_of(den)
+            if k <= 0:
                 orow.append(SPoly(gf, []))
                 continue
             if k > 1:
                 raise ArithmeticError("residue matrix of a higher-order pole")
-            num = gf.numer_spoly(f) % p
+            num = gf.numer_spoly(f)
+            if p is None:
+                orow.append(SPoly(gf, [-num.coeffs[-1] / den.coeffs[-1]]))
+                continue
             dred = (den.divmod(p)[0]) % p
             inv = _pinv((dred * dp) % p, p)
-            orow.append((num * inv) % p)
+            orow.append(((num % p) * inv) % p)
         out.append(orow)
     return out
 
@@ -199,8 +213,32 @@ def _times_poly(gf, f, Q):
     return (num * q).scale(gf.one / lead)
 
 
-def _factor_map(gf, f):
-    return {p.key(): (p, m) for p, m in gf.monic_s_factors(f)}
+def _local_bound(gf, M, vm, vg, place):
+    """Bound on a rational solution of  z' + M z = rhs  at one place.
+
+    ``place`` is a monic irreducible SPoly, where the bound is a pole order
+    (floor 0), or None for infinity, where it is a degree (floor -1: no
+    polynomial part).  ``vm`` and ``vg`` are the valuations there of M and of
+    the right sides, clamped to at most 0; at infinity they are those of the
+    system in tau = 1/s.  Returns ``(bound, detail)``, where ``detail`` is
+    None when the bound is complete and otherwise says why it is heuristic.
+    """
+    floor = 0 if place is not None else -1
+    if vm >= -1:
+        p = place if place is not None else SPoly(gf, [gf.zero, gf.one])
+        eigs = _integer_eigs(_residue_matrix(gf, M, place), p, gf)
+        return max([floor, -(vg + 1)] + eigs), None
+    if len(M) == 1:
+        # exact leading balance: v(y) = v(rhs) - v(M)
+        return max(floor, vm - vg), None
+    if place is not None:
+        where, what = f"at a degree-{place.degree} place", "pole"
+    else:
+        where, what = "at infinity", "degree"
+    return max(0, -(vg + 1)) - vm, (
+        f"pole of order {-vm} in the system matrix {where}; "
+        f"{what} bound is heuristic"
+    )
 
 
 def solve_rational_system(gf, M, G, *, extra_cols=(), conditions=None):
@@ -222,63 +260,33 @@ def solve_rational_system(gf, M, G, *, extra_cols=(), conditions=None):
     zero, one = gf.zero, gf.one
     rhs_vecs = [G] + [list(E) for E in extra_cols]
 
-    # -- candidate finite places and their valuations
-    fac = {}
-    for row in M:
-        for f in row:
-            if f:
-                for key, (p, _) in _factor_map(gf, f).items():
-                    fac.setdefault(key, p)
-    for vec in rhs_vecs:
-        for f in vec:
-            if f:
-                for key, (p, _) in _factor_map(gf, f).items():
-                    fac.setdefault(key, p)
+    # -- pole orders at the finite places: the poles of M and of the right
+    #    sides, first seen first; a place that is a pole of neither bounds
+    #    nothing, and neither does a positive valuation of a right side
+    places = {}
 
-    def min_val(key, entries):
-        v = None
+    def pole_orders(entries):
+        out = []
         for f in entries:
-            if not f:
-                continue
-            m = _factor_map(gf, f).get(key)
-            m = m[1] if m else 0
-            v = m if v is None else min(v, m)
-        return v
+            if f:
+                vals = {}
+                for p, v in gf.monic_s_factors(f):
+                    key = p.key()
+                    places.setdefault(key, p)
+                    vals[key] = v
+                out.append(vals)
+        return out
 
-    m_entries = [f for row in M for f in row]
-    rhs_entries = [f for vec in rhs_vecs for f in vec]
+    m_vals = pole_orders(f for row in M for f in row)
+    g_vals = pole_orders(f for vec in rhs_vecs for f in vec)
 
-    sound = True
     sound_detail = None
-    pole_bounds = []
-    for key, p in fac.items():
-        vm = min_val(key, m_entries)
-        vm = 0 if vm is None else min(vm, 0)
-        vg = min_val(key, rhs_entries)
-        if vm >= 0 and (vg is None or vg >= 0):
-            continue
-        if vm >= -1:
-            R = _residue_matrix(gf, M, p)
-            eigs = [e for e in _integer_eigs(R, p, gf) if e > 0]
-            cand = [0] + eigs
-            if vg is not None and vg <= -2:
-                cand.append(-(vg + 1))
-            mp = max(cand)
-        elif D == 1:
-            # exact leading balance: v(y) = v(rhs) - v(M)
-            mp = 0 if vg is None else max(0, vm - vg)
-        else:
-            sound = False
-            sound_detail = (
-                f"pole of order {-vm} in the system matrix at a degree-"
-                f"{p.degree} place; pole bound is heuristic"
-            )
-            mp = max(0, -((vg if vg is not None else 0) + 1)) - vm
-        if mp > 0:
-            pole_bounds.append((p, mp))
-
     Den = SPoly(gf, [one])
-    for p, mp in pole_bounds:
+    for key, p in places.items():
+        vm = min([0] + [v.get(key, 0) for v in m_vals])
+        vg = min([0] + [v.get(key, 0) for v in g_vals])
+        mp, detail = _local_bound(gf, M, vm, vg, p)
+        sound_detail = detail or sound_detail
         for _ in range(mp):
             Den = Den * p
     den_el = Den.to_element()
@@ -288,31 +296,11 @@ def solve_rational_system(gf, M, G, *, extra_cols=(), conditions=None):
           for i in range(D)]
     rhs_t = [[f * den_el for f in vec] for vec in rhs_vecs]
 
-    # -- degree bound at infinity, via s -> 1/s on the transformed system
-    s2 = gf.s ** 2
-    inf_M = [[-gf.invert_var(f) / s2 if f else zero for f in row] for row in Mt]
-    inf_rhs = [[-gf.invert_var(f) / s2 if f else zero for f in vec]
-               for vec in rhs_t]
-    s_poly = SPoly(gf, [zero, one])
-    s_key = s_poly.key()
-    vm_inf = min_val(s_key, [f for row in inf_M for f in row])
-    vm_inf = 0 if vm_inf is None else min(vm_inf, 0)
-    vg_inf = min_val(s_key, [f for vec in inf_rhs for f in vec])
-    if vm_inf >= -1:
-        R_inf = _residue_matrix(gf, inf_M, s_poly)
-        cand = [e for e in _integer_eigs(R_inf, s_poly, gf) if e >= 0]
-        if vg_inf is not None and -(vg_inf + 1) >= 0:
-            cand.append(-(vg_inf + 1))
-        N = max(cand) if cand else -1
-    elif D == 1:
-        N = -1 if vg_inf is None else max(-1, vm_inf - vg_inf)
-    else:
-        sound = False
-        sound_detail = (
-            f"pole of order {-vm_inf} in the system matrix at infinity; "
-            "degree bound is heuristic"
-        )
-        N = max(0, -((vg_inf if vg_inf is not None else 0) + 1)) - vm_inf
+    # -- degree bound at infinity, on the transformed system
+    vm = min([0] + [_inf_order(gf, f) for row in Mt for f in row if f])
+    vg = min([0] + [_inf_order(gf, f) for vec in rhs_t for f in vec if f])
+    N, detail = _local_bound(gf, Mt, vm, vg, None)
+    sound_detail = detail or sound_detail
 
     # -- common denominator and polynomial identity
     Q = SPoly(gf, [one])
@@ -377,24 +365,22 @@ def solve_rational_system(gf, M, G, *, extra_cols=(), conditions=None):
                [[one if k == j else zero for k in range(ncols)]
                 for j in range(ncols)])
     if conditions is not None:
-        seen = {c.numer.to_dict_key() if hasattr(c.numer, "to_dict_key")
-                else str(c) for c in conditions}
+        seen = {str(c) for c in conditions}
         for pv in pivots:
             for part in (gf.field.raw_new(pv.numer, gf.ring.one),
                          gf.field.raw_new(pv.denom, gf.ring.one)):
                 if gf.is_rational_const(part):
                     continue
-                k = (part.numer.to_dict_key()
-                     if hasattr(part.numer, "to_dict_key") else str(part))
+                k = str(part)
                 if k not in seen:
                     seen.add(k)
                     conditions.append(part)
     if sol is None:
-        if sound:
+        if sound_detail is None:
             raise NoTowerSolution(
                 "the equation has no solution rational over the tower"
             )
-        raise DegreeBoundExceeded(sound_detail or "heuristic bound exhausted")
+        raise DegreeBoundExceeded(sound_detail)
 
     x, null = sol
 
@@ -410,7 +396,7 @@ def solve_rational_system(gf, M, G, *, extra_cols=(), conditions=None):
 
     Y, cvals = unpack(x)
     kernel = [unpack(v) for v in null]
-    return Y, cvals, kernel, sound
+    return Y, cvals, kernel, sound_detail is None
 
 
 # ---------------------------------------------------------------------------
@@ -508,8 +494,8 @@ def fe_integrate_rational(a, *, conditions=None):
     cand = []
     seen_keys = set()
     for c in a.coords.values():
-        for p, m in gf.monic_s_factors(c):
-            if m < 0 and p.key() not in seen_keys:
+        for p, _ in gf.monic_s_factors(c):
+            if p.key() not in seen_keys:
                 seen_keys.add(p.key())
                 cand.append(tower.from_ground(p.to_element()))
     for info in tower.gens:

@@ -642,10 +642,9 @@ def pole_places(elems):
     for a in elems:
         gf = a.tower.gf
         for c in a.coords.values():
-            for p, mult in gf.monic_s_factors(c):
-                if mult < 0:
-                    loc = -p.coeffs[0] if p.degree == 1 else p
-                    out[_location_key(loc)] = loc
+            for p, _ in gf.monic_s_factors(c):
+                loc = -p.coeffs[0] if p.degree == 1 else p
+                out[_location_key(loc)] = loc
     return out
 
 

@@ -201,26 +201,6 @@ class GroundField:
             parts.append(acc)
         return parts[0] / parts[1]
 
-    def invert_var(self, f):
-        """f(1/s) as an element of the same field.
-
-        With n = numerator and d = denominator as polynomials in s,
-        f(1/s) = s^(deg d - deg n) * rev(n)(s) / rev(d)(s), where rev reverses
-        the coefficient list.  Used to study behaviour at infinity by reading
-        s as a local coordinate there.
-        """
-        if not f:
-            return self.zero
-        num = self.numer_spoly(f)
-        den = self.denom_spoly(f)
-        rev_num = SPoly(self, list(reversed(num.coeffs)))
-        rev_den = SPoly(self, list(reversed(den.coeffs)))
-        out = rev_num.to_element() / rev_den.to_element()
-        shift = den.degree - num.degree
-        if shift >= 0:
-            return out * self.s ** shift
-        return out / self.s ** (-shift)
-
     def affine_parts(self, f):
         """Decompose a parameter scalar as  c0 + Σ c_i·alpha_i  (all rational).
 
@@ -311,25 +291,17 @@ class GroundField:
     # -------------------------------------------------------- factorization
 
     def monic_s_factors(self, f):
-        """Irreducible monic-in-s factors of a nonzero element.
+        """Poles of a nonzero element, with its valuation at each.
 
-        Returns (units_ignored, [(SPoly factor, multiplicity)]) where each
-        factor is monic in s with parameter-scalar coefficients, irreducible
-        over Q(alpha).  Factors free of s are dropped (they are units of the
-        local rings at finite places).  Multiplicities from the numerator are
-        positive, from the denominator negative.
+        Returns ``[(SPoly factor, -order)]``: the irreducible factors of the
+        denominator, each monic in s with parameter-scalar coefficients and
+        irreducible over Q(alpha), paired with minus its multiplicity.
+        Factors free of s are dropped (they are units of the local rings at
+        finite places).  The numerator is not factored.
         """
         if not f:
             raise ValueError("zero has no factorization")
-        out = {}
-        for poly, sign in ((f.numer, 1), (f.denom, -1)):
-            for fac, mult in self._poly_factors(poly):
-                key = fac.key()
-                if key in out:
-                    out[key] = (fac, out[key][1] + sign * mult)
-                else:
-                    out[key] = (fac, sign * mult)
-        return [(fac, m) for fac, m in out.values() if m]
+        return [(fac, -mult) for fac, mult in self._poly_factors(f.denom)]
 
     def _poly_factors(self, p):
         key = tuple(sorted(p.terms()))
@@ -384,8 +356,7 @@ class SPoly:
 
     def key(self):
         """Hashable canonical key (for caches and dedup)."""
-        return tuple((k, c.numer.to_dict_key() if hasattr(c.numer, "to_dict_key")
-                      else str(c)) for k, c in enumerate(self.coeffs))
+        return tuple((k, str(c)) for k, c in enumerate(self.coeffs))
 
     # -- basics --------------------------------------------------------------
 

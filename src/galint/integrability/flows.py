@@ -283,10 +283,8 @@ def _soft_pin(a, s0):
 
 def _solve_cell(delta, g, s0, conditions):
     """One normal-form cell:  y' + delta*y = g,  resonant ones pinned."""
-    flag = []
-    y, hom = rational_ode_solve(
-        delta, g, with_kernel=True, conditions=conditions, soundness=flag
-    )
+    y, hom = rational_ode_solve(delta, g, with_kernel=True,
+                                conditions=conditions)
     if hom:
         y = _pin(y, hom, s0)
     return y, bool(hom)

@@ -690,10 +690,8 @@ def fuchsian_scan(R):
     T = R.tower
     lams = [T.coerce(c) for c in R.lambdas]
     fs = [T.coerce(c) for c in R.table.values()]
-    table_poles = pole_places(fs)
     radicands = [g.radicand for g in T.gens if g.radicand is not None]
-    places = pole_places(lams + radicands)
-    places.update(table_poles)
+    places = pole_places(lams + fs + radicands)
 
     def kind_of(key):
         if key in R.curve_places:
@@ -726,7 +724,7 @@ def fuchsian_scan(R):
                 raise NonFuchsian(f"pole of order {order} {where}",
                                   place=loc, order=order)
             poles.append(order > 0)
-        if any(poles) or key in table_poles or table_singular_at(ctx):
+        if any(poles) or table_singular_at(ctx):
             exps = [residue_exponent(ctx, lam) if pole else Exponent(0)
                     for lam, pole in zip(lams, poles)]
             found.append(SingularPlace(loc, ctx.m, exps, kind_of(key)))

@@ -175,3 +175,49 @@ def test_integrate_two_logs(gf, T):
     assert y.is_zero()
     got = {(str(c), str(v)) for c, v in logs}
     assert got == {("1", "s"), ("1", "(s**2 + 1)")}
+
+
+def test_exact_balance_at_infinity(gf, T):
+    # y' + s*y = 1 + s^2: the entry s is a pole of order 3 of the system in
+    # 1/s and the system is scalar, so the leading balance bounds the degree
+    s = gf.s
+    flag = []
+    y = rational_ode_solve(T.from_ground(s), T.from_ground(1 + s**2),
+                           soundness=flag)
+    assert y == T.from_ground(s) and flag == [True]
+
+
+def test_exact_balance_at_a_double_pole(gf, T):
+    # y' + y/s^2 = -1/s^2 + 1/s^3: a double pole at 0 in a scalar system
+    s = gf.s
+    flag = []
+    y = rational_ode_solve(T.from_ground(1 / s**2),
+                           T.from_ground(-1 / s**2 + 1 / s**3), soundness=flag)
+    assert y == T.from_ground(1 / s) and flag == [True]
+
+
+def test_heuristic_degree_bound_at_infinity_still_solves(gf, T):
+    # on w^2 = s the flattened 2x2 system has a pole of order 3 at infinity,
+    # so the degree bound is heuristic: y = 1 is found, flagged as heuristic
+    T1 = T.extend("w", 2, T.from_ground(gf.s))
+    w = T1.gen("w")
+    flag = []
+    y = rational_ode_solve(w, w, soundness=flag)
+    assert y == T1.one and flag == [False]
+
+
+def test_only_denominators_are_factored(gf, T, monkeypatch):
+    # numerators bound no pole of a rational solution, and the degree bound
+    # at infinity is read from degrees, so only denominators are factored
+    factored = []
+    poly_factors = GroundField._poly_factors
+
+    def spy(self, p):
+        factored.append(str(p.as_expr()))
+        return poly_factors(self, p)
+
+    monkeypatch.setattr(GroundField, "_poly_factors", spy)
+    s, alpha = gf.s, gf.gen("alpha")
+    rational_ode_solve(T.from_ground(2 * alpha / s),
+                       T.from_ground(s**3 + alpha * s + 1))
+    assert set(factored) == {"s", "1"}
