@@ -2,14 +2,16 @@
 
 The same routines run over ground-field fractions *and* over tower elements:
 the only requirements on the scalars are ``+ - * /``, ``bool()`` as a nonzero
-test, and the caller supplying the ``zero``/``one`` constants.  Everything is
-fraction-free in spirit but not in implementation — scalars are already
-normalized field elements, so plain Gauss elimination with exact division is
-the right tool.  Pivoting is "first nonzero", which keeps results
-deterministic (a requirement for byte-stable golden output).
+test, and the caller supplying the ``zero``/``one`` constants.  ``rref``,
+``solve``, ``nullspace``, ``det`` and ``mat_inv`` run plain Gauss elimination
+with exact division: scalars are already normalized field elements, and the
+reduced form is what solving needs.  ``rank`` answers the rank alone and is
+division-free (it needs only ``- *`` and ``bool()``), so over a radical tower
+it never inverts an element.  Pivoting is "first nonzero" everywhere, which
+keeps results deterministic (a requirement for byte-stable golden output).
 """
 
-__all__ = ["rref", "solve", "nullspace", "det", "mat_mul", "mat_inv"]
+__all__ = ["rref", "rank", "solve", "nullspace", "det", "mat_mul", "mat_inv"]
 
 
 def rref(M, *, limit_cols=None, pivot_values=None):
@@ -50,6 +52,47 @@ def rref(M, *, limit_cols=None, pivot_values=None):
         if r == m:
             break
     return rows, pivots
+
+
+def rank(M, *, pivot_values=None):
+    """Rank by division-free forward elimination.
+
+    Each step replaces a lower row by ``pv*row - f*pivot_row``, with no
+    back-substitution and no division.  Every row stays :func:`rref`'s row
+    times a product of earlier pivots, so when those pivots are units (always
+    over a field) the rank and the pivot positions are rref's, and each pivot
+    is rref's times a unit.  When ``pivot_values`` is a list, each pivot
+    entry is appended to it, as :func:`rref` does.  The input is not
+    modified.
+    """
+    rows = [list(r) for r in M]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    r = 0
+    for c in range(n):
+        p = None
+        for i in range(r, m):
+            if rows[i][c]:
+                p = i
+                break
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pivot = rows[r]
+        pv = pivot[c]
+        if pivot_values is not None:
+            pivot_values.append(pv)
+        # columns up to c are never read again, so only later ones are updated
+        for i in range(r + 1, m):
+            row = rows[i]
+            f = row[c]
+            if f:
+                for j in range(c + 1, n):
+                    row[j] = pv * row[j] - f * pivot[j]
+        r += 1
+        if r == m:
+            break
+    return r
 
 
 def solve(M, rhs, zero, one, *, pivot_values=None):

@@ -12,8 +12,9 @@ defining relations.  On top of the plain field structure the tower carries
 * the derivation extending d/ds, via  w_i' = b_i' w_i / (d_i b_i);
 * user-declared Galois generators (verified ring automorphisms commuting
   with the derivation), see :meth:`AlgebraicTower.declare_galois`;
-* the regular-representation machinery (inverse, norm) that downstream code
-  uses both for division and for valuation caps in local expansions.
+* the regular-representation machinery (inverse, norm, unit test) that
+  downstream code uses both for division and for valuation caps in local
+  expansions.
 
 Internally a generator may carry a general monic replacement rule
 ``w^d = rep`` where ``rep`` involves lower powers of ``w`` itself — that is
@@ -32,6 +33,8 @@ decreases and the worklist empties.
 from __future__ import annotations
 
 from fractions import Fraction
+
+from sympy import QQ
 
 from ..errors import (
     DivisionByZero,
@@ -379,6 +382,32 @@ class AlgebraicTower:
         mat, _, _ = self.regular_matrix(a)
         return linalg.det(mat, self.gf.zero, self.gf.one)
 
+    def require_unit(self, a):
+        """Return when ``a`` is a unit of the tower, raise otherwise.
+
+        A nonzero ground scalar is always a unit.  Otherwise the regular
+        matrix of ``a`` is specialised at the fixed rational points of
+        :func:`_unit_points`, skipping a point where an entry has a pole; a
+        nonzero determinant over Q there proves the norm nonzero, so ``a``
+        is a unit and nothing is solved over K0.  When no point proves it,
+        :meth:`invert` decides: it raises ``ZeroDivisor`` with a witness
+        exactly when ``a`` is a zero divisor.
+        """
+        if a.is_zero():
+            raise DivisionByZero("division by zero tower element")
+        if a.is_scalar():
+            return
+        mat, _, _ = self.regular_matrix(a)
+        for point in _unit_points(len(self.gf.param_names) + 1):
+            try:
+                spec = [[f.numer(*point) / f.denom(*point) for f in row]
+                        for row in mat]
+            except ZeroDivisionError:
+                continue
+            if linalg.det(spec, QQ.zero, QQ.one):
+                return
+        self.invert(a)
+
     def invert(self, a):
         if a.is_zero():
             raise DivisionByZero("division by zero tower element")
@@ -398,6 +427,13 @@ class AlgebraicTower:
             )
         x, _ = sol
         return FieldElem(self, {basis[k]: c for k, c in enumerate(x) if c})
+
+
+def _unit_points(n):
+    """Three fixed rational points of Q^n, for ``require_unit``: the i-th
+    coordinate of point k is (2i + 5k + 3)/(k + 2), away from 0 and +-1."""
+    for k in range(3):
+        yield tuple(QQ(2 * i + 5 * k + 3, k + 2) for i in range(n))
 
 
 def deepest_tower(towers):

@@ -23,7 +23,7 @@ coefficient-wise application of the declared automorphisms.
 
 from itertools import combinations
 
-from ..algebra.linalg import rref
+from ..algebra.linalg import rank
 from ..algebra.tower import AlgebraicTower
 from ..errors import (
     InputError,
@@ -234,33 +234,64 @@ def _eval_series(a, qvals, tower):
     return total
 
 
-def _eval_ratio(r, qvals, tower):
-    den = _eval_series(r.den, qvals, tower)
-    if den.is_zero():
-        return None
-    return _eval_series(r.num, qvals, tower) * tower.invert(den)
+def _eval_row(row, qvals, tower):
+    """One row of ratios at a point, times the product of its distinct
+    denominators; None when a denominator vanishes there.
+
+    Each denominator is proven a unit first, so the scaled row spans the
+    same line as the row of quotients, without dividing in the tower.
+    """
+    nums, dens = [], []
+    for x in row:
+        den = _eval_series(x.den, qvals, tower)
+        if den.is_zero():
+            return None
+        if den not in dens:
+            tower.require_unit(den)
+            dens.append(den)
+        nums.append((_eval_series(x.num, qvals, tower), den))
+    out = []
+    for num, den in nums:
+        for d in dens:
+            if d != den:
+                num = num * d
+        out.append(num)
+    return out
 
 
 def _point_rank(rows_of_ratios, tower):
     """Generic rank certified from below: evaluate at rational transverse
-    points and row reduce over the tower.  Retries a few sample points and
-    keeps the best rank seen."""
+    points and eliminate over the tower.
+
+    Tries the points of ``_sample_points`` in order, skipping one where a
+    denominator vanishes, keeps the best rank seen and stops at the first
+    point of full rank, since no later point can raise it; later points are
+    not evaluated at all.  Elimination is division-free
+    (:func:`linalg.rank`), and every evaluated denominator and every pivot
+    is proven a unit by ``AlgebraicTower.require_unit``: a zero divisor
+    raises ``ZeroDivisor`` with the witness a division by it would give.
+    """
     if not rows_of_ratios:
         return 0
     nq = len(rows_of_ratios[0]) - 1
+    full = min(len(rows_of_ratios), nq + 1)
     best = 0
     for qvals in _sample_points(nq):
         mat = []
         for row in rows_of_ratios:
-            vals = [_eval_ratio(x, qvals, tower) for x in row]
-            if any(v is None for v in vals):
+            vals = _eval_row(row, qvals, tower)
+            if vals is None:
                 mat = None
                 break
             mat.append(vals)
         if mat is None:
             continue
-        _rows, pivots = rref(mat)
-        best = max(best, len(pivots))
+        pivots = []
+        best = max(best, rank(mat, pivot_values=pivots))
+        for pv in pivots:
+            tower.require_unit(pv)
+        if best == full:
+            break
     return best
 
 

@@ -17,7 +17,7 @@ actually certified rather than pretending to see the full window.
 
 from fractions import Fraction
 
-from ..algebra.linalg import mat_inv, nullspace, rref
+from ..algebra.linalg import mat_inv, nullspace, rank
 from ..errors import InputError, RankDeficiency, VerificationFailed
 from ..galois.resonance import relation_lattice
 from ..series import (
@@ -190,18 +190,18 @@ def _time_row(flow, Phi, one_s):
 def _transverse_choice(lattice_rows, nq, count):
     """First ``count`` unit rows that are independent of the lattice."""
     rows = [[Fraction(x) for x in r] for r in lattice_rows]
-    rank = len(rref(rows)[1]) if rows else 0
+    have = rank(rows)
     picked = []
     for j in range(nq):
         if len(picked) == count:
             break
         unit = [Fraction(0)] * nq
         unit[j] = Fraction(1)
-        r2 = len(rref(rows + [unit])[1])
-        if r2 > rank:
+        r2 = rank(rows + [unit])
+        if r2 > have:
             picked.append(j)
             rows.append(unit)
-            rank = r2
+            have = r2
     if len(picked) < count:
         raise RankDeficiency(
             "unit rows cannot complete the lattice to a transverse coframe"
