@@ -29,11 +29,8 @@ __all__ = [
 _OPS = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
-    "−": lambda a, b: a - b,
     "*": lambda a, b: a * b,
-    "×": lambda a, b: a * b,
     "/": lambda a, b: a / b,
-    "÷": lambda a, b: a / b,
 }
 
 

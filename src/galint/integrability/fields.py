@@ -9,9 +9,12 @@ dual frame, and the same pairing equations are solved by the original-time
 dynamics, which therefore *is* the last dual field; we pin it exactly
 instead of keeping the eliminated copy.
 
-Everything is carried as an exact quotient of truncated polynomial series.
-A quotient whose denominator has valuation v only exposes residual cells
-through degree N - v, so every verification here reports the order it
+The frame is assembled as exact quotients of truncated polynomial series,
+and every check expands each quotient once into a power series (its
+denominator, cleared of common monomial content, must be a unit along the
+curve; see RatioSeries.expand) and scans the residual of the series.  The
+content a quotient sheds costs its window as many degrees, so an expansion
+window can be short, and every verification here reports the order it
 actually certified rather than pretending to see the full window.
 """
 
@@ -26,6 +29,7 @@ from ..series import (
     SymbolMonomial,
     TruncSeries,
     q_series,
+    ts_lie,
 )
 from .flows import FormalFlow, invert_flow
 
@@ -67,20 +71,28 @@ class CommutingFrame:
     ``kernel``    basis of the level-set distribution
     ``report``    the resonance-lattice report the construction used
     ``order``     frame-wide certified commutation order; small (even
-                  negative) values mean the truncation windows were spent
-                  on denominator valuations, not that anything failed —
-                  every bracket residual vanished on its faithful window
+                  negative) values mean the fields' expansion windows were
+                  spent on denominator valuations during assembly, not that
+                  anything failed — every bracket residual vanished on its
+                  faithful window
+    ``wide_order`` the order through which the brackets of the fields
+                  widened to the flow window vanish (the exactness ansatz
+                  of :func:`stabilize_frame`), or None when that residual
+                  shows a visible defect
     """
 
-    __slots__ = ("fields", "rows", "jacobian", "kernel", "report", "order")
+    __slots__ = ("fields", "rows", "jacobian", "kernel", "report", "order",
+                 "wide_order")
 
-    def __init__(self, fields, rows, jacobian, kernel, report, order):
+    def __init__(self, fields, rows, jacobian, kernel, report, order,
+                 wide_order):
         self.fields = tuple(fields)
         self.rows = rows
         self.jacobian = jacobian
         self.kernel = kernel
         self.report = report
         self.order = int(order)
+        self.wide_order = None if wide_order is None else int(wide_order)
 
     def __repr__(self):
         return f"<CommutingFrame: {len(self.fields)} fields, " \
@@ -105,21 +117,18 @@ def rderive_s(r):
 
 
 def scan_residual(r, debt):
-    """(defect order or None, certified order) for a residual quotient.
+    """(defect order or None, certified order) for a residual power series.
 
     ``debt`` is the number of q-partials nested in the computation: each
     one costs the top degree of the window (the derivative of the
-    truncated-away cells would have landed there).  Numerator cells above
-    the remaining window are ignored as potential junk; the quotient's
-    power-series order is the numerator's shifted down by the denominator
-    valuation."""
-    r = r.trim()
-    W = r.num.N - debt
-    v = r.den.valuation()
-    f = r.num.valuation()
+    truncated-away cells would have landed there).  Cells above the
+    remaining window N - debt are ignored as potential junk; a clean scan
+    certifies through N - debt."""
+    W = r.N - debt
+    f = r.valuation()
     if f is None or f > W:
-        return None, W - v
-    return f - v, f - v - 1
+        return None, W
+    return f, f - 1
 
 
 def as_cols(f):
@@ -129,20 +138,25 @@ def as_cols(f):
     return list(f)
 
 
+def _expanded(field):
+    """The field with every ratio column expanded once (a power series)."""
+    cols = [x.expand() for x in as_cols(field)]
+    return FormalVectorField(cols[:-1], cols[-1])
+
+
 def ratio_lie(field, f):
-    """Derivative of the quotient ``f`` along a field with ratio columns."""
-    cols = as_cols(field)
-    acc = cols[-1] * rderive_s(f)
-    for j in range(len(cols) - 1):
-        acc = acc + cols[j] * rpartial(f, j)
-    return acc
+    """Derivative of the quotient ``f`` along a field with ratio columns,
+    as a power series; raises NotExpandable when a quotient is not one."""
+    return ts_lie(f.expand(), _expanded(field))
 
 
 def lie_bracket(a, b):
-    """Componentwise [a, b], both given as ratio columns or fields."""
-    ca = as_cols(a)
-    cb = as_cols(b)
-    return [ratio_lie(ca, x) - ratio_lie(cb, y) for x, y in zip(cb, ca)]
+    """Componentwise [a, b] as power series, both given as ratio columns or
+    fields; each column is expanded once."""
+    A = _expanded(a)
+    B = _expanded(b)
+    return [ts_lie(y, A) - ts_lie(x, B)
+            for x, y in zip(as_cols(A), as_cols(B))]
 
 
 # ------------------------------------------------------------- construction
@@ -224,6 +238,20 @@ def commuting_fields(flow, report=None, *, conditions=None):
     CommutingFrame whose last field is the original-time dynamics; raises
     RankDeficiency when the coframe degenerates and VerificationFailed when
     a bracket or pairing residual survives inside the certified window.
+
+    The frame is bracketed once, on the fields widened to the flow window
+    (their visible cells declared exact at ``flow.N``), and both verdicts
+    are read off that residual.  Narrow: let W_n be the least expansion
+    window of a pair's columns as built.  Each widened column expands to
+    the same cells through its own window, and a bracket takes one partial
+    per product, so the narrow and wide residuals agree through degree
+    W_n - 1.  The narrow scan (debt 2: the rows' partial plus the
+    bracket's) looks only through W_n - 2, so it is the scan of the wide
+    residual truncated to W_n and raises exactly when bracketing the
+    fields as built would.  Wide: the same residual scanned at the flow
+    window with debt 1 is the exactness ansatz that :func:`stabilize_frame`
+    certifies; its order (None after a visible defect) is kept as
+    ``wide_order``.
     """
     if not isinstance(flow, FormalFlow):
         raise InputError("commuting_fields expects a FormalFlow")
@@ -309,7 +337,7 @@ def commuting_fields(flow, report=None, *, conditions=None):
         p = _dot(r, xt, rzero)
         if i == len(rows) - 1:
             p = p - rone
-        defect, _cert = scan_residual(p, 1)
+        defect, _cert = scan_residual(p.expand(), 1)
         if defect is not None:
             raise VerificationFailed(
                 "the original-time dynamics fails its coframe pairing at "
@@ -317,27 +345,34 @@ def commuting_fields(flow, report=None, *, conditions=None):
             )
     cols_by_field[-1] = xt
 
-    # Brackets nest a second partial on top of the rows' one: debt 2.  A
-    # nonzero residual inside the faithful window is a genuine failure;
-    # a clean scan certifies only as far as the window reaches, which can
-    # be short (even negative) once valuations have eaten the truncation
-    # budget.  Record that honestly instead of failing a correct frame.
-    order = N - 1
+    # Bracket once (see the docstring).  A nonzero cell inside the narrow
+    # window is a genuine failure; a clean scan certifies only as far as
+    # the window reaches, which can be short (even negative) once
+    # valuations have eaten the truncation budget.  Record that honestly
+    # instead of failing a correct frame.
+    wide = [[_widen(x, N) for x in cols] for cols in cols_by_field]
+    order = wide_order = N - 1
     for a in range(l):
         for b in range(a + 1, l):
-            for r in lie_bracket(cols_by_field[a], cols_by_field[b]):
-                defect, cert = scan_residual(r, 2)
+            W_n = min(_window(x) for x in cols_by_field[a] + cols_by_field[b])
+            for r in lie_bracket(wide[a], wide[b]):
+                defect, cert = scan_residual(r.truncate(W_n), 2)
                 if defect is not None:
                     raise VerificationFailed(
                         f"frame fields {a} and {b} fail to commute at "
                         f"order {defect}"
                     )
                 order = min(order, cert)
+                defect, cert = scan_residual(r, 1)
+                if defect is not None:
+                    wide_order = None
+                elif wide_order is not None:
+                    wide_order = min(wide_order, cert)
 
     fields = tuple(
         CertifiedField(c[:nq], c[-1], order) for c in cols_by_field
     )
-    return CommutingFrame(fields, rows, jac, V, report, order)
+    return CommutingFrame(fields, rows, jac, V, report, order, wide_order)
 
 
 # ------------------------------------------------------- polynomial lift
@@ -353,38 +388,40 @@ def _widen(r, N):
     return RatioSeries(up(r.num), up(r.den))
 
 
+def _window(r):
+    """The window through which :meth:`RatioSeries.expand` is faithful."""
+    r = r.trim()
+    return min(r.num.N, r.den.N)
+
+
 def stabilize_frame(frame, flow, integrals=()):
     """Re-certify the frame fields as exact objects at the full window.
 
     Assembling the dual frame spends truncation budget on denominator
     valuations, so a field that is really a small polynomial object can
     come out with a narrow faithful window.  This pass takes each field's
-    visible cells as an exactness ansatz, re-verifies every frame claim
-    at the flow's own window (pairwise brackets against the exact
-    dynamics, Lie derivatives of the given first integrals), and keeps
-    the widened fields only when every residual stays clean.  The claim
-    is established by the re-verification, not by the provenance; when
-    any check shows a visible defect the original frame is returned
+    visible cells as an exactness ansatz at the flow's own window: the
+    pairwise brackets were already scanned that way by
+    :func:`commuting_fields` (``frame.wide_order``), so only the Lie
+    derivatives of the given first integrals are checked here, and the
+    widened fields are kept only when every residual stays clean.  The
+    claim is established by the re-verification, not by the provenance;
+    when any check shows a visible defect the original frame is returned
     untouched.
     """
     if not isinstance(frame, CommutingFrame):
         raise InputError("stabilize_frame expects a CommutingFrame")
+    if frame.wide_order is None:
+        return frame
     N = flow.N
     wide = [
         [_widen(x, N) for x in list(f.components) + [f.s_component]]
         for f in frame.fields
     ]
-    order = N - 1
-    for a in range(len(wide)):
-        for b in range(a + 1, len(wide)):
-            for r in lie_bracket(wide[a], wide[b]):
-                defect, cert = scan_residual(r, 1)
-                if defect is not None:
-                    return frame
-                order = min(order, cert)
+    order = frame.wide_order
+    for cols in wide:
         for F in integrals:
-            res = ratio_lie(wide[a], F.series)
-            defect, cert = scan_residual(res, 1)
+            defect, cert = scan_residual(ratio_lie(cols, F.series), 1)
             if defect is not None:
                 return frame
             order = min(order, cert)
@@ -395,4 +432,4 @@ def stabilize_frame(frame, flow, integrals=()):
         CertifiedField(cols[:nq], cols[-1], order) for cols in wide
     )
     return CommutingFrame(fields, frame.rows, frame.jacobian, frame.kernel,
-                          frame.report, order)
+                          frame.report, order, frame.wide_order)

@@ -22,6 +22,9 @@ and descent all compute with :class:`TruncSeries` and :class:`RatioSeries`.
 Plain ``{exponent: coeff}`` tables cross the boundary through
 :func:`q_series` and :func:`q_table`; a rational function of the
 coordinates uses a neutral basis whose symbols never carry H- or L-content.
+A :class:`RatioSeries` keeps a quotient exact by cross-multiplication until
+it is differentiated; then :meth:`RatioSeries.expand` turns it into one
+power series (the denominator inverted once) for the operation layer.
 The dense dictionaries in ``integrability/certificates.py`` are a deliberate
 second, independent engine: the certificate verifier recomputes every claim
 there so that a defect here cannot certify itself.
@@ -33,6 +36,7 @@ from .errors import (
     AlphabetMismatch,
     DivisionByZero,
     NonzeroConstantTerm,
+    NotExpandable,
     NotTangentToIdentity,
 )
 
@@ -524,10 +528,12 @@ class FormalVectorField:
 class RatioSeries:
     """A formal quotient num/den of truncated series.
 
-    Division of series is avoided throughout: equality and arithmetic use
-    cross-multiplication, so every identity checked through a RatioSeries is
-    an exact statement about polynomial cells.  ``+ - * /`` return trimmed
-    quotients (see :meth:`trim`).
+    Equality and arithmetic use cross-multiplication, so every identity
+    checked on a RatioSeries itself is an exact statement about polynomial
+    cells; ``+ - * /`` return trimmed quotients (see :meth:`trim`).
+    Calculus divides once instead: :meth:`expand` inverts the trimmed
+    denominator as a power series and returns one :class:`TruncSeries`,
+    which frame brackets and Lie derivatives differentiate.
     """
 
     __slots__ = ("num", "den")
@@ -567,6 +573,27 @@ class RatioSeries:
             )
 
         return RatioSeries(shift(num), shift(den))
+
+    def expand(self):
+        """The quotient as one power series through ``min(num.N, den.N)``.
+
+        After :meth:`trim` the denominator must have a symbol-free constant
+        cell and no other cell of degree 0; it is inverted once (see
+        :meth:`TruncSeries.inverse`).  Otherwise the quotient is not a power
+        series along the curve and :class:`NotExpandable` is raised; a
+        constant cell that is a zero divisor of the tower raises
+        ``ZeroDivisor`` with its witness, as dividing by it would.
+        """
+        r = self.trim()
+        zero_i = (0,) * r.den.basis.n
+        if (zero_i, _NEUTRAL) not in r.den.table or any(
+            not any(i) and not sym.is_neutral() for i, sym in r.den.table
+        ):
+            raise NotExpandable(
+                "denominator has no symbol-free unit constant cell"
+            )
+        N = min(r.num.N, r.den.N)
+        return r.num * r.den.truncate(N).inverse()
 
     def __add__(self, other):
         return RatioSeries(
@@ -633,12 +660,12 @@ def linear_subst(basis, M, N):
 # ---------------------------------------------------------------------------
 
 def ts_arith(a, b, op):
-    """Ring operations on series; ``op`` is one of ``+ - * ×``."""
-    if op in ("+",):
+    """Ring operations on series; ``op`` is one of ``+ - *``."""
+    if op == "+":
         return a + b
-    if op in ("-", "−"):
+    if op == "-":
         return a - b
-    if op in ("*", "×"):
+    if op == "*":
         return a * b
     raise ValueError(f"unknown operation {op!r}")
 

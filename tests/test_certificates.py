@@ -8,11 +8,15 @@ through the whole pipeline:
 * the resonant toy q' = q/s + q^2/s -> (1, 1), one first integral;
 * the linear pair +-alpha/w on w^2 = 1 + s^2 with sigma: w -> -w -> the
   integral q1 q2 is sigma-fixed, so a covering of degree 2 is needed;
-* the opposite pair -> the proven logarithmic obstruction at order 3.
+* the opposite pair -> the proven logarithmic obstruction at order 3;
+* model two diagonalised by its eigenvector gauge on w^2 = 1 + s^2 ->
+  (1, 2), and Galois descent carries it to the base curve.
 
 Two mutations show that the verifier can fail: a duplicated field and a
 frame field perturbed by the cell s q^2.
 """
+
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +35,7 @@ from galint.reduction import (
     CoordRat,
     ReducedSystem,
     VectorFieldSpec,
+    apply_gauge,
     reduce_to_curve,
     time_reduce,
 )
@@ -144,3 +149,33 @@ def test_perturbed_field_fails_a_bracket(gf):
     assert not report.ok
     assert failed(report) == [
         "[FAILED] bracket-0-1 (order 3): residual at order 2"]
+
+
+def test_model_two_descends_to_the_base_field():
+    # model two at alpha = 1 on w^2 = 1 + s^2 with sigma: w -> -w; the
+    # eigenvector gauge puts radicals into the reduced chart, and descent
+    # takes the (1, 2) certificate back to base-curve coefficients
+    gf = GroundField()
+    s = gf.s
+    T = AlgebraicTower(gf).extend("w", 2, 1 + s**2)
+    w = T.gen("w")
+    T.declare_galois("sigma", {"w": -w})
+    half = gf.from_rational(Fraction(1, 2)) * s / (1 + s**2)
+    lin = [[T.from_ground(half), T.one],
+           [T.from_ground(1 / (1 + s**2)), T.from_ground(-half)]]
+    unit = {(0, 0): T.one}
+    R = apply_gauge(
+        ReducedSystem(T, 2, 8, lin, {}, unit, t=unit, time_reduced=True),
+        [[T.one, T.one], [T.one / w, -(T.one / w)]], assert_diagonal=True)
+    cert = build_certificate(R, 4)
+    assert (cert.l, len(cert.integrals), cert.descent) == (1, 2, "base-field")
+    assert cert.report.basis == [(1, 1), (0, 2)]
+    assert cert.orders == {"flow": 4, "frame": 3, "integrals": 4}
+    assert verify_certificate(cert).ok
+    down = cert.descended
+    assert down.chart == "original"
+    assert down.orders == {"flow": 4, "frame": 3, "integrals": 4,
+                           "descent": 2}
+    report = verify_certificate(down)
+    assert report.ok, report
+    assert "galois-fixed" in [c.name for c in report]
