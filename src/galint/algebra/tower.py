@@ -637,6 +637,3 @@ class FieldElem:
                 f"Galois generator {gen_name!r} was not declared"
             )
         return t._apply_galois(g, self)
-
-    def norm(self):
-        return self.tower.norm(self)

@@ -12,8 +12,6 @@ from .descent import (
     NeedsCovering,
     galois_descent,
     group_closure,
-    original_frame_field,
-    original_integral,
 )
 from .fields import (
     CertifiedField,
@@ -66,8 +64,6 @@ __all__ = [
     "lie_ratio_residual",
     "linearize",
     "original_field",
-    "original_frame_field",
-    "original_integral",
     "ratio_lie",
     "rderive_s",
     "rpartial",

@@ -5,9 +5,10 @@ fields (the dynamics among them), n-l first integrals, the orders through
 which each claim was checked, and the outcome of the attempt to descend
 the data to the base curve.  ``verify_certificate`` recomputes every
 claim through a deliberately naive dense-series engine — a different data
-layout and different loops than the windowed ratio calculus that built
-the objects — so a bug shared with the construction path would have to be
-invented twice to slip through.
+layout and different loops than the construction's calculus, which
+expands each quotient once into a power series and differentiates that —
+so a bug shared with the construction path would have to be invented
+twice to slip through.
 """
 
 from ..errors import InputError, RankDeficiency, VerificationFailed
@@ -32,7 +33,8 @@ class IntegrabilityCertificate:
     ``l``         number of commuting fields (the last one is the dynamics)
     ``fields``    certified vector fields, ratio components
     ``integrals`` first integrals (lattice rows, or symmetrized descents)
-    ``descent``   "base-field" | "not-attempted" | NeedsCovering
+    ``descent``   "base-field" | "not-attempted" | "not-over-base" |
+                  NeedsCovering
     ``orders``    per-stage verified orders, keyed by stage name
     ``chart``     "reduced" or "original" (which transverse chart)
     ``descended`` the original-chart certificate when descent succeeded
@@ -276,14 +278,14 @@ def build_certificate(R, N, *, s0=None, k_max=None, conditions=None,
     if R.tower.r == 0:
         cert.descent = "base-field"
     elif descend and R.tower.galois_names():
-        from .descent import NeedsCovering, galois_descent
+        from .descent import galois_descent
 
         outcome = galois_descent(cert)
-        if isinstance(outcome, NeedsCovering):
-            cert.descent = outcome
-        else:
+        if isinstance(outcome, IntegrabilityCertificate):
             cert.descent = "base-field"
             cert.descended = outcome
+        else:
+            cert.descent = outcome
     return cert
 
 

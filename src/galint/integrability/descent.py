@@ -15,10 +15,14 @@ the same on the scalar side.  When instead a nontrivial subgroup fixes
 every integral, no weight can separate the conjugated frames and the
 covering is genuinely needed; its degree is the order of that subgroup.
 
-Everything here acts in the original transverse chart: there the right
-sides are defined over the base, so conjugating a symmetry yields again
-a symmetry of the *same* dynamics, and the group action reduces to a
-coefficient-wise application of the declared automorphisms.
+Everything here acts in the original transverse chart, reached through
+the one gauge pushforward ``flows.original_field`` (integrals need only
+its substitution, ``RatioSeries.compose``).  Before any symmetrization,
+descent proves that the right sides there are defined over the base: only
+then does conjugating a symmetry yield again a symmetry of the *same*
+dynamics, and the group action reduces to a coefficient-wise application
+of the declared automorphisms.  A system whose right sides move is
+labelled ``"not-over-base"`` instead.
 """
 
 from itertools import combinations
@@ -40,15 +44,13 @@ from .fields import (
     rpartial,
     scan_residual,
 )
-from .flows import _gauge_inverse
+from .flows import _gauge_inverse, _system_fixed, original_field
 from .integrals import FirstIntegral
 
 __all__ = [
     "NeedsCovering",
     "galois_descent",
     "group_closure",
-    "original_integral",
-    "original_frame_field",
 ]
 
 _GROUP_CAP = 64
@@ -155,56 +157,6 @@ def _ratio_galois(r, auto):
 def _ratio_fixed(r, auto):
     """Exact test sigma(num) * den == num * sigma(den)."""
     return _series_galois(r.num, auto) * r.den == r.num * _series_galois(r.den, auto)
-
-
-# ---------------------------------------------------------------------------
-# transport to the original transverse chart
-# ---------------------------------------------------------------------------
-
-def _original_ratio(R, r, subst):
-    return RatioSeries(r.num.compose(subst), r.den.compose(subst))
-
-
-def original_integral(R, r):
-    """A reduced-chart first-integral ratio rewritten in the original chart."""
-    subst = linear_subst(r.num.basis, _gauge_inverse(R), r.num.N)
-    return _original_ratio(R, r, subst).trim()
-
-
-def original_frame_field(R, components, s_component):
-    """Pushforward of a reduced-chart ratio vector field by the gauge.
-
-    Same drift bookkeeping as the series version: with q_orig = P(s) q_red
-    the new transverse components are P.q_dot + P'(s) q_red times the
-    s-motion, everything rewritten in original coordinates afterwards.
-    Returns the full column list (transverse components, then s).
-    """
-    tower = R.tower
-    nq = R.nq
-    P = R.gauge
-    base = components[0].num
-    basis, N = base.basis, base.N
-    subst = linear_subst(basis, _gauge_inverse(R), N)
-    one_s = TruncSeries.constant(basis, "q", N, tower.one)
-    rzero = RatioSeries(TruncSeries.zero(basis, "q", N), one_s)
-    qvars = [
-        RatioSeries(TruncSeries.variable(basis, "q", N, l, tower.one), one_s)
-        for l in range(nq)
-    ]
-    out = []
-    for i in range(nq):
-        acc = rzero
-        for l in range(nq):
-            if P[i][l]:
-                acc = acc + RatioSeries(
-                    components[l].num.scale(P[i][l]), components[l].den)
-            dP = P[i][l].derive()
-            if not dP.is_zero():
-                drift = qvars[l] * s_component
-                acc = acc + RatioSeries(drift.num.scale(dP), drift.den)
-        out.append(_original_ratio(R, acc, subst).trim())
-    out.append(_original_ratio(R, s_component, subst).trim())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +274,14 @@ def galois_descent(certificate, *, cap=_GROUP_CAP):
     """Symmetrize a reduced-chart certificate down to the base curve.
 
     Returns a new certificate in the original chart with every coefficient
-    fixed by the declared automorphisms, or :class:`NeedsCovering` when a
-    nontrivial subgroup keeps all first integrals fixed (then no weighted
-    symmetrization can recover a full frame on the base).
+    fixed by the declared automorphisms, or one of two verdicts, decided in
+    this order from the transported integrals and the right sides alone:
+    :class:`NeedsCovering` when a nontrivial subgroup keeps all first
+    integrals fixed (then no weighted symmetrization can recover a full
+    frame on the base), and ``"not-over-base"`` when the original-chart
+    right sides move under a declared generator (the input is not defined
+    over the base, so there is nothing to descend to).  The frame is
+    transported only after both.
     """
     from .certificates import IntegrabilityCertificate
 
@@ -338,10 +295,25 @@ def galois_descent(certificate, *, cap=_GROUP_CAP):
     nq = R.nq
     group = group_closure(tower, cap=cap)
 
-    # transport everything to the original chart first
-    ints_orig = [original_integral(R, F.series) for F in certificate.integrals]
+    # transport the integrals to the original chart
+    inv = _gauge_inverse(R)
+    ints_orig = [
+        F.series.compose(linear_subst(flow.basis, inv, F.series.num.N))
+        for F in certificate.integrals
+    ]
+
+    # the subgroup fixing every integral decides whether descent can work
+    stab = [
+        auto for auto in group
+        if all(_ratio_fixed(F, auto) for F in ints_orig)
+    ]
+    if len(stab) > 1:
+        return NeedsCovering(len(stab))
+    if not _system_fixed(R, flow.basis, tower.galois_names()):
+        return "not-over-base"
+
     fields_orig = [
-        original_frame_field(R, f.components, f.s_component)
+        original_field(R, f.components, f.s_component)
         for f in certificate.fields
     ]
     x_orig = fields_orig[-1]
@@ -351,14 +323,6 @@ def galois_descent(certificate, *, cap=_GROUP_CAP):
     one_s = TruncSeries.constant(base.basis, "q", base.N, tower.one)
     rone = RatioSeries(one_s, one_s)
     rzero = RatioSeries(TruncSeries.zero(base.basis, "q", base.N), one_s)
-
-    # the subgroup fixing every integral decides whether descent can work
-    stab = [
-        auto for auto in group
-        if all(_ratio_fixed(F, auto) for F in ints_orig)
-    ]
-    if len(stab) > 1:
-        return NeedsCovering(len(stab))
 
     orbits = [[_ratio_galois(F, auto) for auto in group] for F in ints_orig]
 

@@ -284,11 +284,7 @@ def commuting_fields(flow, report=None, *, conditions=None):
             acc = rzero
             for j, k in enumerate(row):
                 if k:
-                    scaled = RatioSeries(
-                        lg[j][c].num.scale(tower.from_ground(k)),
-                        lg[j][c].den,
-                    )
-                    acc = acc + scaled
+                    acc = acc + lg[j][c].scale(tower.from_ground(k))
             cols.append(acc)
         grows.append(cols)
 

@@ -37,6 +37,7 @@ from ..reduction import ReducedSystem, fuchsian_scan, time_reduce
 from ..series import (
     FormalVectorField,
     HyperexpBasis,
+    RatioSeries,
     SymbolMonomial,
     TruncSeries,
     linear_subst,
@@ -479,31 +480,35 @@ def _gauge_inverse(R):
 def original_field(R, components, s_component):
     """Pushforward of a reduced-chart vector field by the gauge.
 
-    With q_orig = P(s) q_red the original components pick up a P'(s) q_red
-    drift from the s-motion besides the linear mix; everything is rewritten
-    in the original chart afterwards.
+    ``components`` and ``s_component`` are ratio columns (a series is a
+    ratio over 1).  With q_orig = P(s) q_red the original components pick
+    up a P'(s) q_red drift from the s-motion besides the linear mix;
+    everything is rewritten in the original chart afterwards.  Returns the
+    full column list: transverse components, then s.  The one gauge
+    pushforward: :func:`_system_fixed` and ``galois_descent`` use it.
     """
     tower = R.tower
-    nq = R.nq
     P = R.gauge
-    base = components[0]
+    base = components[0].num
     basis, N = base.basis, base.N
     if base.alphabet != "q":
         raise InputError("chart transport applies to q-alphabet series")
     subst = linear_subst(basis, _gauge_inverse(R), N)
-    qvars = [TruncSeries.variable(basis, "q", N, l, tower.one)
-             for l in range(nq)]
+    one = TruncSeries.constant(basis, "q", N, tower.one)
+    qvars = [RatioSeries(TruncSeries.variable(basis, "q", N, l, tower.one), one)
+             for l in range(R.nq)]
     out = []
-    for i in range(nq):
-        acc = TruncSeries.zero(basis, "q", N)
-        for l in range(nq):
-            if P[i][l]:
-                acc = acc + components[l].scale(P[i][l])
-            dP = P[i][l].derive()
-            if not dP.is_zero():
-                acc = acc + (qvars[l] * s_component).scale(dP)
+    for row in P:
+        acc = RatioSeries(TruncSeries.zero(basis, "q", N), one)
+        for l, p in enumerate(row):
+            if p:
+                acc = acc + components[l].scale(p)
+            dp = p.derive()
+            if not dp.is_zero():
+                acc = acc + (qvars[l] * s_component).scale(dp)
         out.append(acc.compose(subst))
-    return tuple(out), s_component.compose(subst)
+    out.append(s_component.compose(subst))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -520,18 +525,25 @@ def _unit_time(R):
     )
 
 
+def _fixed(series, names):
+    """Whether every cell of every series is fixed by every named Galois
+    generator."""
+    return all((c.galois(name) - c).is_zero()
+               for a in series for _i, _s, c in a.cells() for name in names)
+
+
 def _system_fixed(R, basis, names):
     """Whether the original-chart right sides are fixed by every declared
-    Galois generator (i.e. the input system is defined over the base)."""
-    qdot = [q_series(basis, R.order, R.qdot_series(j)) for j in range(R.nq)]
-    sc = TruncSeries.constant(basis, "q", R.order, R.tower.one)
-    comps, sc_o = original_field(R, qdot, sc)
-    for series in list(comps) + [sc_o]:
-        for _i, _s, c in series.cells():
-            for name in names:
-                if not (c.galois(name) - c).is_zero():
-                    return False
-    return True
+    Galois generator (i.e. the input system is defined over the base).
+
+    The right sides go through :func:`original_field` as ratios over 1 and
+    come back over 1, so the cell-wise test on their numerators decides.
+    """
+    one = TruncSeries.constant(basis, "q", R.order, R.tower.one)
+    qdot = [RatioSeries(q_series(basis, R.order, R.qdot_series(j)), one)
+            for j in range(R.nq)]
+    cols = original_field(R, qdot, RatioSeries(one, one))
+    return _fixed([x.num for x in cols], names)
 
 
 def linearize(R, N=None, s0=None, *, conditions=None):
@@ -589,12 +601,7 @@ def linearize(R, N=None, s0=None, *, conditions=None):
     invariant = None
     names = tower.galois_names()
     if names and _system_fixed(R, basis, names):
-        for comp in comps:
-            for _i, _s, c in comp.cells():
-                for name in names:
-                    if not (c.galois(name) - c).is_zero():
-                        raise VerificationFailed(
-                            "linearizing map is not Galois-invariant"
-                        )
+        if not _fixed(comps, names):
+            raise VerificationFailed("linearizing map is not Galois-invariant")
         invariant = True
     return Linearization(tuple(comps), flow, M, R.gauge, invariant)

@@ -530,7 +530,8 @@ class RatioSeries:
 
     Equality and arithmetic use cross-multiplication, so every identity
     checked on a RatioSeries itself is an exact statement about polynomial
-    cells; ``+ - * /`` return trimmed quotients (see :meth:`trim`).
+    cells; ``+ - * /`` and :meth:`compose` return trimmed quotients (see
+    :meth:`trim`).
     Calculus divides once instead: :meth:`expand` inverts the trimmed
     denominator as a power series and returns one :class:`TruncSeries`,
     which frame brackets and Lie derivatives differentiate.
@@ -613,6 +614,16 @@ class RatioSeries:
 
     def __neg__(self):
         return RatioSeries(-self.num, self.den)
+
+    def scale(self, c):
+        """Multiply by a tower element (the numerator carries it)."""
+        return RatioSeries(self.num.scale(c), self.den)
+
+    def compose(self, subst):
+        """Substitute into numerator and denominator (see
+        :meth:`TruncSeries.compose`); the quotient is trimmed."""
+        return RatioSeries(self.num.compose(subst),
+                           self.den.compose(subst)).trim()
 
     def is_zero(self):
         return self.num.is_zero()
