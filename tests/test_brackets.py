@@ -7,9 +7,10 @@ property tests pin why that agrees with differentiating quotients by the
 quotient rule: expansion is a ring map through the shared window, it
 commutes with ``rpartial``/``rderive_s`` one degree below the window, and
 ``partial``/``derive_s`` obey the Leibniz rule on truncated series.  The
-rest are labelled failures and the bracket-once argument of
-``commuting_fields``: the narrow verdict read off the widened fields'
-residual is the verdict of the narrow fields themselves.
+rest are labelled failures and the frame of ``commuting_fields``: certified
+through the flow window less one, a cell planted into a field is named at
+its own order, and ``stabilize_frame`` names a field that moves an
+integral.
 """
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from galint.algebra import AlgebraicTower, GroundField
 from galint.errors import NotExpandable, VerificationFailed, ZeroDivisor
-from galint.integrability import fields, formal_flow
+from galint.integrability import FirstIntegral, fields, formal_flow
 from galint.integrability.certificates import (
     _dense_cols,
     _dderiv_along,
@@ -215,33 +216,7 @@ def test_planted_cell_defect_matches_the_dense_verifier():
     assert _lowest_bad(dense, cap) == 2
 
 
-# ------------------------------------------------------------ bracket once
-
-@st.composite
-def narrow_fields(draw):
-    """Two fields on (q, s) at window N, one with a planted cell (the
-    tower plays no part in the argument, so the base field keeps the
-    coefficients small)."""
-    cols = [[draw(quotients(BASE, 1)) for _ in range(2)] for _ in range(2)]
-    k = draw(st.integers(1, N))
-    c = cols[0][0]
-    plant = q_series(c.num.basis, c.num.N, {(k,): BASE.from_ground(S)})
-    cols[0][0] = RatioSeries(c.num + plant * c.den, c.den)
-    return cols
-
-
-@PROPS
-@given(narrow_fields())
-def test_narrow_verdict_is_read_off_the_wide_residual(pair):
-    a, b = pair
-    narrow = lie_bracket(a, b)
-    W_n = min(fields._window(x) for x in a + b)
-    wide = lie_bracket([fields._widen(x, N + 1) for x in a],
-                       [fields._widen(x, N + 1) for x in b])
-    for rn, rw in zip(narrow, wide):
-        assert rn.N == W_n
-        assert scan_residual(rw.truncate(W_n), 2) == scan_residual(rn, 2)
-
+# ------------------------------------------------------------ frame brackets
 
 def cubic_drag_flow(N=4):
     # q' = a q/(s D), s' = 1/D with D = q^3 + q^2 s + s, reduced to q = 0
@@ -258,43 +233,47 @@ def cubic_drag_flow(N=4):
 
 def plant_in_first_column(monkeypatch, degree):
     """Add s q^degree to the first column of field 0 as the bracket sees
-    it: _widen re-declares the visible cells, so both verdicts read it."""
-    widen = fields._widen
-    calls = []
+    it."""
+    bracket = fields.lie_bracket
 
-    def planted(r, N):
-        if not calls:
-            cell = q_series(r.num.basis, r.num.N,
-                            {(degree,): BASE.from_ground(S)})
-            r = RatioSeries(r.num + cell * r.den, r.den)
-        calls.append(r)
-        return widen(r, N)
+    def planted(a, b):
+        c, *rest = fields.as_cols(a)
+        cell = q_series(c.num.basis, c.num.N,
+                        {(degree,): BASE.from_ground(S)})
+        return bracket([RatioSeries(c.num + cell * c.den, c.den)] + rest, b)
 
-    monkeypatch.setattr(fields, "_widen", planted)
+    monkeypatch.setattr(fields, "lie_bracket", planted)
 
 
 def test_frame_is_bracketed_once_at_the_flow_window():
     flow = cubic_drag_flow()
     frame = commuting_fields(flow)
-    # the narrow window is 3 (debt 2), the widened one 4 (debt 1)
-    assert (frame.order, frame.wide_order) == (1, 3)
-    stable = stabilize_frame(frame, flow)
-    assert stable.order == stable.wide_order == 3
-    assert all(f.order == 3 for f in stable.fields)
-
-
-def test_planted_cell_inside_the_narrow_window_raises(monkeypatch):
-    flow = cubic_drag_flow()
-    plant_in_first_column(monkeypatch, 1)
-    with pytest.raises(VerificationFailed,
-                       match="frame fields 0 and 1 fail to commute at "
-                             "order 1"):
-        commuting_fields(flow)
-
-
-def test_planted_cell_above_the_narrow_window_keeps_the_frame(monkeypatch):
-    flow = cubic_drag_flow()
-    plant_in_first_column(monkeypatch, 2)
-    frame = commuting_fields(flow)
-    assert (frame.order, frame.wide_order) == (1, None)
+    # every column is a series over T at the flow window N = 4; one
+    # bracket partial (debt 1) leaves the frame certified through 3
+    assert frame.order == 3
+    assert all(f.order == 3 for f in frame.fields)
     assert stabilize_frame(frame, flow) is frame
+
+
+def test_planted_cell_breaks_the_commuting_frame(monkeypatch):
+    flow = cubic_drag_flow()
+    for k in (1, 2, 3):
+        with monkeypatch.context() as m:
+            plant_in_first_column(m, k)
+            with pytest.raises(VerificationFailed,
+                               match="frame fields 0 and 1 fail to commute "
+                                     f"at order {k}"):
+                commuting_fields(flow)
+
+
+def test_stabilize_frame_raises_on_a_moved_integral():
+    # q is no first integral of the cubic drag: the first field moves it
+    flow = cubic_drag_flow()
+    frame = commuting_fields(flow)
+    B = flow.basis
+    q1 = RatioSeries(q_series(B, flow.N, {(1,): BASE.one}),
+                     q_series(B, flow.N, {(0,): BASE.one}))
+    with pytest.raises(VerificationFailed,
+                       match="frame field 0 moves first integral 0 at "
+                             "order 1"):
+        stabilize_frame(frame, flow, [FirstIntegral((1,), BASE.one, q1, 4)])

@@ -9,6 +9,9 @@ through the whole pipeline:
 * the linear pair +-alpha/w on w^2 = 1 + s^2 with sigma: w -> -w -> the
   integral q1 q2 is sigma-fixed, so a covering of degree 2 is needed;
 * the opposite pair -> the proven logarithmic obstruction at order 3;
+* diag(h1, alpha/s) with t = 1 + ... whose time series carries a log(s)
+  cell -> (2, 1) when the cell's index lies on the lattice, and a labelled
+  VerificationFailed when the lattice is cut off below it;
 * model two diagonalised by its eigenvector gauge on w^2 = 1 + s^2 ->
   (1, 2), and Galois descent carries it to the base curve.
 
@@ -21,13 +24,14 @@ from fractions import Fraction
 import pytest
 
 from galint.algebra import AlgebraicTower, GroundField
-from galint.errors import RankDeficiency
+from galint.errors import RankDeficiency, VerificationFailed
 from galint.integrability import (
     CertifiedField,
     IntegrabilityCertificate,
     NeedsCovering,
     Obstruction,
     build_certificate,
+    formal_flow,
     verify_certificate,
 )
 from galint.integrability.certificates import _independence_or_raise
@@ -116,6 +120,42 @@ def test_opposite_pair_obstructs(gf):
     assert isinstance(ob, Obstruction)
     assert (ob.order, ob.component, ob.classification) == \
         (3, 1, "log-in-normal-part")
+
+
+def log_time_system(gf, h1, t_cells):
+    """diag(h1, alpha/s) with no table, xn = 1 and t the sum of the given
+    cells: the flow box of q1 puts a log(s) cell into the time series."""
+    s, a = gf.s, gf.gen("alpha")
+    T = AlgebraicTower(gf)
+    lin = [[T.from_ground(h1), T.zero], [T.zero, T.from_ground(a / s)]]
+    return ReducedSystem(T, 2, 3, lin, {}, {(0, 0): T.one},
+                         {i: T.one for i in t_cells}, time_reduced=True)
+
+
+def test_log_cell_on_the_lattice_is_fixed_by_the_frame(gf):
+    # H1 = s, so the lattice is (1, 0) and the time cell at (1, 0)
+    # integrates s^-1 to log(s); the weights vanish on that cell
+    R = log_time_system(gf, -1 / gf.s, [(0, 0), (1, 0), (0, 1)])
+    flow = formal_flow(R, 3)
+    assert [(L.index, L.argument) for L in flow.logs] == [((1, 0), gf.s)]
+    cert = build_certificate(R, 3)
+    assert (cert.l, len(cert.integrals)) == (2, 1)
+    assert cert.report.basis == [(1, 0)]
+    assert cert.orders == {"flow": 3, "frame": 2, "integrals": 3}
+    assert verify_certificate(cert).ok
+
+
+def test_log_cell_off_the_lattice_is_labelled(gf):
+    # H1^2 = s puts the log cell of t = 1 + q1^2 at (2, 0): on the lattice
+    # found through k = 3, off the one found through k = 1
+    R = log_time_system(gf, -1 / (2 * gf.s), [(0, 0), (2, 0)])
+    cert = build_certificate(R, 3)
+    assert (cert.l, len(cert.integrals)) == (2, 1)
+    assert cert.report.basis == [(2, 0)]
+    assert cert.orders == {"flow": 3, "frame": 2, "integrals": 3}
+    assert verify_certificate(cert).ok
+    with pytest.raises(VerificationFailed, match=r"log cell \(2, 0\)"):
+        build_certificate(R, 3, k_max=1)
 
 
 def with_fields(cert, fields):

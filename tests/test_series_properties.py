@@ -1,5 +1,5 @@
-"""Property tests for the series engine: inverse, valuation, linear
-substitution, and the trimmed quotient arithmetic of RatioSeries."""
+"""Property tests for the series engine: inverse, map inversion, valuation,
+linear substitution, and the trimmed quotient arithmetic of RatioSeries."""
 
 import operator
 
@@ -13,9 +13,11 @@ from galint.errors import DivisionByZero
 from galint.series import (
     HyperexpBasis,
     RatioSeries,
+    SymbolMonomial,
     TruncSeries,
     linear_subst,
     q_series,
+    ts_invert_map,
 )
 
 GF = GroundField(params=("alpha",))
@@ -94,6 +96,35 @@ def test_linear_substitution_round_trip(entries, tab):
     B = f.basis
     there = f.compose(linear_subst(B, P, N))
     assert there.compose(linear_subst(B, Pinv, N)) == f
+
+
+# the nonlinear cells of a tangent-to-identity u-map
+u_tables = st.dictionaries(
+    st.sampled_from([i for i in CELLS if sum(i) >= 2]),
+    st.tuples(ground, ground), max_size=4)
+
+
+def u_map(tower, tabs):
+    """u_j plus the drawn cells, each u^i carrying its symbol H^i as a
+    flow-box component does."""
+    B = basis(tower)
+    return [TruncSeries.variable(B, "u", N, j, tower.one) + TruncSeries(
+        B, "u", N,
+        {(i, SymbolMonomial(i)): coeff(tower, x, y)
+         for i, (x, y) in tab.items()})
+        for j, tab in enumerate(tabs)]
+
+
+@PROPS
+@given(towers, u_tables, u_tables)
+def test_compose_inverts_the_inverted_map(tower, tab_1, tab_2):
+    phi = u_map(tower, (tab_1, tab_2))
+    Phi = ts_invert_map(phi)
+    B = basis(tower)
+    assert [p.compose(Phi) for p in phi] == \
+        [TruncSeries.variable(B, "q", N, j, tower.one) for j in range(NQ)]
+    assert [P.compose(phi) for P in Phi] == \
+        [TruncSeries.variable(B, "u", N, j, tower.one) for j in range(NQ)]
 
 
 @PROPS
