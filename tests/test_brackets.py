@@ -255,7 +255,9 @@ def test_frame_is_bracketed_once_at_the_flow_window():
     assert stabilize_frame(frame, flow) is frame
 
 
-def test_planted_cell_breaks_the_commuting_frame(monkeypatch):
+def test_planted_cell_inside_the_narrow_window_raises(monkeypatch):
+    # the narrow window is the certified one, orders through N - 1 = 3:
+    # a cell anywhere in it is a bracket failure at its own order
     flow = cubic_drag_flow()
     for k in (1, 2, 3):
         with monkeypatch.context() as m:
@@ -264,6 +266,18 @@ def test_planted_cell_breaks_the_commuting_frame(monkeypatch):
                                match="frame fields 0 and 1 fail to commute "
                                      f"at order {k}"):
                 commuting_fields(flow)
+
+
+def test_planted_cell_above_the_narrow_window_keeps_the_frame(monkeypatch):
+    # s q^4 is a live cell of the N = 4 flow window, but one bracket
+    # partial leaves only orders through 3 certified, so it is not seen
+    flow = cubic_drag_flow()
+    assert not q_series(flow.basis, flow.N,
+                        {(4,): BASE.from_ground(S)}).is_zero()
+    plant_in_first_column(monkeypatch, 4)
+    frame = commuting_fields(flow)
+    assert frame.order == 3
+    assert stabilize_frame(frame, flow) is frame
 
 
 def test_stabilize_frame_raises_on_a_moved_integral():
