@@ -12,10 +12,19 @@ sparse ``FracField``, which gives exact normalized arithmetic, and wrap it in
   with a cache keyed on the polynomial;
 * evaluation at rational parameter/curve values.
 
-Elements are plain ``sympy.polys.fields.FracElement`` objects; this module
-deliberately does not wrap them.  A "scalar" below always means a FracElement
-of the ground field; a "parameter scalar" is one whose numerator and
-denominator are free of ``s``.
+The field is a :class:`ScalarField` with :class:`Scalar` elements,
+subclasses of sympy's ``FracField`` / ``FracElement`` that change one thing,
+how ``+ - * /`` between two field elements reach the normal form.  sympy
+takes a full gcd of the result's numerator against its denominator on every
+operation; a :class:`Scalar` keeps its operands reduced and takes gcds of
+denominators and of cross numerator/denominator pairs only (Henrici-Knuth).
+What stays is sympy's canonical form: integer coefficients, numerator and
+denominator coprime and jointly content-free, the denominator's leading
+coefficient positive.  So equality, hashing, printing and every cache key
+are those of plain ``FracElement`` objects, and a ``ScalarField`` compares and
+hashes equal to the plain ``FracField`` on the same generators.  A "scalar"
+below always means an element of the ground field; a "parameter scalar" is
+one whose numerator and denominator are free of ``s``.
 """
 
 from __future__ import annotations
@@ -24,11 +33,15 @@ from fractions import Fraction
 
 import sympy
 from sympy import QQ
-from sympy.polys.fields import FracField
+from sympy.polys.fields import FracElement, FracField
+from sympy.polys.orderings import lex
+from sympy.polys.polyerrors import HeuristicGCDFailed
 
 __all__ = [
     "GroundField",
     "SPoly",
+    "Scalar",
+    "ScalarField",
 ]
 
 
@@ -55,6 +68,133 @@ def _fraction_nth_root(c, d):
     return Fraction(int(pn), int(pd))
 
 
+class ScalarField(FracField):
+    """sympy's rational function field over QQ with :class:`Scalar` elements.
+
+    Equal to the plain ``FracField`` on the same generators, so it hashes
+    like one too; only the element type differs.
+    """
+
+    def __new__(cls, symbols, domain, order=lex):
+        obj = super().__new__(cls, symbols, domain, order)
+        if not obj.domain.is_QQ:
+            raise ValueError("a ScalarField is a field over QQ")
+        obj._hash_tuple = (FracField.__name__,) + obj._hash_tuple[1:]
+        obj._hash = hash(obj._hash_tuple)
+        plain_gens = obj.gens
+        obj.dtype = Scalar(obj, obj.ring.zero).raw_new
+        obj.zero = obj.dtype(obj.ring.zero)
+        obj.one = obj.dtype(obj.ring.one)
+        obj.gens = obj._gens()
+        for sym, plain, gen in zip(obj.symbols, plain_gens, obj.gens):
+            name = getattr(sym, "name", None)
+            if name is not None and getattr(obj, name, None) is plain:
+                setattr(obj, name, gen)
+        obj._zring = obj.ring.clone(domain=obj.domain.get_ring())
+        return obj
+
+
+def _to_zz(p, zring):
+    """An integer-coefficient polynomial over QQ, moved to the ring over ZZ."""
+    return zring.dtype({m: c.numerator for m, c in p.items()})
+
+
+class Scalar(FracElement):
+    """Element of a :class:`ScalarField`, always in sympy's canonical form.
+
+    Between two field elements, ``+ - * /`` use the Henrici-Knuth rules
+    (Knuth, TAOCP vol. 2, 4.5.1), which rely on both operands being reduced:
+
+    * a/b + c/d: with g = gcd(b, d), (a d' + c b') / (b' d' g) where
+      b = g b', d = g d'; only gcd(a d' + c b', g) can still cancel, and
+      nothing when g = 1.  Equal denominators cost one gcd of the summed
+      numerator against the shared denominator.
+    * (a/b)(c/d) = (a/gcd(a,d))(c/gcd(c,b)) / ((b/gcd(c,b))(d/gcd(a,d))).
+
+    Each result is the canonical form sympy's ``cancel`` would give, so it is
+    equal, hashes and prints the same.  Mixed operations with ints,
+    rationals or polynomials keep sympy's own operation, and so does the
+    rare operation whose heuristic gcd fails (``HeuristicGCDFailed``): sympy
+    then cancels the whole result, a different gcd problem.  Code that
+    builds elements with ``raw_new`` must pass a reduced pair of
+    integer-coefficient polynomials.
+    """
+
+    def __add__(f, g):
+        if f and f.field.is_element(g) and g:
+            try:
+                return f._add(g.numer, g.denom)
+            except HeuristicGCDFailed:
+                pass
+        return super().__add__(g)
+
+    def __sub__(f, g):
+        if f and f.field.is_element(g) and g:
+            try:
+                return f._add(-g.numer, g.denom)
+            except HeuristicGCDFailed:
+                pass
+        return super().__sub__(g)
+
+    def __mul__(f, g):
+        if f and f.field.is_element(g) and g:
+            try:
+                return f._mul(g.numer, g.denom)
+            except HeuristicGCDFailed:
+                pass
+        return super().__mul__(g)
+
+    def __truediv__(f, g):
+        if f and f.field.is_element(g) and g:
+            try:
+                return f._mul(g.denom, g.numer)
+            except HeuristicGCDFailed:
+                pass
+        return super().__truediv__(g)
+
+    def _add(f, c, d):
+        """f + c/d for a reduced, nonzero c/d."""
+        zring = f.field._zring
+        a = _to_zz(f.numer, zring)
+        b = _to_zz(f.denom, zring)
+        c = _to_zz(c, zring)
+        if f.denom == d:
+            t = a + c
+            if not t:
+                return f.field.zero
+            _, num, den = t.cofactors(b)
+            return f._reduced(num, den)
+        d = _to_zz(d, zring)
+        g, b1, d1 = b.cofactors(d)
+        if g == zring.one:
+            return f._reduced(a * d + c * b, b * d)
+        t = a * d1 + c * b1
+        if not t:
+            return f.field.zero
+        _, num, g1 = t.cofactors(g)
+        return f._reduced(num, g1 * b1 * d1)
+
+    def _mul(f, c, d):
+        """f * (c/d) for coprime, nonzero c and d."""
+        zring = f.field._zring
+        a = _to_zz(f.numer, zring)
+        b = _to_zz(f.denom, zring)
+        c = _to_zz(c, zring)
+        d = _to_zz(d, zring)
+        _, a1, d1 = a.cofactors(d)
+        _, c1, b1 = c.cofactors(b)
+        return f._reduced(a1 * c1, b1 * d1)
+
+    def _reduced(f, num, den):
+        """The element num/den from coprime integer polynomials."""
+        if den.LC < 0:
+            num, den = -num, -den
+        ring = f.field.ring
+        new = ring.domain.dtype
+        return f.raw_new(ring.dtype({m: new(c) for m, c in num.items()}),
+                         ring.dtype({m: new(c) for m, c in den.items()}))
+
+
 class GroundField:
     """Rational function field Q(alpha_1, ..., alpha_p, s).
 
@@ -79,7 +219,7 @@ class GroundField:
             seen.add(p)
         self.param_names = params
         self.curve_var = curve_var
-        self.field = FracField(list(params) + [curve_var], QQ)
+        self.field = ScalarField(list(params) + [curve_var], QQ)
         self.ring = self.field.to_ring()
         gens = self.field.gens
         self.param_gens = gens[: len(params)]

@@ -84,11 +84,12 @@ class FormalFlow:
     logarithmic; None on a partial flow recovered from an Obstruction),
     ``s0`` the base point used to pin resonant coefficients, ``resonant``
     the (component, index) pairs that needed pinning, ``logs`` the
-    LogSymbol records in creation order.
+    LogSymbol records in creation order.  The inverse map of
+    :func:`invert_flow` is kept once computed.
     """
 
     __slots__ = ("basis", "components", "time", "s0", "N", "system",
-                 "resonant", "logs")
+                 "resonant", "logs", "_inverse")
 
     def __init__(self, basis, components, time, s0, N, system,
                  resonant=(), logs=()):
@@ -100,6 +101,7 @@ class FormalFlow:
         self.system = system
         self.resonant = tuple(resonant)
         self.logs = tuple(logs)
+        self._inverse = None
 
     @property
     def nq(self):
@@ -352,7 +354,9 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
     resonant = []
     for order in range(2, N + 1):
         for j in range(nq):
-            defect = rhs[j].compose(phi) - phi[j].derive_s()
+            # Order-k cells of rhs∘phi read phi only up to order k, and
+            # phi[j] has no order-k cell yet, so -phi[j]' adds none there.
+            defect = rhs[j].compose([p.truncate(order) for p in phi])
             for index, sym, g in defect.cells():
                 if sum(index) != order:
                     continue
@@ -459,10 +463,16 @@ def _verify_flow(flow):
 
 
 def invert_flow(flow):
-    """The inverse map: series Phi_j(s, q) recovering u_j = c_j H_j."""
+    """The inverse map: series Phi_j(s, q) recovering u_j = c_j H_j.
+
+    Computed once per flow: the integrals and the frame of one certificate
+    both read it.
+    """
     if not isinstance(flow, FormalFlow):
         raise InputError("invert_flow expects a FormalFlow")
-    return tuple(ts_invert_map(list(flow.components)))
+    if flow._inverse is None:
+        flow._inverse = tuple(ts_invert_map(list(flow.components)))
+    return flow._inverse
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from galint.errors import (
     NotTimeReduced,
     NoTowerSolution,
     OrderExceedsTable,
+    VerificationFailed,
 )
 from galint.integrability import (
     FormalFlow,
@@ -40,6 +41,7 @@ from galint.integrability import (
     linearize,
     ratio_lie,
 )
+from galint.integrability.flows import _verify_flow
 from galint.reduction import ReducedSystem
 from galint.series import (
     FormalVectorField,
@@ -218,6 +220,12 @@ def test_invert_flow_round_trip(gf, T):
     assert back.coeff((1,), SymbolMonomial((1,))) == T.one
 
 
+def test_invert_flow_is_computed_once(gf, T):
+    # the integrals and the frame of one certificate share it
+    flow = formal_flow(resonant_toy(gf, T), 3)
+    assert invert_flow(flow) is invert_flow(flow)
+
+
 def test_linearize_toy(gf, T):
     s = gf.s
     lz = linearize(resonant_toy(gf, T), 3)
@@ -376,3 +384,41 @@ def test_linear_pair_frame_and_integral(gf):
     Fq = rq({(1, 1): T2.one}, one)
     assert ratio_lie(Y1, Fq).is_zero()
     assert ratio_lie(X, Fq).is_zero()
+
+
+# --------------------------------------------------------------------------
+# the final residual check
+
+
+def one_dw(gf, order=4):
+    """q' = (alpha/w) q + q^2 + s q^3 on w^2 = 1 + s^2."""
+    s, a = gf.s, gf.gen("alpha")
+    T = AlgebraicTower(gf).extend("w", 2, 1 + s**2)
+    table = {(0, (2,)): T.one, (0, (3,)): T.from_ground(s)}
+    return mk(T, [[T.from_ground(a) / T.gen("w")]], table, order=order)
+
+
+def _corrupt(series, order):
+    """The series with one of its order-``order`` cells doubled."""
+    tab = dict(series.table)
+    key = next(k for k in sorted(tab, key=repr) if sum(k[0]) == order)
+    tab[key] = tab[key] + tab[key]
+    return TruncSeries(series.basis, series.alphabet, series.N, tab)
+
+
+@pytest.mark.parametrize("where", ["component", "time"])
+def test_verify_flow_catches_a_wrong_cell(gf, where):
+    flow = formal_flow(one_dw(gf), 4)
+    assert isinstance(flow, FormalFlow)
+    _verify_flow(flow)
+    comps, time = list(flow.components), flow.time
+    if where == "component":
+        comps[0] = _corrupt(comps[0], 3)
+        label = "component 1"
+    else:
+        time = _corrupt(time, 0)
+        label = "time series"
+    bad = FormalFlow(flow.basis, comps, time, flow.s0, flow.N, flow.system,
+                     flow.resonant, flow.logs)
+    with pytest.raises(VerificationFailed, match=label):
+        _verify_flow(bad)

@@ -1,0 +1,209 @@
+"""Property tests for the ground-field arithmetic and for small towers.
+
+The ground field's elements (``Scalar``) reach sympy's canonical form with
+gcds of denominators only; every result is checked against sympy's plain
+``FracElement`` operation on the same operands.  Over random small towers the
+tests check the field axioms, inverses, the Leibniz rule and that declared
+Galois maps commute with d/ds.
+"""
+
+import operator
+
+import sympy.polys.rings as sympy_rings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.fields import FracField
+from sympy.polys.polyerrors import HeuristicGCDFailed
+
+from galint.algebra import AlgebraicTower, GroundField
+from galint.algebra.scalars import Scalar
+
+GF = GroundField(params=("alpha", "beta"))
+S, ALPHA, BETA = GF.s, GF.gen("alpha"), GF.gen("beta")
+PLAIN = FracField(GF.field.symbols, QQ)
+
+PROPS = settings(max_examples=25, deadline=None, database=None,
+                 derandomize=True)
+TOWER_PROPS = settings(max_examples=8, deadline=None, database=None,
+                       derandomize=True)
+
+# Denominator factors drawn from one small pool, so operands share some
+# factors and not others; the integer ones exercise content cancellation.
+FACTORS = (S, 1 + S, 1 + S**2, ALPHA - S, ALPHA * BETA + S, BETA,
+           GF.from_rational(2), GF.from_rational(3))
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+       "/": operator.truediv}
+
+small = st.integers(-3, 3)
+factor_powers = st.lists(st.integers(0, len(FACTORS) - 1), max_size=3)
+
+
+@st.composite
+def scalars(draw):
+    a, b, c, d = (draw(small) for _ in range(4))
+    num = a + b * S + c * ALPHA + d * BETA * S
+    for k in draw(factor_powers):
+        num = num * FACTORS[k]
+    den = GF.one
+    for k in draw(factor_powers):
+        den = den * FACTORS[k]
+    return num / den
+
+
+def plain(x):
+    return PLAIN.raw_new(x.numer, x.denom)
+
+
+def assert_reference(got, ref):
+    assert type(got) is Scalar
+    assert (got.numer, got.denom) == (ref.numer, ref.denom)
+    assert hash(got) == hash(ref) and str(got) == str(ref)
+
+
+# --------------------------------------------------------------------------
+# the ground field
+
+
+def test_field_equals_the_plain_field():
+    assert GF.field == PLAIN and hash(GF.field) == hash(PLAIN)
+    assert all(type(g) is Scalar for g in GF.field.gens)
+    assert type(GF.zero) is Scalar and type(GF.one) is Scalar
+
+
+@PROPS
+@given(scalars(), scalars(), st.sampled_from(sorted(OPS)))
+def test_operations_match_sympy(x, y, op):
+    assume(op != "/" or y)
+    assert_reference(OPS[op](x, y), OPS[op](plain(x), plain(y)))
+
+
+@PROPS
+@given(scalars(), scalars())
+def test_cancelling_operations_match_sympy(x, z):
+    # x + (z - x) and x * (z / x) leave only z: the most cancellation
+    y = z - x
+    got = x + y
+    assert_reference(got, plain(x) + plain(y))
+    assert got == z
+    assume(x)
+    y = z / x
+    got = x * y
+    assert_reference(got, plain(x) * plain(y))
+    assert got == z
+
+
+@PROPS
+@given(scalars(), small, st.sampled_from(sorted(OPS)))
+def test_shared_denominator_matches_sympy(x, k, op):
+    y = x + GF.from_rational(k)
+    assert y.denom == x.denom  # so + and - take the one-gcd path
+    assume(op != "/" or y)
+    assert_reference(OPS[op](x, y), OPS[op](plain(x), plain(y)))
+
+
+def test_failed_heuristic_gcd_falls_back(monkeypatch):
+    x = (1 + S) / (S**2 + ALPHA)
+    y = (BETA - S) / ((S**2 + ALPHA) * (S - BETA + 1))
+    real = sympy_rings.heugcd
+    failures = []
+
+    def fail_once(f, g):
+        if not failures:
+            failures.append((f, g))
+            raise HeuristicGCDFailed("forced")
+        return real(f, g)
+
+    for op in sorted(OPS):
+        failures.clear()
+        monkeypatch.setattr(sympy_rings, "heugcd", fail_once)
+        got = OPS[op](x, y)
+        monkeypatch.setattr(sympy_rings, "heugcd", real)
+        assert failures, f"{op} never reached the heuristic gcd"
+        assert_reference(got, OPS[op](plain(x), plain(y)))
+
+
+# --------------------------------------------------------------------------
+# small towers over the ground field
+
+BASE = AlgebraicTower(GF)
+RADICANDS = (1 + S**2, S + ALPHA, S * (1 + S), S - 2)
+
+
+@st.composite
+def towers(draw):
+    """w^3 = r, or w^2 = r possibly followed by v^2 = r2 (r2 in the base),
+    with the sign flips of the square roots declared."""
+    d = draw(st.sampled_from((2, 3)))
+    r = draw(st.sampled_from(RADICANDS))
+    t = BASE.extend("w", d, r)
+    signs = {"w": -1} if d == 2 else {}
+    if d == 2 and draw(st.booleans()):
+        r2 = draw(st.sampled_from([x for x in RADICANDS if x != r]))
+        t = t.extend("v", 2, t.from_ground(r2))
+        signs["v"] = -1
+    for name, sign in signs.items():
+        images = {g: t.gen(g) * (sign if g == name else 1) for g in t.names}
+        t.declare_galois(f"flip_{name}", images)
+    return t
+
+
+ground = st.tuples(small, small, small, st.integers(0, 2))
+
+
+def ground_elem(abcd):
+    a, b, c, d = abcd
+    return (a + b * S + c * ALPHA) / (1 + d * S**2)
+
+
+@st.composite
+def tower_elems(draw, t):
+    acc = t.zero
+    for e in t.basis_monomials():
+        mono = t.one
+        for name, k in zip(t.names, e):
+            mono = mono * t.gen(name) ** k
+        acc = acc + t.from_ground(ground_elem(draw(ground))) * mono
+    return acc
+
+
+@st.composite
+def tower_cases(draw, n):
+    t = draw(towers())
+    return t, [draw(tower_elems(t)) for _ in range(n)]
+
+
+@TOWER_PROPS
+@given(tower_cases(3))
+def test_tower_field_axioms(case):
+    t, (a, b, c) = case
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + t.zero == a and a * t.one == a
+    assert (a - a).is_zero() and (a + (-a)).is_zero()
+
+
+@TOWER_PROPS
+@given(tower_cases(1))
+def test_tower_inverse(case):
+    t, (a,) = case
+    assume(not a.is_zero())
+    assert a * t.invert(a) == t.one
+
+
+@TOWER_PROPS
+@given(tower_cases(2))
+def test_tower_leibniz(case):
+    _t, (a, b) = case
+    assert (a * b).derive() == a.derive() * b + a * b.derive()
+
+
+@TOWER_PROPS
+@given(tower_cases(2))
+def test_declared_galois_maps_commute_with_derive(case):
+    t, (a, b) = case
+    for name in t.galois_names():
+        assert a.derive().galois(name) == a.galois(name).derive()
+        assert (a * b).galois(name) == a.galois(name) * b.galois(name)
