@@ -12,9 +12,6 @@ from .algebra import (
     FieldElem,
     GroundField,
     SingularPlace,
-    fe_arith,
-    fe_derive,
-    fe_galois,
     fe_integrate_rational,
     fe_local_exponent,
     rational_ode_solve,
@@ -28,9 +25,6 @@ __all__ = [
     "FieldElem",
     "GroundField",
     "SingularPlace",
-    "fe_arith",
-    "fe_derive",
-    "fe_galois",
     "fe_integrate_rational",
     "fe_local_exponent",
     "rational_ode_solve",

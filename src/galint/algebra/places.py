@@ -213,13 +213,6 @@ class Lau:
             raise NotExpandable(f"coefficient u^{k} beyond computed precision")
         return self.cs[k - self.v]
 
-    def leading(self):
-        """(exponent, coefficient) of the first nonzero term, or None."""
-        for i, c in enumerate(self.cs):
-            if c:
-                return self.v + i, c
-        return None
-
     def __add__(self, other):
         # both operands promise: zero below v, coefficients known through
         # v + len - 1; the sum keeps the weaker of the two windows.
@@ -234,12 +227,6 @@ class Lau:
             b = other.cs[k - other.v] if other.v <= k else ct.zero
             cs.append(a + b)
         return Lau(ct, v, cs)
-
-    def __neg__(self):
-        return Lau(self.ct, self.v, [-c for c in self.cs])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def mul(self, other, rel_prec):
         """Product truncated to relative precision ``rel_prec``."""
@@ -374,7 +361,7 @@ class PlaceContext:
         b = info.radicand  # element of the subtower with r = i
         d = info.degree
         lb_b = self._crude_bound(b)
-        vb, lead = self._exact_leading(b, level=i, lb_hint=lb_b)
+        vb, lead = self._exact_leading(b, lb_hint=lb_b)
         g = gcd(vb, d)
         scale = d // g
         if scale > 1:
@@ -438,7 +425,7 @@ class PlaceContext:
             raise ValueError("crude bound of zero")
         return best
 
-    def _exact_leading(self, a, level=None, lb_hint=None):
+    def _exact_leading(self, a, lb_hint=None):
         """Exact (valuation, leading coefficient) of a nonzero element."""
         if a.is_zero():
             raise ValueError("leading term of zero")

@@ -595,9 +595,6 @@ class SPoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def gcd(self, other):
         a, b = self, other
         while b:

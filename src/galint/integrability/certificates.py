@@ -121,6 +121,9 @@ class CertificateReport:
 # ---------------------------------------------------------------------------
 
 def _dense(series):
+    """Plain q-cells; None when a cell carries H (u-alphabet) or L."""
+    if series.alphabet != "q":
+        return None
     out = {}
     for i, sym, c in series.cells():
         if not sym.is_neutral():

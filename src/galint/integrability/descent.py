@@ -140,7 +140,7 @@ def _series_galois(a, auto):
     """Coefficient-wise action; only symbol-free series can be acted on."""
     table = {}
     for i, sym, c in a.cells():
-        if not sym.is_neutral():
+        if a.alphabet != "q" or not sym.is_neutral():
             raise VerificationFailed(
                 "Galois action is undefined on series carrying "
                 "transcendental symbols"
@@ -173,7 +173,7 @@ def _eval_series(a, qvals, tower):
     gf = tower.gf
     total = tower.zero
     for i, sym, c in a.cells():
-        if not sym.is_neutral():
+        if a.alphabet != "q" or not sym.is_neutral():
             raise VerificationFailed(
                 "independence sampling is undefined on series carrying "
                 "transcendental symbols"

@@ -360,7 +360,7 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
             for index, sym, g in defect.cells():
                 if sum(index) != order:
                     continue
-                if sym.ell or tuple(sym.e) != tuple(index):
+                if sym.ell:
                     raise VerificationFailed(
                         "transverse defect carries unexpected symbols"
                     )
@@ -374,7 +374,7 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
                     return Obstruction(order, j + 1, index, delta, g,
                                        INCONCLUSIVE_BOUNDS, partial(order - 1))
                 phi[j] = phi[j] + TruncSeries(
-                    basis, "u", N, {(index, SymbolMonomial(index)): y}
+                    basis, "u", N, {(index, SymbolMonomial()): y}
                 )
                 if res:
                     resonant.append((j + 1, index))
@@ -385,7 +385,7 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
     symbols = []
     log_cells = []
     for index, sym, g in image.cells():
-        if sym.ell or tuple(sym.e) != tuple(index):
+        if sym.ell:
             raise VerificationFailed("time defect carries unexpected symbols")
         delta = _combo(tower, hs, index)
         try:
@@ -429,11 +429,9 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
     for rec in symbols:
         basis1 = basis1.with_log(rec.name, rec.deriv)
     components = tuple(TruncSeries(basis1, "u", N, p.table) for p in phi)
-    ttab = {}
-    for index, y in plain.items():
-        ttab[(index, SymbolMonomial(index))] = y
+    ttab = {(index, SymbolMonomial()): y for index, y in plain.items()}
     for index, name, coeff in log_cells:
-        ttab[(index, SymbolMonomial(index, ((name, 1),)))] = coeff
+        ttab[(index, SymbolMonomial({name: 1}))] = coeff
     time = TruncSeries(basis1, "u", N, ttab)
 
     flow = FormalFlow(basis1, components, time, s0, N, R,

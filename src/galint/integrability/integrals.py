@@ -56,9 +56,10 @@ def lie_ratio_residual(F, field):
     return ts_lie(a, field) * b - a * ts_lie(b, field)
 
 
-def first_integrals(flow, report=None, *, order=None, k_max=None,
-                    conditions=None):
+def first_integrals(flow, report=None, *, order=None, conditions=None):
     """Integrals of the reduced dynamics, one per lattice basis relation.
+
+    A missing lattice ``report`` is computed at the flow order.
 
     ``order`` extends the residual verification beyond the flow order (the
     reduction table must reach that far); the default checks at the flow
@@ -74,8 +75,7 @@ def first_integrals(flow, report=None, *, order=None, k_max=None,
     tower = R.tower
     basis = flow.basis
     if report is None:
-        report = relation_lattice(list(basis.hs), k_max or flow.N,
-                                  conditions=conditions)
+        report = relation_lattice(list(basis.hs), flow.N, conditions=conditions)
     order = flow.N if order is None else int(order)
     if order > R.order:
         raise OrderExceedsTable(

@@ -1,17 +1,16 @@
 """Truncated multivariate series with hyperexponential and logarithmic symbols.
 
 A cell of a :class:`TruncSeries` is a pair (variable multi-index i, symbol
-monomial) holding a tower-element coefficient a(s); it denotes
+monomial) holding a tower-element coefficient a(s).  The symbol monomial is a
+multiset of L symbols, each known through its derivative; the alphabet fixes
+the cell's H-content:
 
-    a(s) * x^i * H(s)^e * L(s)^ell
+    q-alphabet (plain coordinates):      a(s) * q^i * L(s)^ell
+    u-alphabet (u_j = c_j*H_j(s)):       a(s) * u^i * H(s)^i * L(s)^ell
 
-where x is the alphabet (plain coordinates q, or u with u_j standing for
-c_j*H_j(s)), H_j are hyperexponential symbols known only through their
-logarithmic derivatives h_j = H_j'/H_j, and each L symbol is known through
-its derivative.  The exponent vector e records the *total* H-content of the
-cell, so in the u-alphabet a plain monomial u^i carries e = i; exponents may
-go negative in intermediate objects (H^i / H_j quotients), and exported
-shapes are validated by their producers.
+H_j are hyperexponential symbols known only through their logarithmic
+derivatives h_j = H_j'/H_j, so d/ds of a u-cell picks up the weight
+sum_j i_j h_j read off its index.
 
 Everything is immutable; operations return new series.  Truncation is by
 total variable degree |i| <= N.
@@ -21,7 +20,7 @@ These two classes are the one construction-side series engine: reduction
 and descent all compute with :class:`TruncSeries` and :class:`RatioSeries`.
 Plain ``{exponent: coeff}`` tables cross the boundary through
 :func:`q_series` and :func:`q_table`; a rational function of the
-coordinates uses a neutral basis whose symbols never carry H- or L-content.
+coordinates is a q-series whose cells carry no L symbol.
 A :class:`RatioSeries` keeps a quotient exact by cross-multiplication until
 it is differentiated; then :meth:`RatioSeries.expand` turns it into one
 power series (the denominator inverted once) for the operation layer.
@@ -49,9 +48,6 @@ __all__ = [
     "linear_subst",
     "q_series",
     "q_table",
-    "ts_arith",
-    "ts_derive_s",
-    "ts_compose",
     "ts_invert_map",
     "ts_lie",
 ]
@@ -110,84 +106,47 @@ class HyperexpBasis:
 
 
 class SymbolMonomial:
-    """H^e times a multiset of L symbols; the neutral symbol is empty."""
+    """A multiset of L symbols; the neutral symbol is empty."""
 
-    __slots__ = ("e", "ell")
+    __slots__ = ("ell",)
 
-    def __init__(self, e=(), ell=()):
-        self.e = tuple(int(x) for x in e)
-        if isinstance(ell, dict):
-            ell = tuple(sorted((k, int(v)) for k, v in ell.items() if v))
-        else:
-            ell = tuple((k, int(v)) for k, v in ell if v)
-        self.ell = tuple(sorted(ell))
+    def __init__(self, ell=None):
+        """``ell`` maps L-symbol names to exponents; zeros are dropped."""
+        ell = ell or {}
+        self.ell = tuple(sorted((k, int(v)) for k, v in ell.items() if v))
 
     def is_neutral(self):
-        return not any(self.e) and not self.ell
+        return not self.ell
 
     def mul(self, other):
-        ea, eb = self.e, other.e
-        if len(ea) < len(eb):
-            ea = ea + (0,) * (len(eb) - len(ea))
-        elif len(eb) < len(ea):
-            eb = eb + (0,) * (len(ea) - len(eb))
         d = dict(self.ell)
         for k, v in other.ell:
             d[k] = d.get(k, 0) + v
-        return SymbolMonomial(tuple(a + b for a, b in zip(ea, eb)), d)
-
-    def shift_e(self, delta):
-        e = list(self.e)
-        if len(e) < len(delta):
-            e += [0] * (len(delta) - len(e))
-        for k, d in enumerate(delta):
-            e[k] += d
-        return SymbolMonomial(e, self.ell)
+        return SymbolMonomial(d)
 
     def lower_log(self, name):
         d = dict(self.ell)
         d[name] -= 1
-        return SymbolMonomial(self.e, d)
-
-    def sort_key(self):
-        return (self.e, self.ell)
+        return SymbolMonomial(d)
 
     def __eq__(self, other):
         if not isinstance(other, SymbolMonomial):
             return NotImplemented
-        ea, eb = list(self.e), list(other.e)
-        n = max(len(ea), len(eb))
-        ea += [0] * (n - len(ea))
-        eb += [0] * (n - len(eb))
-        return ea == eb and self.ell == other.ell
+        return self.ell == other.ell
 
     def __hash__(self):
-        e = self.e
-        while e and e[-1] == 0:
-            e = e[:-1]
-        return hash((e, self.ell))
+        return hash(self.ell)
 
     def __repr__(self):
-        parts = []
-        for j, k in enumerate(self.e):
-            if k == 1:
-                parts.append(f"H{j + 1}")
-            elif k:
-                parts.append(f"H{j + 1}^{k}")
-        for name, m in self.ell:
-            parts.append(name if m == 1 else f"{name}^{m}")
-        return "*".join(parts) if parts else "1"
+        return "*".join(_powers(self.ell)) or "1"
 
 
 _NEUTRAL = SymbolMonomial()
 
 
-def _norm_sym(sym, n):
-    """Canonical symbol with exponent vector padded/stripped to length n."""
-    e = list(sym.e)[:n] + [0] * max(0, n - len(sym.e))
-    if any(sym.e[n:]):
-        raise ValueError("symbol exponent vector longer than the basis")
-    return SymbolMonomial(e, sym.ell)
+def _powers(pairs):
+    """``name`` or ``name^k`` for each (name, k) with k nonzero."""
+    return [name if k == 1 else f"{name}^{k}" for name, k in pairs if k]
 
 
 class TruncSeries:
@@ -213,7 +172,7 @@ class TruncSeries:
                     continue
                 if not c:
                     continue
-                key = (i, _norm_sym(sym, basis.n))
+                key = (i, sym)
                 if key in clean:
                     acc = clean[key] + c
                     if acc:
@@ -239,8 +198,7 @@ class TruncSeries:
     def variable(cls, basis, alphabet, N, j, coeff):
         """The coordinate x_{j+1} (in the u-alphabet it carries H_{j+1})."""
         i = tuple(1 if k == j else 0 for k in range(basis.n))
-        sym = SymbolMonomial(i) if alphabet == "u" else _NEUTRAL
-        return cls(basis, alphabet, N, {(i, sym): coeff})
+        return cls(basis, alphabet, N, {(i, _NEUTRAL): coeff})
 
     # ------------------------------------------------------------- basics
 
@@ -252,12 +210,12 @@ class TruncSeries:
         return [
             (i, sym, self.table[(i, sym)])
             for i, sym in sorted(
-                self.table, key=lambda k: (sum(k[0]), k[0], k[1].sort_key())
+                self.table, key=lambda k: (sum(k[0]), k[0], k[1].ell)
             )
         ]
 
     def coeff(self, i, sym=_NEUTRAL):
-        return self.table.get((tuple(i), _norm_sym(sym, self.basis.n)))
+        return self.table.get((tuple(i), sym))
 
     def valuation(self):
         """Least total variable degree of a nonzero cell; None for zero."""
@@ -379,8 +337,11 @@ class TruncSeries:
     # -------------------------------------------------------------- calculus
 
     def derive_s(self):
-        """d/ds: coefficient derivative + H-weights + L-lowering."""
+        """d/ds: coefficient derivative + H-weights + L-lowering.
+
+        A u-cell u^i carries H^i, so it picks up sum_j i_j h_j."""
         basis = self.basis
+        carries_h = self.alphabet == "u"
         out = {}
 
         def put(key, c):
@@ -398,9 +359,9 @@ class TruncSeries:
         for (i, sym), c in self.table.items():
             put((i, sym), c.derive())
             w = None
-            for j, ej in enumerate(sym.e):
-                if ej:
-                    term = basis.hs[j] * basis.hs[j].tower.from_ground(ej)
+            for j, ij in enumerate(i if carries_h else ()):
+                if ij:
+                    term = basis.hs[j] * basis.hs[j].tower.from_ground(ij)
                     w = term if w is None else w + term
             if w is not None:
                 put((i, sym), w * c)
@@ -413,16 +374,14 @@ class TruncSeries:
 
     def partial(self, j):
         """d/dx_j; in the u-alphabet the variable carries H_j, which leaves
-        with it (the symbol exponent drops too)."""
+        with it.  The L symbols stay."""
         basis = self.basis
         drop = tuple(-1 if k == j else 0 for k in range(basis.n))
         out = {}
         for (i, sym), c in self.table.items():
             if not i[j]:
                 continue
-            i2 = tuple(a + d for a, d in zip(i, drop))
-            sym2 = sym.shift_e(drop) if self.alphabet == "u" else sym
-            key = (i2, sym2)
+            key = (tuple(a + d for a, d in zip(i, drop)), sym)
             c2 = c * c.tower.from_ground(i[j])
             if key in out:
                 out[key] = out[key] + c2
@@ -435,8 +394,8 @@ class TruncSeries:
     def compose(self, subst):
         """Substitute x_j -> subst[j] (series without constant term).
 
-        In the u-alphabet the substituted variable takes its H-content along:
-        the cell keeps only the residual symbol H^(e-i).  The result lives in
+        In the u-alphabet the substituted variable takes its H-content along,
+        so only the L symbols of the two cells multiply.  The result lives in
         the substituted series' alphabet.
         """
         basis = self.basis
@@ -471,20 +430,13 @@ class TruncSeries:
                 while len(plist) <= k:
                     plist.append(plist[-1] * plist[1])
                 term = plist[k] if term is None else term * plist[k]
-            res_sym = (
-                sym.shift_e(tuple(-x for x in i))
-                if self.alphabet == "u"
-                else sym
-            )
             if term is None:  # the constant cell of self
-                add = TruncSeries(
-                    basis, tgt.alphabet, N, {(zero_i, res_sym): c}
-                )
+                add = TruncSeries(basis, tgt.alphabet, N, {(zero_i, sym): c})
             else:
                 add = TruncSeries(
                     basis, tgt.alphabet, N,
                     {
-                        (it, st.mul(res_sym)): ct * c
+                        (it, st.mul(sym)): ct * c
                         for (it, st), ct in term.table.items()
                     },
                 )
@@ -497,18 +449,13 @@ class TruncSeries:
         """Canonical text form (deterministic ordering)."""
         if not self.table:
             return "0"
-        letter = self.alphabet
+        letters = ("u", "H") if self.alphabet == "u" else ("q",)
         parts = []
         for i, sym, c in self.cells():
             bits = [f"({c})"]
-            for j, k in enumerate(i):
-                if k == 1:
-                    bits.append(f"{letter}{j + 1}")
-                elif k:
-                    bits.append(f"{letter}{j + 1}^{k}")
-            if not sym.is_neutral():
-                bits.append(repr(sym))
-            parts.append("*".join(bits))
+            for letter in letters:
+                bits += _powers((f"{letter}{j + 1}", k) for j, k in enumerate(i))
+            parts.append("*".join(bits + _powers(sym.ell)))
         return " + ".join(parts)
 
     def __repr__(self):
@@ -649,7 +596,8 @@ def q_series(basis, N, tab):
 
 def q_table(series):
     """The plain table ``{exponent: coeff}`` of a neutral q-series."""
-    if any(not sym.is_neutral() for _i, sym in series.table):
+    if series.alphabet != "q" or any(not sym.is_neutral()
+                                     for _i, sym in series.table):
         raise ValueError("only symbol-free series have a plain table")
     return {i: c for (i, _sym), c in series.table.items()}
 
@@ -669,27 +617,6 @@ def linear_subst(basis, M, N):
 # ---------------------------------------------------------------------------
 # the operation layer
 # ---------------------------------------------------------------------------
-
-def ts_arith(a, b, op):
-    """Ring operations on series; ``op`` is one of ``+ - *``."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def ts_derive_s(a):
-    """d/ds of a series (coefficients, H-weights, and L-lowering)."""
-    return a.derive_s()
-
-
-def ts_compose(a, subst):
-    """Composition a(subst_1, ..., subst_{n-1}); see TruncSeries.compose."""
-    return a.compose(list(subst))
-
 
 def ts_invert_map(phi):
     """Invert a tangent-to-identity map u -> phi(u), returning q-series.

@@ -129,9 +129,9 @@ def test_expand_commutes_with_the_quotient_rule(r):
     assert upto(rderive_s(r).expand(), top) == upto(e.derive_s(), top)
 
 
-# series carrying H and L symbols, for the Leibniz rule
-SYMS = [SymbolMonomial(e, ell) for e in ((0, 0), (1, 0), (0, -1), (1, 1))
-        for ell in ((), (("L", 1),))]
+# u-series (each u^i carries H^i) with and without an L symbol, for the
+# Leibniz rule
+SYMS = [SymbolMonomial(), SymbolMonomial({"L": 1})]
 SYM_BASIS = HyperexpBasis((BASE.from_ground(ALPHA / S), BASE.from_ground(S)),
                           {"L": BASE.from_ground(1 / (1 + S))})
 sym_tables = st.dictionaries(
@@ -140,7 +140,7 @@ sym_tables = st.dictionaries(
 
 
 def sym_series(tab):
-    return TruncSeries(SYM_BASIS, "q", N, {
+    return TruncSeries(SYM_BASIS, "u", N, {
         (i, SYMS[k]): coeff(BASE, x, None) for (i, k), x in tab.items()
     })
 

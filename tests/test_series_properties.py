@@ -105,12 +105,12 @@ u_tables = st.dictionaries(
 
 
 def u_map(tower, tabs):
-    """u_j plus the drawn cells, each u^i carrying its symbol H^i as a
-    flow-box component does."""
+    """u_j plus the drawn cells, each u^i carrying H^i as a flow-box
+    component does."""
     B = basis(tower)
     return [TruncSeries.variable(B, "u", N, j, tower.one) + TruncSeries(
         B, "u", N,
-        {(i, SymbolMonomial(i)): coeff(tower, x, y)
+        {(i, SymbolMonomial()): coeff(tower, x, y)
          for i, (x, y) in tab.items()})
         for j, tab in enumerate(tabs)]
 

@@ -9,14 +9,21 @@ Both systems live on w^2 = 1 + s^2 with sigma: w -> -w declared:
 * the diagonal pair [[1/w, 0], [0, -1/w]] is not defined over the base
   (sigma swaps its exponents), so its right sides move under sigma and
   Galois descent labels it instead of symmetrizing.
+
+The automorphisms that descent averages over come from ``group_closure``:
+sigma closes to {id, sigma}, a rational tower to {id} alone.
 """
 
 from fractions import Fraction
 
+import pytest
+
 from galint.algebra import AlgebraicTower, GroundField
+from galint.errors import InputError, OrbitIncomplete
 from galint.integrability import (
     IntegrabilityCertificate,
     build_certificate,
+    group_closure,
     linearize,
     original_field,
     verify_certificate,
@@ -101,3 +108,27 @@ def test_descent_labels_a_system_not_over_the_base():
             repr(list(b.components) + [b.s_component])
     assert [repr(F.series) for F in cert.integrals] == \
         [repr(F.series) for F in plain.integrals]
+
+
+def test_group_closure_of_a_rational_tower_is_the_identity():
+    (identity,) = group_closure(AlgebraicTower(GroundField()))
+    assert identity.word == ()
+
+
+def test_group_closure_of_sigma():
+    _gf, T = tower()
+    w = T.gen("w")
+    group = group_closure(T)
+    assert [g.word for g in group] == [(), ("sigma",)]
+    assert [g.on_elem(w) for g in group] == [w, -w]
+
+
+def test_group_closure_needs_declared_generators():
+    gf = GroundField()
+    with pytest.raises(OrbitIncomplete):
+        group_closure(AlgebraicTower(gf).extend("w", 2, 1 + gf.s**2))
+
+
+def test_group_closure_rejects_a_non_tower():
+    with pytest.raises(InputError):
+        group_closure(GroundField())
