@@ -13,7 +13,9 @@ through the whole pipeline:
   cell -> (2, 1) when the cell's index lies on the lattice, and a labelled
   VerificationFailed when the lattice is cut off below it;
 * model two diagonalised by its eigenvector gauge on w^2 = 1 + s^2 ->
-  (1, 2), and Galois descent carries it to the base curve.
+  (1, 2), and Galois descent carries it to the base curve; with a
+  decoupled third coordinate q3' = (alpha/s) q3 -> (2, 2), and descent
+  carries a frame field as well.
 
 Two mutations show that the verifier can fail: a duplicated field and a
 frame field perturbed by the cell s q^2.
@@ -191,11 +193,11 @@ def test_perturbed_field_fails_a_bracket(gf):
         "[FAILED] bracket-0-1 (order 3): residual at order 2"]
 
 
-def test_model_two_descends_to_the_base_field():
-    # model two at alpha = 1 on w^2 = 1 + s^2 with sigma: w -> -w; the
-    # eigenvector gauge puts radicals into the reduced chart, and descent
-    # takes the (1, 2) certificate back to base-curve coefficients
-    gf = GroundField()
+def model_two(decoupled=False):
+    # model two at alpha = 1 on w^2 = 1 + s^2 with sigma: w -> -w, under its
+    # eigenvector gauge; ``decoupled`` adds q3' = (alpha/s) q3 over
+    # Q(alpha)(s), which the gauge leaves alone
+    gf = GroundField(params=("alpha",) if decoupled else ())
     s = gf.s
     T = AlgebraicTower(gf).extend("w", 2, 1 + s**2)
     w = T.gen("w")
@@ -203,13 +205,42 @@ def test_model_two_descends_to_the_base_field():
     half = gf.from_rational(Fraction(1, 2)) * s / (1 + s**2)
     lin = [[T.from_ground(half), T.one],
            [T.from_ground(1 / (1 + s**2)), T.from_ground(-half)]]
-    unit = {(0, 0): T.one}
-    R = apply_gauge(
-        ReducedSystem(T, 2, 8, lin, {}, unit, t=unit, time_reduced=True),
-        [[T.one, T.one], [T.one / w, -(T.one / w)]], assert_diagonal=True)
-    cert = build_certificate(R, 4)
+    gauge = [[T.one, T.one], [T.one / w, -(T.one / w)]]
+    if decoupled:
+        lin = [row + [T.zero] for row in lin]
+        lin.append([T.zero, T.zero, T.from_ground(gf.gen("alpha") / s)])
+        gauge = [row + [T.zero] for row in gauge]
+        gauge.append([T.zero, T.zero, T.one])
+    unit = {(0,) * len(lin): T.one}
+    return apply_gauge(
+        ReducedSystem(T, len(lin), 8, lin, {}, unit, t=unit,
+                      time_reduced=True),
+        gauge, assert_diagonal=True)
+
+
+def test_model_two_descends_to_the_base_field():
+    # the eigenvector gauge puts radicals into the reduced chart, and
+    # descent takes the (1, 2) certificate back to base-curve coefficients
+    cert = build_certificate(model_two(), 4)
     assert (cert.l, len(cert.integrals), cert.descent) == (1, 2, "base-field")
     assert cert.report.basis == [(1, 1), (0, 2)]
+    assert cert.orders == {"flow": 4, "frame": 3, "integrals": 4}
+    assert verify_certificate(cert).ok
+    down = cert.descended
+    assert down.chart == "original"
+    assert down.orders == {"flow": 4, "frame": 3, "integrals": 4,
+                           "descent": 2}
+    report = verify_certificate(down)
+    assert report.ok, report
+    assert "galois-fixed" in [c.name for c in report]
+
+
+def test_decoupled_third_coordinate_descends_a_frame_field():
+    # nq = 3 and l = 2: besides the dynamics the frame has one Euler field,
+    # so descent averages a frame field and brackets the descended pair
+    cert = build_certificate(model_two(decoupled=True), 4)
+    assert (cert.l, len(cert.integrals), cert.descent) == (2, 2, "base-field")
+    assert cert.report.basis == [(1, 1, 0), (0, 2, 0)]
     assert cert.orders == {"flow": 4, "frame": 3, "integrals": 4}
     assert verify_certificate(cert).ok
     down = cert.descended

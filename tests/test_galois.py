@@ -56,6 +56,18 @@ class TestResonanceTest:
         y = v.witness
         assert (y.derive() - T.from_ground(1 / gf.s) * y).is_zero()
 
+    def test_solver_proves_a_square_root_is_missing(self):
+        # over Q(s) the parameter shortcut has nothing to split off, so the
+        # solver decides: 2h - h = 1/(2s) would need sqrt(s) as a witness,
+        # while 3h - h = 1/s has the witness s
+        gf = GroundField()
+        T = AlgebraicTower(gf)
+        h = (T.from_ground(1 / (2 * gf.s)),)
+        v = resonance_test(h, 1, (2,))
+        assert isinstance(v, NonResonant) and v.detail == ""
+        v = resonance_test(h, 1, (3,))
+        assert isinstance(v, Resonant) and v.witness == T.from_ground(gf.s)
+
     def test_square_root_pair(self, gf):
         s, alpha = gf.s, gf.gen("alpha")
         T = AlgebraicTower(gf).extend("w", 2, 1 + s**2)

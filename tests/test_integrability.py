@@ -15,7 +15,9 @@
 * q' = (alpha/s) q + q^2 with s' = q has no tangential motion on the curve,
   so linearize keeps dt = ds; u = q/(1 + s q/(alpha+1)) solves
   u' = (alpha/s) u, so the map is q - c q^2 + c^2 q^3 + ... with
-  c = s/(alpha+1).
+  c = s/(alpha+1);
+* diag(alpha/s, 2 alpha/s) has the lattice row (2, -1) with witness 1: its
+  integral q1^2 / q2 carries the negative entry in its denominator.
 """
 
 from fractions import Fraction
@@ -32,6 +34,7 @@ from galint.errors import (
     OrderExceedsTable,
     VerificationFailed,
 )
+from galint.galois import relation_lattice
 from galint.integrability import (
     FormalFlow,
     Linearization,
@@ -302,6 +305,23 @@ def test_pair_integral_is_exact(gf, T):
     assert F.series.num.coeff((1, 1)) == winv
     assert len(F.series.num.table) == 1
     assert F.series.den.coeff((0, 0)) == T.one
+
+
+def test_integral_with_a_negative_exponent(gf, T):
+    # diag(alpha/s, 2 alpha/s): H1^2 / H2 is constant, so the lattice row
+    # (2, -1) carries a denominator and the integral is q1^2 / q2
+    s, a = gf.s, gf.gen("alpha")
+    R = mk(T, [[T.from_ground(a / s), T.zero],
+               [T.zero, T.from_ground(2 * a / s)]], order=3)
+    flow = formal_flow(R, 3)
+    report = relation_lattice(list(flow.basis.hs), 3)
+    assert report.basis == [(2, -1)]
+    assert report.witnesses[(2, -1)] == T.one
+    ints = first_integrals(flow, report)
+    assert [F.order for F in ints] == [3]
+    q1 = qser(flow.basis, 3, {(1, 0): T.one})
+    q2 = qser(flow.basis, 3, {(0, 1): T.one})
+    assert ints[0].series.eq(RatioSeries(q1 * q1, q2))
 
 
 def test_integral_verification_order_capped(gf, T):
