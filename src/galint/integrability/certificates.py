@@ -266,7 +266,7 @@ def build_certificate(R, N, *, s0=None, k_max=None, conditions=None,
                               conditions=conditions)
     integrals = first_integrals(flow, report, conditions=conditions)
     frame = commuting_fields(flow, report, conditions=conditions)
-    frame = stabilize_frame(frame, flow, integrals)
+    frame = stabilize_frame(frame, integrals)
     orders = {
         "flow": flow.N,
         "frame": frame.order,
@@ -320,7 +320,7 @@ def verify_certificate(C, N=None):
     """
     if not isinstance(C, IntegrabilityCertificate):
         raise InputError("verify_certificate expects an IntegrabilityCertificate")
-    from .descent import _gradient_row, _point_rank, _ratio_fixed, group_closure
+    from .descent import _gradient_row, _moved_under, _point_rank, group_closure
 
     tower = C.system.tower
     nq = C.system.nq
@@ -394,15 +394,8 @@ def verify_certificate(C, N=None):
                 detail="" if low is None else f"residual at order {low}"))
 
     if C.chart == "original" and tower.r > 0 and tower.galois_names():
-        moved = []
-        for auto in group_closure(tower)[1:]:
-            for k, f in enumerate(C.fields):
-                for r in list(f.components) + [f.s_component]:
-                    if not _ratio_fixed(r, auto):
-                        moved.append(f"field {k} under {'*'.join(auto.word)}")
-            for t, F in enumerate(C.integrals):
-                if not _ratio_fixed(F.series, auto):
-                    moved.append(f"integral {t} under {'*'.join(auto.word)}")
+        moved = _moved_under(group_closure(tower), C.fields,
+                            [F.series for F in C.integrals])
         checks.append(CertificateCheck(
             "galois-fixed", not moved, detail="; ".join(moved)))
 

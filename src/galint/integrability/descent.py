@@ -3,21 +3,25 @@
 Diagonalizing the linear part usually costs radical extensions, so the
 frame and the integrals built in the reduced chart carry coefficients in
 a radical tower: they live on a finite covering of the curve, not on the
-curve itself.  When the declared automorphism group acts faithfully on
-the first integrals, symmetrized combinations
+curve itself.  Descent averages over the declared automorphism group G:
 
-    sum over sigma of  sigma(F)^m sigma(Y_i),    m = 0, 1, 2, ...
+    average(x) = sum over sigma in G of sigma(x),
 
-have base-curve coefficients, and the Vandermonde matrix of the weights
-(F and its conjugates are pairwise distinct under a faithful action)
-keeps enough of them independent.  Power sums of conjugate integrals do
-the same on the scalar side.  When instead a nontrivial subgroup fixes
-every integral, no weight can separate the conjugated frames and the
-covering is genuinely needed; its degree is the order of that subgroup.
+|G| times the Reynolds operator, has base-curve coefficients whatever x
+is.  The integral candidates are the averages of the powers F_t^m (power
+sums of the conjugates) and of the products F_a F_b; the frame candidates
+are the averages of F_t^m Y_i, which are sum sigma(F_t)^m sigma(Y_i)
+since sigma acts on coefficients as a ring automorphism.  When G acts
+faithfully on the integrals, the conjugates of F are pairwise distinct and
+the Vandermonde matrix of the weights keeps enough of the averages
+independent; the first ones that raise the sample rank are kept.  When
+instead a nontrivial subgroup fixes every integral, no weight can
+separate the conjugated frames and the covering is genuinely needed; its
+degree is the order of that subgroup.
 
 Everything here acts in the original transverse chart, reached through
 the one gauge pushforward ``flows.original_field`` (integrals need only
-its substitution, ``RatioSeries.compose``).  Before any symmetrization,
+its substitution, ``RatioSeries.compose``).  Before any average is taken,
 descent proves that the right sides there are defined over the base: only
 then does conjugating a symmetry yield again a symmetry of the *same*
 dynamics, and the group action reduces to a coefficient-wise application
@@ -36,14 +40,7 @@ from ..errors import (
     VerificationFailed,
 )
 from ..series import RatioSeries, TruncSeries, linear_subst
-from .fields import (
-    CertifiedField,
-    lie_bracket,
-    ratio_lie,
-    rderive_s,
-    rpartial,
-    scan_residual,
-)
+from .fields import CertifiedField, as_cols, rderive_s, rpartial, scan_frame
 from .flows import _gauge_inverse, _system_fixed, original_field
 from .integrals import FirstIntegral
 
@@ -255,33 +252,67 @@ def _gradient_row(r, nq):
 # descent proper
 # ---------------------------------------------------------------------------
 
-def _scale_cols(cols, weight, rzero):
-    return [weight * x if x else rzero for x in cols]
+def _moved_under(group, fields, integrals):
+    """What a non-identity element of ``group`` moves, as "field k under w"
+    (once per field, for any of its columns) and "integral t under w"."""
+    moved = []
+    for auto in group[1:]:
+        word = "*".join(auto.word)
+        for k, f in enumerate(fields):
+            if not all(_ratio_fixed(x, auto) for x in as_cols(f)):
+                moved.append(f"field {k} under {word}")
+        for t, F in enumerate(integrals):
+            if not _ratio_fixed(F, auto):
+                moved.append(f"integral {t} under {word}")
+    return moved
 
 
-def _add_cols(a, b):
-    return [x + y for x, y in zip(a, b)]
+def _independent(candidates, need, row_of, tower, what):
+    """The first ``need`` candidates, in order, whose rows raise the sample
+    rank of the rows kept before them; all-zero rows are skipped.
 
-
-def _ratio_pow(r, m, rone):
-    out = rone
-    for _ in range(m):
-        out = out * r
-    return out
+    ``candidates`` is consumed lazily, only until ``need`` are kept; raises
+    RankDeficiency when it runs out first.
+    """
+    kept, rows = [], []
+    candidates = iter(candidates)
+    while len(kept) < need:
+        cand = next(candidates, None)
+        if cand is None:
+            raise RankDeficiency(
+                f"descent assembled only {len(kept)} of {need} independent "
+                f"base-curve {what}"
+            )
+        row = row_of(cand)
+        if all(x.is_zero() for x in row):
+            continue
+        if _point_rank(rows + [row], tower) > len(rows):
+            kept.append(cand)
+            rows.append(row)
+    return kept
 
 
 def galois_descent(certificate, *, cap=_GROUP_CAP):
-    """Symmetrize a reduced-chart certificate down to the base curve.
+    """Average a reduced-chart certificate down to the base curve.
 
     Returns a new certificate in the original chart with every coefficient
     fixed by the declared automorphisms, or one of two verdicts, decided in
     this order from the transported integrals and the right sides alone:
     :class:`NeedsCovering` when a nontrivial subgroup keeps all first
-    integrals fixed (then no weighted symmetrization can recover a full
-    frame on the base), and ``"not-over-base"`` when the original-chart
-    right sides move under a declared generator (the input is not defined
-    over the base, so there is nothing to descend to).  The frame is
-    transported only after both.
+    integrals fixed (then no weighted average can recover a full frame on
+    the base), and ``"not-over-base"`` when the original-chart right sides
+    move under a declared generator (the input is not defined over the
+    base, so there is nothing to descend to).  The frame is transported
+    only after both.
+
+    Every candidate is a group average, sum over sigma of sigma(x) (|G|
+    times the Reynolds operator): the integral candidates average F_t^m
+    for m = 1..|G|, then F_a F_b for a < b; the frame candidates average
+    omega Y_i with omega = 1, then F_t^m for m = 1..|G|-1.  Candidates are
+    kept in that order while the sample rank grows (:func:`_independent`),
+    then the kept data is checked to be fixed by the group
+    (:func:`_moved_under`) and scanned with debt 2 by
+    :func:`fields.scan_frame`.
     """
     from .certificates import IntegrabilityCertificate
 
@@ -321,117 +352,42 @@ def galois_descent(certificate, *, cap=_GROUP_CAP):
 
     base = ints_orig[0].num if ints_orig else x_orig[-1].num
     one_s = TruncSeries.constant(base.basis, "q", base.N, tower.one)
-    rone = RatioSeries(one_s, one_s)
     rzero = RatioSeries(TruncSeries.zero(base.basis, "q", base.N), one_s)
 
-    orbits = [[_ratio_galois(F, auto) for auto in group] for F in ints_orig]
-
-    # scalar side: power sums of conjugates, then symmetrized products
-    n_int = len(ints_orig)
-    candidates = []
-    for t in range(n_int):
-        for m in range(1, len(group) + 1):
-            acc = rzero
-            for conj in orbits[t]:
-                acc = acc + _ratio_pow(conj, m, rone)
-            candidates.append(acc)
-    for ta, tb in combinations(range(n_int), 2):
+    def average(x):
         acc = rzero
-        for ca, cb in zip(orbits[ta], orbits[tb]):
-            acc = acc + ca * cb
-        candidates.append(acc)
+        for auto in group:
+            acc = acc + _ratio_galois(x, auto)
+        return acc
 
-    new_ints = []
-    grad_rows = []
-    for cand in candidates:
-        if len(new_ints) == n_int:
-            break
-        if cand.is_zero():
-            continue
-        row = _gradient_row(cand, nq)
-        if _point_rank(grad_rows + [row], tower) > len(grad_rows):
-            new_ints.append(cand)
-            grad_rows.append(row)
-    if len(new_ints) < n_int:
-        raise RankDeficiency(
-            f"descent assembled only {len(new_ints)} of {n_int} independent "
-            "base-curve integrals"
-        )
+    # pows[t][m] = F_t^m for m = 0..|G|: power sums and frame weights
+    pows = []
+    for F in ints_orig:
+        p = [RatioSeries(one_s, one_s)]
+        for _ in group:
+            p.append(p[-1] * F)
+        pows.append(p)
 
-    # frame side: conjugated fields weighted by powers of the conjugated
-    # integrals (the Vandermonde trick), greedily kept while the point rank
-    # of the selected columns grows
-    n_y = len(y_orig)
-    orb_fields = [
-        [[_ratio_galois(x, auto) for x in cols] for auto in group]
-        for cols in y_orig
-    ]
-    new_fields = []
-    rank_rows = []
-    weights = list(range(n_int)) or [None]
-    for m in range(len(group)):
-        if len(new_fields) == n_y or (m > 0 and n_int == 0):
-            break
-        for t in weights if m else [None]:
-            for i in range(n_y):
-                if len(new_fields) == n_y:
-                    break
-                acc = [rzero] * (nq + 1)
-                for k, auto in enumerate(group):
-                    cols = orb_fields[i][k]
-                    if m and t is not None:
-                        w = _ratio_pow(orbits[t][k], m, rone)
-                        cols = _scale_cols(cols, w, rzero)
-                    acc = _add_cols(acc, cols)
-                if all(x.is_zero() for x in acc):
-                    continue
-                if _point_rank(rank_rows + [acc], tower) > len(rank_rows):
-                    new_fields.append(acc)
-                    rank_rows.append(acc)
-    if len(new_fields) < n_y:
-        raise RankDeficiency(
-            f"descent assembled only {len(new_fields)} of {n_y} independent "
-            "base-curve fields"
-        )
+    new_ints = _independent(
+        map(average, [Fm for p in pows for Fm in p[1:]]
+            + [Fa * Fb for Fa, Fb in combinations(ints_orig, 2)]),
+        len(ints_orig), lambda F: _gradient_row(F, nq), tower, "integrals")
+    # omega = 1 (None: the columns as they are), then F_t^m, m < |G|
+    weights = [None] + [p[m] for m in range(1, len(group)) for p in pows]
+    new_fields = _independent(
+        ([average(x if w is None else (w * x if x else rzero)) for x in cols]
+         for w in weights for cols in y_orig),
+        len(y_orig), lambda cols: cols, tower, "fields")
     new_fields.append(x_orig)
 
     # every surviving coefficient must be fixed by every group element,
     # and the descended data must still verify against the dynamics
-    for auto in group[1:]:
-        for cols in new_fields:
-            for x in cols:
-                if not _ratio_fixed(x, auto):
-                    raise VerificationFailed(
-                        "a descended field coefficient moves under "
-                        f"{'*'.join(auto.word)}"
-                    )
-        for F in new_ints:
-            if not _ratio_fixed(F, auto):
-                raise VerificationFailed(
-                    "a descended integral coefficient moves under "
-                    f"{'*'.join(auto.word)}"
-                )
-
-    order = certificate.orders.get("frame", flow.N - 1)
-    for a in range(len(new_fields)):
-        for b in range(a + 1, len(new_fields)):
-            for r in lie_bracket(new_fields[a], new_fields[b]):
-                defect, cert = scan_residual(r, 2)
-                if defect is not None:
-                    raise VerificationFailed(
-                        f"descended fields {a} and {b} fail to commute at "
-                        f"order {defect}"
-                    )
-                order = min(order, cert)
-        for F in new_ints:
-            res = ratio_lie(new_fields[a], F)
-            defect, cert = scan_residual(res, 2)
-            if defect is not None:
-                raise VerificationFailed(
-                    f"a descended integral moves along field {a} at order "
-                    f"{defect}"
-                )
-            order = min(order, cert)
+    moved = _moved_under(group, new_fields, new_ints)
+    if moved:
+        raise VerificationFailed(
+            f"descended data moves: {'; '.join(moved)}")
+    order = scan_frame(new_fields, new_ints, 2,
+                       certificate.orders.get("frame", flow.N - 1))
 
     fields = tuple(
         CertifiedField(cols[:nq], cols[-1], order) for cols in new_fields

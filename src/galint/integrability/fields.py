@@ -46,6 +46,7 @@ __all__ = [
     "ratio_lie",
     "rderive_s",
     "rpartial",
+    "scan_frame",
     "scan_residual",
     "stabilize_frame",
 ]
@@ -118,6 +119,32 @@ def scan_residual(r, debt):
     if f is None or f > W:
         return None, W
     return f, f - 1
+
+
+def scan_frame(fields, integrals, debt, order, *, brackets=True):
+    """``order`` lowered to what a clean scan certifies.
+
+    Scans (see :func:`scan_residual`, with ``debt``) every pairwise bracket
+    of ``fields`` unless ``brackets`` is false, then the Lie derivative of
+    every quotient in ``integrals`` along every field; the first defect
+    raises VerificationFailed naming the fields or the field and integral.
+    """
+    def lowered(order, r, what):
+        defect, cert = scan_residual(r, debt)
+        if defect is not None:
+            raise VerificationFailed(f"{what} at order {defect}")
+        return min(order, cert)
+
+    for a in range(len(fields) if brackets else 0):
+        for b in range(a + 1, len(fields)):
+            for r in lie_bracket(fields[a], fields[b]):
+                order = lowered(order, r,
+                                f"frame fields {a} and {b} fail to commute")
+    for k, f in enumerate(fields):
+        for t, F in enumerate(integrals):
+            order = lowered(order, ratio_lie(f, F),
+                            f"frame field {k} moves first integral {t}")
+    return order
 
 
 def as_cols(f):
@@ -255,18 +282,7 @@ def commuting_fields(flow, report=None, *, conditions=None):
     one = TruncSeries.constant(basis, "q", N, tower.one)
     cols_by_field.append([RatioSeries(x, T) for x in qdot + [one]])
 
-    l = len(cols_by_field)
-    order = N - 1
-    for a in range(l):
-        for b in range(a + 1, l):
-            for r in lie_bracket(cols_by_field[a], cols_by_field[b]):
-                defect, cert = scan_residual(r, 1)
-                if defect is not None:
-                    raise VerificationFailed(
-                        f"frame fields {a} and {b} fail to commute at "
-                        f"order {defect}"
-                    )
-                order = min(order, cert)
+    order = scan_frame(cols_by_field, (), 1, N - 1)
 
     fields = tuple(
         CertifiedField(c[:nq], c[-1], order) for c in cols_by_field
@@ -274,28 +290,18 @@ def commuting_fields(flow, report=None, *, conditions=None):
     return CommutingFrame(fields, report, order)
 
 
-def stabilize_frame(frame, flow, integrals=()):
+def stabilize_frame(frame, integrals=()):
     """Check that every frame field kills every first integral.
 
     Each Lie derivative is scanned with debt 1 like the brackets; a defect
     raises VerificationFailed.  A clean check returns the frame, its order
     lowered to what the checks certified (only when an integral's window
-    is the shorter one).  ``flow`` is the flow the frame was built from;
-    the fields are already exact at its window, so the check needs nothing
-    from it.
+    is the shorter one).
     """
     if not isinstance(frame, CommutingFrame):
         raise InputError("stabilize_frame expects a CommutingFrame")
-    order = frame.order
-    for k, f in enumerate(frame.fields):
-        for t, F in enumerate(integrals):
-            defect, cert = scan_residual(ratio_lie(f, F.series), 1)
-            if defect is not None:
-                raise VerificationFailed(
-                    f"frame field {k} moves first integral {t} at order "
-                    f"{defect}"
-                )
-            order = min(order, cert)
+    order = scan_frame(frame.fields, [F.series for F in integrals], 1,
+                       frame.order, brackets=False)
     if order == frame.order:
         return frame
     fields = tuple(

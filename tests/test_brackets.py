@@ -252,7 +252,7 @@ def test_frame_is_bracketed_once_at_the_flow_window():
     # bracket partial (debt 1) leaves the frame certified through 3
     assert frame.order == 3
     assert all(f.order == 3 for f in frame.fields)
-    assert stabilize_frame(frame, flow) is frame
+    assert stabilize_frame(frame) is frame
 
 
 def test_planted_cell_inside_the_narrow_window_raises(monkeypatch):
@@ -277,7 +277,7 @@ def test_planted_cell_above_the_narrow_window_keeps_the_frame(monkeypatch):
     plant_in_first_column(monkeypatch, 4)
     frame = commuting_fields(flow)
     assert frame.order == 3
-    assert stabilize_frame(frame, flow) is frame
+    assert stabilize_frame(frame) is frame
 
 
 def test_stabilize_frame_raises_on_a_moved_integral():
@@ -290,4 +290,4 @@ def test_stabilize_frame_raises_on_a_moved_integral():
     with pytest.raises(VerificationFailed,
                        match="frame field 0 moves first integral 0 at "
                              "order 1"):
-        stabilize_frame(frame, flow, [FirstIntegral((1,), BASE.one, q1, 4)])
+        stabilize_frame(frame, [FirstIntegral((1,), BASE.one, q1, 4)])

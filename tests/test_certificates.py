@@ -36,6 +36,7 @@ from galint.integrability import (
     formal_flow,
     verify_certificate,
 )
+from galint.integrability import descent
 from galint.integrability.certificates import _independence_or_raise
 from galint.reduction import (
     CoordRat,
@@ -250,3 +251,31 @@ def test_decoupled_third_coordinate_descends_a_frame_field():
     report = verify_certificate(down)
     assert report.ok, report
     assert "galois-fixed" in [c.name for c in report]
+
+
+def test_descent_weights_a_frame_field_by_an_integral(monkeypatch):
+    # with the unweighted average of the Euler field Y = -q3 d/dq3 refused,
+    # descent goes on to the weighted ones: sigma negates F_0, so the
+    # average of F_0 Y vanishes and is skipped; F_1 is sigma-fixed, so the
+    # average of F_1 Y is 2 F_1 Y, which is -q3 times the second descended
+    # integral 2 F_1; the descended data still verifies
+    real = descent._independent
+    drawn = []
+
+    def refuse_first_field(candidates, need, row_of, tower, what):
+        candidates = iter(candidates)
+        if what == "fields":
+            next(candidates)
+            candidates = (drawn.append(c) or c for c in candidates)
+        return real(candidates, need, row_of, tower, what)
+
+    monkeypatch.setattr(descent, "_independent", refuse_first_field)
+    down = build_certificate(model_two(decoupled=True), 4).descended
+    assert [all(c.is_zero() for c in cols) for cols in drawn] == [True, False]
+    Y = down.fields[0]
+    F = down.integrals[1].series
+    q3 = q_series(F.num.basis, F.num.N, {(0, 0, 1): -down.system.tower.one})
+    assert [c.is_zero() for c in Y.components] == [True, True, False]
+    assert Y.s_component.is_zero()
+    assert Y.components[2].eq(RatioSeries(q3, F.den) * F)
+    assert verify_certificate(down).ok
