@@ -268,7 +268,7 @@ def commuting_fields(flow, report=None, *, conditions=None):
 
     Phi = list(invert_flow(flow))
     T = q_series(basis, N, R.t)
-    qdot = [q_series(basis, N, R.qdot_series(j)) for j in range(nq)]
+    qdot = R.rhs_series(basis, N)
 
     cols_by_field = []
     for a in _weights(report.basis, chosen, nq):

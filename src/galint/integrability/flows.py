@@ -345,7 +345,7 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
     basis = HyperexpBasis(hs)
     one = tower.one
     phi = [TruncSeries.variable(basis, "u", N, j, one) for j in range(nq)]
-    rhs = [q_series(basis, N, R.qdot_series(j)) for j in range(nq)]
+    rhs = R.rhs_series(basis, N)
 
     def partial(upto):
         comps = tuple(p.truncate(upto) for p in phi)
@@ -446,8 +446,7 @@ def _verify_flow(flow):
     basis = flow.basis
     N = flow.N
     comps = list(flow.components)
-    for j in range(R.nq):
-        rhs = q_series(basis, N, R.qdot_series(j))
+    for j, rhs in enumerate(R.rhs_series(basis, N)):
         res = rhs.compose(comps) - comps[j].derive_s()
         if not res.is_zero():
             raise VerificationFailed(
@@ -548,8 +547,7 @@ def _system_fixed(R, basis, names):
     come back over 1, so the cell-wise test on their numerators decides.
     """
     one = TruncSeries.constant(basis, "q", R.order, R.tower.one)
-    qdot = [RatioSeries(q_series(basis, R.order, R.qdot_series(j)), one)
-            for j in range(R.nq)]
+    qdot = [RatioSeries(x, one) for x in R.rhs_series(basis, R.order)]
     cols = original_field(R, qdot, RatioSeries(one, one))
     return _fixed([x.num for x in cols], names)
 
@@ -584,9 +582,8 @@ def linearize(R, N=None, s0=None, *, conditions=None):
     M = flow.N
 
     # in the reduced chart the inverse map straightens the field exactly
-    qdot = [q_series(basis, M, R.qdot_series(j)) for j in range(nq)]
     field = FormalVectorField(
-        qdot, TruncSeries.constant(basis, "q", M, tower.one)
+        R.rhs_series(basis, M), TruncSeries.constant(basis, "q", M, tower.one)
     )
     for j in range(nq):
         res = ts_lie(Phi[j], field) - Phi[j].scale(hs[j])

@@ -14,7 +14,6 @@ from ..series import (
     FormalVectorField,
     RatioSeries,
     TruncSeries,
-    q_series,
     ts_lie,
 )
 from .flows import FormalFlow, invert_flow
@@ -39,15 +38,6 @@ class FirstIntegral:
 
     def __repr__(self):
         return f"FirstIntegral(exponent={self.exponent}, order={self.order})"
-
-
-def _reduced_field(R, basis, N):
-    """The time-reduced dynamics as a formal vector field (ds/ds = 1)."""
-    tower = R.tower
-    comps = [q_series(basis, N, R.qdot_series(j)) for j in range(R.nq)]
-    return FormalVectorField(
-        comps, TruncSeries.constant(basis, "q", N, tower.one)
-    )
 
 
 def lie_ratio_residual(F, field):
@@ -85,8 +75,8 @@ def first_integrals(flow, report=None, *, order=None, conditions=None):
     M = max(order, flow.N)
 
     Phi = [p.truncate(M) for p in invert_flow(flow)]
-    field = _reduced_field(R, basis, M)
     one = TruncSeries.constant(basis, "q", M, tower.one)
+    field = FormalVectorField(R.rhs_series(basis, M), one)  # ds/ds = 1
 
     out = []
     for row in report.basis:

@@ -416,6 +416,11 @@ class ReducedSystem:
                 out[i] = c
         return out
 
+    def rhs_series(self, basis, N):
+        """The right sides dq_j/ds as neutral q-series over ``basis``."""
+        return [q_series(basis, N, self.qdot_series(j))
+                for j in range(self.nq)]
+
     def __repr__(self):
         flag = ", time-reduced" if self.time_reduced else ""
         return (f"ReducedSystem(nq={self.nq}, order={self.order}, "
@@ -483,8 +488,8 @@ def time_reduce(R):
     inv = q_series(basis, R.order, R.xn).inverse()
     lin = []
     table = {}
-    for j in range(nq):
-        ser = q_series(basis, R.order, R.qdot_series(j)) * inv
+    for j, ser in enumerate(R.rhs_series(basis, R.order)):
+        ser = ser * inv
         const, row, high = _split_table(ser, nq)
         if const is not None and const:
             raise VerificationFailed("time reduction created a constant term")
@@ -627,29 +632,18 @@ def _build_variational(R, k, with_t):
     index = {v: i for i, v in enumerate(variables)}
     size = len(variables)
     M = [[T.zero] * size for _ in range(size)]
+    # one right-hand table per slot: dq_j/ds, then the time slot's dt/ds
     rhs = [R.qdot_series(j) for j in range(nq)]
-    ttab = {e: c for e, c in (R.t or {}).items() if sum(e) >= 1}
+    if with_t:
+        rhs.append({e: c for e, c in (R.t or {}).items() if sum(e) >= 1})
     for row, v in enumerate(variables):
-        m = v[:nq]
-        mt = v[nq] if with_t else 0
-        for j in range(nq):
-            if not m[j]:
+        for j, m in enumerate(v):
+            if not m:
                 continue
-            factor = T.from_ground(m[j])
+            factor = T.from_ground(m)
             for i, c in rhs[j].items():
                 target = list(v)
                 target[j] -= 1
-                for l, x in enumerate(i):
-                    target[l] += x
-                if sum(target) > k:
-                    continue
-                col = index[tuple(target)]
-                M[row][col] = M[row][col] + factor * c
-        if mt:
-            factor = T.from_ground(mt)
-            for i, c in ttab.items():
-                target = list(v)
-                target[nq] -= 1
                 for l, x in enumerate(i):
                     target[l] += x
                 if sum(target) > k:

@@ -15,6 +15,12 @@ sum_j i_j h_j read off its index.
 Everything is immutable; operations return new series.  Truncation is by
 total variable degree |i| <= N.
 
+The :class:`TruncSeries` constructor is the one place where cells merge: it
+takes a mapping or a stream of ``((i, sym), c)`` contributions, sums the
+contributions to one cell in the order given, drops a cell whose sum
+cancels, and drops cells above N.  Every operation yields its contributions
+to it and keeps no accumulator of its own.
+
 These two classes are the one construction-side series engine: reduction
 (transverse expansion, time normalisation, gauges), flows, integrals, frames
 and descent all compute with :class:`TruncSeries` and :class:`RatioSeries`.
@@ -154,33 +160,35 @@ class TruncSeries:
 
     __slots__ = ("basis", "alphabet", "N", "table")
 
-    def __init__(self, basis, alphabet, N, table=None):
+    def __init__(self, basis, alphabet, N, table=()):
+        """``table`` is a mapping ``{(i, sym): c}`` or an iterable of
+        ``((i, sym), c)`` pairs.  Contributions to one cell are summed in
+        the order given; zero contributions are skipped, a sum that cancels
+        leaves no cell (a later contribution starts it afresh), and cells
+        above total degree N are dropped.  Every index is validated."""
         if alphabet not in ("q", "u"):
             raise ValueError("alphabet must be 'q' or 'u'")
         self.basis = basis
         self.alphabet = alphabet
         self.N = int(N)
+        if hasattr(table, "items"):
+            table = table.items()
         clean = {}
-        if table:
-            for (i, sym), c in table.items():
-                i = tuple(int(x) for x in i)
-                if len(i) != basis.n:
-                    raise ValueError("variable multi-index length mismatch")
-                if any(x < 0 for x in i):
-                    raise ValueError("negative variable exponent")
-                if sum(i) > self.N:
-                    continue
+        for (i, sym), c in table or ():
+            i = tuple(int(x) for x in i)
+            if len(i) != basis.n:
+                raise ValueError("variable multi-index length mismatch")
+            if any(x < 0 for x in i):
+                raise ValueError("negative variable exponent")
+            if sum(i) > self.N or not c:
+                continue
+            key = (i, sym)
+            if key in clean:
+                c = clean[key] + c
                 if not c:
+                    del clean[key]
                     continue
-                key = (i, sym)
-                if key in clean:
-                    acc = clean[key] + c
-                    if acc:
-                        clean[key] = acc
-                    else:
-                        del clean[key]
-                else:
-                    clean[key] = c
+            clean[key] = c
         self.table = clean
 
     # ------------------------------------------------------------ factories
@@ -222,12 +230,7 @@ class TruncSeries:
         return min((sum(i) for i, _ in self.table), default=None)
 
     def truncate(self, M):
-        if M >= self.N:
-            return TruncSeries(self.basis, self.alphabet, M, self.table)
-        return TruncSeries(
-            self.basis, self.alphabet, M,
-            {k: c for k, c in self.table.items() if sum(k[0]) <= M},
-        )
+        return TruncSeries(self.basis, self.alphabet, M, self.table)
 
     def _check_mate(self, other):
         if self.basis != other.basis or self.alphabet != other.alphabet:
@@ -240,19 +243,8 @@ class TruncSeries:
     def __add__(self, other):
         self._check_mate(other)
         N = min(self.N, other.N)
-        out = {k: c for k, c in self.table.items() if sum(k[0]) <= N}
-        for k, c in other.table.items():
-            if sum(k[0]) > N:
-                continue
-            if k in out:
-                acc = out[k] + c
-                if acc:
-                    out[k] = acc
-                else:
-                    del out[k]
-            else:
-                out[k] = c
-        return TruncSeries(self.basis, self.alphabet, N, out)
+        return TruncSeries(self.basis, self.alphabet, N,
+                           [*self.table.items(), *other.table.items()])
 
     def __neg__(self):
         return TruncSeries(
@@ -266,25 +258,17 @@ class TruncSeries:
     def __mul__(self, other):
         self._check_mate(other)
         N = min(self.N, other.N)
-        out = {}
-        for (ia, sa), ca in self.table.items():
-            if sum(ia) > N:
-                continue
-            for (ib, sb), cb in other.table.items():
-                i = tuple(a + b for a, b in zip(ia, ib))
-                if sum(i) > N:
+
+        def cells():
+            for (ia, sa), ca in self.table.items():
+                if sum(ia) > N:
                     continue
-                key = (i, sa.mul(sb))
-                c = ca * cb
-                if key in out:
-                    acc = out[key] + c
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-                elif c:
-                    out[key] = c
-        return TruncSeries(self.basis, self.alphabet, N, out)
+                for (ib, sb), cb in other.table.items():
+                    i = tuple(a + b for a, b in zip(ia, ib))
+                    if sum(i) <= N:
+                        yield (i, sa.mul(sb)), ca * cb
+
+        return TruncSeries(self.basis, self.alphabet, N, cells())
 
     def scale(self, c):
         """Multiply every coefficient by a tower element (or leave zero)."""
@@ -342,52 +326,31 @@ class TruncSeries:
         A u-cell u^i carries H^i, so it picks up sum_j i_j h_j."""
         basis = self.basis
         carries_h = self.alphabet == "u"
-        out = {}
 
-        def put(key, c):
-            if not c:
-                return
-            if key in out:
-                acc = out[key] + c
-                if acc:
-                    out[key] = acc
-                else:
-                    del out[key]
-            else:
-                out[key] = c
+        def cells():
+            for (i, sym), c in self.table.items():
+                yield (i, sym), c.derive()
+                w = None
+                for j, ij in enumerate(i if carries_h else ()):
+                    if ij:
+                        term = basis.hs[j] * basis.hs[j].tower.from_ground(ij)
+                        w = term if w is None else w + term
+                if w is not None:
+                    yield (i, sym), w * c
+                for name, m in sym.ell:
+                    yield ((i, sym.lower_log(name)),
+                           basis.log_deriv(name) * c * c.tower.from_ground(m))
 
-        for (i, sym), c in self.table.items():
-            put((i, sym), c.derive())
-            w = None
-            for j, ij in enumerate(i if carries_h else ()):
-                if ij:
-                    term = basis.hs[j] * basis.hs[j].tower.from_ground(ij)
-                    w = term if w is None else w + term
-            if w is not None:
-                put((i, sym), w * c)
-            for name, m in sym.ell:
-                put(
-                    (i, sym.lower_log(name)),
-                    basis.log_deriv(name) * c * c.tower.from_ground(m),
-                )
-        return TruncSeries(basis, self.alphabet, self.N, out)
+        return TruncSeries(basis, self.alphabet, self.N, cells())
 
     def partial(self, j):
         """d/dx_j; in the u-alphabet the variable carries H_j, which leaves
         with it.  The L symbols stay."""
-        basis = self.basis
-        drop = tuple(-1 if k == j else 0 for k in range(basis.n))
-        out = {}
-        for (i, sym), c in self.table.items():
-            if not i[j]:
-                continue
-            key = (tuple(a + d for a, d in zip(i, drop)), sym)
-            c2 = c * c.tower.from_ground(i[j])
-            if key in out:
-                out[key] = out[key] + c2
-            else:
-                out[key] = c2
-        return TruncSeries(basis, self.alphabet, self.N, out)
+        drop = tuple(-1 if k == j else 0 for k in range(self.basis.n))
+        return TruncSeries(self.basis, self.alphabet, self.N, (
+            ((tuple(a + d for a, d in zip(i, drop)), sym),
+             c * c.tower.from_ground(i[j]))
+            for (i, sym), c in self.table.items() if i[j]))
 
     # ------------------------------------------------------------- compose
 
@@ -418,30 +381,25 @@ class TruncSeries:
         # (index 0 — the empty product — is handled inline below)
         pows = [[None, g.truncate(N)] for g in subst]
 
-        out = TruncSeries.zero(basis, tgt.alphabet, N)
-        for (i, sym), c in self.table.items():
-            if sum(i) > N:
-                continue
-            term = None
-            for j, k in enumerate(i):
-                if not k:
+        def cells():
+            for (i, sym), c in self.table.items():
+                if sum(i) > N:
                     continue
-                plist = pows[j]
-                while len(plist) <= k:
-                    plist.append(plist[-1] * plist[1])
-                term = plist[k] if term is None else term * plist[k]
-            if term is None:  # the constant cell of self
-                add = TruncSeries(basis, tgt.alphabet, N, {(zero_i, sym): c})
-            else:
-                add = TruncSeries(
-                    basis, tgt.alphabet, N,
-                    {
-                        (it, st.mul(sym)): ct * c
-                        for (it, st), ct in term.table.items()
-                    },
-                )
-            out = out + add
-        return out
+                term = None
+                for j, k in enumerate(i):
+                    if not k:
+                        continue
+                    plist = pows[j]
+                    while len(plist) <= k:
+                        plist.append(plist[-1] * plist[1])
+                    term = plist[k] if term is None else term * plist[k]
+                if term is None:  # the constant cell of self
+                    yield (zero_i, sym), c
+                    continue
+                for (it, st), ct in term.table.items():
+                    yield (it, st.mul(sym)), ct * c
+
+        return TruncSeries(basis, tgt.alphabet, N, cells())
 
     # -------------------------------------------------------------- output
 

@@ -29,6 +29,7 @@ from galint.errors import (
     BasePointSingular,
     GaugeRequired,
     InputError,
+    NonFuchsian,
     NotTimeReduced,
     NoTowerSolution,
     OrderExceedsTable,
@@ -121,6 +122,17 @@ def test_explicit_base_point_must_be_regular(gf, T):
     R = cubic_drag(gf, T)
     with pytest.raises(BasePointSingular):
         formal_flow(R, 3, s0=0)
+
+
+def test_irregular_diagonal_is_rejected_up_front():
+    # q' = q/s^2 over Q(s): the double pole at 0 is caught by the Fuchsian
+    # scan before any cell is solved
+    gf = GroundField()
+    T = AlgebraicTower(gf)
+    R = mk(T, [[T.from_ground(1 / gf.s**2)]], order=3)
+    with pytest.raises(NonFuchsian) as err:
+        formal_flow(R, 3)
+    assert err.value.place == 0 and err.value.order == 2
 
 
 # --------------------------------------------------------------------------

@@ -208,3 +208,29 @@ def test_truncation_coherence_spot(ctx):
     b = u(B, T, 1, 4) + u(B, T, 0, 4) * u(B, T, 0, 4)
     assert (a * b).truncate(2) == a.truncate(2) * b.truncate(2)
     assert a.derive_s().truncate(2) == a.truncate(2).derive_s()
+
+
+def test_constructor_merges_cells(ctx):
+    # the constructor is where cells merge: repeats sum in order, a
+    # cancelling pair leaves no cell, cells above N are dropped
+    gf, T, B = ctx
+    one, two = T.one, T.from_ground(2)
+    L = SymbolMonomial({"L1": 1})
+    pairs = [
+        (((1, 0), L), one),
+        (((0, 1), L), one),
+        (((1, 0), L), one),
+        (((0, 1), L), -one),
+        (((2, 2), L), one),
+    ]
+    a = TruncSeries(B, "q", 3, pairs)
+    assert a.table == {((1, 0), L): two}
+    assert a == TruncSeries(B, "q", 3, {((1, 0), L): two, ((2, 2), L): one})
+    # a cell that cancelled starts afresh from a later contribution
+    again = TruncSeries(B, "q", 3, pairs + [(((0, 1), L), two)])
+    assert again.coeff((0, 1), L) == two
+    for bad in ([(((1,), L), one)], [(((1, -1), L), one)]):
+        with pytest.raises(ValueError):
+            TruncSeries(B, "q", 3, bad)
+    with pytest.raises(ValueError):
+        TruncSeries(B, "q", 3, {((-1, 0), L): one})

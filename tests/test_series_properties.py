@@ -1,5 +1,7 @@
-"""Property tests for the series engine: inverse, map inversion, valuation,
-linear substitution, and the trimmed quotient arithmetic of RatioSeries."""
+"""Property tests for the series engine: sums, products, derivatives and
+composition against the verifier's dense engine, inverse, map inversion,
+valuation, linear substitution, and the trimmed quotient arithmetic of
+RatioSeries."""
 
 import operator
 
@@ -10,6 +12,13 @@ from hypothesis import strategies as st
 from galint.algebra import AlgebraicTower, GroundField
 from galint.algebra.linalg import mat_inv
 from galint.errors import DivisionByZero
+from galint.integrability.certificates import (
+    _dadd,
+    _dderive,
+    _dense,
+    _dmul,
+    _dpartial,
+)
 from galint.series import (
     HyperexpBasis,
     RatioSeries,
@@ -65,6 +74,63 @@ def series(tower, tab, shift=(0, 0)):
 
 
 towers = st.sampled_from([BASE, W_TOWER])
+
+
+def negated(cell):
+    x, y = cell
+    return tuple(-v for v in x), tuple(-v for v in y)
+
+
+# cells of the second operand that cancel the first operand's cells
+cancels = st.sets(st.sampled_from(CELLS))
+
+
+@PROPS
+@given(towers, tables, tables, cancels)
+def test_sum_and_product_match_the_dense_engine(tower, tab_a, tab_b, cut):
+    tab_b.update({k: negated(tab_a[k]) for k in cut & set(tab_a)})
+    a, b = series(tower, tab_a), series(tower, tab_b)
+    A, B = _dense(a), _dense(b)
+    assert _dense(a + b) == _dadd(A, B)
+    assert _dense(a - b) == _dadd(A, {i: -c for i, c in B.items()})
+    assert _dense(a * b) == _dmul(A, B, N)
+
+
+@PROPS
+@given(towers, tables)
+def test_derivatives_match_the_dense_engine(tower, tab):
+    a = series(tower, tab)
+    A = _dense(a)
+    for j in range(NQ):
+        assert _dense(a.partial(j)) == _dpartial(A, j, tower)
+    assert _dense(a.derive_s()) == _dderive(A)
+
+
+def dense_compose(F, G):
+    """sum_i F_i * prod_j G_j^{i_j}, term by term in the dense engine."""
+    out = {}
+    for i, c in F.items():
+        term = {(0,) * NQ: c}
+        for j, k in enumerate(i):
+            for _ in range(k):
+                term = _dmul(term, G[j], N)
+        out = _dadd(out, term)
+    return out
+
+
+# substituted series vanish at the origin
+subst_tables = st.dictionaries(
+    st.sampled_from([i for i in CELLS if sum(i) >= 1]),
+    st.tuples(ground, ground), max_size=4)
+
+
+@PROPS
+@given(towers, tables, subst_tables, subst_tables)
+def test_compose_matches_the_dense_engine(tower, tab, tab_1, tab_2):
+    f = series(tower, tab)
+    g = [series(tower, tab_1), series(tower, tab_2)]
+    assert _dense(f.compose(g)) == dense_compose(
+        _dense(f), [_dense(x) for x in g])
 
 
 @PROPS
