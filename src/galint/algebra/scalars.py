@@ -22,13 +22,29 @@ What stays is sympy's canonical form: integer coefficients, numerator and
 denominator coprime and jointly content-free, the denominator's leading
 coefficient positive.  So equality, hashing, printing and every cache key
 are those of plain ``FracElement`` objects, and a ``ScalarField`` compares and
-hashes equal to the plain ``FracField`` on the same generators.  A "scalar"
-below always means an element of the ground field; a "parameter scalar" is
-one whose numerator and denominator are free of ``s``.
+hashes equal to the plain ``FracField`` on the same generators.
+
+Most of those gcds are an integer, the gcd of the two contents, and one
+image mod a prime per variable proves that far more cheaply than sympy's
+heuristic gcd (Brown, J. ACM 18 (1971)).  So each passes a gate first: in
+every generator x_i where both polynomials have positive degree, it maps
+them to F_p[x_i] (p = 2^61 - 1, the other generators at fixed points) and
+runs Euclid there.  If both leading coefficients in x_i stay nonzero mod p,
+so does that of the gcd, which divides them; the gcd's image then keeps
+its degree in x_i and divides the gcd of the images.  So if that gcd is
+constant for every such x_i, the gcd has degree 0 in every generator and
+is the content gcd.  A leading coefficient that vanishes mod p, or an
+image gcd of positive degree, proves nothing; sympy's gcd then decides, as
+it did before the gate.  Either way the gcd is the one sympy gives, so
+every result is unchanged.
+
+A "scalar" below always means an element of the ground field; a "parameter
+scalar" is one whose numerator and denominator are free of ``s``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import sympy
@@ -99,6 +115,83 @@ def _to_zz(p, zring):
     return zring.dtype({m: c.numerator for m, c in p.items()})
 
 
+# The coprimality gate's prime and the points the other generators take, by
+# generator index.  At a prime this large an image loses a leading
+# coefficient or gains a common root only by rare accident, and then the
+# gate merely falls back.
+_P = 2**61 - 1
+_POINTS = tuple(pow(3, 64 + 7 * j, _P) for j in range(16))
+
+
+def _image(p, i, deg, powers):
+    """p mod _P in F_p[x_i], the other generators at _POINTS; dense, entry k
+    the coefficient of x_i^k, so entry ``deg`` is the image of lc_{x_i}(p)."""
+    out = [0] * (deg + 1)
+    for m, c in p.items():
+        for j, e in enumerate(m):
+            if e and j != i:
+                c = c * powers[j][e] % _P
+        out[m[i]] += c
+    return [c % _P for c in out]
+
+
+def _coprime_mod_p(f, g):
+    """Whether dense f, g over F_p (nonzero leading entries) have a constant
+    gcd, by Euclid; both lists are used up."""
+    while len(g) > 1:
+        inv = pow(g[-1], -1, _P)
+        n = len(g) - 1
+        while len(f) > n:
+            q = f.pop() * inv % _P
+            off = len(f) - n
+            for k in range(n):
+                f[off + k] = (f[off + k] - q * g[k]) % _P
+            while f and not f[-1]:
+                f.pop()
+        if not f:
+            return False
+        f, g = g, f
+    return True
+
+
+def _cofactors(a, b):
+    """``a.cofactors(b)`` for nonzero a, b over ZZ, up to a common sign.
+
+    Proves gcd(a, b) = c, the gcd of the integer contents, when it can and
+    otherwise asks sympy.  Let G = gcd(a, b).  In a generator x_i where a
+    or b has degree 0 so has G.  In one where both have positive degree,
+    a and b go to F_p[x_i], the other generators at fixed points; if lc_{x_i}
+    of a and of b stay nonzero there, so does lc_{x_i}(G), which divides
+    them, so the image of G keeps its degree in x_i and divides the gcd of
+    the images.  When that gcd is constant for every such x_i, G has
+    degree 0 everywhere: G = c.  A vanishing leading coefficient or an
+    image gcd of positive degree proves nothing, and sympy decides.  sympy
+    also decides in a field with more generators than there are points.
+    """
+    ring = a.ring
+    if ring.ngens > len(_POINTS):
+        return a.cofactors(b)
+    da = [max(e) for e in zip(*a)]
+    db = [max(e) for e in zip(*b)]
+    shared = [i for i, (x, y) in enumerate(zip(da, db)) if x and y]
+    if shared:
+        powers = []
+        for pt, x, y in zip(_POINTS, da, db):
+            row = [1]
+            for _ in range(max(x, y)):
+                row.append(row[-1] * pt % _P)
+            powers.append(row)
+        for i in shared:
+            f = _image(a, i, da[i], powers)
+            g = _image(b, i, db[i], powers)
+            if not (f[-1] and g[-1] and _coprime_mod_p(f, g)):
+                return a.cofactors(b)
+    c = math.gcd(*a.values(), *b.values())
+    if c == 1:
+        return ring.one, a, b
+    return ring.ground_new(c), a.quo_ground(c), b.quo_ground(c)
+
+
 class Scalar(FracElement):
     """Element of a :class:`ScalarField`, always in sympy's canonical form.
 
@@ -110,6 +203,13 @@ class Scalar(FracElement):
       nothing when g = 1.  Equal denominators cost one gcd of the summed
       numerator against the shared denominator.
     * (a/b)(c/d) = (a/gcd(a,d))(c/gcd(c,b)) / ((b/gcd(c,b))(d/gcd(a,d))).
+
+    Each of these gcds first meets the modular coprimality gate (see the
+    module docstring and ``_cofactors``): it proves most of them to be the
+    content gcd from one image mod p per shared generator, sound because the
+    images keep both leading coefficients, and falls back to sympy's gcd
+    when a leading coefficient vanishes mod p or an image gcd has positive
+    degree.
 
     Each result is the canonical form sympy's ``cancel`` would give, so it is
     equal, hashes and prints the same.  Mixed operations with ints,
@@ -162,16 +262,16 @@ class Scalar(FracElement):
             t = a + c
             if not t:
                 return f.field.zero
-            _, num, den = t.cofactors(b)
+            _, num, den = _cofactors(t, b)
             return f._reduced(num, den)
         d = _to_zz(d, zring)
-        g, b1, d1 = b.cofactors(d)
+        g, b1, d1 = _cofactors(b, d)
         if g == zring.one:
             return f._reduced(a * d + c * b, b * d)
         t = a * d1 + c * b1
         if not t:
             return f.field.zero
-        _, num, g1 = t.cofactors(g)
+        _, num, g1 = _cofactors(t, g)
         return f._reduced(num, g1 * b1 * d1)
 
     def _mul(f, c, d):
@@ -181,8 +281,8 @@ class Scalar(FracElement):
         b = _to_zz(f.denom, zring)
         c = _to_zz(c, zring)
         d = _to_zz(d, zring)
-        _, a1, d1 = a.cofactors(d)
-        _, c1, b1 = c.cofactors(b)
+        _, a1, d1 = _cofactors(a, d)
+        _, c1, b1 = _cofactors(c, b)
         return f._reduced(a1 * c1, b1 * d1)
 
     def _reduced(f, num, den):

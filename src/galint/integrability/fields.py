@@ -128,6 +128,9 @@ def scan_frame(fields, integrals, debt, order, *, brackets=True):
     of ``fields`` unless ``brackets`` is false, then the Lie derivative of
     every quotient in ``integrals`` along every field; the first defect
     raises VerificationFailed naming the fields or the field and integral.
+    Each quotient keeps its expansion (see RatioSeries.expand), so every
+    field and integral is expanded once, on first use, however many pairs
+    and integrals it meets.
     """
     def lowered(order, r, what):
         defect, cert = scan_residual(r, debt)

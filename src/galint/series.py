@@ -439,16 +439,19 @@ class RatioSeries:
     :meth:`trim`).
     Calculus divides once instead: :meth:`expand` inverts the trimmed
     denominator as a power series and returns one :class:`TruncSeries`,
-    which frame brackets and Lie derivatives differentiate.
+    which frame brackets and Lie derivatives differentiate.  A quotient is
+    never changed after construction, so its expansion is computed on first
+    use and kept.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_series")
 
     def __init__(self, num, den):
         if den.is_zero():
             raise ZeroDivisionError("RatioSeries with zero denominator")
         self.num = num
         self.den = den
+        self._series = None
 
     def trim(self):
         """Cancel the common monomial content of numerator and denominator.
@@ -488,8 +491,11 @@ class RatioSeries:
         :meth:`TruncSeries.inverse`).  Otherwise the quotient is not a power
         series along the curve and :class:`NotExpandable` is raised; a
         constant cell that is a zero divisor of the tower raises
-        ``ZeroDivisor`` with its witness, as dividing by it would.
+        ``ZeroDivisor`` with its witness, as dividing by it would.  The
+        series is computed once, on the first call that succeeds.
         """
+        if self._series is not None:
+            return self._series
         r = self.trim()
         zero_i = (0,) * r.den.basis.n
         if (zero_i, _NEUTRAL) not in r.den.table or any(
@@ -499,7 +505,8 @@ class RatioSeries:
                 "denominator has no symbol-free unit constant cell"
             )
         N = min(r.num.N, r.den.N)
-        return r.num * r.den.truncate(N).inverse()
+        self._series = r.num * r.den.truncate(N).inverse()
+        return self._series
 
     def __add__(self, other):
         return RatioSeries(

@@ -46,7 +46,7 @@ from galint.reduction import (
     reduce_to_curve,
     time_reduce,
 )
-from galint.series import RatioSeries, q_series
+from galint.series import RatioSeries, TruncSeries, q_series
 
 
 @pytest.fixture()
@@ -251,6 +251,24 @@ def test_decoupled_third_coordinate_descends_a_frame_field():
     report = verify_certificate(down)
     assert report.ok, report
     assert "galois-fixed" in [c.name for c in report]
+
+
+def test_frame_scans_expand_each_quotient_once(monkeypatch):
+    # the three frame scans (commuting_fields, stabilize_frame, descent)
+    # meet 20 distinct quotients, each expanded by one power-series
+    # inversion, however many brackets and integrals it enters
+    system = model_two(decoupled=True)
+    real = TruncSeries.inverse
+    inversions = []
+
+    def counting(series):
+        inversions.append(series)
+        return real(series)
+
+    monkeypatch.setattr(TruncSeries, "inverse", counting)
+    cert = build_certificate(system, 4)
+    assert cert.descent == "base-field"
+    assert len(inversions) == 20
 
 
 def test_descent_weights_a_frame_field_by_an_integral(monkeypatch):

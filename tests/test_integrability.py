@@ -23,6 +23,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy.polys.rings as sympy_rings
 
 from galint.algebra import AlgebraicTower, GroundField
 from galint.errors import (
@@ -450,6 +451,28 @@ def one_dw(gf, order=4):
     T = AlgebraicTower(gf).extend("w", 2, 1 + s**2)
     table = {(0, (2,)): T.one, (0, (3,)): T.from_ground(s)}
     return mk(T, [[T.from_ground(a) / T.gen("w")]], table, order=order)
+
+
+def test_most_ground_field_gcds_skip_the_heuristic_gcd(monkeypatch):
+    # q' = (alpha/w) q + beta q^2 + s q^3 (the benchmark's 1dw system) at
+    # N = 5: sympy's heugcd was called 379 times from the top before the
+    # modular coprimality gate in the ground field, and 182 times with it
+    real = sympy_rings.heugcd
+    calls = []
+
+    def counting(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(sympy_rings, "heugcd", counting)
+    gf = GroundField(params=("alpha", "beta"))
+    s, a = gf.s, gf.gen("alpha")
+    T = AlgebraicTower(gf).extend("w", 2, 1 + s**2)
+    table = {(0, (2,)): T.from_ground(gf.gen("beta")),
+             (0, (3,)): T.from_ground(s)}
+    R = mk(T, [[T.from_ground(a) / T.gen("w")]], table, order=5)
+    assert isinstance(formal_flow(R, 5), FormalFlow)
+    assert len(calls) <= 250
 
 
 def _corrupt(series, order):

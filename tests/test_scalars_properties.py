@@ -17,7 +17,7 @@ from sympy.polys.fields import FracField
 from sympy.polys.polyerrors import HeuristicGCDFailed
 
 from galint.algebra import AlgebraicTower, GroundField
-from galint.algebra.scalars import Scalar
+from galint.algebra.scalars import _POINTS, Scalar, _cofactors
 
 GF = GroundField(params=("alpha", "beta"))
 S, ALPHA, BETA = GF.s, GF.gen("alpha"), GF.gen("beta")
@@ -103,8 +103,12 @@ def test_shared_denominator_matches_sympy(x, k, op):
 
 
 def test_failed_heuristic_gcd_falls_back(monkeypatch):
-    x = (1 + S) / (S**2 + ALPHA)
-    y = (BETA - S) / ((S**2 + ALPHA) * (S - BETA + 1))
+    # every operation meets a gcd of positive degree, which the modular
+    # coprimality gate passes on to sympy: the shared S^2 + ALPHA of the
+    # denominators for + - and /, and S - BETA + 1 of y's numerator and
+    # x's denominator for *
+    x = (1 + S) / ((S**2 + ALPHA) * (S - BETA + 1))
+    y = (BETA - S) * (S - BETA + 1) / (S**2 + ALPHA)
     real = sympy_rings.heugcd
     failures = []
 
@@ -121,6 +125,72 @@ def test_failed_heuristic_gcd_falls_back(monkeypatch):
         monkeypatch.setattr(sympy_rings, "heugcd", real)
         assert failures, f"{op} never reached the heuristic gcd"
         assert_reference(got, OPS[op](plain(x), plain(y)))
+
+
+# --------------------------------------------------------------------------
+# the coprimality gate
+
+ZRING = GF.field._zring
+ZA, ZB, ZS = ZRING.gens
+GATE_PROPS = settings(max_examples=80, deadline=None, database=None,
+                      derandomize=True)
+
+nonzero = st.integers(-4, 4).filter(bool)
+exponent = st.integers(0, 2)
+
+
+@st.composite
+def zpolys(draw):
+    """A nonzero polynomial of ZZ[alpha, beta, s] with up to four terms."""
+    p = ZRING.zero
+    for c, i, j, k in draw(st.lists(st.tuples(nonzero, exponent, exponent,
+                                              exponent),
+                                    min_size=1, max_size=4)):
+        p += c * ZA**i * ZB**j * ZS**k
+    assume(p)
+    return p
+
+
+@st.composite
+def common_factors(draw):
+    """1, an integer content, an s-free a x + b, a factor in s or a
+    monomial."""
+    kind = draw(st.sampled_from(("one", "content", "linear", "s", "monomial")))
+    if kind == "one":
+        return ZRING.one
+    if kind == "content":
+        return ZRING(draw(st.integers(2, 12)))
+    if kind == "linear":
+        x = draw(st.sampled_from((ZA, ZB)))
+        return draw(nonzero) * x + draw(nonzero)
+    if kind == "s":
+        return ZS**draw(st.integers(1, 2)) + draw(nonzero) * ZS + draw(nonzero)
+    i, j, k = draw(exponent), draw(exponent), draw(exponent)
+    assume(i + j + k)
+    return ZA**i * ZB**j * ZS**k
+
+
+def assert_gate_matches_sympy(a, b):
+    got = _cofactors(a, b)
+    ref = a.cofactors(b)
+    assert got in (ref, tuple(-x for x in ref))
+
+
+@GATE_PROPS
+@given(common_factors(), zpolys(), zpolys())
+def test_gate_matches_sympy_cofactors(g, x, y):
+    assert_gate_matches_sympy(g * x, g * y)
+
+
+def test_gate_falls_back_on_a_vanishing_leading_coefficient():
+    # the images of g = 1 + (alpha - a0)(beta - b0) s at the gate's points
+    # are 1 in every variable, and so the images of the pair are coprime;
+    # only the vanishing leading coefficients show that they prove nothing
+    a0, b0 = _POINTS[:2]
+    g = 1 + (ZA - a0) * (ZB - b0) * ZS
+    a, b = g * (ZS + 1), g * (ZS + ZA)
+    assert a.cofactors(b)[0] == g
+    assert_gate_matches_sympy(a, b)
 
 
 # --------------------------------------------------------------------------
