@@ -18,9 +18,11 @@ method:
   residue matrix, so the pole order of y (its degree, at infinity) is
   bounded by the largest integer eigenvalue (taken generically in the
   parameters) or by the order forced by G;
+* the residues, and the valuations at infinity, come from the local
+  expansions of :mod:`places` on the ground tower K0 (one cached context per
+  place); at infinity they are those of the system in tau = 1/s;
 * the substitution y = z/Den turns the finite bounds into a polynomial
-  ansatz, whose degree is the bound at infinity; there the valuations and
-  residues of the system in tau = 1/s are read from degrees in s;
+  ansatz, whose degree is the bound at infinity;
 * the remaining finite-dimensional linear system is solved exactly, and every
   scalar divided by along the way is recorded so callers can report the
   exceptional parameter values.
@@ -35,6 +37,7 @@ reported as ``DegreeBoundExceeded`` — never conflated with nonexistence.
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 
 import sympy
 
@@ -45,6 +48,7 @@ from ..errors import (
     VerificationFailed,
 )
 from . import linalg
+from .places import INF, place_context
 from .scalars import SPoly
 from .tower import FieldElem, deepest_tower
 
@@ -52,118 +56,63 @@ __all__ = ["rational_ode_solve", "fe_integrate_rational", "solve_rational_system
 
 
 # ---------------------------------------------------------------------------
-# residue-field arithmetic: K0[s]/(p), elements as SPoly reduced mod p
+# local data at a place, read from its expansion in places.py
 # ---------------------------------------------------------------------------
 
-def _pinv(a, p):
-    g, u, _ = a.xgcd(p)
-    if g.degree != 0:
-        raise ArithmeticError("non-invertible residue (place not irreducible?)")
-    return u % p
+def _inf_order(inf, f):
+    """Order at tau = 0 of -f(1/tau)/tau^2, f's entry in the tau = 1/s system.
+
+    ``inf`` is the ground tower's context at infinity.
+    """
+    return inf.rat_valuation(f) - 2
 
 
-def _inf_order(gf, f):
-    """Order at tau = 0 of -f(1/tau)/tau^2, f's entry in the tau = 1/s system."""
-    s = gf.s.numer
-    return f.denom.degree(s) - f.numer.degree(s) - 2
-
-
-def _residue_matrix(gf, M, p):
+def _residue_matrix(ground, M, place):
     """Residue matrix of a matrix with at most simple poles at a place.
 
-    At a finite place p it is (M * p/p') mod p: entries regular at p
-    contribute zero; an entry n/d with p | d exactly once contributes
-    n * (d/p * p')^{-1}.  Fractions are reduced, so the p-multiplicity of the
-    denominator is the (clamped) pole order.  At infinity (p None) an entry's
-    order is that of :func:`_inf_order`, and at order -1 its residue is the
-    constant -lc(n)/lc(d).
+    Each entry's residue is its u^-1 coefficient in the expansion of
+    :func:`places.place_context` on the ground tower, u = s - s0 at a root
+    s0 of ``place``; at infinity (``place`` None) it is that of -s^2 f, the
+    entry of the system in tau = 1/s.  The entries lie in the place's
+    residue field.
     """
-    dp = None if p is None else p.diff()
-    out = []
-    for row in M:
-        orow = []
-        for f in row:
-            if not f:
-                orow.append(SPoly(gf, []))
-                continue
-            den = gf.denom_spoly(f)
-            k = -_inf_order(gf, f) if p is None else p.valuation_of(den)
-            if k <= 0:
-                orow.append(SPoly(gf, []))
-                continue
-            if k > 1:
-                raise ArithmeticError("residue matrix of a higher-order pole")
-            num = gf.numer_spoly(f)
-            if p is None:
-                orow.append(SPoly(gf, [-num.coeffs[-1] / den.coeffs[-1]]))
-                continue
-            dred = (den.divmod(p)[0]) % p
-            inv = _pinv((dred * dp) % p, p)
-            orow.append(((num % p) * inv) % p)
-        out.append(orow)
-    return out
+    ctx = place_context(ground, INF if place is None else place)
+    if place is None:
+        s2 = -ground.gf.s**2
+        M = [[f * s2 for f in row] for row in M]
+    return [[ctx.expand(f, -1).coeff(-1) for f in row] for row in M]
 
 
-def _charpoly_mod(R, p, gf):
-    """Characteristic polynomial of R over K0[s]/(p), Faddeev-LeVerrier.
+def _integer_eigs(R):
+    """Integer eigenvalues of a residue matrix, generic in the parameters.
 
-    Returns the coefficient list [1, c1, ..., cD] (T^D + c1 T^{D-1} + ...),
-    entries reduced mod p.
+    The characteristic polynomial comes from Faddeev-LeVerrier over the
+    residue field; an integer r is kept iff it vanishes at r identically in
+    the parameters and in every residue-field coordinate — special parameter
+    values may admit more, and those surface separately through the
+    recorded pivot conditions.
     """
+    ct = R[0][0].tower
     D = len(R)
-    one = SPoly(gf, [gf.one])
-    zero = SPoly(gf, [])
-
-    def madd_diag(A, c):
-        return [[(A[i][j] + c) % p if i == j else A[i][j]
-                 for j in range(D)] for i in range(D)]
-
-    def mmul(A, B):
-        out = []
-        for i in range(D):
-            row = []
-            for j in range(D):
-                acc = zero
-                for t in range(D):
-                    if A[i][t] and B[t][j]:
-                        acc = acc + A[i][t] * B[t][j]
-                row.append(acc % p)
-            out.append(row)
-        return out
-
-    N = [[one if i == j else zero for j in range(D)] for i in range(D)]
-    coeffs = [one]
-    from fractions import Fraction
-
+    N = [[ct.one if i == j else ct.zero for j in range(D)] for i in range(D)]
+    chi = [ct.one]
     for k in range(1, D + 1):
-        AN = mmul(R, N)
-        tr = zero
+        AN = linalg.mat_mul(R, N, ct.zero)
+        tr = ct.zero
         for i in range(D):
             tr = tr + AN[i][i]
-        ck = (tr % p).scale(gf.from_rational(Fraction(-1, k)))
-        coeffs.append(ck)
-        if k < D:
-            N = madd_diag(AN, ck)
-    return coeffs
-
-
-def _integer_eigs(R, p, gf):
-    """Integer eigenvalues of R over K0[s]/(p), generic in the parameters.
-
-    An integer r is kept iff the characteristic polynomial vanishes at r
-    identically in the parameters — special parameter values may admit more,
-    and those surface separately through the recorded pivot conditions.
-    """
-    chi = _charpoly_mod(R, p, gf)
-    Dd = len(chi) - 1
-    per_s = {}
+        ck = tr * ct.from_ground(Fraction(-1, k))
+        chi.append(ck)
+        N = [[AN[i][j] + ck if i == j else AN[i][j] for j in range(D)]
+             for i in range(D)]
+    gf = ct.gf
+    by_coord = {}
     for k, c in enumerate(chi):
-        for sp, ce in enumerate(c.coeffs):
-            if ce:
-                per_s.setdefault(sp, []).append((Dd - k, ce))
+        for e, ce in c.coords.items():
+            by_coord.setdefault(e, []).append((D - k, ce))
     T = sympy.Symbol("T")
     comps = []
-    for terms in per_s.values():
+    for terms in by_coord.values():
         common = gf.ring.one
         for _, ce in terms:
             common = common * ce.denom
@@ -213,7 +162,7 @@ def _times_poly(gf, f, Q):
     return (num * q).scale(gf.one / lead)
 
 
-def _local_bound(gf, M, vm, vg, place):
+def _local_bound(ground, M, vm, vg, place):
     """Bound on a rational solution of  z' + M z = rhs  at one place.
 
     ``place`` is a monic irreducible SPoly, where the bound is a pole order
@@ -225,8 +174,7 @@ def _local_bound(gf, M, vm, vg, place):
     """
     floor = 0 if place is not None else -1
     if vm >= -1:
-        p = place if place is not None else SPoly(gf, [gf.zero, gf.one])
-        eigs = _integer_eigs(_residue_matrix(gf, M, place), p, gf)
+        eigs = _integer_eigs(_residue_matrix(ground, M, place))
         return max([floor, -(vg + 1)] + eigs), None
     if len(M) == 1:
         # exact leading balance: v(y) = v(rhs) - v(M)
@@ -241,9 +189,11 @@ def _local_bound(gf, M, vm, vg, place):
     )
 
 
-def solve_rational_system(gf, M, G, *, extra_cols=(), conditions=None):
+def solve_rational_system(ground, M, G, *, extra_cols=(), conditions=None):
     """Rational solutions of  z' + M z = G - sum_e c_e E_e  over K0.
 
+    ``ground`` is the tower K0 itself (no generators), on which the local
+    data at each place is read and cached (:func:`places.place_context`).
     ``M`` is a D×D matrix of ground-field elements, ``G`` a length-D vector,
     and each entry of ``extra_cols`` a further length-D vector whose constant
     coefficient c_e is solved for along with z (used to peel off logarithmic
@@ -256,6 +206,7 @@ def solve_rational_system(gf, M, G, *, extra_cols=(), conditions=None):
     ``NoTowerSolution`` (sound) or ``DegreeBoundExceeded`` (heuristic bounds)
     when the linear system is inconsistent.
     """
+    gf = ground.gf
     D = len(M)
     zero, one = gf.zero, gf.one
     rhs_vecs = [G] + [list(E) for E in extra_cols]
@@ -285,7 +236,7 @@ def solve_rational_system(gf, M, G, *, extra_cols=(), conditions=None):
     for key, p in places.items():
         vm = min([0] + [v.get(key, 0) for v in m_vals])
         vg = min([0] + [v.get(key, 0) for v in g_vals])
-        mp, detail = _local_bound(gf, M, vm, vg, p)
+        mp, detail = _local_bound(ground, M, vm, vg, p)
         sound_detail = detail or sound_detail
         for _ in range(mp):
             Den = Den * p
@@ -297,9 +248,10 @@ def solve_rational_system(gf, M, G, *, extra_cols=(), conditions=None):
     rhs_t = [[f * den_el for f in vec] for vec in rhs_vecs]
 
     # -- degree bound at infinity, on the transformed system
-    vm = min([0] + [_inf_order(gf, f) for row in Mt for f in row if f])
-    vg = min([0] + [_inf_order(gf, f) for vec in rhs_t for f in vec if f])
-    N, detail = _local_bound(gf, Mt, vm, vg, None)
+    inf = place_context(ground, INF)
+    vm = min([0] + [_inf_order(inf, f) for row in Mt for f in row if f])
+    vg = min([0] + [_inf_order(inf, f) for vec in rhs_t for f in vec if f])
+    N, detail = _local_bound(ground, Mt, vm, vg, None)
     sound_detail = detail or sound_detail
 
     # -- common denominator and polynomial identity
@@ -403,6 +355,13 @@ def solve_rational_system(gf, M, G, *, extra_cols=(), conditions=None):
 # tower-level wrappers
 # ---------------------------------------------------------------------------
 
+def _ground(tower):
+    """The tower K0 under a radical tower: the root of its extensions."""
+    while tower.parent is not None:
+        tower = tower.parent
+    return tower
+
+
 def _flatten_operator(tower, delta):
     """Matrix of  y -> y' + delta*y  acting on coordinate columns."""
     basis = tower.basis_monomials()
@@ -442,7 +401,8 @@ def rational_ode_solve(delta, g, *, with_kernel=False, conditions=None,
         c = g.coords.get(e)
         if c:
             G[k] = c
-    Y, _, kernel, snd = solve_rational_system(gf, M, G, conditions=conditions)
+    Y, _, kernel, snd = solve_rational_system(_ground(tower), M, G,
+                                              conditions=conditions)
     if soundness is not None:
         soundness.append(snd)
     y = tower.from_coords({e: c for e, c in zip(basis, Y)})
@@ -483,7 +443,8 @@ def fe_integrate_rational(a, *, conditions=None):
             G[k] = c
 
     try:
-        Y, _, _, _ = solve_rational_system(gf, M, G, conditions=conditions)
+        Y, _, _, _ = solve_rational_system(_ground(tower), M, G,
+                                           conditions=conditions)
         y = tower.from_coords({e: c for e, c in zip(basis, Y)})
         if not (y.derive() - a).is_zero():
             raise VerificationFailed("integral residual is nonzero")
@@ -519,7 +480,7 @@ def fe_integrate_rational(a, *, conditions=None):
         cols.append(col)
     try:
         Y, cvals, _, _ = solve_rational_system(
-            gf, M, G, extra_cols=cols, conditions=conditions
+            _ground(tower), M, G, extra_cols=cols, conditions=conditions
         )
     except (NoTowerSolution, DegreeBoundExceeded) as exc:
         raise IntegrationIncomplete(

@@ -1,9 +1,12 @@
 """Local analysis at points of the base curve.
 
-This module owns singular-place discovery and residue exponents: where a
-coefficient can be singular (:func:`pole_places`) and the residue exponent of
-h·ds at such a place (:func:`residue_exponent`).  The Fuchsian scan and the
-resonance lattice's pruning both read them from here.
+This module owns singular-place discovery and residues: where a coefficient
+can be singular (:func:`pole_places`) and the residue exponent of h·ds at
+such a place (:func:`residue_exponent`).  The Fuchsian scan and the
+resonance lattice's pruning both read them from here, and the rational ODE
+solver (:mod:`linode`) is a client too: it reads the residue matrices and
+the valuations at infinity behind its pole and degree bounds from the
+contexts of :func:`place_context` on the ground tower.
 
 For a tower element and a place of the s-line (a scalar point, a conjugacy
 class of algebraic points given by an irreducible monic polynomial, or the

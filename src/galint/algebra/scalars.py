@@ -445,28 +445,20 @@ class GroundField:
         """Decompose a parameter scalar as  c0 + Σ c_i·alpha_i  (all rational).
 
         Returns ``(Fraction, {name: Fraction})`` or None when f is not affine
-        with rational coefficients (nonlinear / non-constant denominator).
+        with rational coefficients: :meth:`param_affine_parts`, kept only
+        when every part is a rational number.
         """
-        if not self.is_param_scalar(f):
+        parts = self.param_affine_parts(f)
+        if parts is None:
             return None
-        if not self.is_rational_const(self.field.raw_new(f.denom, self.ring.one)):
+        const, lin = parts
+        if not all(map(self.is_rational_const, (const, *lin.values()))):
             return None
-        den = QQ(f.denom.coeff(1))
-        const = Fraction(0)
-        lin = {}
-        for mono, c in f.numer.terms():
-            if sum(mono) == 0:
-                q = QQ(c) / den
-                const = Fraction(int(q.numerator), int(q.denominator))
-            elif sum(mono) == 1 and mono[self._s_index] == 0:
-                i = mono.index(1)
-                q = QQ(c) / den
-                lin[self.param_names[i]] = Fraction(
-                    int(q.numerator), int(q.denominator)
-                )
-            else:
-                return None
-        return const, lin
+
+        def frac(c):
+            return Fraction(int(c.numer.LC), int(c.denom.LC))
+
+        return frac(const), {name: frac(c) for name, c in lin.items()}
 
     def param_affine_parts(self, f):
         """Split f as  f0 + sum f_i*alpha_i  with parameter-free parts.
@@ -548,19 +540,11 @@ class GroundField:
         hit = self._factor_cache.get(key)
         if hit is not None:
             return hit
-        expr = p.as_expr()
-        _, facs = sympy.factor_list(expr, *self._symbols)
-        s_sym = self._symbols[-1]
-        out = []
-        for base, mult in facs:
-            base = sympy.Poly(base, s_sym)
-            if base.degree() == 0:
-                continue
-            lead = base.LC()
-            monic = (base / lead).as_expr()
-            coeffs = sympy.Poly(monic, s_sym).all_coeffs()  # high to low
-            dense = [self.from_expr(c) for c in reversed(coeffs)]
-            out.append((SPoly(self, dense), int(mult)))
+        _, facs = p.factor_list()
+        i = self._s_index
+        out = [(self.spoly(self.field.raw_new(base, self.ring.one)).monic(),
+                mult)
+               for base, mult in facs if base.degree(i) > 0]
         self._factor_cache[key] = out
         return out
 
@@ -630,25 +614,6 @@ class SPoly:
             bits.append(term)
         return "SPoly(" + " + ".join(bits) + ")"
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.gf.zero
-        out = [(self.coeffs[k] if k < len(self.coeffs) else z)
-               + (other.coeffs[k] if k < len(other.coeffs) else z)
-               for k in range(n)]
-        return SPoly(self.gf, out)
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.gf.zero
-        out = [(self.coeffs[k] if k < len(self.coeffs) else z)
-               - (other.coeffs[k] if k < len(other.coeffs) else z)
-               for k in range(n)]
-        return SPoly(self.gf, out)
-
-    def __neg__(self):
-        return SPoly(self.gf, [-c for c in self.coeffs])
-
     def __mul__(self, other):
         if not self.coeffs or not other.coeffs:
             return SPoly(self.gf, [])
@@ -700,25 +665,6 @@ class SPoly:
         while b:
             a, b = b, a % b
         return a.monic()
-
-    def xgcd(self, other):
-        """Extended Euclid: returns (g, u, v) with u*self + v*other = g, g monic."""
-        gf = self.gf
-        one = SPoly(gf, [gf.one])
-        zero = SPoly(gf, [])
-        r0, r1 = self, other
-        s0, s1 = one, zero
-        t0, t1 = zero, one
-        while r1:
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if not r0:
-            return r0, s0, t0
-        lead = r0.coeffs[-1]
-        inv = gf.one / lead
-        return r0.monic(), s0.scale(inv), t0.scale(inv)
 
     def diff(self):
         gf = self.gf

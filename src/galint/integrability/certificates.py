@@ -312,7 +312,7 @@ def _independence_or_raise(cert):
         )
 
 
-def verify_certificate(C, N=None):
+def verify_certificate(C):
     """Recompute every certificate claim through the dense engine.
 
     Nothing raises: each claim becomes a report entry with its verdict and
@@ -359,8 +359,6 @@ def verify_certificate(C, N=None):
             if cb is None:
                 continue
             cap = min(wa, wb) - 1
-            if N is not None:
-                cap = min(cap, N)
             bad = None
             for k in range(n):
                 res = _dadd(
@@ -385,8 +383,6 @@ def verify_certificate(C, N=None):
             if ca is None:
                 continue
             cap = min(wa, wf) - 1
-            if N is not None:
-                cap = min(cap, N)
             res = _dderiv_along(ca, dF, cap, tower)
             low = _lowest_bad(res, cap)
             checks.append(CertificateCheck(

@@ -92,13 +92,13 @@ class _Auto:
         return a
 
 
-def group_closure(tower, *, cap=_GROUP_CAP):
+def group_closure(tower):
     """All distinct automorphisms generated by the declared generators.
 
     Returns a list of :class:`_Auto` starting with the identity.  Raises
     :class:`OrbitIncomplete` when the tower has radical generators but no
     declared automorphisms (the orbit cannot even start), or when closure
-    is not reached within ``cap`` elements.
+    is not reached within ``_GROUP_CAP`` elements.
     """
     if not isinstance(tower, AlgebraicTower):
         raise InputError("group_closure expects an AlgebraicTower")
@@ -124,9 +124,9 @@ def group_closure(tower, *, cap=_GROUP_CAP):
                 new = _Auto(e.word + (name,), images)
                 elements.append(new)
                 nxt.append(new)
-                if len(elements) > cap:
+                if len(elements) > _GROUP_CAP:
                     raise OrbitIncomplete(
-                        f"automorphism closure exceeded {cap} elements; "
+                        f"automorphism closure exceeded {_GROUP_CAP} elements; "
                         "check the declared generators"
                     )
         frontier = nxt
@@ -292,7 +292,7 @@ def _independent(candidates, need, row_of, tower, what):
     return kept
 
 
-def galois_descent(certificate, *, cap=_GROUP_CAP):
+def galois_descent(certificate):
     """Average a reduced-chart certificate down to the base curve.
 
     Returns a new certificate in the original chart with every coefficient
@@ -324,7 +324,7 @@ def galois_descent(certificate, *, cap=_GROUP_CAP):
     flow = certificate.flow
     tower = R.tower
     nq = R.nq
-    group = group_closure(tower, cap=cap)
+    group = group_closure(tower)
 
     # transport the integrals to the original chart
     inv = _gauge_inverse(R)

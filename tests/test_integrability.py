@@ -25,7 +25,7 @@ from fractions import Fraction
 import pytest
 import sympy.polys.rings as sympy_rings
 
-from galint.algebra import AlgebraicTower, GroundField
+from galint.algebra import AlgebraicTower, GroundField, places
 from galint.errors import (
     BasePointSingular,
     GaugeRequired,
@@ -473,6 +473,29 @@ def test_most_ground_field_gcds_skip_the_heuristic_gcd(monkeypatch):
     R = mk(T, [[T.from_ground(a) / T.gen("w")]], table, order=5)
     assert isinstance(formal_flow(R, 5), FormalFlow)
     assert len(calls) <= 250
+
+
+def test_place_contexts_are_built_once_per_tower_and_place(monkeypatch):
+    # the same 1dw system at N = 5: fuchsian_scan expands on w^2 = 1 + s^2
+    # at s^2 + 1 and at infinity, and every ODE solve reads its residues on
+    # the ground tower under it, at the same two places; a context built per
+    # solve would make 8
+    real = places.PlaceContext.__init__
+    built = []
+
+    def counting(self, tower, location):
+        built.append((tower.r, location))
+        real(self, tower, location)
+
+    monkeypatch.setattr(places.PlaceContext, "__init__", counting)
+    gf = GroundField(params=("alpha", "beta"))
+    s, a = gf.s, gf.gen("alpha")
+    T = AlgebraicTower(gf).extend("w", 2, 1 + s**2)
+    table = {(0, (2,)): T.from_ground(gf.gen("beta")),
+             (0, (3,)): T.from_ground(s)}
+    R = mk(T, [[T.from_ground(a) / T.gen("w")]], table, order=5)
+    assert isinstance(formal_flow(R, 5), FormalFlow)
+    assert len(built) <= 4, built
 
 
 def _corrupt(series, order):

@@ -221,3 +221,37 @@ def test_only_denominators_are_factored(gf, T, monkeypatch):
     rational_ode_solve(T.from_ground(2 * alpha / s),
                        T.from_ground(s**3 + alpha * s + 1))
     assert set(factored) == {"s", "1"}
+
+
+
+# y' + delta*y = 0 with a one-dimensional rational kernel, each element at
+# the bound of a residue eigenvalue: at the degree-2 place s^2 + 1, at
+# infinity, or (over w^2 = 1 + s^2) on the flattened D = 2 system.  Entries
+# are (over w^2 = 1 + s^2, delta, kernel element) in s and w.
+KERNELS = {
+    "pole 1 at s^2 + 1": (
+        False, lambda s, w: 2 * s / (1 + s**2), lambda s, w: 1 / (1 + s**2)),
+    "degree 3 at infinity": (
+        False, lambda s, w: -3 / s, lambda s, w: s**3),
+    "pole 3 at s = 1, degree 2 at infinity": (
+        False, lambda s, w: 3 / (s - 1) - 2 / s,
+        lambda s, w: s**2 / (s - 1)**3),
+    "D = 2, pole 1 at s^2 + 1": (
+        True, lambda s, w: s / (1 + s**2), lambda s, w: w / (1 + s**2)),
+    "D = 2, no pole": (
+        True, lambda s, w: -s / (1 + s**2), lambda s, w: w),
+    "D = 2, degree 2 at infinity": (
+        True, lambda s, w: -2 * w.derive() / w, lambda s, w: 1 + s**2),
+}
+
+
+@pytest.mark.parametrize("case", KERNELS)
+def test_kernel_reaches_the_residue_eigenvalue_bound(gf, T, case):
+    radical, delta, kernel = KERNELS[case]
+    if radical:
+        T = T.extend("w", 2, 1 + gf.s**2)
+    s = T.from_ground(gf.s)
+    w = T.gen("w") if radical else None
+    y, hom = rational_ode_solve(delta(s, w), T.zero, with_kernel=True)
+    assert y.is_zero()
+    assert hom == [kernel(s, w)]

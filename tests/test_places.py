@@ -112,6 +112,25 @@ def test_residue_exponents(gf, T):
     assert residue_exponent(at0, T.zero) == Exponent(0)
 
 
+# a scalar is an Exponent only when it is c0 + c1*alpha with rational c0, c1
+FROM_SCALAR = {
+    "2alpha/3 + 1/2": (lambda s, a: 2 * a / 3 + Fraction(1, 2),
+                       Exponent(Fraction(1, 2), {"alpha": Fraction(2, 3)})),
+    "0": (lambda s, a: 0 * a, Exponent(0)),
+    "alpha^2": (lambda s, a: a**2, None),
+    "alpha/s": (lambda s, a: a / s, None),
+    "s": (lambda s, a: s, None),
+    "1/alpha": (lambda s, a: 1 / a, None),
+    "(alpha + 1)/(s + 1)": (lambda s, a: (a + 1) / (s + 1), None),
+}
+
+
+@pytest.mark.parametrize("case", FROM_SCALAR)
+def test_exponent_from_scalar(gf, case):
+    scalar, want = FROM_SCALAR[case]
+    assert Exponent.from_scalar(gf, scalar(gf.s, gf.gen("alpha"))) == want
+
+
 def test_fiber_evaluation(gf, T):
     s = gf.s
     T1 = T.extend("w", 2, T.from_ground(1 - s**2))
