@@ -18,9 +18,11 @@ method:
   residue matrix, so the pole order of y (its degree, at infinity) is
   bounded by the largest integer eigenvalue (taken generically in the
   parameters) or by the order forced by G;
-* the residues, and the valuations at infinity, come from the local
-  expansions of :mod:`places` on the ground tower K0 (one cached context per
-  place); at infinity they are those of the system in tau = 1/s;
+* the residues and the valuations at infinity come from the contexts of
+  :mod:`places` on the ground tower K0 (one cached context per place): each
+  residue is one coefficient of the exact local expansion
+  (``PlaceContext.residue``), so no norm is taken; at infinity they are
+  those of the system in tau = 1/s;
 * the substitution y = z/Den turns the finite bounds into a polynomial
   ansatz, whose degree is the bound at infinity;
 * the remaining finite-dimensional linear system is solved exactly, and every
@@ -65,22 +67,6 @@ def _inf_order(inf, f):
     ``inf`` is the ground tower's context at infinity.
     """
     return inf.rat_valuation(f) - 2
-
-
-def _residue_matrix(ground, M, place):
-    """Residue matrix of a matrix with at most simple poles at a place.
-
-    Each entry's residue is its u^-1 coefficient in the expansion of
-    :func:`places.place_context` on the ground tower, u = s - s0 at a root
-    s0 of ``place``; at infinity (``place`` None) it is that of -s^2 f, the
-    entry of the system in tau = 1/s.  The entries lie in the place's
-    residue field.
-    """
-    ctx = place_context(ground, INF if place is None else place)
-    if place is None:
-        s2 = -ground.gf.s**2
-        M = [[f * s2 for f in row] for row in M]
-    return [[ctx.expand(f, -1).coeff(-1) for f in row] for row in M]
 
 
 def _integer_eigs(R):
@@ -174,7 +160,8 @@ def _local_bound(ground, M, vm, vg, place):
     """
     floor = 0 if place is not None else -1
     if vm >= -1:
-        eigs = _integer_eigs(_residue_matrix(ground, M, place))
+        ctx = place_context(ground, INF if place is None else place)
+        eigs = _integer_eigs([[ctx.residue(f) for f in row] for row in M])
         return max([floor, -(vg + 1)] + eigs), None
     if len(M) == 1:
         # exact leading balance: v(y) = v(rhs) - v(M)

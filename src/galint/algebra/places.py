@@ -21,9 +21,14 @@ formal root per tower radical for the leading coefficients.  The ramification
 index m is discovered, not declared: it starts at 1 and is refined whenever a
 radicand's valuation is not divisible by the radical degree.
 
-Exact leading exponents need a cancellation guard: a sum of monomials can
-cancel to arbitrary depth, so "expand a bit and look" is not a proof.  We cap
-the possible cancellation through the field norm: for nonzero a,
+:meth:`PlaceContext.expand` is exact through the exponent asked for, and
+each coefficient holds every branch at once, so residues and pole tests read
+it directly: :meth:`~PlaceContext.residue`, and
+:meth:`~PlaceContext.valuation_below` (the least valuation over the
+branches).  Only a leading term of unknown depth, a radicand's or
+:func:`fe_local_exponent`'s, needs a cancellation guard: a sum of monomials
+can cancel to arbitrary depth, so "expand a bit and look" is not a proof.
+We cap the cancellation through the field norm: for nonzero a,
 
     v(a) = v(N(a)) - Σ_{σ ≠ id} v(σ(a))  ≤  v(N(a)) - (D-1)·L,
 
@@ -340,7 +345,6 @@ class PlaceContext:
         elif self.loc is INF:
             self.s0 = None
             self.place_poly = None
-            self.s2 = tower.from_ground(gf.s * gf.s)
         else:
             self.s0 = ct.from_ground(self.loc)
             self.place_poly = SPoly(gf, [-self.loc, gf.one])
@@ -363,8 +367,7 @@ class PlaceContext:
             )
         b = info.radicand  # element of the subtower with r = i
         d = info.degree
-        lb_b = self._crude_bound(b)
-        vb, lead = self._exact_leading(b, lb_hint=lb_b)
+        vb, lead = self._exact_leading(b)
         g = gcd(vb, d)
         scale = d // g
         if scale > 1:
@@ -428,7 +431,7 @@ class PlaceContext:
             raise ValueError("crude bound of zero")
         return best
 
-    def _exact_leading(self, a, lb_hint=None):
+    def _exact_leading(self, a):
         """Exact (valuation, leading coefficient) of a nonzero element."""
         if a.is_zero():
             raise ValueError("leading term of zero")
@@ -439,9 +442,7 @@ class PlaceContext:
                 witness=None,
             )
         vn = self.rat_valuation(nm)
-        lb = self._crude_bound(a) if lb_hint is None else lb_hint
-        dsub = a.tower.degree
-        cap = vn - (dsub - 1) * lb
+        cap = vn - (a.tower.degree - 1) * self._crude_bound(a)
         # cap is a Fraction >= true valuation; expand through it
         upto = int(cap.__floor__()) if isinstance(cap, Fraction) else int(cap)
         lau = self.expand(a, upto)
@@ -573,37 +574,35 @@ class PlaceContext:
         vmin = None
         terms = []
         for e, c in a.coords.items():
-            v = self.rat_valuation(c) + sum(
-                k * self._gen_v[j] for j, k in enumerate(e) if k
-            )
-            terms.append((e, c, v))
+            vc = self.rat_valuation(c)
+            v = vc + sum(k * self._gen_v[j] for j, k in enumerate(e) if k)
+            terms.append((e, c, vc, v))
             if vmin is None or v < vmin:
                 vmin = v
         acc = Lau.zero(ct, vmin, upto - vmin + 1)
-        for e, c, v in terms:
+        for e, c, vc, v in terms:
             rel = upto - v + 1
             if rel <= 0:
                 continue
-            term = self._rat_lau(c, upto - (v - self.rat_valuation(c)))
+            term = self._rat_lau(c, upto - (v - vc))
             for j, k in enumerate(e):
                 if k:
                     term = term.mul(self._gen_pow(j, k, rel), rel)
             acc = acc + term
         return acc
 
-    def leading(self, a):
-        """(Exponent in s-units, leading coefficient) of a nonzero element."""
-        v, lead = self._exact_leading(a)
-        return Exponent(Fraction(v, self.m)), lead
+    def residue(self, a):
+        """The u^-m coefficient of a, and of -s^2·a at infinity: the residue
+        of a·ds there, in the residue tower; branch-invariant."""
+        if self.loc is INF:
+            a = a * (-self.gf.s**2)
+        return self.expand(a, -self.m).coeff(-self.m)
 
-    def coefficient(self, a, k):
-        """Coefficient of u^k, exact (expands through max(k, cap floor))."""
-        if a.is_zero():
-            return self.ct.zero
-        v, _ = self._exact_leading(a)
-        if k < v:
-            return self.ct.zero
-        return self.expand(a, k).coeff(k)
+    def valuation_below(self, a, upto):
+        """Least valuation (u-units) over the branches of a, when it is at
+        most ``upto``; else None."""
+        lau = self.expand(a, upto)
+        return lau.v if lau.cs else None
 
 
 def place_context(tower, location):
@@ -647,11 +646,7 @@ def residue_exponent(ctx, a):
     parameters, else as the string rendering of its value.
     """
     gf = ctx.gf
-    if ctx.loc is INF:
-        a = -(a * ctx.s2)
-    if a.is_zero():
-        return Exponent(0)
-    resid = ctx.coefficient(a, -ctx.m)
+    resid = ctx.residue(a)
     if resid.is_zero():
         return Exponent(0)
     scalar = scalarize_constant(resid)
@@ -679,8 +674,8 @@ def fe_local_exponent(a, place):
             "infinity"
         )
     ctx = place_context(a.tower, loc)
-    exp, _ = ctx.leading(a)
-    return exp
+    v, _ = ctx._exact_leading(a)
+    return Exponent(Fraction(v, ctx.m))
 
 
 # --------------------------------------------------------------------------

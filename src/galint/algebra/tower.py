@@ -571,9 +571,14 @@ class FieldElem:
             for f, cf in o.coords.items():
                 c = ce * cf
                 key = tuple(a + b for a, b in zip(e, f))
-                for mono, c2 in t._reduce_monomial(key).items():
+                if all(k < d for k, d in zip(key, t.degrees)):
+                    terms = [(key, c)]
+                else:
+                    red = t._reduce_monomial(key)
+                    terms = [(mono, c * c2) for mono, c2 in red.items()]
+                for mono, x in terms:
                     v = out.get(mono)
-                    v = c * c2 if v is None else v + c * c2
+                    v = x if v is None else v + x
                     if v:
                         out[mono] = v
                     elif mono in out:

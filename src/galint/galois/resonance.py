@@ -155,7 +155,7 @@ def _unit_witness(hom):
         cands.append(total)
     for y in cands:
         try:
-            y.tower.invert(y)
+            y.tower.require_unit(y)
         except ZeroDivisor:
             continue
         return y

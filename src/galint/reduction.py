@@ -25,13 +25,14 @@ Conventions:
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import (
     DivisionByZero,
     GaugeRequired,
     InputError,
     NonFuchsian,
     NotDiagonalAfterGauge,
-    NotExpandable,
     NotTangent,
     NotTimeReduced,
     OrderExceedsTable,
@@ -45,7 +46,6 @@ from .algebra.places import (
     INF,
     Exponent,
     SingularPlace,
-    fe_local_exponent,
     place_context,
     pole_places,
     residue_exponent,
@@ -453,14 +453,9 @@ def reduce_to_curve(spec, order=4):
         for e, c in high.items():
             table[(j, e)] = c
     curve_places = set(pole_places(spec.curve + spec.curve_deriv))
-    for g in spec.curve_deriv:
-        if g.is_zero():
-            continue
-        try:
-            if fe_local_exponent(g, INF).rational < 0:
-                curve_places.add(("inf",))
-        except NotExpandable:
-            curve_places.add(("inf",))
+    inf = place_context(T, INF)
+    if any(inf.valuation_below(g, -1) is not None for g in spec.curve_deriv):
+        curve_places.add(("inf",))
     return ReducedSystem(T, nq, order, lin, table, q_table(xn),
                          curve_places=curve_places)
 
@@ -672,12 +667,14 @@ def fuchsian_scan(R):
 
     Walks the poles of the diagonal exponents, of the nonlinear table and of
     the tower's radicands, then the place at infinity, where the local
-    system's coefficient is -s^2 lambda.  Checks that every diagonal pole is
-    simple after ramification normalization, and reports each singular place
-    with its ramification index, its local exponent vector (the residue
-    exponents of :func:`~galint.algebra.places.residue_exponent`) and a
-    provenance tag.  Raises :class:`NonFuchsian` as soon as some diagonal
-    entry has a pole of order > 1.
+    system's coefficient is -s^2 lambda; a pole order is the least valuation
+    over the branches (``PlaceContext.valuation_below``).  Checks that every
+    diagonal pole is simple after ramification normalization, and reports
+    each singular place with its ramification index, its local exponent
+    vector (the residue exponents of
+    :func:`~galint.algebra.places.residue_exponent`) and a provenance tag.
+    Raises :class:`NonFuchsian` as soon as some diagonal entry has a pole of
+    order > 1.
     """
     if not R.is_diagonal():
         raise GaugeRequired("fuchsian_scan needs a diagonal linear part")
@@ -694,15 +691,6 @@ def fuchsian_scan(R):
             return "gauge-artifact"
         return "vector-field-singularity"
 
-    def table_singular_at(ctx):
-        for f in fs:
-            try:
-                if ctx.leading(f)[0].rational < 0:
-                    return True
-            except NotExpandable:
-                return True
-        return False
-
     found = []
     for key in sorted(places, key=str) + [("inf",)]:
         loc = places.get(key, INF)
@@ -711,14 +699,16 @@ def fuchsian_scan(R):
         shift = 2 if loc is INF else 0
         poles = []
         for lam in lams:
-            order = shift - ctx.leading(lam)[0].rational if lam else 0
+            v = ctx.valuation_below(lam, ctx.m * shift - 1)
+            order = 0 if v is None else shift - Fraction(v, ctx.m)
             if order > 1:
                 where = ("of the local system at infinity" if loc is INF
                          else f"at {loc}")
                 raise NonFuchsian(f"pole of order {order} {where}",
                                   place=loc, order=order)
             poles.append(order > 0)
-        if any(poles) or table_singular_at(ctx):
+        if any(poles) or any(ctx.valuation_below(f, -1) is not None
+                             for f in fs):
             exps = [residue_exponent(ctx, lam) if pole else Exponent(0)
                     for lam, pole in zip(lams, poles)]
             found.append(SingularPlace(loc, ctx.m, exps, kind_of(key)))

@@ -26,8 +26,13 @@ from fractions import Fraction
 import pytest
 
 from galint.algebra import AlgebraicTower, GroundField
-from galint.errors import RankDeficiency, VerificationFailed
+from galint.errors import (
+    DegreeBoundExceeded,
+    RankDeficiency,
+    VerificationFailed,
+)
 from galint.integrability import (
+    INCONCLUSIVE_BOUNDS,
     CertifiedField,
     IntegrabilityCertificate,
     NeedsCovering,
@@ -297,3 +302,21 @@ def test_descent_weights_a_frame_field_by_an_integral(monkeypatch):
     assert Y.s_component.is_zero()
     assert Y.components[2].eq(RatioSeries(q3, F.den) * F)
     assert verify_certificate(down).ok
+
+
+def test_heuristic_bound_gives_an_inconclusive_obstruction(gf):
+    # q' = (alpha/w) q + (w/s) q^2 on w^2 = 1 + s^2: the order-2 cell's
+    # flattened system has a double pole at infinity, so the solver's degree
+    # bound there is heuristic and the refusal is labelled inconclusive.
+    # Only a proven verdict may replace this pin.
+    s, a = gf.s, gf.gen("alpha")
+    T = AlgebraicTower(gf).extend("w", 2, 1 + s**2)
+    w = T.gen("w")
+    R = reduced(T, [[T.from_ground(a) / w]],
+                {(0, (2,)): w / T.from_ground(s)}, 3)
+    for ob in (formal_flow(R, 3), build_certificate(R, 3)):
+        assert isinstance(ob, Obstruction)
+        assert (ob.order, ob.component, ob.index) == (2, 1, (2,))
+        assert ob.classification == INCONCLUSIVE_BOUNDS
+        with pytest.raises(DegreeBoundExceeded):
+            ob.replay()

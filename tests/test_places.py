@@ -142,3 +142,23 @@ def test_fiber_evaluation(gf, T):
     assert evaluate_at(w * w, Fraction(1, 2)) == sq
     ft = fiber_tower(T1, Fraction(1, 2))
     assert ft.degree == 2
+
+
+def test_valuation_below_reads_the_leading_exponent(gf, T):
+    # on the pool above, the exact expansion through k shows a nonzero
+    # coefficient exactly when the leading exponent (in u-units) is <= k
+    s = gf.s
+    T1 = T.extend("w", 2, T.from_ground(2 * s**2 + 2 * s**3))
+    w = T1.gen("w")
+    pool = [
+        w - T1.from_ground(s),
+        (T1.one + w) / T1.from_ground(s),
+        T1.from_ground(s**3 + s**5),
+        w * T1.from_ground(1 / (1 - s)),
+    ]
+    for place in (0, INF):
+        ctx = place_context(T1, place)
+        for a in pool:
+            v = ctx.m * fe_local_exponent(a, place).rational
+            for k in range(-3, 4):
+                assert ctx.valuation_below(a, k) == (v if v <= k else None)

@@ -564,3 +564,18 @@ def test_expand_around_matches_sympy_series(gf, T):
         got = 0 if cell is None else gf.to_expr(cell.scalar_part())
         assert sympy.cancel(got - want.coeff(Q, k)) == 0, k
     assert ser.N == N
+
+
+def test_scan_reads_poles_over_every_branch(gf, T):
+    # w^2 = s^2 + s^3: at s = 0 the table entry (w - s)/s has valuation 1 on
+    # one branch and 0 on the other, so it is regular there although its
+    # leading coefficient rho - 1 is a zero divisor; at infinity (m = 2) it
+    # has a pole on both branches, and lambda = alpha/(s - 1) has one at 1
+    s, alpha = gf.s, gf.gen("alpha")
+    T1 = T.extend("w", 2, T.from_ground(s**2 + s**3))
+    w = T1.gen("w")
+    R = mk(T1, [[T1.from_ground(alpha / (s - 1))]],
+           {(0, (2,)): (w - T1.from_ground(s)) / T1.from_ground(s)})
+    places = fuchsian_scan(R)
+    assert [str(p.location) for p in places] == ["1", "inf"]
+    assert [p.m for p in places] == [1, 2]
