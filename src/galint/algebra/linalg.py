@@ -14,23 +14,21 @@ keeps results deterministic (a requirement for byte-stable golden output).
 __all__ = ["rref", "rank", "solve", "nullspace", "det", "mat_mul", "mat_inv"]
 
 
-def rref(M, *, limit_cols=None, pivot_values=None):
+def rref(M, *, pivot_values=None):
     """Reduced row echelon form.
 
     Returns ``(rows, pivots)`` where ``pivots`` is a list of ``(row, col)``
-    pairs in order.  ``limit_cols`` stops pivot search after that many columns
-    (used for augmented matrices).  When ``pivot_values`` is a list, the raw
-    entry chosen as each pivot (before normalisation) is appended to it —
-    callers use this to track scalars that were divided by, e.g. to report
-    exceptional parameter values.  The input is not modified.
+    pairs in order.  When ``pivot_values`` is a list, the raw entry chosen as
+    each pivot (before normalisation) is appended to it — callers use this
+    to track scalars that were divided by, e.g. to report exceptional
+    parameter values.  The input is not modified.
     """
     rows = [list(r) for r in M]
     m = len(rows)
     n = len(rows[0]) if m else 0
-    stop = n if limit_cols is None else limit_cols
     pivots = []
     r = 0
-    for c in range(stop):
+    for c in range(n):
         p = None
         for i in range(r, m):
             if rows[i][c]:
@@ -194,8 +192,8 @@ def mat_inv(M, zero, one):
     n = len(M)
     aug = [list(row) + [one if i == j else zero for j in range(n)]
            for i, row in enumerate(M)]
-    R, pivots = rref(aug, limit_cols=n)
-    if len(pivots) < n:
+    R, pivots = rref(aug)
+    if sum(c < n for _, c in pivots) < n:
         ker = nullspace(M, zero, one)
         return None, ker[0]
     inv = [row[n:] for row in R]

@@ -6,7 +6,10 @@ such a place (:func:`residue_exponent`).  The Fuchsian scan and the
 resonance lattice's pruning both read them from here, and the rational ODE
 solver (:mod:`linode`) is a client too: it reads the residue matrices and
 the valuations at infinity behind its pole and degree bounds from the
-contexts of :func:`place_context` on the ground tower.
+contexts of :func:`place_context` on the ground tower.  Values at a point
+regular on every sheet are the u^0 coefficient of the expansion there
+(:func:`evaluate_at`); a radicand whose value at a point is a zero divisor
+marks a branch point on some sheet, and its context raises NotExpandable.
 
 For a tower element and a place of the s-line (a scalar point, a conjugacy
 class of algebraic points given by an irreducible monic polynomial, or the
@@ -477,25 +480,14 @@ class PlaceContext:
             return Lau.zero(self.ct, 0, upto + 1)
         gf = self.gf
         ct = self.ct
+        num = gf.numer_spoly(c)
+        den = gf.denom_spoly(c)
         if self.loc is INF:
-            num = gf.numer_spoly(c)
-            den = gf.denom_spoly(c)
-            ncs = [ct.from_ground(x) for x in reversed(num.coeffs)]
-            dcs = [ct.from_ground(x) for x in reversed(den.coeffs)]
             # p(s) = τ^{-deg p} · (reversed coefficients)(τ)
             vnum, vden = -num.degree, -den.degree
         else:
-            # Taylor-shift numerator and denominator to s0; the place
-            # valuation shows up as exact leading zeros (for places of
-            # degree > 1 the shift keeps the unit cofactor of p^v that plain
-            # division by p would discard).
-            p = self.place_poly
-            num = gf.numer_spoly(c)
-            den = gf.denom_spoly(c)
-            vnum = p.valuation_of(num)
-            vden = p.valuation_of(den)
-            ncs = self._shift_coeffs(num)[vnum:]
-            dcs = self._shift_coeffs(den)[vden:]
+            vnum = self.place_poly.valuation_of(num)
+            vden = self.place_poly.valuation_of(den)
         v = self.m * (vnum - vden)
         rel = upto - v + 1
         if rel <= 0:
@@ -503,6 +495,16 @@ class PlaceContext:
             self._rat_cache[key] = out
             return out
         steps = -(-rel // self.m)  # x-steps needed (x = u^m)
+        if self.loc is INF:
+            ncs = [ct.from_ground(x) for x in reversed(num.coeffs)]
+            dcs = [ct.from_ground(x) for x in reversed(den.coeffs)]
+        else:
+            # Taylor-shift numerator and denominator to s0; the place
+            # valuation shows up as exact leading zeros (for places of
+            # degree > 1 the shift keeps the unit cofactor of p^v that plain
+            # division by p would discard).
+            ncs = self._shift_coeffs(num, vnum + steps)[vnum:]
+            dcs = self._shift_coeffs(den, vden + steps)[vden:]
         nl = Lau(ct, 0, self._spread(ncs, steps))
         dl = Lau(ct, 0, self._spread(dcs, steps))
         out = nl.mul(dl.invert(steps * self.m), steps * self.m).shift(v)
@@ -519,16 +521,17 @@ class PlaceContext:
             out.extend([ct.zero] * (self.m - 1))
         return out
 
-    def _shift_coeffs(self, sp):
-        """Coefficients of sp(s0 + x) as ct elements, low to high in x."""
+    def _shift_coeffs(self, sp, k):
+        """The first k coefficients of sp(s0 + x) as ct elements, low to high
+        in x."""
         ct = self.ct
-        n = sp.degree
-        out = [ct.zero] * (n + 1)
-        # Horner: out <- out*(s0 + x) + c_k, top coefficient first
-        for k in range(n, -1, -1):
-            for j in range(n, 0, -1):
+        out = [ct.zero] * min(k, sp.degree + 1)
+        # Horner: out <- out*(s0 + x) + c, top coefficient first; a
+        # coefficient never reads the ones above it
+        for c in reversed(sp.coeffs):
+            for j in range(len(out) - 1, 0, -1):
                 out[j] = out[j] * self.s0 + out[j - 1]
-            out[0] = out[0] * self.s0 + ct.from_ground(sp.coeffs[k])
+            out[0] = out[0] * self.s0 + ct.from_ground(c)
         return out
 
     def _gen_pow(self, i, e, rel_prec):
@@ -571,20 +574,17 @@ class PlaceContext:
         ct = self.ct
         if a.is_zero():
             return Lau.zero(ct, 0, upto + 1)
-        vmin = None
         terms = []
         for e, c in a.coords.items():
-            vc = self.rat_valuation(c)
-            v = vc + sum(k * self._gen_v[j] for j, k in enumerate(e) if k)
-            terms.append((e, c, vc, v))
-            if vmin is None or v < vmin:
-                vmin = v
+            # the monomial's generators shift the coordinate's valuation
+            shift = sum(k * self._gen_v[j] for j, k in enumerate(e) if k)
+            terms.append((e, shift, self._rat_lau(c, upto - shift)))
+        vmin = min(shift + term.v for _, shift, term in terms)
         acc = Lau.zero(ct, vmin, upto - vmin + 1)
-        for e, c, vc, v in terms:
-            rel = upto - v + 1
+        for e, shift, term in terms:
+            rel = upto - shift - term.v + 1
             if rel <= 0:
                 continue
-            term = self._rat_lau(c, upto - (v - vc))
             for j, k in enumerate(e):
                 if k:
                     term = term.mul(self._gen_pow(j, k, rel), rel)
@@ -679,67 +679,37 @@ def fe_local_exponent(a, place):
 
 
 # --------------------------------------------------------------------------
-# exact evaluation at a regular scalar point (the fiber tower)
+# values at a regular scalar point
+
+
+def _regular_context(tower, s0):
+    """The context at s0 when s0 is regular on every sheet: every radicand
+    is a unit there, so m = 1 and each residue generator is the value of a
+    tower generator.  Raises ZeroDivisionError otherwise (NotExpandable when
+    a radicand's value is a zero divisor, a branch point on some sheet)."""
+    ctx = place_context(tower, s0)
+    if any(ctx._gen_v):
+        raise ZeroDivisionError(f"a radicand has a zero or pole at s = {s0}")
+    return ctx
 
 
 def fiber_tower(tower, s0):
-    """The constant tower obtained by substituting s = s0 into every radicand.
-
-    Fails (BasePointSingular semantics are the caller's concern — this raises
-    ZeroDivisionError / TowerError) when a radicand has a pole or zero at s0.
-    """
-    gf = tower.gf
-    if not isinstance(s0, type(gf.zero)):
-        s0 = gf.from_rational(s0)
-    try:
-        cache = tower._fiber_cache
-    except AttributeError:
-        cache = tower._fiber_cache = {}
-    key = str(s0)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    ft = AlgebraicTower(gf)
-    for info in tower.gens:
-        if not info.radical:
-            raise TowerError("fiber evaluation needs a radical tower")
-        b = info.radicand  # subtower element; its fiber uses the gens built so far
-        bf = _subs_elem(ft, b, s0)
-        if bf.is_zero():
-            raise ZeroDivisionError(
-                f"radicand of {info.name!r} vanishes at s = {s0}"
-            )
-        ft = ft.extend(info.name, info.degree, bf)
-    cache[key] = ft
-    return ft
-
-
-def _subs_elem(ft, a, s0):
-    gf = ft.gf
-    out = ft.zero
-    for e, c in a.coords.items():
-        val = gf.subs_s(c, s0)
-        if not val:
-            continue
-        mono = ft.one
-        for name, k in zip(a.tower.names, e):
-            if k:
-                mono = mono * ft.gen(name) ** k
-        out = out + mono * ft.from_ground(val)
-    return out
+    """The constant tower of values at a point s0 regular on every sheet: the
+    residue tower of its place context, one generator ``rho<i>`` per tower
+    generator, with the radicands' values as radicands."""
+    return _regular_context(tower, s0).ct
 
 
 def evaluate_at(a, s0):
-    """Evaluate a tower element at a regular scalar point s0.
-
-    Returns an element of the fiber tower (same generator names, radicands
-    evaluated).  Raises ZeroDivisionError when a coordinate or radicand has a
-    pole/zero there — callers translate that into BasePointSingular.
+    """The value of a tower element at a point s0 regular on every sheet: the
+    u^0 coefficient of its exact expansion there, in :func:`fiber_tower`.
+    Raises ZeroDivisionError when a has a pole at s0, or as
+    :func:`fiber_tower` does; callers translate that into BasePointSingular.
     """
-    ft = fiber_tower(a.tower, s0)
-    if not isinstance(s0, type(a.tower.gf.zero)):
-        s0 = a.tower.gf.from_rational(s0)
-    return _subs_elem(ft, a, s0)
+    lau = _regular_context(a.tower, s0).expand(a, 0)
+    if lau.cs and lau.v < 0:
+        raise ZeroDivisionError(f"pole at s = {s0}")
+    return lau.coeff(0)
 
 
 def scalarize_constant(a):

@@ -492,34 +492,6 @@ class GroundField:
         const = out.pop(None, self.zero)
         return const, {self.param_names[i]: v for i, v in out.items()}
 
-    # ----------------------------------------------------------- evaluation
-
-    def subs_s(self, f, value):
-        """Substitute a *scalar* (parameter-only FracElement or rational) for s.
-
-        The substitution must not hit a pole (raises DivisionByZero-style
-        ZeroDivisionError if the denominator vanishes identically after it).
-        """
-        if not isinstance(value, type(self.zero)):
-            value = self.from_rational(value)
-        num = self._subs_poly_s(f.numer, value)
-        den = self._subs_poly_s(f.denom, value)
-        if not den:
-            raise ZeroDivisionError("substitution hits a pole")
-        return num / den
-
-    def _subs_poly_s(self, p, value):
-        i = self._s_index
-        acc = self.zero
-        for mono, c in p.terms():
-            rest = list(mono)
-            k = rest[i]
-            rest[i] = 0
-            base = self.field.raw_new(self.ring.from_terms([(tuple(rest), c)]),
-                                      self.ring.one)
-            acc += base if not k else base * value**k
-        return acc
-
     # -------------------------------------------------------- factorization
 
     def monic_s_factors(self, f):

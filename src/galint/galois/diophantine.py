@@ -342,9 +342,7 @@ def diophantine_eval(eigenvalues=None, *, angles=None, places=None,
             break
         nu_reached = nu
         dx, j, k = best
-        eps = 0.0 if (hit and hit[2] == 0.0) else _eps_from_dist(dx)
-        if hit:
-            eps = hit[2]
+        eps = hit[2] if hit else _eps_from_dist(dx)
         if inexact and hit is None and eps < 2 * math.pi * noise(hi):
             raise PrecisionLoss(
                 f"shell {nu}: minimum {eps:.3e} is below what "

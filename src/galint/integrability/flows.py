@@ -23,6 +23,7 @@ from ..errors import (
     GaugeRequired,
     InputError,
     IntegrationIncomplete,
+    NotExpandable,
     NoTowerSolution,
     NotTimeReduced,
     OrderExceedsTable,
@@ -202,11 +203,13 @@ def _needed_values(R):
 
 
 def _regular_at(tower, vals, s0):
+    """Whether s0 is regular on every sheet and no value has a pole there;
+    a radicand whose value is a zero divisor marks a branch point."""
     try:
         fiber_tower(tower, s0)
         for v in vals:
             evaluate_at(v, s0)
-    except (ZeroDivisionError, TowerError):
+    except (ZeroDivisionError, TowerError, NotExpandable):
         return False
     return True
 

@@ -125,6 +125,22 @@ def test_explicit_base_point_must_be_regular(gf, T):
         formal_flow(R, 3, s0=0)
 
 
+def test_a_branch_point_on_one_sheet_is_not_a_base_point(gf, T):
+    # w1^2 = s, w2^2 = 1 + w1: at s = 1 the sheet w1 = -1 makes 1 + w1
+    # vanish, so w2 branches there; 0 is a branch point of w1 and 1/2 a
+    # pole of lambda, so the first regular base point is 3/2
+    s, a = gf.s, gf.gen("alpha")
+    T1 = T.extend("w1", 2, T.from_ground(s))
+    T2 = T1.extend("w2", 2, T1.one + T1.gen("w1"))
+    lam = T2.from_ground(a / s + 1 / (2 * s - 1))
+    R = mk(T2, [[lam]], {(0, (2,)): T2.gen("w2")}, order=3)
+    out = formal_flow(R, 2)
+    flow = out.partial if isinstance(out, Obstruction) else out
+    assert flow.s0 == Fraction(3, 2)
+    with pytest.raises(BasePointSingular):
+        formal_flow(R, 2, s0=1)
+
+
 def test_irregular_diagonal_is_rejected_up_front():
     # q' = q/s^2 over Q(s): the double pole at 0 is caught by the Fuchsian
     # scan before any cell is solved
@@ -477,14 +493,14 @@ def test_most_ground_field_gcds_skip_the_heuristic_gcd(monkeypatch):
 
 def test_place_contexts_are_built_once_per_tower_and_place(monkeypatch):
     # the same 1dw system at N = 5: fuchsian_scan expands on w^2 = 1 + s^2
-    # at s^2 + 1 and at infinity, and every ODE solve reads its residues on
-    # the ground tower under it, at the same two places; a context built per
-    # solve would make 8
+    # at s^2 + 1 and at infinity, the base point 0 is read there too, and
+    # every ODE solve reads its residues on the ground tower under it, at
+    # s^2 + 1 and at infinity; a context built per solve would repeat a pair
     real = places.PlaceContext.__init__
     built = []
 
     def counting(self, tower, location):
-        built.append((tower.r, location))
+        built.append((tower.r, str(location)))
         real(self, tower, location)
 
     monkeypatch.setattr(places.PlaceContext, "__init__", counting)
@@ -495,7 +511,10 @@ def test_place_contexts_are_built_once_per_tower_and_place(monkeypatch):
              (0, (3,)): T.from_ground(s)}
     R = mk(T, [[T.from_ground(a) / T.gen("w")]], table, order=5)
     assert isinstance(formal_flow(R, 5), FormalFlow)
-    assert len(built) <= 4, built
+    assert len(built) == len(set(built)), built
+    circle = "SPoly((1)*s^2 + 1)"
+    assert set(built) == {(1, circle), (1, "inf"), (1, "0"),
+                          (0, circle), (0, "inf")}, built
 
 
 def _corrupt(series, order):
