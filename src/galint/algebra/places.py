@@ -472,7 +472,7 @@ class PlaceContext:
 
     def _rat_lau(self, c, upto):
         """Expansion of a ground-field element through exponent ``upto``."""
-        key = (str(c), upto)
+        key = (c, upto)
         hit = self._rat_cache.get(key)
         if hit is not None:
             return hit
@@ -611,7 +611,11 @@ def place_context(tower, location):
         cache = tower._place_ctxs
     except AttributeError:
         cache = tower._place_ctxs = {}
-    key = _location_key(_normalize_location(tower.gf, location))
+    # a rational number prints as the ground element it names, so its key
+    # needs no conversion
+    if not isinstance(location, (int, Fraction)):
+        location = _normalize_location(tower.gf, location)
+    key = _location_key(location)
     ctx = cache.get(key)
     if ctx is None:
         ctx = PlaceContext(tower, location)

@@ -276,6 +276,8 @@ class Scalar(FracElement):
 
     def _mul(f, c, d):
         """f * (c/d) for coprime, nonzero c and d."""
+        if c.is_one and d.is_one:
+            return f
         zring = f.field._zring
         a = _to_zz(f.numer, zring)
         b = _to_zz(f.denom, zring)
@@ -371,8 +373,33 @@ class GroundField:
     # ------------------------------------------------------------ derivation
 
     def diff_s(self, f):
-        """d/ds, the derivation every tower extends."""
-        return f.diff(self.s)
+        """d/ds, the derivation every tower extends, by the quotient rule on
+        the reduced pair a/b with gated gcds (see ``_cofactors``).
+
+        When b is free of s, (a/b)' = a'/b and only gcd(a', b) can cancel.
+        Otherwise write b = g b1 and b' = g c with g = gcd(b, b'): then
+        (a/b)' = t / (g b1^2) with t = a' b1 - a c.  A prime p dividing b1
+        involves s; if p^e exactly divides b, then p^(e-1) exactly divides
+        b' and g, so p divides neither c nor a (a/b is reduced), nor t.  So
+        only gcd(t, g) can cancel.  A failing heuristic gcd falls back to
+        sympy's ``diff``.
+        """
+        zring = self.field._zring
+        x = zring.gens[self._s_index]
+        a = _to_zz(f.numer, zring)
+        b = _to_zz(f.denom, zring)
+        da = a.diff(x)
+        try:
+            if b.degree(x) <= 0:
+                if not da:
+                    return self.zero
+                _, num, den = _cofactors(da, b)
+                return f._reduced(num, den)
+            g, b1, c = _cofactors(b, b.diff(x))
+            _, num, g1 = _cofactors(da * b1 - a * c, g)
+            return f._reduced(num, g1 * b1**2)
+        except HeuristicGCDFailed:
+            return FracElement.diff(f, self.s)
 
     # --------------------------------------------------------------- queries
 

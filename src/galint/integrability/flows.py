@@ -38,6 +38,7 @@ from ..reduction import ReducedSystem, fuchsian_scan, time_reduce
 from ..series import (
     FormalVectorField,
     HyperexpBasis,
+    Powers,
     RatioSeries,
     SymbolMonomial,
     TruncSeries,
@@ -355,14 +356,16 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
         return FormalFlow(basis, comps, None, s0, upto, R, tuple(resonant))
 
     resonant = []
+    # One Powers object keeps the monomials of phi degree by degree for
+    # the whole loop: their order-k cells read phi only below order k,
+    # which no later order changes.  The order-k defect is the order-k
+    # part of rhs∘phi; phi[j] has no order-k cell yet, so -phi[j]' adds
+    # none there, and the linear part reads phi's cells afresh.
+    powers = Powers(phi)
     for order in range(2, N + 1):
         for j in range(nq):
-            # Order-k cells of rhs∘phi read phi only up to order k, and
-            # phi[j] has no order-k cell yet, so -phi[j]' adds none there.
-            defect = rhs[j].compose([p.truncate(order) for p in phi])
+            defect = powers.cells_at(rhs[j], order)
             for index, sym, g in defect.cells():
-                if sum(index) != order:
-                    continue
                 if sym.ell:
                     raise VerificationFailed(
                         "transverse defect carries unexpected symbols"
@@ -383,7 +386,7 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
                     resonant.append((j + 1, index))
 
     # ---- the time series --------------------------------------------------
-    image = q_series(basis, N, R.t).compose(phi)
+    image = powers.compose(q_series(basis, N, R.t), N)
     plain = {}
     symbols = []
     log_cells = []

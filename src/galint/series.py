@@ -33,6 +33,15 @@ power series (the denominator inverted once) for the operation layer.
 The dense dictionaries in ``integrability/certificates.py`` are a deliberate
 second, independent engine: the certificate verifier recomputes every claim
 there so that a defect here cannot certify itself.
+
+Composition works one total degree at a time.  A :class:`Powers` object
+keeps the degree-k cells of each monomial of a substitution as
+M_(i-e_j) * subst_j restricted to degree k; they read the substitution only
+below degree k, so the flow construction, which adds its order-k cells
+after reading the order-k defect, keeps one such object across all its
+orders (the relaxed multiplication of van der Hoeven, "Relax, but don't be
+too lazy", JSC 34 (2002)).  :meth:`TruncSeries.compose` sums its cells
+over the degrees k <= N.
 """
 
 from __future__ import annotations
@@ -47,6 +56,7 @@ from .errors import (
 
 __all__ = [
     "HyperexpBasis",
+    "Powers",
     "SymbolMonomial",
     "TruncSeries",
     "FormalVectorField",
@@ -359,7 +369,8 @@ class TruncSeries:
 
         In the u-alphabet the substituted variable takes its H-content along,
         so only the L symbols of the two cells multiply.  The result lives in
-        the substituted series' alphabet.
+        the substituted series' alphabet.  It is the sum over the degrees
+        k <= N of :meth:`Powers.cells_at`.
         """
         basis = self.basis
         if len(subst) != basis.n:
@@ -375,31 +386,7 @@ class TruncSeries:
                     "substituted series must vanish at the origin"
                 )
         N = min([self.N] + [g.N for g in subst])
-        zero_i = (0,) * basis.n
-
-        # powers of each substituted series, computed on demand
-        # (index 0 — the empty product — is handled inline below)
-        pows = [[None, g.truncate(N)] for g in subst]
-
-        def cells():
-            for (i, sym), c in self.table.items():
-                if sum(i) > N:
-                    continue
-                term = None
-                for j, k in enumerate(i):
-                    if not k:
-                        continue
-                    plist = pows[j]
-                    while len(plist) <= k:
-                        plist.append(plist[-1] * plist[1])
-                    term = plist[k] if term is None else term * plist[k]
-                if term is None:  # the constant cell of self
-                    yield (zero_i, sym), c
-                    continue
-                for (it, st), ct in term.table.items():
-                    yield (it, st.mul(sym)), ct * c
-
-        return TruncSeries(basis, tgt.alphabet, N, cells())
+        return Powers(subst).compose(self, N)
 
     # -------------------------------------------------------------- output
 
@@ -418,6 +405,77 @@ class TruncSeries:
 
     def __repr__(self):
         return f"<TruncSeries {self.alphabet}, N={self.N}: {self.render()}>"
+
+
+class Powers:
+    """The monomials of a substitution, kept one total degree at a time.
+
+    ``subst`` is a list of series without constant term, one per variable;
+    it is read afresh on every call, so a caller may extend it.  The
+    degree-k cells of a monomial M_i = prod_j subst_j^(i_j) with |i| >= 2
+    are M_(i-e_j) * subst_j restricted to degree k, j the first variable
+    of i.  They read subst only below degree k and are kept once
+    computed, so a substitution that gains its degree-k cells only after
+    ``cells_at(., k)`` (the flow construction's pattern, one order at a
+    time) never makes them stale.  Degree-1 monomials are subst itself.
+    """
+
+    __slots__ = ("subst", "_memo")
+
+    def __init__(self, subst):
+        self.subst = subst
+        self._memo = {}
+
+    def cells_at(self, series, k):
+        """The degree-k cells of series∘subst, as a series through order k
+        (see :meth:`TruncSeries.compose`)."""
+
+        def cells():
+            for (i, sym), c in series.table.items():
+                if sum(i) > k:
+                    continue
+                if not any(i):  # the constant cell of series
+                    if not k:
+                        yield (i, sym), c
+                    continue
+                for (it, st), ct in self._at(i, k):
+                    yield (it, st.mul(sym)), ct * c
+
+        return TruncSeries(series.basis, self.subst[0].alphabet, k, cells())
+
+    def compose(self, series, N):
+        """series∘subst through order N: the cells of every degree k <= N."""
+        return TruncSeries(series.basis, self.subst[0].alphabet, N, (
+            cell for k in range(N + 1)
+            for cell in self.cells_at(series, k).table.items()))
+
+    def _at(self, i, k):
+        """The degree-k ((index, symbol), coeff) cells of M_i, |i| >= 1."""
+        j = next(j for j, e in enumerate(i) if e)
+        n = sum(i)
+        if n == 1:
+            return [(key, c) for key, c in self.subst[j].table.items()
+                    if sum(key[0]) == k]
+        hit = self._memo.get((i, k))
+        if hit is not None:
+            return hit
+        rest = tuple(e - (l == j) for l, e in enumerate(i))
+        unit = tuple(int(l == j) for l in range(len(i)))
+
+        def cells():
+            for d in range(n - 1, k):
+                low = self._at(unit, k - d)
+                if not low:
+                    continue
+                for (ia, sa), ca in self._at(rest, d):
+                    for (ib, sb), cb in low:
+                        yield ((tuple(a + b for a, b in zip(ia, ib)),
+                                sa.mul(sb)), ca * cb)
+
+        g = self.subst[0]
+        out = TruncSeries(g.basis, g.alphabet, k, cells()).table.items()
+        self._memo[(i, k)] = out
+        return out
 
 
 class FormalVectorField:

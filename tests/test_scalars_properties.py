@@ -102,6 +102,55 @@ def test_shared_denominator_matches_sympy(x, k, op):
     assert_reference(OPS[op](x, y), OPS[op](plain(x), plain(y)))
 
 
+def test_multiplying_by_one_returns_the_operand():
+    x = (1 + S) / (ALPHA - S)
+    assert x * GF.one is x and x / GF.one is x
+
+
+# Denominators for d/ds: free of s or not, with repeated factors.
+DIFF_POOL = (S, 1 + S, 1 + S**2, S + ALPHA, ALPHA * BETA + S, BETA,
+             ALPHA + BETA, GF.from_rational(2), GF.from_rational(3))
+
+
+@st.composite
+def differentiands(draw):
+    a, b, c, d = (draw(small) for _ in range(4))
+    num = a + b * S + c * ALPHA + d * BETA * S ** draw(st.integers(0, 2))
+    den = GF.one
+    for k, e in draw(st.lists(st.tuples(
+            st.integers(0, len(DIFF_POOL) - 1), st.integers(1, 3)),
+            max_size=3)):
+        den = den * DIFF_POOL[k] ** e
+    return num / den
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.one_of(st.just(GF.zero), small.map(GF.from_rational),
+                 differentiands()))
+def test_diff_s_matches_sympy(f):
+    assert_reference(GF.diff_s(f), plain(f).diff(PLAIN.gens[-1]))
+
+
+def test_diff_s_falls_back_when_the_heuristic_gcd_fails(monkeypatch):
+    # gcd(b, b') = S^2 + ALPHA has positive degree, so the gate passes it on
+    # to sympy's heuristic gcd
+    x = (BETA + S) / ((S**2 + ALPHA) ** 2 * (S - BETA + 1))
+    real = sympy_rings.heugcd
+    failures = []
+
+    def fail_once(f, g):
+        if not failures:
+            failures.append((f, g))
+            raise HeuristicGCDFailed("forced")
+        return real(f, g)
+
+    monkeypatch.setattr(sympy_rings, "heugcd", fail_once)
+    got = GF.diff_s(x)
+    monkeypatch.setattr(sympy_rings, "heugcd", real)
+    assert failures
+    assert_reference(got, plain(x).diff(PLAIN.gens[-1]))
+
+
 def test_failed_heuristic_gcd_falls_back(monkeypatch):
     # every operation meets a gcd of positive degree, which the modular
     # coprimality gate passes on to sympy: the shared S^2 + ALPHA of the

@@ -1,6 +1,9 @@
 """Truncated series with hyperexponential/log symbols: arithmetic, d/ds,
 composition, map inversion, Lie derivatives, and the error paths."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from galint.algebra import AlgebraicTower, GroundField
@@ -9,9 +12,12 @@ from galint.errors import (
     NonzeroConstantTerm,
     NotTangentToIdentity,
 )
+from galint.integrability import formal_flow
+from galint.reduction import ReducedSystem
 from galint.series import (
     FormalVectorField,
     HyperexpBasis,
+    Powers,
     SymbolMonomial,
     TruncSeries,
     q_table,
@@ -234,3 +240,77 @@ def test_constructor_merges_cells(ctx):
             TruncSeries(B, "q", 3, bad)
     with pytest.raises(ValueError):
         TruncSeries(B, "q", 3, {((-1, 0), L): one})
+
+
+# --------------------------------------------------------------------------
+# the per-degree composition engine
+
+
+def _naive_compose(a, subst):
+    """a∘subst from whole-series products, cell by cell."""
+    zero_i = (0,) * a.basis.n
+    out = TruncSeries.zero(a.basis, "u", a.N)
+    for i, sym, c in a.cells():
+        term = TruncSeries(a.basis, "u", a.N, {(zero_i, sym): c})
+        for j, k in enumerate(i):
+            for _ in range(k):
+                term = term * subst[j]
+        out = out + term
+    return out
+
+
+@pytest.mark.parametrize("nq", [1, 2])
+def test_powers_kept_across_a_growing_substitution(nq):
+    # formal_flow's pattern: the substitution gains its degree-k cells only
+    # after the degree-k cells of the composite were read.  The composed
+    # series has no linear cell (those read the substitution at degree k),
+    # and an L symbol sits on its cells and the substitution's with first
+    # index 2.
+    gf = GroundField(params=("alpha",))
+    T = AlgebraicTower(gf)
+    s, alpha = gf.s, gf.gen("alpha")
+    hs = [T.from_ground((l + 1) * alpha / s) for l in range(nq)]
+    B = HyperexpBasis(hs).with_log("L1", T.from_ground(1 / s))
+    N = 5
+    idx = [i for i in itertools.product(range(N + 1), repeat=nq)
+           if sum(i) <= N]
+
+    def cell(i, *ks):
+        sym = SymbolMonomial({"L1": 1} if i[0] == 2 else {})
+        return (i, sym), T.from_ground(sum(ks) + 1 + ks[0] * s - alpha * ks[-1])
+
+    a = TruncSeries(B, "q", N, [cell(i, *i) for i in idx if sum(i) != 1])
+    subst = [TruncSeries.variable(B, "u", N, j, T.one) for j in range(nq)]
+    P = Powers(subst)
+    gathered = []
+    for k in range(N + 1):
+        part = P.cells_at(a, k)
+        assert all(sum(i) == k for i, _ in part.table)
+        gathered += part.table.items()
+        if k > 1:
+            for j in range(nq):
+                subst[j] = subst[j] + TruncSeries(B, "u", N, [
+                    cell(i, j, k, *i) for i in idx if sum(i) == k])
+    got = TruncSeries(B, "u", N, gathered)
+    assert got == a.compose(subst)
+    assert got == _naive_compose(a, subst)
+    assert any(sym.ell == (("L1", 2),) for _, sym in got.table)
+
+
+def test_deep_flow_is_pinned():
+    # the benchmark's 1dw system at seed 0, q' = (alpha/w) q + beta q^2
+    # + s q^3 on w^2 = 1 + s^2, at N = 8: the rendered components and time
+    # series hash as they did before the per-degree engine
+    gf = GroundField(params=("alpha", "beta"))
+    s = gf.s
+    T = AlgebraicTower(gf).extend("w", 2, 1 + s**2)
+    unit = {(0,): T.one}
+    table = {(0, (2,)): T.from_ground(gf.gen("beta")),
+             (0, (3,)): T.from_ground(s)}
+    R = ReducedSystem(T, 1, 8, [[T.from_ground(gf.gen("alpha")) / T.gen("w")]],
+                      table, unit, unit, time_reduced=True)
+    flow = formal_flow(R, 8)
+    text = "\n".join([c.render() for c in flow.components]
+                     + [flow.time.render()])
+    assert hashlib.sha1(text.encode()).hexdigest() == \
+        "63481497d472b0c5e04b82d3701193b5d41aa66b"
