@@ -3,15 +3,42 @@
 The same routines run over ground-field fractions *and* over tower elements:
 the only requirements on the scalars are ``+ - * /``, ``bool()`` as a nonzero
 test, and the caller supplying the ``zero``/``one`` constants.  ``rref``,
-``solve``, ``nullspace``, ``det`` and ``mat_inv`` run plain Gauss elimination
-with exact division: scalars are already normalized field elements, and the
-reduced form is what solving needs.  ``rank`` answers the rank alone and is
-division-free (it needs only ``- *`` and ``bool()``), so over a radical tower
-it never inverts an element.  Pivoting is "first nonzero" everywhere, which
-keeps results deterministic (a requirement for byte-stable golden output).
+``solve``, ``nullspace``, ``det`` and ``mat_inv`` eliminate with exact
+division: scalars are already normalized field elements, and the reduced
+form is what solving needs.  ``rref`` runs forward elimination below each
+pivot, then back substitution from the last pivot up; both go through
+``_eliminate``, which reads only the pivot row's nonzero entries and
+touches only the rows with a nonzero entry in the pivot column, so the
+sparse, banded systems of the ODE solver cost what their nonzero entries
+cost.  ``rank`` answers the rank alone and is division-free (it needs only
+``- *`` and ``bool()``), so over a radical tower it never inverts an
+element.  Pivoting is "first nonzero" everywhere, which keeps results
+deterministic (a requirement for byte-stable golden output).
 """
 
 __all__ = ["rref", "rank", "solve", "nullspace", "det", "mat_mul", "mat_inv"]
+
+
+def _eliminate(rows, r, c, targets):
+    """Clear column c of each target row with row r, whose entry there is one.
+
+    The pivot row's nonzero entries from column c on are read once, and only
+    the target rows with a nonzero entry in column c change, in those
+    columns alone; entries the pivot row has zero stay as they are.
+    """
+    pivot = rows[r]
+    live = [(j, pivot[j]) for j in range(c, len(pivot)) if pivot[j]]
+    for i in targets:
+        row = rows[i]
+        f = row[c]
+        if f:
+            for j, b in live:
+                row[j] = row[j] - f * b
+
+
+def _normalise(row, pv):
+    """``row`` divided by its pivot entry ``pv``, zero entries kept."""
+    return [x / pv if x else x for x in row]
 
 
 def rref(M, *, pivot_values=None):
@@ -22,6 +49,12 @@ def rref(M, *, pivot_values=None):
     each pivot (before normalisation) is appended to it — callers use this
     to track scalars that were divided by, e.g. to report exceptional
     parameter values.  The input is not modified.
+
+    Forward elimination normalises each pivot row when it is chosen and
+    clears the column below it; back substitution then clears each pivot
+    column above, last pivot first.  The reduced form is unique, so this is
+    the form Gauss-Jordan elimination gives, with the same pivots divided
+    by in the same order.
     """
     rows = [list(r) for r in M]
     m = len(rows)
@@ -40,15 +73,14 @@ def rref(M, *, pivot_values=None):
         pv = rows[r][c]
         if pivot_values is not None:
             pivot_values.append(pv)
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        rows[r] = _normalise(rows[r], pv)
+        _eliminate(rows, r, c, range(r + 1, m))
         pivots.append((r, c))
         r += 1
         if r == m:
             break
+    for r, c in reversed(pivots):
+        _eliminate(rows, r, c, range(r))
     return rows, pivots
 
 
@@ -135,7 +167,7 @@ def nullspace(M, zero, one):
 
 
 def det(M, zero, one):
-    """Determinant by exact Gaussian elimination with row swaps."""
+    """Determinant by exact forward elimination with row swaps."""
     rows = [list(r) for r in M]
     n = len(rows)
     if n == 0:
@@ -155,10 +187,8 @@ def det(M, zero, one):
             sign = -sign
         pv = rows[c][c]
         acc = acc * pv
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+        rows[c] = _normalise(rows[c], pv)
+        _eliminate(rows, c, c, range(c + 1, n))
     if sign < 0:
         return zero - acc
     return acc

@@ -266,6 +266,7 @@ def solve_rational_system(ground, M, G, *, extra_cols=(), conditions=None):
         for e in vec:
             maxdeg = max(maxdeg, e.degree)
 
+    ints = [gf.from_rational(j) for j in range(N + 1)]
     rows = []
     rhs = []
     for i in range(D):
@@ -277,7 +278,7 @@ def solve_rational_system(ground, M, G, *, extra_cols=(), conditions=None):
                     if j >= 1:
                         qc = _coeff(Q, t - j + 1, zero)
                         if qc:
-                            acc = acc + qc * gf.from_rational(j)
+                            acc = acc + qc * ints[j]
                     row[i * (N + 1) + j] = acc
                 for f in range(D):
                     e = QM[i][f]

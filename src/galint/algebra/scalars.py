@@ -422,17 +422,15 @@ class GroundField:
         i = self._s_index
         if f.denom.degree(i) > 0:
             raise ValueError(f"{f} has s in its denominator")
-        den = self.field.raw_new(f.denom, self.ring.one)
-        coeffs = {}
+        one = self.ring.one
+        den = self.field.raw_new(f.denom, one)
+        groups = {}
         for mono, c in f.numer.terms():
-            k = mono[i]
-            rest = tuple(m for j, m in enumerate(mono) if j != i)
-            full = tuple(list(rest[: i]) + [0] + list(rest[i:]))
-            term = self.field.raw_new(self.ring.from_terms([(full, c)]), self.ring.one)
-            coeffs[k] = coeffs.get(k, self.zero) + term
-        coeffs = {k: v / den for k, v in coeffs.items() if v}
-        n = max(coeffs) if coeffs else -1
-        dense = [coeffs.get(k, self.zero) for k in range(n + 1)]
+            free = mono[:i] + (0,) + mono[i + 1:]
+            groups.setdefault(mono[i], []).append((free, c))
+        n = max(groups) if groups else -1
+        dense = [self.field.raw_new(self.ring.from_terms(groups[k]), one) / den
+                 if k in groups else self.zero for k in range(n + 1)]
         return SPoly(self, dense)
 
     def numer_spoly(self, f):
@@ -535,6 +533,10 @@ class GroundField:
         return [(fac, -mult) for fac, mult in self._poly_factors(f.denom)]
 
     def _poly_factors(self, p):
+        """The monic s-dependent irreducible factors of p, with multiplicity,
+        cached by p; a polynomial free of s has none and is not factored."""
+        if p.degree(self._s_index) <= 0:
+            return []
         key = tuple(sorted(p.terms()))
         hit = self._factor_cache.get(key)
         if hit is not None:

@@ -177,6 +177,68 @@ def test_failed_heuristic_gcd_falls_back(monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# polynomial views and factoring
+
+# s-free denominators, some sharing a factor with a numerator coefficient
+SFREE_POOL = (BETA, ALPHA + BETA, ALPHA**2 - 1, ALPHA * BETA + 1,
+              GF.from_rational(2), GF.from_rational(3))
+
+
+@st.composite
+def s_polynomials(draw):
+    num = GF.zero
+    for k in range(draw(st.integers(0, 4))):
+        a, b, c = (draw(small) for _ in range(3))
+        num = num + (a + b * ALPHA + c * ALPHA * BETA) * S**k
+    den = GF.one
+    for k in draw(st.lists(st.integers(0, len(SFREE_POOL) - 1), max_size=3)):
+        den = den * SFREE_POOL[k]
+    return num / den
+
+
+def per_term_coeffs(f):
+    """The coefficients of f in s, each summed one monomial at a time."""
+    i = GF._s_index
+    coeffs = {}
+    for mono, c in f.numer.terms():
+        free = mono[:i] + (0,) + mono[i + 1:]
+        term = GF.field.raw_new(GF.ring.from_terms([(free, c)]), GF.ring.one)
+        coeffs[mono[i]] = coeffs.get(mono[i], GF.zero) + term
+    den = GF.field.raw_new(f.denom, GF.ring.one)
+    return {k: v / den for k, v in coeffs.items()}
+
+
+@PROPS
+@given(s_polynomials())
+def test_spoly_groups_terms_by_power_of_s(f):
+    sp = GF.spoly(f)
+    assert sp.to_element() == f
+    ref = per_term_coeffs(f)
+    assert sp.degree == max(ref, default=-1)
+    for k, c in enumerate(sp.coeffs):
+        r = ref.get(k, GF.zero)
+        assert c == r and str(c) == str(r)
+
+
+def test_s_free_denominators_are_not_factored(monkeypatch):
+    factored = []
+    factor_list = sympy_rings.PolyElement.factor_list
+
+    def spy(p):
+        factored.append(p)
+        return factor_list(p)
+
+    monkeypatch.setattr(sympy_rings.PolyElement, "factor_list", spy)
+    gf = GroundField(params=("alpha",))
+    s, alpha = gf.s, gf.gen("alpha")
+    assert gf.monic_s_factors(1 / (alpha**2 - 1)) == []
+    assert not factored and not gf._factor_cache
+    facs = gf.monic_s_factors(alpha / ((alpha - 1) * (s**2 + alpha)))
+    assert [(p.to_element(), v) for p, v in facs] == [(s**2 + alpha, -1)]
+    assert len(factored) == 1 and len(gf._factor_cache) == 1
+
+
+# --------------------------------------------------------------------------
 # the coprimality gate
 
 ZRING = GF.field._zring
