@@ -13,7 +13,8 @@ sparse, banded systems of the ODE solver cost what their nonzero entries
 cost.  ``rank`` answers the rank alone and is division-free (it needs only
 ``- *`` and ``bool()``), so over a radical tower it never inverts an
 element.  Pivoting is "first nonzero" everywhere, which keeps results
-deterministic (a requirement for byte-stable golden output).
+deterministic (a requirement for byte-stable golden output).  A pivot
+row is scaled by one inverse, ``1 / pivot``.
 """
 
 __all__ = ["rref", "rank", "solve", "nullspace", "det", "mat_mul", "mat_inv"]
@@ -37,8 +38,14 @@ def _eliminate(rows, r, c, targets):
 
 
 def _normalise(row, pv):
-    """``row`` divided by its pivot entry ``pv``, zero entries kept."""
-    return [x / pv if x else x for x in row]
+    """``row`` divided by its pivot entry ``pv``, zero entries kept.
+
+    ``pv`` is inverted once and each entry multiplied by the inverse: over a
+    tower each ``/`` would invert the divisor again.  A pivot that is a zero
+    divisor raises from that inversion.
+    """
+    inv = 1 / pv
+    return [x * inv if x else x for x in row]
 
 
 def rref(M, *, pivot_values=None):

@@ -24,19 +24,29 @@ coefficient positive.  So equality, hashing, printing and every cache key
 are those of plain ``FracElement`` objects, and a ``ScalarField`` compares and
 hashes equal to the plain ``FracField`` on the same generators.
 
-Most of those gcds are an integer, the gcd of the two contents, and one
-image mod a prime per variable proves that far more cheaply than sympy's
-heuristic gcd (Brown, J. ACM 18 (1971)).  So each passes a gate first: in
-every generator x_i where both polynomials have positive degree, it maps
-them to F_p[x_i] (p = 2^61 - 1, the other generators at fixed points) and
-runs Euclid there.  If both leading coefficients in x_i stay nonzero mod p,
-so does that of the gcd, which divides them; the gcd's image then keeps
-its degree in x_i and divides the gcd of the images.  So if that gcd is
-constant for every such x_i, the gcd has degree 0 in every generator and
-is the content gcd.  A leading coefficient that vanishes mod p, or an
-image gcd of positive degree, proves nothing; sympy's gcd then decides, as
-it did before the gate.  Either way the gcd is the one sympy gives, so
-every result is unchanged.
+Each of those gcds has one of three outcomes (Brown, J. ACM 18 (1971);
+von zur Gathen and Gerhard, *Modern Computer Algebra*, 6.7).
+
+* Proven coprime.  Most are an integer, the gcd of the two contents, and
+  one image mod a prime per variable proves that far more cheaply than a
+  gcd.  In every generator x_i where both polynomials have positive
+  degree, a gate maps them to F_p[x_i] (p = 2^61 - 1, the other
+  generators at fixed points) and runs Euclid there.  If both leading
+  coefficients in x_i stay nonzero mod p, so does that of the gcd, which
+  divides them; the gcd's image then keeps its degree in x_i and divides
+  the gcd of the images.  So if that gcd is constant for every such x_i,
+  the gcd has degree 0 in every generator and is the content gcd.
+* One shared generator, computed modularly.  When x_i is the only
+  generator in which both have positive degree, the gcd lies in Z[x_i]:
+  it is the gcd of their coefficients as polynomials in the other
+  generators.  Those univariate gcds are taken mod a prime that divides
+  neither leading coefficient, lifted, and accepted only when the lift
+  divides both exactly; a failed check retries with a larger prime.
+* Otherwise sympy's gcd decides: for two or more shared generators, or
+  once the primes are used up.
+
+Every gcd is the one sympy gives, up to a sign that the normal form fixes,
+so every result is unchanged.
 
 A "scalar" below always means an element of the ground field; a "parameter
 scalar" is one whose numerator and denominator are free of ``s``.
@@ -118,9 +128,14 @@ def _to_zz(p, zring):
 # The coprimality gate's prime and the points the other generators take, by
 # generator index.  At a prime this large an image loses a leading
 # coefficient or gains a common root only by rare accident, and then the
-# gate merely falls back.
+# gate merely moves on.
 _P = 2**61 - 1
 _POINTS = tuple(pow(3, 64 + 7 * j, _P) for j in range(16))
+
+# The primes of the gcd in one shared generator, tried in turn ("big prime"
+# gcd): each retry is for a prime dividing a leading coefficient, an image
+# gcd of too high a degree, or gcd coefficients beyond half the prime.
+_PRIMES = (_P, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1)
 
 
 def _image(p, i, deg, powers):
@@ -135,38 +150,164 @@ def _image(p, i, deg, powers):
     return [c % _P for c in out]
 
 
-def _coprime_mod_p(f, g):
-    """Whether dense f, g over F_p (nonzero leading entries) have a constant
-    gcd, by Euclid; both lists are used up."""
+def _gcd_mod(f, g, p):
+    """The monic gcd of dense f, g over F_p (nonzero leading entries), by
+    Euclid; both lists are used up."""
     while len(g) > 1:
-        inv = pow(g[-1], -1, _P)
+        inv = pow(g[-1], -1, p)
         n = len(g) - 1
         while len(f) > n:
-            q = f.pop() * inv % _P
+            q = f.pop() * inv % p
             off = len(f) - n
             for k in range(n):
-                f[off + k] = (f[off + k] - q * g[k]) % _P
+                f[off + k] = (f[off + k] - q * g[k]) % p
             while f and not f[-1]:
                 f.pop()
         if not f:
-            return False
+            return [c * inv % p for c in g]
         f, g = g, f
-    return True
+    return [1]
+
+
+def _primitive(f):
+    """Dense f over Z divided by its content, with a positive leading entry."""
+    c = math.gcd(*f)
+    if f[-1] < 0:
+        c = -c
+    return [x // c for x in f] if c != 1 else f
+
+
+def _quo(f, g):
+    """f / g for dense f, g over Z, or None when g does not divide f."""
+    n = len(g) - 1
+    if len(f) <= n:
+        return None
+    r = list(f)
+    q = [0] * (len(f) - n)
+    lc = g[-1]
+    for k in range(len(q) - 1, -1, -1):
+        t, rest = divmod(r[k + n], lc)
+        if rest:
+            return None
+        if t:
+            q[k] = t
+            for j in range(n):
+                r[k + j] -= t * g[j]
+    return None if any(r[:n]) else q
+
+
+def _gcd_z(f, g):
+    """gcd(f, g) for primitive dense f, g over Z with positive leading
+    entries, or None when every prime of _PRIMES fails.
+
+    For a prime p dividing neither leading coefficient, the image of
+    G = gcd(f, g) keeps its degree and divides both images, so the monic
+    image gcd h has deg h >= deg G.  lc(G) divides l = gcd(lc f, lc g), so
+    l h is the image of (l / lc G) G when the degrees agree; its symmetric
+    residues give that multiple when its coefficients are below p/2, and
+    H, their primitive part, is G.  H is accepted only when it divides f
+    and g over Z: then H divides G, and deg H = deg h >= deg G makes H = G.
+    A prime that divides a leading coefficient can lose degree in an image,
+    and then a wrong H can still divide both, so such a prime is skipped.
+    """
+    l = math.gcd(f[-1], g[-1])
+    for p in _PRIMES:
+        if not (f[-1] % p and g[-1] % p):
+            continue
+        h = _gcd_mod([c % p for c in f], [c % p for c in g], p)
+        if len(h) == 1:
+            return h
+        half = p // 2
+        h = _primitive([c - p if c > half else c
+                        for c in (l * c % p for c in h)])
+        if _quo(f, h) is not None and _quo(g, h) is not None:
+            return h
+    return None
+
+
+def _content_cofactors(a, b):
+    """``a.cofactors(b)`` when the gcd is c, the gcd of the contents."""
+    c = math.gcd(*a.values(), *b.values())
+    if c == 1:
+        return a.ring.one, a, b
+    return a.ring.ground_new(c), a.quo_ground(c), b.quo_ground(c)
+
+
+def _rows(p, i):
+    """p as {its monomials with x_i^0: dense coefficient lists in Z[x_i]}."""
+    out = {}
+    for m, c in p.items():
+        k = m[i]
+        key = m[:i] + (0,) + m[i + 1:]
+        row = out.setdefault(key, [])
+        if len(row) <= k:
+            row.extend([0] * (k + 1 - len(row)))
+        row[k] = c
+    return out
+
+
+def _from_rows(ring, i, rows):
+    """The polynomial of ``ring`` with the given ``_rows`` in x_i."""
+    return ring.dtype({key[:i] + (k,) + key[i + 1:]: c
+                       for key, row in rows.items()
+                       for k, c in enumerate(row) if c})
+
+
+def _one_generator_cofactors(a, b, i):
+    """``a.cofactors(b)`` when x_i is the only generator in which both have
+    positive degree, or None when the modular gcd gives up.
+
+    G = gcd(a, b) then has degree 0 in every other generator, so it lies
+    in Z[x_i]: it is the gcd of a's and b's coefficients as polynomials in
+    the other generators, with coefficients in Z[x_i].  Its content is the
+    gcd c of every integer coefficient, and its primitive part H the gcd of
+    the primitive parts of those coefficient polynomials, folded by
+    ``_gcd_z`` from the shortest and stopped once H is constant.  The
+    cofactors are the exact quotients, each coefficient polynomial divided
+    by c H.
+    """
+    ra, rb = _rows(a, i), _rows(b, i)
+    polys = sorted((*ra.values(), *rb.values()), key=len)
+    h = _primitive(polys[0])
+    for f in polys[1:]:
+        if len(h) == 1:
+            break
+        f = _primitive(f)
+        if _quo(f, h) is None:
+            h = _gcd_z(h, f)
+            if h is None:
+                return None
+    if len(h) == 1:
+        return _content_cofactors(a, b)
+    ring = a.ring
+    c = math.gcd(*a.values(), *b.values())
+    g = [c * x for x in h]
+    return (_from_rows(ring, i, {(0,) * ring.ngens: g}),
+            *(_from_rows(ring, i, {key: _quo(row, g)
+                                   for key, row in rows.items()})
+              for rows in (ra, rb)))
 
 
 def _cofactors(a, b):
     """``a.cofactors(b)`` for nonzero a, b over ZZ, up to a common sign.
 
-    Proves gcd(a, b) = c, the gcd of the integer contents, when it can and
-    otherwise asks sympy.  Let G = gcd(a, b).  In a generator x_i where a
-    or b has degree 0 so has G.  In one where both have positive degree,
-    a and b go to F_p[x_i], the other generators at fixed points; if lc_{x_i}
-    of a and of b stay nonzero there, so does lc_{x_i}(G), which divides
-    them, so the image of G keeps its degree in x_i and divides the gcd of
-    the images.  When that gcd is constant for every such x_i, G has
-    degree 0 everywhere: G = c.  A vanishing leading coefficient or an
-    image gcd of positive degree proves nothing, and sympy decides.  sympy
-    also decides in a field with more generators than there are points.
+    Let G = gcd(a, b).  In a generator x_i where a or b has degree 0 so has
+    G.  There are three outcomes.
+
+    * Proven coprime: in each generator x_i where both have positive
+      degree, a and b go to F_p[x_i], the other generators at fixed points.
+      If lc_{x_i} of a and of b stay nonzero there, so does lc_{x_i}(G),
+      which divides them, so the image of G keeps its degree in x_i and
+      divides the gcd of the images.  When that gcd is constant for every
+      such x_i, G has degree 0 everywhere: G = c, the gcd of the contents.
+    * One shared generator: when x_i is the only generator in which both
+      have positive degree and its image proves nothing (a vanishing
+      leading coefficient or an image gcd of positive degree), G lies in
+      Z[x_i] and ``_one_generator_cofactors`` computes it modularly and
+      checks it by exact division.
+    * Otherwise sympy decides: for two or more shared generators, after
+      the prime list is used up, and in a field with more generators than
+      there are points.
     """
     ring = a.ring
     if ring.ngens > len(_POINTS):
@@ -184,12 +325,13 @@ def _cofactors(a, b):
         for i in shared:
             f = _image(a, i, da[i], powers)
             g = _image(b, i, db[i], powers)
-            if not (f[-1] and g[-1] and _coprime_mod_p(f, g)):
+            if not (f[-1] and g[-1] and len(_gcd_mod(f, g, _P)) == 1):
+                if len(shared) == 1:
+                    got = _one_generator_cofactors(a, b, i)
+                    if got is not None:
+                        return got
                 return a.cofactors(b)
-    c = math.gcd(*a.values(), *b.values())
-    if c == 1:
-        return ring.one, a, b
-    return ring.ground_new(c), a.quo_ground(c), b.quo_ground(c)
+    return _content_cofactors(a, b)
 
 
 class Scalar(FracElement):
@@ -204,20 +346,20 @@ class Scalar(FracElement):
       numerator against the shared denominator.
     * (a/b)(c/d) = (a/gcd(a,d))(c/gcd(c,b)) / ((b/gcd(c,b))(d/gcd(a,d))).
 
-    Each of these gcds first meets the modular coprimality gate (see the
-    module docstring and ``_cofactors``): it proves most of them to be the
-    content gcd from one image mod p per shared generator, sound because the
-    images keep both leading coefficients, and falls back to sympy's gcd
-    when a leading coefficient vanishes mod p or an image gcd has positive
-    degree.
+    Each of these gcds goes through ``_cofactors`` (see the module
+    docstring): proven coprime from one image mod p per shared generator,
+    computed modularly when the operands share one generator, and left to
+    sympy's gcd otherwise.
 
     Each result is the canonical form sympy's ``cancel`` would give, so it is
-    equal, hashes and prints the same.  Mixed operations with ints,
-    rationals or polynomials keep sympy's own operation, and so does the
-    rare operation whose heuristic gcd fails (``HeuristicGCDFailed``): sympy
-    then cancels the whole result, a different gcd problem.  Code that
-    builds elements with ``raw_new`` must pass a reduced pair of
-    integer-coefficient polynomials.
+    equal, hashes and prints the same.  An int divided by a field element
+    is that int's element divided by it, so ``1 / x`` is the inverse
+    without a full gcd.  Other mixed operations with ints, rationals or
+    polynomials keep sympy's own operation, and so does the rare operation
+    whose heuristic gcd fails (``HeuristicGCDFailed``): sympy then cancels
+    the whole result, a different gcd problem.  Code that builds elements
+    with ``raw_new`` must pass a reduced pair of integer-coefficient
+    polynomials.
     """
 
     def __add__(f, g):
@@ -251,6 +393,12 @@ class Scalar(FracElement):
             except HeuristicGCDFailed:
                 pass
         return super().__truediv__(g)
+
+    def __rtruediv__(f, c):
+        if f and isinstance(c, int):
+            ring = f.field.ring
+            return f.raw_new(ring.ground_new(c), ring.one) / f
+        return super().__rtruediv__(c)
 
     def _add(f, c, d):
         """f + c/d for a reduced, nonzero c/d."""
@@ -374,7 +522,10 @@ class GroundField:
 
     def diff_s(self, f):
         """d/ds, the derivation every tower extends, by the quotient rule on
-        the reduced pair a/b with gated gcds (see ``_cofactors``).
+        the reduced pair a/b, its gcds taken by ``_cofactors``: proven
+        coprime, computed modularly when the two polynomials share one
+        generator (say b free of s and in one parameter), or left to
+        sympy's gcd.
 
         When b is free of s, (a/b)' = a'/b and only gcd(a', b) can cancel.
         Otherwise write b = g b1 and b' = g c with g = gcd(b, b'): then

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import pytest
 
-from galint.algebra import AlgebraicTower, GroundField
+from galint.algebra import AlgebraicTower, GroundField, scalars
 from galint.errors import (
     DegreeBoundExceeded,
     RankDeficiency,
@@ -104,6 +104,37 @@ def test_resonant_toy_certificate(gf):
     assert (cert.l, len(cert.integrals)) == (1, 1)
     assert cert.descent == "base-field"
     assert verify_certificate(cert).ok
+
+
+def test_one_generator_gcds_match_sympy_end_to_end(monkeypatch, gf):
+    # flow-deep's 1dw system at N = 3 and the resonant toy's certificate:
+    # every gcd that the modular path in one shared generator decides is
+    # checked against sympy's, and that path must be taken
+    real = scalars._one_generator_cofactors
+    taken = []
+
+    def checked(a, b, i):
+        got = real(a, b, i)
+        if got is not None:
+            ref = a.cofactors(b)
+            assert got in (ref, tuple(-x for x in ref)), (a, b)
+            taken.append(i)
+        return got
+
+    monkeypatch.setattr(scalars, "_one_generator_cofactors", checked)
+    gf2 = GroundField(params=("alpha", "beta"))
+    s = gf2.s
+    T = AlgebraicTower(gf2).extend("w", 2, 1 + s**2)
+    table = {(0, (2,)): T.from_ground(gf2.gen("beta")),
+             (0, (3,)): T.from_ground(s)}
+    R = reduced(T, [[T.from_ground(gf2.gen("alpha")) / T.gen("w")]],
+                table, 3)
+    assert formal_flow(R, 3).N == 3
+    T = AlgebraicTower(gf)
+    R = reduced(T, [[T.from_ground(1 / gf.s)]],
+                {(0, (2,)): T.from_ground(1 / gf.s)}, 3)
+    assert verify_certificate(build_certificate(R, 3)).ok
+    assert taken
 
 
 def test_linear_pair_needs_covering(gf):

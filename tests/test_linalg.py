@@ -10,11 +10,13 @@ Q(alpha, s) and over the tower w^2 = 1 + s^2.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from galint.algebra import AlgebraicTower, GroundField
 from galint.algebra.linalg import det, mat_mul, nullspace, rref, solve
+from galint.errors import ZeroDivisor
 
 GF = GroundField(params=("alpha",))
 S, ALPHA = GF.s, GF.gen("alpha")
@@ -130,6 +132,33 @@ def test_rref_leaves_its_input_alone():
     rows, pivots = rref(M)
     assert M == copy
     assert rows == [[1, 0], [0, 1]] and pivots == [(0, 0), (1, 1)]
+
+
+def test_a_tower_pivot_is_inverted_once_per_row(monkeypatch):
+    pv = W + S
+    M = [[pv, W, W_TOWER.one], [W_TOWER.zero, pv, W]]
+    want = gauss_jordan(M)
+    real = AlgebraicTower.invert
+    inverted = []
+
+    def spy(tower, a):
+        inverted.append(a)
+        return real(tower, a)
+
+    monkeypatch.setattr(AlgebraicTower, "invert", spy)
+    assert rref(M) == want
+    assert inverted == [pv, pv]
+
+
+def test_a_zero_divisor_pivot_raises_at_its_step():
+    # v^2 = s^2 splits: v - s is a zero divisor, met as the second pivot
+    t = BASE.extend("v", 2, BASE.from_ground(S**2))
+    zd = t.gen("v") - t.from_ground(S)
+    M = [[t.one, t.gen("v")], [t.zero, zd]]
+    pvs = []
+    with pytest.raises(ZeroDivisor):
+        rref(M, pivot_values=pvs)
+    assert pvs == [t.one, zd]
 
 
 def banded_system():

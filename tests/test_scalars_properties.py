@@ -8,7 +8,9 @@ Galois maps commute with d/ds.
 """
 
 import operator
+from unittest import mock
 
+import pytest
 import sympy.polys.rings as sympy_rings
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from sympy.polys.fields import FracField
 from sympy.polys.polyerrors import HeuristicGCDFailed
 
 from galint.algebra import AlgebraicTower, GroundField
-from galint.algebra.scalars import _POINTS, Scalar, _cofactors
+from galint.algebra.scalars import _P, _POINTS, Scalar, _cofactors, _gcd_mod
 
 GF = GroundField(params=("alpha", "beta"))
 S, ALPHA, BETA = GF.s, GF.gen("alpha"), GF.gen("beta")
@@ -302,6 +304,169 @@ def test_gate_falls_back_on_a_vanishing_leading_coefficient():
     a, b = g * (ZS + 1), g * (ZS + ZA)
     assert a.cofactors(b)[0] == g
     assert_gate_matches_sympy(a, b)
+
+
+# Common factors in one generator, planted in pairs that share only that
+# generator: a = g x with x in ZZ[alpha, beta, s] and b = g y with y in the
+# generator alone.  Their gcd is computed modularly in that generator, and
+# sympy's gcd must not be reached.
+
+
+def cofactors_without_sympy(a, b):
+    """``_cofactors(a, b)``, failing if it reaches sympy's gcd."""
+
+    def refuse(f, g):
+        raise AssertionError(f"sympy's gcd reached on {f} and {g}")
+
+    with mock.patch.object(sympy_rings.PolyElement, "cofactors", refuse):
+        return _cofactors(a, b)
+
+
+def assert_one_generator_gcd(a, b):
+    ref = a.cofactors(b)
+    got = cofactors_without_sympy(a, b)
+    assert got in (ref, tuple(-x for x in ref))
+
+
+signs = st.sampled_from((1, -1))
+
+
+@st.composite
+def one_generator_factors(draw, x):
+    """(k x +- 1)^e, with s^2 + c as well in s, or a product of two."""
+
+    def factor():
+        if x == ZS and draw(st.booleans()):
+            return ZS**2 + draw(nonzero)
+        return (draw(st.integers(1, 20)) * x + draw(signs)) \
+            ** draw(st.integers(1, 3))
+
+    g = factor()
+    if draw(st.booleans()):
+        g *= factor()
+    return g
+
+
+@st.composite
+def big_linear_factors(draw, x):
+    """k x +- 1 with k beyond half of 2^61 - 1 and below 2^480."""
+    return draw(st.integers(2**62, 2**480)) * x + draw(signs)
+
+
+@st.composite
+def univariates(draw, x):
+    """A nonzero polynomial in x alone, of degree up to three."""
+    p = sum((draw(small) * x**k for k in range(4)), ZRING.zero)
+    assume(p)
+    return p
+
+
+@st.composite
+def one_generator_pairs(draw, factors):
+    x = draw(st.sampled_from((ZA, ZB, ZS)))
+    g = draw(factors(x))
+    a, b = g * draw(zpolys()), g * draw(univariates(x))
+    if draw(st.booleans()):
+        a, b = b, a
+    return a, b
+
+
+@GATE_PROPS
+@given(one_generator_pairs(one_generator_factors))
+def test_one_generator_gcd_matches_sympy(pair):
+    assert_one_generator_gcd(*pair)
+
+
+@GATE_PROPS
+@given(one_generator_pairs(big_linear_factors))
+def test_one_generator_gcd_with_coefficients_beyond_the_first_prime(pair):
+    assert_one_generator_gcd(*pair)
+
+
+def spy_on_primes(monkeypatch):
+    """The list of primes that Euclid mod p is run with from now on."""
+    primes = []
+
+    def spy(f, g, p):
+        primes.append(p)
+        return _gcd_mod(f, g, p)
+
+    monkeypatch.setattr("galint.algebra.scalars._gcd_mod", spy)
+    return primes
+
+
+@pytest.mark.parametrize("bits, prime", [(70, 2**89 - 1), (100, 2**107 - 1),
+                                         (120, 2**127 - 1),
+                                         (300, 2**521 - 1)])
+def test_each_prime_lifts_what_the_smaller_ones_cannot(monkeypatch, bits,
+                                                       prime):
+    # the image gcd of the two alpha-coefficients is that of 2^bits alpha + 1,
+    # whose coefficient is lifted only by a prime above 2^(bits + 1)
+    g = 2**bits * ZA + 1
+    a, b = g * (ZA + 2) * (ZS + ZB), g * (ZA - 3)
+    primes = spy_on_primes(monkeypatch)
+    assert_one_generator_gcd(a, b)
+    assert primes[0] == _P and max(primes) == prime
+
+
+def test_one_generator_gcd_beyond_every_prime_asks_sympy():
+    g = (2**600 + 1) * ZA + 3
+    a, b = g * (ZA + 2) * (ZS + ZB), g * (ZA - 3)
+    with pytest.raises(AssertionError, match="sympy's gcd reached"):
+        cofactors_without_sympy(a, b)
+    assert_gate_matches_sympy(a, b)
+
+
+@pytest.mark.parametrize("g", [ZS**2 + 1, (ZS - 1)**2 * (2 * ZS + 1)])
+def test_one_generator_gcd_after_a_vanishing_leading_coefficient(g):
+    # lc_s(a) = alpha - a0 vanishes at the gate's point a0 for alpha, so
+    # the image in s proves nothing; the gcd in s does not use the points
+    a0, b0 = _POINTS[:2]
+    a, b = g * ((ZA - a0) * ZS + ZB), g * (ZS + 2)
+    assert_one_generator_gcd(a, b)
+    # the same in alpha, whose leading coefficient vanishes at beta = b0
+    h = g.compose(ZS, ZA)
+    assert_one_generator_gcd(h * ((ZB - b0) * ZA + ZS), h * (ZA - 5))
+
+
+def test_one_generator_gcd_skips_a_prime_dividing_a_leading_coefficient(
+        monkeypatch):
+    # (s + 1)(p s + 1) is primitive with leading coefficient p = 2^61 - 1,
+    # so its image mod p would lose a degree: the next prime decides
+    primes = spy_on_primes(monkeypatch)
+    a = (ZS + 1) * (_P * ZS + 1) * (1 + ZA * ZB)
+    b = (ZS + 1) * (ZS - 2)
+    assert_one_generator_gcd(a, b)
+    assert primes == [2**89 - 1]
+    assert_one_generator_gcd(a * (ZS + 1), b * (_P * ZS + 1))
+
+
+def test_one_shared_generator_never_reaches_sympy(monkeypatch):
+    a = (ZA**2 - 1)**3 * (ZS + ZB)
+    b = 18 * (ZA**2 - 1) * (ZA + 3)
+    x = (1 + S) / ((ALPHA**2 - 1)**3 * (S + BETA))
+    y = BETA / (18 * (ALPHA**2 - 1) * (ALPHA + 3))
+    refs = {op: OPS[op](plain(x), plain(y)) for op in sorted(OPS)}
+    real = sympy_rings.PolyElement.cofactors
+    calls = []
+
+    def spy(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(sympy_rings.PolyElement, "cofactors", spy)
+    got = _cofactors(a, b)
+    assert not calls
+    assert got == (ZA**2 - 1, (ZA**2 - 1)**2 * (ZS + ZB), 18 * ZA + 54)
+    for op, ref in refs.items():
+        assert_reference(OPS[op](x, y), ref)
+    assert not calls
+    # a pair sharing alpha and s still goes to sympy
+    c = (ZS**2 + ZA) * (ZS + ZB)
+    d = (ZS**2 + ZA) * (ZS - ZB + 1)
+    got = _cofactors(c, d)
+    assert calls == [(c, d)]
+    assert got == real(c, d)
 
 
 # --------------------------------------------------------------------------
