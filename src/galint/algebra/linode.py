@@ -108,9 +108,7 @@ def _integer_eigs(R):
             scaled = ce * commel
             for mono, q in scaled.numer.terms():
                 bucket = grouped.setdefault(mono, {})
-                bucket[td] = bucket.get(td, 0) + sympy.Rational(
-                    int(q.numerator), int(q.denominator)
-                )
+                bucket[td] = bucket.get(td, 0) + q
         for tp in grouped.values():
             expr = sympy.Add(*(c * T**d for d, c in tp.items()))
             comps.append(sympy.Poly(expr, T))

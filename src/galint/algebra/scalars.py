@@ -3,8 +3,9 @@
 Everything upstairs (radical towers, local expansions, the ODE solver) works
 with elements of a single rational function field: the formal parameters
 ``alpha_i`` and the curve coordinate ``s`` over Q.  We host it on sympy's
-sparse ``FracField``, which gives exact normalized arithmetic, and wrap it in
-:class:`GroundField` to add the structure the rest of the package needs:
+sparse ``FracField`` over ZZ, the fractions of Z[alpha_1, ..., alpha_p, s],
+which gives exact normalized arithmetic, and wrap it in :class:`GroundField`
+to add the structure the rest of the package needs:
 
 * the distinguished role of ``s`` (derivation d/ds, degrees in s,
   polynomial-in-s views with coefficients in the parameter subfield);
@@ -22,7 +23,19 @@ What stays is sympy's canonical form: integer coefficients, numerator and
 denominator coprime and jointly content-free, the denominator's leading
 coefficient positive.  So equality, hashing, printing and every cache key
 are those of plain ``FracElement`` objects, and a ``ScalarField`` compares and
-hashes equal to the plain ``FracField`` on the same generators.
+hashes equal to the plain ``FracField`` over ZZ on the same generators.
+
+That form is also the one the field over QQ prints, so hosting on ZZ changes
+no printed result, only ``hash()`` values (the ground domain is part of
+them).  What it saves is the move of every operand to integer coefficients
+and back.  The ring over ZZ fails silently where a ring over QQ divides:
+``quo_ground(c)``, ``monic()`` and ``p / c`` drop or floor the terms that c
+does not divide, and ``p(*point)`` at a rational point raises
+``CoercionFailed``.  So each ring-level step here is exact by construction
+(a content divided out, an integer embedded, a factorization over Z), and
+everything else is field-level, where sympy keeps a rational operand as a
+fraction of integers; values at rational points are taken over Q
+(``tower._value``).
 
 Each of those gcds has one of three outcomes (Brown, J. ACM 18 (1971);
 von zur Gathen and Gerhard, *Modern Computer Algebra*, 6.7).
@@ -58,7 +71,7 @@ import math
 from fractions import Fraction
 
 import sympy
-from sympy import QQ
+from sympy import ZZ
 from sympy.polys.fields import FracElement, FracField
 from sympy.polys.orderings import lex
 from sympy.polys.polyerrors import HeuristicGCDFailed
@@ -69,15 +82,6 @@ __all__ = [
     "Scalar",
     "ScalarField",
 ]
-
-
-def _to_QQ(value):
-    """Coerce int / Fraction / sympy Rational to the QQ domain."""
-    if isinstance(value, Fraction):
-        return QQ(value.numerator, value.denominator)
-    if isinstance(value, sympy.Rational):
-        return QQ(value.p, value.q)
-    return QQ(value)
 
 
 def _fraction_nth_root(c, d):
@@ -95,16 +99,18 @@ def _fraction_nth_root(c, d):
 
 
 class ScalarField(FracField):
-    """sympy's rational function field over QQ with :class:`Scalar` elements.
+    """sympy's rational function field over ZZ with :class:`Scalar` elements.
 
-    Equal to the plain ``FracField`` on the same generators, so it hashes
+    Over ZZ it is still Q(x_1, ..., x_n): numerators and denominators lie in
+    Z[x_1, ..., x_n] and a rational constant is a pair of integers.  Equal
+    to the plain ``FracField`` over ZZ on the same generators, so it hashes
     like one too; only the element type differs.
     """
 
     def __new__(cls, symbols, domain, order=lex):
         obj = super().__new__(cls, symbols, domain, order)
-        if not obj.domain.is_QQ:
-            raise ValueError("a ScalarField is a field over QQ")
+        if not obj.domain.is_ZZ:
+            raise ValueError("a ScalarField is a field over ZZ")
         obj._hash_tuple = (FracField.__name__,) + obj._hash_tuple[1:]
         obj._hash = hash(obj._hash_tuple)
         plain_gens = obj.gens
@@ -116,13 +122,7 @@ class ScalarField(FracField):
             name = getattr(sym, "name", None)
             if name is not None and getattr(obj, name, None) is plain:
                 setattr(obj, name, gen)
-        obj._zring = obj.ring.clone(domain=obj.domain.get_ring())
         return obj
-
-
-def _to_zz(p, zring):
-    """An integer-coefficient polynomial over QQ, moved to the ring over ZZ."""
-    return zring.dtype({m: c.numerator for m, c in p.items()})
 
 
 # The coprimality gate's prime and the points the other generators take, by
@@ -230,6 +230,8 @@ def _content_cofactors(a, b):
     c = math.gcd(*a.values(), *b.values())
     if c == 1:
         return a.ring.one, a, b
+    # exact: c divides every coefficient (over ZZ ``quo_ground`` drops a
+    # term that it does not divide)
     return a.ring.ground_new(c), a.quo_ground(c), b.quo_ground(c)
 
 
@@ -358,8 +360,8 @@ class Scalar(FracElement):
     polynomials keep sympy's own operation, and so does the rare operation
     whose heuristic gcd fails (``HeuristicGCDFailed``): sympy then cancels
     the whole result, a different gcd problem.  Code that builds elements
-    with ``raw_new`` must pass a reduced pair of integer-coefficient
-    polynomials.
+    with ``raw_new`` must pass a reduced pair of the field's polynomials
+    over ZZ, the denominator's leading coefficient positive.
     """
 
     def __add__(f, g):
@@ -395,26 +397,22 @@ class Scalar(FracElement):
         return super().__truediv__(g)
 
     def __rtruediv__(f, c):
-        if f and isinstance(c, int):
+        if f and isinstance(c, int):  # so ground_new(c) is exact
             ring = f.field.ring
             return f.raw_new(ring.ground_new(c), ring.one) / f
         return super().__rtruediv__(c)
 
     def _add(f, c, d):
         """f + c/d for a reduced, nonzero c/d."""
-        zring = f.field._zring
-        a = _to_zz(f.numer, zring)
-        b = _to_zz(f.denom, zring)
-        c = _to_zz(c, zring)
-        if f.denom == d:
+        a, b = f.numer, f.denom
+        if b == d:
             t = a + c
             if not t:
                 return f.field.zero
             _, num, den = _cofactors(t, b)
             return f._reduced(num, den)
-        d = _to_zz(d, zring)
         g, b1, d1 = _cofactors(b, d)
-        if g == zring.one:
+        if g.is_one:
             return f._reduced(a * d + c * b, b * d)
         t = a * d1 + c * b1
         if not t:
@@ -426,23 +424,15 @@ class Scalar(FracElement):
         """f * (c/d) for coprime, nonzero c and d."""
         if c.is_one and d.is_one:
             return f
-        zring = f.field._zring
-        a = _to_zz(f.numer, zring)
-        b = _to_zz(f.denom, zring)
-        c = _to_zz(c, zring)
-        d = _to_zz(d, zring)
-        _, a1, d1 = _cofactors(a, d)
-        _, c1, b1 = _cofactors(c, b)
+        _, a1, d1 = _cofactors(f.numer, d)
+        _, c1, b1 = _cofactors(c, f.denom)
         return f._reduced(a1 * c1, b1 * d1)
 
     def _reduced(f, num, den):
         """The element num/den from coprime integer polynomials."""
         if den.LC < 0:
             num, den = -num, -den
-        ring = f.field.ring
-        new = ring.domain.dtype
-        return f.raw_new(ring.dtype({m: new(c) for m, c in num.items()}),
-                         ring.dtype({m: new(c) for m, c in den.items()}))
+        return f.raw_new(num, den)
 
 
 class GroundField:
@@ -469,7 +459,7 @@ class GroundField:
             seen.add(p)
         self.param_names = params
         self.curve_var = curve_var
-        self.field = ScalarField(list(params) + [curve_var], QQ)
+        self.field = ScalarField(list(params) + [curve_var], ZZ)
         self.ring = self.field.to_ring()
         gens = self.field.gens
         self.param_gens = gens[: len(params)]
@@ -480,10 +470,6 @@ class GroundField:
         self._gen_by_name[curve_var] = self.s
         self._s_index = len(params)
         self._factor_cache = {}
-        # sympy symbols mirroring the generators, for to/from sympy-expr moves
-        self._symbols = sympy.symbols(list(params) + [curve_var])
-        if len(params) + 1 == 1:
-            self._symbols = (self._symbols,)
 
     # ---------------------------------------------------------------- basics
 
@@ -508,11 +494,16 @@ class GroundField:
             raise KeyError(f"unknown generator {name!r}") from None
 
     def from_rational(self, value):
-        """Embed an int / Fraction / sympy Rational."""
-        return self.field.ground_new(_to_QQ(value))
+        """Embed an int / Fraction / sympy Rational / QQ element.  Each keeps
+        its numerator and a positive denominator coprime, so the two integer
+        constants are already the canonical pair and no gcd is taken."""
+        ring = self.ring
+        return self.field.raw_new(ring.ground_new(int(value.numerator)),
+                                  ring.ground_new(int(value.denominator)))
 
     def from_expr(self, expr):
-        """Convert a sympy expression in the declared generators."""
+        """Convert a sympy expression in the declared generators, at field
+        level: a rational coefficient stays a fraction of integers."""
         return self.field.from_expr(expr)
 
     def to_expr(self, f):
@@ -535,10 +526,8 @@ class GroundField:
         only gcd(t, g) can cancel.  A failing heuristic gcd falls back to
         sympy's ``diff``.
         """
-        zring = self.field._zring
-        x = zring.gens[self._s_index]
-        a = _to_zz(f.numer, zring)
-        b = _to_zz(f.denom, zring)
+        x = self.ring.gens[self._s_index]
+        a, b = f.numer, f.denom
         da = a.diff(x)
         try:
             if b.degree(x) <= 0:
@@ -603,17 +592,13 @@ class GroundField:
             return self.zero
         parts = []
         for poly in (f.numer, f.denom):
-            expr = poly.as_expr()
-            content, facs = sympy.factor_list(expr, *self._symbols)
-            c = Fraction(int(content.p), int(content.q))
-            croot = _fraction_nth_root(c, d)
-            if croot is None:
+            content, facs = poly.factor_list()
+            croot = _fraction_nth_root(Fraction(content), d)
+            if croot is None or any(mult % d for _, mult in facs):
                 return None
             acc = self.from_rational(croot)
             for base, mult in facs:
-                if mult % d:
-                    return None
-                acc = acc * self.from_expr(base) ** (mult // d)
+                acc = acc * self.field.raw_new(base ** (mult // d))
             parts.append(acc)
         return parts[0] / parts[1]
 

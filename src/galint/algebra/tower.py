@@ -32,6 +32,7 @@ decreases and the worklist empties.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from sympy import QQ
@@ -400,8 +401,8 @@ class AlgebraicTower:
         mat, _, _ = self.regular_matrix(a)
         for point in _unit_points(len(self.gf.param_names) + 1):
             try:
-                spec = [[f.numer(*point) / f.denom(*point) for f in row]
-                        for row in mat]
+                spec = [[_value(f.numer, point) / _value(f.denom, point)
+                         for f in row] for row in mat]
             except ZeroDivisionError:
                 continue
             if linalg.det(spec, QQ.zero, QQ.one):
@@ -427,6 +428,13 @@ class AlgebraicTower:
             )
         x, _ = sol
         return FieldElem(self, {basis[k]: c for k, c in enumerate(x) if c})
+
+
+def _value(p, point):
+    """An integer polynomial at a point of Q^n, over Q: the ring over ZZ
+    refuses rational arguments (``p(*point)`` raises ``CoercionFailed``)."""
+    return sum((c * math.prod(x**e for x, e in zip(point, m) if e)
+                for m, c in p.items()), QQ.zero)
 
 
 def _unit_points(n):

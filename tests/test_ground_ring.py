@@ -1,0 +1,190 @@
+"""The ground field Q(params)(s) is hosted on Z[params, s].
+
+Every ``Scalar`` keeps its numerator and denominator in the ground field's
+ring over ZZ, whichever path built it; a rational constant is embedded
+without a gcd; exact roots factor over that ring; and no printed result
+depends on the order in which Python hashes.
+"""
+
+import operator
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+import sympy
+import sympy.polys.rings as sympy_rings
+from sympy import QQ, ZZ
+from sympy.polys.polyerrors import HeuristicGCDFailed
+
+from galint.algebra import AlgebraicTower, GroundField
+from galint.algebra.places import evaluate_at, scalarize_constant
+
+GF = GroundField(params=("alpha", "beta"))
+S, ALPHA, BETA = GF.s, GF.gen("alpha"), GF.gen("beta")
+X = (1 + S) / ((S**2 + ALPHA) * (S - BETA + 1))
+Y = (BETA - S) * (S - BETA + 1) / (S**2 + ALPHA)
+OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def assert_integral(x):
+    for p in (x.numer, x.denom):
+        assert p.ring == GF.ring
+        assert all(type(c) is ZZ.dtype for c in p.values())
+
+
+def fail_first_heugcd(monkeypatch):
+    """Make sympy's heuristic gcd fail on its first call only."""
+    real = sympy_rings.heugcd
+    failures = []
+
+    def fail_once(f, g):
+        if not failures:
+            failures.append((f, g))
+            raise HeuristicGCDFailed("forced")
+        return real(f, g)
+
+    monkeypatch.setattr(sympy_rings, "heugcd", fail_once)
+    return failures
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_gated_operations_yield_integer_polynomials(op):
+    assert_integral(op(X, Y))
+    assert_integral(op(X, X + GF.one))
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_heuristic_gcd_fallback_yields_integer_polynomials(monkeypatch, op):
+    failures = fail_first_heugcd(monkeypatch)
+    got = op(X, Y)
+    assert failures
+    assert_integral(got)
+
+
+@pytest.mark.parametrize("c", [3, -2, Fraction(-3, 4), QQ(5, 6)])
+@pytest.mark.parametrize("op", OPS)
+def test_mixed_operands_yield_integer_polynomials(op, c):
+    assert_integral(op(X, c))
+    assert_integral(op(c, X))
+
+
+def test_constructors_and_views_yield_integer_polynomials(monkeypatch):
+    for value in (0, 7, Fraction(-6, 4), QQ(3, 9), sympy.Rational(-5, 15)):
+        assert_integral(GF.from_rational(value))
+    got = GF.from_expr(sympy.Rational(1, 2) * sympy.Symbol("alpha")
+                       + sympy.Symbol("s") / 3)
+    assert_integral(got)
+    assert got == ALPHA / 2 + S / 3
+    for f in (X, Y, ALPHA / (2 * BETA), S**3 / 6):
+        assert_integral(GF.diff_s(f))
+    assert_integral(1 / X)
+    sp = GF.spoly((3 * S**2 + ALPHA * S - 1) / (6 * BETA))
+    for c in sp.coeffs:
+        assert_integral(c)
+    assert_integral(sp.to_element())
+    assert_integral(sp.monic().to_element())
+    failures = fail_first_heugcd(monkeypatch)
+    got = GF.diff_s((BETA + S) / ((S**2 + ALPHA) ** 2 * (S - BETA + 1)))
+    assert failures
+    assert_integral(got)
+
+
+def test_from_rational_takes_no_gcd(monkeypatch):
+    calls = []
+    cancel = sympy_rings.PolyElement.cancel
+
+    def spy(p, q):
+        calls.append((p, q))
+        return cancel(p, q)
+
+    monkeypatch.setattr(sympy_rings.PolyElement, "cancel", spy)
+    got = GF.from_rational(Fraction(-6, 4))
+    assert not calls
+    assert (got.numer, got.denom) == (GF.ring(-3), GF.ring(2))
+    assert str(got) == "-3/2"
+
+
+ROOTS = GroundField(params=("alpha",))
+R_S, R_ALPHA = ROOTS.s, ROOTS.gen("alpha")
+
+
+@pytest.mark.parametrize("f, d, root", [
+    (R_ALPHA**2, 2, R_ALPHA),
+    (R_S**2, 2, R_S),
+    (4 * R_S**2, 2, 2 * R_S),
+    (R_ALPHA**2 * R_S**2, 2, R_ALPHA * R_S),
+    (1 / R_S**2, 2, 1 / R_S),
+    (R_S**3, 3, R_S),
+    (-8 * (1 + R_S)**3 / (27 * R_ALPHA**3), 3, -2 * (1 + R_S) / (3 * R_ALPHA)),
+    (9 * (R_S**2 + R_ALPHA)**2 / 4, 2, 3 * (R_S**2 + R_ALPHA) / 2),
+    (2 * R_S**2, 2, None),
+    (-R_S**2, 2, None),
+    (R_S**2 + 1, 2, None),
+])
+def test_nth_root_of_perfect_powers(f, d, root):
+    assert ROOTS.nth_root(f, d) == root
+
+
+def test_a_square_radicand_scalarizes_to_its_root():
+    # w^2 = alpha^2 + s is alpha^2 at s = 0, so w takes the value alpha there
+    T = AlgebraicTower(ROOTS).extend("w", 2, R_ALPHA**2 + R_S)
+    assert scalarize_constant(evaluate_at(T.gen("w"), 0)) == R_ALPHA
+
+
+# flow-deep's 1dw system at N = 3 and the resonant toy's certificate,
+# rendered in a fresh interpreter
+RENDER = """
+import hashlib
+from galint.algebra import AlgebraicTower, GroundField
+from galint.integrability import build_certificate, formal_flow, \\
+    verify_certificate
+from galint.reduction import ReducedSystem
+
+
+def reduced(T, lin, table, order):
+    unit = {(0,) * len(lin): T.one}
+    return ReducedSystem(T, len(lin), order, lin, table, unit, unit,
+                         time_reduced=True)
+
+
+def ratio(r):
+    return "(" + r.num.render() + ")/(" + r.den.render() + ")"
+
+
+gf = GroundField(params=("alpha", "beta"))
+s = gf.s
+T = AlgebraicTower(gf).extend("w", 2, 1 + s**2)
+R = reduced(T, [[T.from_ground(gf.gen("alpha")) / T.gen("w")]],
+            {(0, (2,)): T.from_ground(gf.gen("beta")),
+             (0, (3,)): T.from_ground(s)}, 3)
+flow = formal_flow(R, 3)
+lines = [c.render() for c in flow.components] + [flow.time.render()]
+gf = GroundField(params=("alpha",))
+T = AlgebraicTower(gf)
+R = reduced(T, [[T.from_ground(1 / gf.s)]],
+            {(0, (2,)): T.from_ground(1 / gf.s)}, 3)
+cert = build_certificate(R, 3)
+for f in cert.fields:
+    lines += [ratio(c) for c in (*f.components, f.s_component)]
+for F in cert.integrals:
+    lines += [str(F.exponent), str(F.witness), ratio(F.series)]
+lines.append(repr(verify_certificate(cert)))
+print(hashlib.sha1("\\n".join(lines).encode()).hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_hash_order():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    digests = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", RENDER], env=env,
+                             check=True, capture_output=True, text=True,
+                             timeout=300)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1, digests
+    assert len(digests.pop()) == 40
