@@ -18,6 +18,12 @@ method:
   residue matrix, so the pole order of y (its degree, at infinity) is
   bounded by the largest integer eigenvalue (taken generically in the
   parameters) or by the order forced by G;
+* the residue matrix's characteristic polynomial is the product of those of
+  its diagonal blocks, the strongly connected components of its nonzero
+  pattern: the matrix is block triangular up to a permutation, so this is
+  exact over any commutative ring, the residue towers with zero divisors
+  included, and Faddeev-LeVerrier runs only inside the blocks (the residue
+  matrices of a deep tower are sparse, with small blocks);
 * the residues and the valuations at infinity come from the contexts of
   :mod:`places` on the ground tower K0 (one cached context per place): each
   residue is one coefficient of the exact local expansion
@@ -69,28 +75,89 @@ def _inf_order(inf, f):
     return inf.rat_valuation(f) - 2
 
 
-def _integer_eigs(R):
-    """Integer eigenvalues of a residue matrix, generic in the parameters.
+def _blocks(R):
+    """Index sets of R's diagonal blocks in a block-triangular order.
 
-    The characteristic polynomial comes from Faddeev-LeVerrier over the
-    residue field; an integer r is kept iff it vanishes at r identically in
-    the parameters and in every residue-field coordinate — special parameter
-    values may admit more, and those surface separately through the
-    recorded pivot conditions.
+    They are the strongly connected components (Tarjan, SIAM J. Comput. 1
+    (1972)) of the graph with an edge i -> j when R[i][j] is nonzero:
+    permuting R by their order makes it block triangular.
     """
-    ct = R[0][0].tower
     D = len(R)
-    N = [[ct.one if i == j else ct.zero for j in range(D)] for i in range(D)]
+    succ = [[j for j in range(D) if R[i][j]] for i in range(D)]
+    index, low, on_stack = {}, {}, set()
+    stack, blocks = [], []
+
+    def visit(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in succ[v]:
+            if w not in index:
+                visit(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            block = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                block.append(w)
+                if w == v:
+                    break
+            blocks.append(sorted(block))
+
+    for v in range(D):
+        if v not in index:
+            visit(v)
+    return blocks
+
+
+def _charpoly(A, ct):
+    """Faddeev-LeVerrier: [1, c_1, ..., c_D], det(T - A) = sum c_k T^(D-k)."""
+    D = len(A)
     chi = [ct.one]
+    AN = A  # A N_k, where N_1 = I and N_(k+1) = A N_k + c_k I
     for k in range(1, D + 1):
-        AN = linalg.mat_mul(R, N, ct.zero)
         tr = ct.zero
         for i in range(D):
             tr = tr + AN[i][i]
         ck = tr * ct.from_ground(Fraction(-1, k))
         chi.append(ck)
-        N = [[AN[i][j] + ck if i == j else AN[i][j] for j in range(D)]
-             for i in range(D)]
+        if k < D:  # A N_D + c_D I is zero (Cayley-Hamilton)
+            N = [[AN[i][j] + ck if i == j else AN[i][j] for j in range(D)]
+                 for i in range(D)]
+            AN = linalg.mat_mul(A, N, ct.zero)
+    return chi
+
+
+def _integer_eigs(R):
+    """Integer eigenvalues of a residue matrix, generic in the parameters.
+
+    The characteristic polynomial is the product of those of R's diagonal
+    blocks (``_blocks``), each from Faddeev-LeVerrier over the residue
+    field.  This is exact over any commutative ring, so also where the
+    residue tower has zero divisors: R is block triangular up to a
+    permutation, and a block-triangular determinant is the product of its
+    diagonal-block determinants.  An integer r is kept iff the product
+    vanishes at r identically in the parameters and in every residue-field
+    coordinate — special parameter values may admit more, and those surface
+    separately through the recorded pivot conditions.
+    """
+    ct = R[0][0].tower
+    D = len(R)
+    chi = [ct.one]
+    for block in _blocks(R):
+        part = _charpoly([[R[i][j] for j in block] for i in block], ct)
+        # both factors are monic, so their leading ones multiply nothing
+        prod = chi + [ct.zero] * (len(part) - 1)
+        for b in range(1, len(part)):
+            if part[b]:
+                for a, x in enumerate(chi):
+                    if x:
+                        prod[a + b] = prod[a + b] + (
+                            part[b] if a == 0 else x * part[b])
+        chi = prod
     gf = ct.gf
     by_coord = {}
     for k, c in enumerate(chi):

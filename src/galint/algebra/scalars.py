@@ -402,6 +402,21 @@ class Scalar(FracElement):
             return f.raw_new(ring.ground_new(c), ring.one) / f
         return super().__rtruediv__(c)
 
+    def __pow__(f, n):
+        """f**n for an int n, in canonical form.
+
+        sympy's own power leaves a negative power's sign in the denominator,
+        and ``PolyElement.square`` hashes the square before it is finished
+        (in ``imul_num``), so a square would hash unlike the equal product;
+        the copies drop that hash.
+        """
+        num, den = f.numer, f.denom
+        if n < 0:
+            if not f:
+                raise ZeroDivisionError
+            num, den, n = den, num, -n
+        return f._reduced((num**n).copy(), (den**n).copy())
+
     def _add(f, c, d):
         """f + c/d for a reduced, nonzero c/d."""
         a, b = f.numer, f.denom

@@ -21,12 +21,14 @@ partial sums, and classify the observed growth:
 
 Arithmetic is two-layered.  Angles are held exactly (inputs are converted
 through ``fractions.Fraction``, so a float contributes its exact binary
-value); the sweep runs in vectorized float64 and every shell's near-minimal
-band is re-evaluated exactly, so reported minima are exact evaluations and
-zero detection never rides on rounding.  Eigenvalues given as complex
-numbers only determine their angles to roughly double precision; such inputs
-get a nonzero default ``hit_tol`` and a ``PrecisionLoss`` error when a
-shell's minimum falls below what that provenance can distinguish from zero.
+value); the sweep runs in vectorized float64 (numpy, imported only when a
+sweep runs, so importing galint does not load it) and every shell's
+near-minimal band is re-evaluated exactly, so reported minima are exact
+evaluations and zero detection never rides on rounding.  Eigenvalues given
+as complex numbers only determine their angles to roughly double precision;
+such inputs get a nonzero default ``hit_tol`` and a ``PrecisionLoss`` error
+when a shell's minimum falls below what that provenance can distinguish
+from zero.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
-
-import numpy as np
 
 from ..errors import InputError, PrecisionLoss
 from ..algebra.places import Exponent
@@ -229,6 +229,8 @@ def _shell_vectors(d, lo, hi, work_left):
 
     Yields (K, exhausted_flag) arrays; consumes from work_left[0].
     """
+    import numpy as np
+
     if d == 1:
         start = lo + 1
         while start <= hi:
@@ -270,6 +272,8 @@ def diophantine_eval(eigenvalues=None, *, angles=None, places=None,
     heuristic.       ``work_limit`` caps the number of multi-indices visited;
     hitting it truncates the sweep (recorded in ``notes``), it never aborts.
     """
+    import numpy as np
+
     modes = [eigenvalues is not None, angles is not None, places is not None]
     if sum(modes) != 1:
         raise InputError(

@@ -27,7 +27,9 @@ the ramification index, because for a would-be witness it equals
 ord(y)/m.  The places and the residues (branch-invariant u^{-m}
 coefficients) come from :func:`~galint.algebra.places.pole_places` and
 :func:`~galint.algebra.places.residue_exponent`; places where a residue
-fails to scalarize simply contribute no constraint.
+fails to scalarize simply contribute no constraint.  The rows are fixed for
+the whole sweep, so they are converted to integers once, and each candidate
+costs a few integer dot products and one congruence.
 
 Verdicts are generic in the parameters.  Since those are independent
 transcendentals, a combination delta = delta_0 + sum_p alpha_p delta_p that
@@ -44,6 +46,7 @@ collect the pivot denominators the solver divides by.)
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from ..errors import (
@@ -342,16 +345,45 @@ def _residue_rows(tower, h):
     return rows
 
 
-def _residue_admissible(rows, k):
-    """Necessary condition: every residue combination is in (1/m) Z."""
+def _integer_rows(rows):
+    """``_residue_rows`` in integers, converted once for the whole sweep.
+
+    Each row ``(m, exps)`` becomes ``(m, L, R, P)``: L is the common
+    denominator of the rational parts, R_l = L times the rational part of
+    exps[l], and P holds, for each parameter, the integer row that its parts
+    scaled by their common denominator make.
+    """
+    out = []
     for m, exps in rows:
-        total = Exponent(0)
-        for c, e in zip(k, exps):
-            if c:
-                total = total + e.scale(c)
-        if total.param:
-            return False
-        if (total.rational * m).denominator != 1:
+        L = math.lcm(*(e.rational.denominator for e in exps))
+        R = [int(e.rational * L) for e in exps]
+        parts = {}
+        for l, e in enumerate(exps):
+            for name, v in e.param:
+                parts.setdefault(name, [Fraction(0)] * len(exps))[l] = v
+        P = []
+        for row in parts.values():
+            den = math.lcm(*(v.denominator for v in row))
+            P.append([int(v * den) for v in row])
+        out.append((m, L, R, P))
+    return out
+
+
+def _residue_admissible(rows, k):
+    """Necessary condition: every residue combination is in (1/m) Z.
+
+    ``rows`` come from ``_integer_rows``.  The combination sum_l k_l e_l at
+    a place is parameter-free iff sum_l k_l P_l = 0 for every parameter row
+    P (a row is a nonzero multiple of that parameter's parts), and its
+    rational part sum_l k_l R_l / L lies in (1/m) Z iff
+    m * sum_l k_l R_l = 0 (mod L): the same test as in exact Exponent
+    arithmetic, with integers only.
+    """
+    for m, L, R, P in rows:
+        for row in P:
+            if sum(c * p for c, p in zip(k, row)):
+                return False
+        if m * sum(c * r for c, r in zip(k, R)) % L:
             return False
     return True
 
@@ -459,7 +491,7 @@ def relation_lattice(h, k_max, *, conditions=None):
     tower = deepest_tower(a.tower for a in h)
     h = [tower.coerce(a) for a in h]
     d = len(h)
-    rows = _residue_rows(tower, h)
+    rows = _integer_rows(_residue_rows(tower, h))
 
     raw = []
     raw_wit = []

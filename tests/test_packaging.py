@@ -2,8 +2,11 @@
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -48,3 +51,16 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(modname)
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{modname}.__all__ lists {name!r}"
+
+
+def test_importing_the_package_does_not_import_numpy():
+    # numpy serves diophantine_eval alone, which imports it when it runs
+    code = ("import sys, galint, galint.galois, galint.integrability, "
+            "galint.reduction; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'numpy'))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"

@@ -124,6 +124,35 @@ def test_multiplying_by_one_returns_the_operand():
     assert x * GF.one is x and x / GF.one is x
 
 
+def power(x, n):
+    """x**n by repeated multiplication and one division."""
+    out = GF.one
+    for _ in range(abs(n)):
+        out = out * x
+    return out if n >= 0 else 1 / out
+
+
+@PROPS
+@given(scalars(), st.integers(-3, 3))
+def test_powers_equal_products(x, n):
+    # for n < 0 the sign rule; for n = 2 the hash sympy's square leaves
+    assume(x or n > 0)
+    got = x**n
+    want = power(x, n)
+    assert type(got) is Scalar and got.denom.LC > 0
+    assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    if n < 0:
+        want = 1 / (x**-n)
+        assert got == want and hash(got) == hash(want)
+        assert str(got) == str(want)
+
+
+def test_inverse_of_a_negated_generator():
+    assert (-S)**-1 == -1 / S and str((-S)**-1) == "-1/s"
+    with pytest.raises(ZeroDivisionError):
+        GF.zero**-1
+
+
 # Denominators for d/ds: free of s or not, with repeated factors.
 DIFF_POOL = (S, 1 + S, 1 + S**2, S + ALPHA, ALPHA * BETA + S, BETA,
              ALPHA + BETA, GF.from_rational(2), GF.from_rational(3))
