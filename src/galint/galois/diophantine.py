@@ -34,7 +34,6 @@ from zero.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -224,6 +223,23 @@ def _exact_dist(theta, j, k):
     return worst
 
 
+def _compositions(t, d):
+    """The k in N^d (d >= 2) with |k| = t as rows of an int64 array, in
+    lexicographic order: recursive on the first coordinate, so the work is
+    the C(t+d-1, d-1) rows themselves."""
+    import numpy as np
+
+    if d == 2:
+        k1 = np.arange(t + 1, dtype=np.int64)
+        return np.stack([k1, t - k1], axis=1)
+    blocks = []
+    for k in range(t + 1):
+        rest = _compositions(t - k, d - 1)
+        blocks.append(np.column_stack(
+            [np.full(len(rest), k, dtype=np.int64), rest]))
+    return np.concatenate(blocks)
+
+
 def _shell_vectors(d, lo, hi, work_left):
     """Integer vector batches with |k| in (lo, hi], budget-limited.
 
@@ -248,13 +264,7 @@ def _shell_vectors(d, lo, hi, work_left):
             yield None, True
             return
         work_left[0] -= n
-        if d == 2:
-            k1 = np.arange(t + 1, dtype=np.int64)
-            yield np.stack([k1, t - k1], axis=1), False
-        else:
-            ks = [k for k in itertools.product(range(t + 1), repeat=d)
-                  if sum(k) == t]
-            yield np.array(ks, dtype=np.int64), False
+        yield _compositions(t, d), False
 
 
 def diophantine_eval(eigenvalues=None, *, angles=None, places=None,

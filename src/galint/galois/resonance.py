@@ -111,12 +111,12 @@ class NonResonant:
         return "NonResonant()"
 
 
-def _combination(tower, k, h):
-    gf = tower.gf
+def combination(tower, k, h):
+    """The tower element  sum_l k_l * h_l."""
     out = tower.zero
     for c, hl in zip(k, h):
         if c:
-            out = out + tower.from_ground(gf.from_rational(c)) * hl
+            out = out + tower.from_ground(c) * hl
     return out
 
 
@@ -144,12 +144,19 @@ def _param_split(tower, delta):
             {n: tower.from_coords(m) for n, m in parts.items()})
 
 
-def _unit_witness(hom):
-    """First invertible element of the kernel, trying the sum as a fallback.
+def unit_solution(delta, *, conditions=None):
+    """An invertible rational y with  y' + delta*y = 0  (or None), and
+    whether the solver's bounds were complete, which makes a None a proof.
 
-    In an etale (non-field) tower a kernel vector can be a zero divisor,
-    which never witnesses membership in a field; those are skipped.
+    The kernel vectors are tried in turn and then their sum.  In an etale
+    (non-field) tower a kernel vector can be a zero divisor, which never
+    witnesses membership in a field; those are skipped.
     """
+    flag = []
+    _, hom = rational_ode_solve(
+        delta, delta.tower.zero, with_kernel=True, conditions=conditions,
+        soundness=flag,
+    )
     cands = list(hom)
     if len(hom) > 1:
         total = hom[0]
@@ -161,15 +168,14 @@ def _unit_witness(hom):
             y.tower.require_unit(y)
         except ZeroDivisor:
             continue
-        return y
-    return None
+        return y, flag[0]
+    return None, flag[0]
 
 
 def _witness_verdict(delta, *, conditions=None):
     """Solve y'/y = delta over the tower; Resonant/NonResonant, or raise."""
-    tower = delta.tower
     if conditions is None:
-        split = _param_split(tower, delta)
+        split = _param_split(delta.tower, delta)
         if split is not None and any(not p.is_zero()
                                      for p in split[1].values()):
             # The parameters are independent transcendentals: specializing
@@ -177,19 +183,30 @@ def _witness_verdict(delta, *, conditions=None):
             # valuations forces every parameter part of delta to vanish, so
             # a nonzero part is a sound generic no.
             return NonResonant("nonzero parameter part in the combination")
-    flag = []
-    _, hom = rational_ode_solve(
-        -delta, tower.zero, with_kernel=True, conditions=conditions,
-        soundness=flag,
-    )
-    y = _unit_witness(hom)
+    y, sound = unit_solution(-delta, conditions=conditions)
     if y is not None:
         return Resonant(y)
-    if not flag[0]:
+    if not sound:
         raise DegreeBoundExceeded(
             "witness search bounds were heuristic and nothing was found"
         )
     return NonResonant()
+
+
+def _checked_query(n, j, k):
+    """A resonance question (j, k) on a basis of n log-derivatives as
+    (int, tuple of ints); raises InputError when it is malformed."""
+    j = int(j)
+    if not 1 <= j <= n:
+        raise InputError(f"index j={j} out of range 1..{n}")
+    k = tuple(int(x) for x in k)
+    if len(k) != n:
+        raise InputError("multi-index length does not match the basis")
+    if any(x < 0 for x in k):
+        raise InputError("multi-index entries must be nonnegative")
+    if sum(k) < 2:
+        raise InputError("resonance multi-indices have |k| >= 2")
+    return j, k
 
 
 def resonance_test(h, j, k, *, conditions=None):
@@ -205,19 +222,10 @@ def resonance_test(h, j, k, *, conditions=None):
     h = list(h)
     if not h:
         raise InputError("empty log-derivative basis")
-    j = int(j)
-    if not 1 <= j <= len(h):
-        raise InputError(f"index j={j} out of range 1..{len(h)}")
-    k = tuple(int(x) for x in k)
-    if len(k) != len(h):
-        raise InputError("multi-index length does not match the basis")
-    if any(x < 0 for x in k):
-        raise InputError("multi-index entries must be nonnegative")
-    if sum(k) < 2:
-        raise InputError("resonance multi-indices have |k| >= 2")
+    j, k = _checked_query(len(h), j, k)
     tower = deepest_tower(a.tower for a in h)
     h = [tower.coerce(a) for a in h]
-    delta = _combination(tower, k, h) - h[j - 1]
+    delta = combination(tower, k, h) - h[j - 1]
     return _witness_verdict(delta, conditions=conditions)
 
 
@@ -446,19 +454,9 @@ class ResonanceReport:
         a completed sweep answers negatively for in-bound candidates; only
         the remaining cases touch the ODE solver.
         """
-        j = int(j)
-        k = tuple(int(x) for x in k)
-        key = (j, k)
+        j, k = key = _checked_query(len(self.h), j, k)
         if key in self.queries:
             return self.queries[key]
-        if not 1 <= j <= len(self.h):
-            raise InputError(f"index j={j} out of range 1..{len(self.h)}")
-        if len(k) != len(self.h):
-            raise InputError("multi-index length does not match the basis")
-        if any(x < 0 for x in k):
-            raise InputError("multi-index entries must be nonnegative")
-        if sum(k) < 2:
-            raise InputError("resonance multi-indices have |k| >= 2")
         vec = list(k)
         vec[j - 1] -= 1
         if _express(self.basis, vec) is not None:
@@ -503,7 +501,7 @@ def relation_lattice(h, k_max, *, conditions=None):
         if not _residue_admissible(rows, k):
             continue
         try:
-            v = _witness_verdict(_combination(tower, k, h),
+            v = _witness_verdict(combination(tower, k, h),
                                  conditions=conditions)
         except DegreeBoundExceeded:
             inconclusive.append(k)
@@ -520,7 +518,7 @@ def relation_lattice(h, k_max, *, conditions=None):
         for c, w in zip(comb, raw_wit):
             if c:
                 y = y * w ** c
-        if not (y.derive() - _combination(tower, row, h) * y).is_zero():
+        if not (y.derive() - combination(tower, row, h) * y).is_zero():
             raise VerificationFailed(
                 "recombined lattice witness failed its log-derivative check"
             )

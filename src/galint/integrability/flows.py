@@ -33,7 +33,7 @@ from ..errors import (
     VerificationFailed,
     ZeroDivisor,
 )
-from ..galois.resonance import _unit_witness
+from ..galois.resonance import combination, unit_solution
 from ..reduction import ReducedSystem, fuchsian_scan, time_reduce
 from ..series import (
     FormalVectorField,
@@ -186,15 +186,6 @@ class Linearization:
 # small helpers
 # ---------------------------------------------------------------------------
 
-def _combo(tower, hs, index):
-    """The combination  sum_l index_l * h_l  as a tower element."""
-    acc = tower.zero
-    for m, h in zip(index, hs):
-        if m:
-            acc = acc + h * tower.from_ground(m)
-    return acc
-
-
 def _needed_values(R):
     vals = list(R.lambdas)
     vals.extend(R.table.values())
@@ -297,17 +288,6 @@ def _solve_cell(delta, g, s0, conditions):
     return y, bool(hom)
 
 
-def _time_witness(tower, delta, conditions):
-    """An invertible rational solution of  y' = delta*y,  if any, plus the
-    soundness of the search."""
-    flag = []
-    _, hom = rational_ode_solve(
-        delta, tower.zero, with_kernel=True, conditions=conditions,
-        soundness=flag,
-    )
-    return _unit_witness(hom), flag[0]
-
-
 # ---------------------------------------------------------------------------
 # the flow construction
 # ---------------------------------------------------------------------------
@@ -370,7 +350,7 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
                     raise VerificationFailed(
                         "transverse defect carries unexpected symbols"
                     )
-                delta = _combo(tower, hs, index) - hs[j]
+                delta = combination(tower, index, hs) - hs[j]
                 try:
                     y, res = _solve_cell(delta, g, s0, conditions)
                 except NoTowerSolution:
@@ -393,11 +373,11 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
     for index, sym, g in image.cells():
         if sym.ell:
             raise VerificationFailed("time defect carries unexpected symbols")
-        delta = _combo(tower, hs, index)
+        delta = combination(tower, index, hs)
         try:
             y, res = _solve_cell(delta, g, s0, conditions)
         except (NoTowerSolution, DegreeBoundExceeded):
-            psi, sound = _time_witness(tower, delta, conditions)
+            psi, sound = unit_solution(delta, conditions=conditions)
             if psi is None:
                 cls = LOG_IN_NORMAL_PART if sound else INCONCLUSIVE_BOUNDS
                 return Obstruction(sum(index), nq + 1, index, delta, g,

@@ -8,9 +8,12 @@ user-supplied gauge transformations to diagonalize the linear part, extract
 variational systems of any jet order, and finally locate and classify the
 singular places of the reduced diagonal data.
 
-All series work here runs on :class:`~galint.series.TruncSeries` over a
-neutral basis (no cell carries H- or L-content at this stage): expanding a
-:class:`CoordRat` around the curve, inverting the tangential speed, and
+A rational function of the coordinates is a
+:class:`~galint.series.RatioSeries` of neutral q-series (no cell carries H-
+or L-content at this stage); :class:`CoordRat` builds one from tables.  All
+series work here runs on :class:`~galint.series.TruncSeries` over that
+neutral basis: expanding a :class:`CoordRat` around the curve (whose
+degree-0 cell is also its value there), inverting the tangential speed, and
 substituting a gauge.  A :class:`ReducedSystem` stores its results as plain
 tables ``{exponent tuple: FieldElem}``; :func:`~galint.series.q_series` and
 :func:`~galint.series.q_table` convert between the two.
@@ -50,7 +53,8 @@ from .algebra.places import (
     pole_places,
     residue_exponent,
 )
-from .series import HyperexpBasis, TruncSeries, linear_subst, q_series, q_table
+from .series import (HyperexpBasis, RatioSeries, TruncSeries, linear_subst,
+                     q_series, q_table)
 
 __all__ = [
     "CoordRat",
@@ -75,8 +79,8 @@ _EXACT = 10**9
 
 
 def _neutral_basis(tower, nq):
-    """A symbol basis for plain q-series: its hs are never read, since no
-    cell carries H- or L-content."""
+    """A symbol basis for plain q-series: no cell carries H- or L-content,
+    so its hs are only the tower's zeros, which name the tower."""
     return HyperexpBasis((tower.zero,) * nq)
 
 
@@ -96,54 +100,52 @@ def _split_table(ser, nq):
     return const, row, high
 
 
-def _mono_str(e, names):
-    bits = []
-    for x, name in zip(e, names):
-        if x == 1:
-            bits.append(name)
-        elif x > 1:
-            bits.append(f"{name}^{x}")
-    return "*".join(bits) or "1"
-
-
 # --------------------------------------------------------------------------
 # rational functions in coordinates
 
 
-class CoordRat:
-    """A rational function in the coordinates x_1..x_{n-1} and s.
+def _poly_shift(ser, center, N):
+    """The polynomial q-series p(center + q) truncated to total degree N."""
+    basis = ser.basis
+    one = basis.hs[0].tower.one
+    unit = TruncSeries.constant(basis, "q", N, one)
+    # powers of (center_l + q_l), extended on demand
+    pows = [[unit, unit.scale(c) + TruncSeries.variable(basis, "q", N, l, one)]
+            for l, c in enumerate(center)]
+    out = TruncSeries.zero(basis, "q", N)
+    for e, c in q_table(ser).items():
+        term = unit.scale(c)
+        for l, k in enumerate(e):
+            if k:
+                while len(pows[l]) <= k:
+                    pows[l].append(pows[l][-1] * pows[l][1])
+                term = term * pows[l][k]
+        out = out + term
+    return out
 
-    Built from a pair of polynomial tables ``{exponent: coeff}`` (numerator,
-    denominator) with coefficients in a radical tower, which carries the
-    s-dependence; ``num`` and ``den`` hold them as untruncated neutral
-    q-series.  Supports enough arithmetic for expression evaluation,
-    substitution of a point, and series expansion around a moving center.
+
+class CoordRat(RatioSeries):
+    """A rational function in the coordinates x_1..x_{n-1} and s, from tables.
+
+    ``num`` and ``den`` are polynomial tables ``{exponent: coeff}`` with
+    coefficients in a radical tower, which carries the s-dependence; they
+    become untruncated neutral q-series, so a CoordRat is a
+    :class:`~galint.series.RatioSeries` and computes as one: ``+ - * /``
+    (constants on either side) return plain quotients, which
+    :class:`VectorFieldSpec` takes as they are.  :meth:`expand_around` is
+    the one evaluation; its degree-0 cell is the value on the curve.
     """
 
-    __slots__ = ("tower", "nq", "num", "den")
+    __slots__ = ()
 
     def __init__(self, tower, nq, num, den=None):
         basis = _neutral_basis(tower, nq)
         if den is None:
             den = {(0,) * nq: tower.one}
-        self._set(tower, nq, q_series(basis, _EXACT, num),
-                  q_series(basis, _EXACT, den))
-
-    def _set(self, tower, nq, num, den):
+        den = q_series(basis, _EXACT, den)
         if den.is_zero():
             raise DivisionByZero("zero denominator in coordinate expression")
-        self.tower = tower
-        self.nq = nq
-        self.num = num
-        self.den = den
-
-    def _new(self, num, den):
-        """A CoordRat in this tower from numerator and denominator series."""
-        out = object.__new__(CoordRat)
-        out._set(self.tower, self.nq, num, den)
-        return out
-
-    # -- constructors --------------------------------------------------------
+        super().__init__(q_series(basis, _EXACT, num), den)
 
     @classmethod
     def constant(cls, tower, nq, c):
@@ -158,117 +160,15 @@ class CoordRat:
         e[j] = 1
         return cls(tower, nq, {tuple(e): tower.one})
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, CoordRat):
-            if other.nq != self.nq:
-                raise InputError("coordinate counts differ")
-            return other
-        return CoordRat.constant(self.tower, self.nq, other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return self._new(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._new(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return self._new(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.num.is_zero():
-            raise DivisionByZero("division by zero coordinate expression")
-        return self._new(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, k):
-        if k < 0:
-            return CoordRat.constant(self.tower, self.nq, 1) / self**(-k)
-        out = CoordRat.constant(self.tower, self.nq, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
-    # -- evaluation and expansion ---------------------------------------------
-
-    def _poly_eval(self, ser, point):
-        out = self.tower.zero
-        for e, c in q_table(ser).items():
-            term = c
-            for l, k in enumerate(e):
-                if k:
-                    term = term * point[l] ** k
-            out = out + term
-        return out
-
-    def eval_at(self, point):
-        """Value at x = point (a list of tower elements)."""
-        point = [self.tower.coerce(p) for p in point]
-        den = self._poly_eval(self.den, point)
-        if den.is_zero():
-            raise DivisionByZero("denominator vanishes at the evaluation point")
-        return self._poly_eval(self.num, point) / den
-
-    def _poly_shift(self, ser, center, N):
-        """The series p(center + q) truncated to total degree N in q."""
-        basis, one = ser.basis, self.tower.one
-        unit = TruncSeries.constant(basis, "q", N, one)
-        # powers of (center_l + q_l), extended on demand
-        pows = [[unit, unit.scale(c) + TruncSeries.variable(basis, "q", N, l, one)]
-                for l, c in enumerate(center)]
-        out = TruncSeries.zero(basis, "q", N)
-        for e, c in q_table(ser).items():
-            term = unit.scale(c)
-            for l, k in enumerate(e):
-                if k:
-                    while len(pows[l]) <= k:
-                        pows[l].append(pows[l][-1] * pows[l][1])
-                    term = term * pows[l][k]
-            out = out + term
-        return out
-
     def expand_around(self, center, N):
         """Neutral q-series of self(center + q, s) through total degree N."""
-        center = [self.tower.coerce(p) for p in center]
-        num = self._poly_shift(self.num, center, N)
-        den = self._poly_shift(self.den, center, N)
-        if den.coeff((0,) * self.nq) is None:
+        tower = self.num.basis.hs[0].tower
+        center = [tower.coerce(p) for p in center]
+        num = _poly_shift(self.num, center, N)
+        den = _poly_shift(self.den, center, N)
+        if den.coeff((0,) * len(center)) is None:
             raise DivisionByZero("denominator vanishes along the curve")
         return num * den.inverse()
-
-    def __repr__(self):
-        names = [f"x{j + 1}" for j in range(self.nq)]
-
-        def show(ser):
-            return " + ".join(
-                f"({c})*{_mono_str(e, names)}"
-                for e, c in sorted(q_table(ser).items())
-            )
-
-        num = show(self.num) or "0"
-        if q_table(self.den) == {(0,) * self.nq: self.tower.one}:
-            return num
-        return f"({num}) / ({show(self.den)})"
 
 
 # --------------------------------------------------------------------------
@@ -280,14 +180,18 @@ class VectorFieldSpec:
 
     ``components`` are the n right-hand sides: the first n-1 drive the
     transverse coordinates x_1..x_{n-1}, the last one drives s (the curve
-    parameter doubles as the last phase-space coordinate).  ``curve`` holds
-    gamma_1..gamma_{n-1} as tower elements.  Invariance is not assumed — the
-    exact tangency identities
+    parameter doubles as the last phase-space coordinate).  Each is a
+    q-alphabet :class:`~galint.series.RatioSeries` of plain q-series (a
+    :class:`CoordRat` or the quotient its arithmetic returns) or a constant,
+    and is kept as a :class:`CoordRat` in the deepest tower of the data.
+    ``curve`` holds gamma_1..gamma_{n-1} as tower elements.  Invariance is
+    not assumed — the exact tangency identities
 
         X_i(gamma(s), s) - gamma_i'(s) * X_n(gamma(s), s) = 0
 
-    are verified on construction and a failure reports the first offending
-    component together with its residual.
+    are verified on construction, on the degree-0 cells of
+    :meth:`CoordRat.expand_around`, and a failure reports the first
+    offending component together with its residual.
     """
 
     __slots__ = ("tower", "n", "nq", "components", "curve", "curve_deriv")
@@ -300,7 +204,10 @@ class VectorFieldSpec:
             raise InputError("need at least two components (one transverse, one tangential)")
         if len(curve) != n - 1:
             raise InputError(f"curve must have {n - 1} components, got {len(curve)}")
-        cand = [c.tower for c in components if isinstance(c, CoordRat)]
+        quots = [c for c in components if isinstance(c, RatioSeries)]
+        if any(c.num.basis.n != n - 1 for c in quots):
+            raise InputError("component has wrong coordinate count")
+        cand = [c.num.basis.hs[0].tower for c in quots]
         cand += [g.tower for g in curve if isinstance(g, FieldElem)]
         if tower is not None:
             cand.append(tower)
@@ -311,20 +218,24 @@ class VectorFieldSpec:
         self.nq = n - 1
         comps = []
         for c in components:
-            if isinstance(c, CoordRat):
-                if c.nq != self.nq:
-                    raise InputError("component has wrong coordinate count")
-                comps.append(CoordRat(
-                    T, self.nq,
-                    {e: T.coerce(v) for e, v in q_table(c.num).items()},
-                    {e: T.coerce(v) for e, v in q_table(c.den).items()},
-                ))
-            else:
+            if not isinstance(c, RatioSeries):
                 comps.append(CoordRat.constant(T, self.nq, c))
+                continue
+            try:
+                num, den = q_table(c.num), q_table(c.den)
+            except ValueError as exc:
+                raise InputError(
+                    f"component is not a q-series quotient: {exc}") from exc
+            comps.append(CoordRat(T, self.nq,
+                                  {e: T.coerce(v) for e, v in num.items()},
+                                  {e: T.coerce(v) for e, v in den.items()}))
         self.components = tuple(comps)
         self.curve = tuple(T.coerce(g) for g in curve)
         self.curve_deriv = tuple(g.derive() for g in self.curve)
-        on_curve = [c.eval_at(self.curve) for c in self.components]
+        # the degree-0 cell of the expansion is the value on the curve
+        zero = (0,) * self.nq
+        on_curve = [c.expand_around(self.curve, 0).coeff(zero) or T.zero
+                    for c in self.components]
         for i in range(self.nq):
             residual = on_curve[i] - self.curve_deriv[i] * on_curve[self.nq]
             if not residual.is_zero():

@@ -26,7 +26,8 @@ These two classes are the one construction-side series engine: reduction
 and descent all compute with :class:`TruncSeries` and :class:`RatioSeries`.
 Plain ``{exponent: coeff}`` tables cross the boundary through
 :func:`q_series` and :func:`q_table`; a rational function of the
-coordinates is a q-series whose cells carry no L symbol.
+coordinates is a :class:`RatioSeries` of neutral q-series (cells with no L
+symbol), which ``reduction.CoordRat`` builds from tables.
 A :class:`RatioSeries` keeps a quotient exact by cross-multiplication until
 it is differentiated; then :meth:`RatioSeries.expand` turns it into one
 power series (the denominator inverted once) for the operation layer.
@@ -494,7 +495,10 @@ class RatioSeries:
     Equality and arithmetic use cross-multiplication, so every identity
     checked on a RatioSeries itself is an exact statement about polynomial
     cells; ``+ - * /`` and :meth:`compose` return trimmed quotients (see
-    :meth:`trim`).
+    :meth:`trim`).  Either operand of ``+ - * /`` may be a constant the
+    coefficient tower coerces (an int, a Fraction, a ground element; a
+    tower element only on the right, as its own operators take the left);
+    dividing by a zero quotient raises ``DivisionByZero``.
     Calculus divides once instead: :meth:`expand` inverts the trimmed
     denominator as a power series and returns one :class:`TruncSeries`,
     which frame brackets and Lie derivatives differentiate.  A quotient is
@@ -566,21 +570,50 @@ class RatioSeries:
         self._series = r.num * r.den.truncate(N).inverse()
         return self._series
 
+    def _mate(self, other):
+        """``other`` as a quotient: a RatioSeries as it is, anything else as
+        a constant of the coefficient tower over 1 (the basis's hs are
+        elements of that tower)."""
+        if isinstance(other, RatioSeries):
+            return other
+        num = self.num
+        c = num.basis.hs[0].tower.coerce(other)
+        N = max(num.N, self.den.N)
+        return RatioSeries(TruncSeries.constant(num.basis, num.alphabet, N, c),
+                           TruncSeries.constant(num.basis, num.alphabet, N,
+                                                c.tower.one))
+
     def __add__(self, other):
+        other = self._mate(other)
         return RatioSeries(
             self.num * other.den + other.num * self.den, self.den * other.den
         ).trim()
 
+    __radd__ = __add__
+
     def __sub__(self, other):
+        other = self._mate(other)
         return RatioSeries(
             self.num * other.den - other.num * self.den, self.den * other.den
         ).trim()
 
+    def __rsub__(self, other):
+        return self._mate(other) - self
+
     def __mul__(self, other):
+        other = self._mate(other)
         return RatioSeries(self.num * other.num, self.den * other.den).trim()
 
+    __rmul__ = __mul__
+
     def __truediv__(self, other):
+        other = self._mate(other)
+        if other.is_zero():
+            raise DivisionByZero("division by a zero quotient")
         return RatioSeries(self.num * other.den, self.den * other.num).trim()
+
+    def __rtruediv__(self, other):
+        return self._mate(other) / self
 
     def __neg__(self):
         return RatioSeries(-self.num, self.den)

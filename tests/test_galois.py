@@ -1,6 +1,7 @@
 """Resonance tests, relation lattices, and the small-divisor sweep."""
 
 import cmath
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -21,6 +22,7 @@ from galint.galois import (
     relation_lattice,
     resonance_test,
 )
+from galint.galois.diophantine import _compositions
 from galint.galois.resonance import _hnf_with_transform, _residue_rows
 
 
@@ -371,6 +373,42 @@ class TestDiophantine:
         assert rep.nu_reached < 12
         assert any("truncated" in n for n in rep.notes)
         assert rep.verdict == "diophantine-up-to-nu_max"
+
+    def test_compositions_match_the_filtered_product(self):
+        for d in (2, 3, 4):
+            for t in range(11):
+                want = [k for k in itertools.product(range(t + 1), repeat=d)
+                        if sum(k) == t]
+                got = [tuple(int(x) for x in row)
+                       for row in _compositions(t, d)]
+                assert got == want, (d, t)
+
+    def test_three_angle_shells(self):
+        # three columns: each shell is enumerated as compositions of t,
+        # so nu_max = 8 is quick; the rows through 6 are pinned from the
+        # sweep over the filtered product
+        th = [[Fraction(1, 7) + Fraction(1, 1000003),
+               Fraction(2, 11) + Fraction(1, 999983),
+               Fraction(3, 13) + Fraction(1, 1000033)]]
+        rep = diophantine_eval(angles=th, nu_max=6)
+        assert rep.verdict == "divergence-suspected"
+        assert rep.hit is None and rep.notes == []
+        far = 4.3982165200216476e-05
+        assert [tuple(r) for r in rep.shells] == [
+            (1, 2, 0.34352429615879637, 3, (2, 0, 0), 0.5342487193227647,
+             0.5342487193227647, 1.5415159559364648),
+            (2, 4, 0.34352429615879637, 3, (2, 0, 0), 0.26712435966138237,
+             0.8013730789841471, 0.7707579779682324),
+            (3, 8, far, 1, (8, 0, 0), 1.2539657928219645,
+             2.0553388718061116, 4.824240615329722),
+            (4, 16, far, 1, (8, 0, 0), 0.6269828964109823,
+             2.682321768217094, 3.6181804614972912),
+            (5, 32, far, 1, (8, 0, 0), 0.31349144820549113,
+             2.995813216422585, 2.894544369197833),
+            (6, 64, far, 1, (8, 0, 0), 0.15674572410274556,
+             3.1525589405253305, 2.412120307664861),
+        ]
+        assert diophantine_eval(angles=th, nu_max=8).nu_reached == 8
 
     def test_places_mode_substitutes_params(self):
         pl = SingularPlace(Fraction(0), 1,

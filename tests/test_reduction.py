@@ -23,6 +23,7 @@ from galint.algebra import AlgebraicTower, Exponent, GroundField
 from galint.algebra.scalars import SPoly
 from galint.algebra.places import INF
 from galint.errors import (
+    DivisionByZero,
     GaugeRequired,
     NonFuchsian,
     NotDiagonalAfterGauge,
@@ -43,6 +44,7 @@ from galint.reduction import (
     reduce_to_curve,
     time_reduce,
 )
+from galint.series import RatioSeries, q_table
 
 
 @pytest.fixture()
@@ -546,24 +548,54 @@ def test_scan_radicand_pole_enters_through_the_table(gf):
 def test_expand_around_matches_sympy_series(gf, T):
     # f(x) = (alpha x^3 + x + s) / (x^2 - s x + s + 1) on the curve x = s:
     # the shifted denominator s + 1 + s q + q^2 has a q-linear term, so the
-    # inverse works through every order
+    # inverse works through every order.  Arithmetic returns plain
+    # quotients, rebuilt from their tables as VectorFieldSpec does.
     s, alpha = gf.s, gf.gen("alpha")
     f = CoordRat(T, 1, {(3,): T.from_ground(alpha), (1,): T.one,
                         (0,): T.from_ground(s)},
                  {(2,): T.one, (1,): T.from_ground(-s),
                   (0,): T.from_ground(s + 1)})
+    x = CoordRat.coordinate(T, 1, 0)
     N = 6
-    ser = f.expand_around([T.from_ground(s)], N)
 
     S, A, Q = sympy.symbols("s alpha q")
-    x = S + Q
-    expr = (A * x**3 + x + S) / (x**2 - S * x + S + 1)
-    want = sympy.series(expr, Q, 0, N + 1).removeO()
-    for k in range(N + 1):
-        cell = ser.coeff((k,))
-        got = 0 if cell is None else gf.to_expr(cell.scalar_part())
-        assert sympy.cancel(got - want.coeff(Q, k)) == 0, k
-    assert ser.N == N
+    X = S + Q
+    g = (A * X**3 + X + S) / (X**2 - S * X + S + 1)
+    for r, expr in [(f, g), (1 - f, 1 - g), (f / x, g / X), (-(x * f), -X * g)]:
+        if not isinstance(r, CoordRat):
+            r = CoordRat(T, 1, q_table(r.num), q_table(r.den))
+        ser = r.expand_around([T.from_ground(s)], N)
+        want = sympy.series(expr, Q, 0, N + 1).removeO()
+        for k in range(N + 1):
+            cell = ser.coeff((k,))
+            got = 0 if cell is None else gf.to_expr(cell.scalar_part())
+            assert sympy.cancel(got - want.coeff(Q, k)) == 0, (expr, k)
+        assert ser.N == N
+
+
+def test_division_by_zero_is_labelled(T):
+    x = CoordRat.coordinate(T, 1, 0)
+    with pytest.raises(DivisionByZero):
+        x / CoordRat.constant(T, 1, 0)
+    with pytest.raises(DivisionByZero):
+        CoordRat(T, 1, {(1,): T.one}, {(2,): T.zero})
+
+
+def test_spec_takes_quotients_from_arithmetic(gf, T):
+    s = gf.s
+    x = CoordRat.coordinate(T, 1, 0)
+    f = x * x / (1 + x)
+    assert type(f) is RatioSeries
+    spec = VectorFieldSpec([f, f], [T.from_ground(s)])
+    assert all(type(c) is CoordRat for c in spec.components)
+    R = reduce_to_curve(spec, order=2)
+    assert R.lin == ((T.zero,),) and R.table == {}
+    # f(s + 1) - 1 * s = ((s + 1)^2 - s (s + 2)) / (s + 2)
+    with pytest.raises(NotTangent) as err:
+        VectorFieldSpec([f, CoordRat.constant(T, 1, s)],
+                        [T.from_ground(s + 1)])
+    assert err.value.component == 1
+    assert err.value.residual == T.one / T.from_ground(s + 2)
 
 
 def test_scan_reads_poles_over_every_branch(gf, T):
