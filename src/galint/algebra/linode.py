@@ -459,7 +459,7 @@ def rational_ode_solve(delta, g, *, with_kernel=False, conditions=None,
     if soundness is not None:
         soundness.append(snd)
     y = tower.from_coords({e: c for e, c in zip(basis, Y)})
-    if not (y.derive() + delta * y - g).is_zero():
+    if not tower.sum([y.derive(), delta * y, -g]).is_zero():
         raise VerificationFailed("ODE residual is nonzero (internal error)")
     if not with_kernel:
         return y

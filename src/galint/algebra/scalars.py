@@ -19,6 +19,11 @@ how ``+ - * /`` between two field elements reach the normal form.  sympy
 takes a full gcd of the result's numerator against its denominator on every
 operation; a :class:`Scalar` keeps its operands reduced and takes gcds of
 denominators and of cross numerator/denominator pairs only (Henrici-Knuth).
+A sum of three or more terms is one step, :func:`fraction_sum`: the terms go
+over the lcm of their denominators, built from gcds of denominators only,
+and one final gcd reduces the total, where a fold of ``+`` would reduce
+every partial sum.  ``AlgebraicTower.sum`` and ``dot`` sum each coordinate
+that way.
 What stays is sympy's canonical form: integer coefficients, numerator and
 denominator coprime and jointly content-free, the denominator's leading
 coefficient positive.  So equality, hashing, printing and every cache key
@@ -81,6 +86,7 @@ __all__ = [
     "SPoly",
     "Scalar",
     "ScalarField",
+    "fraction_sum",
 ]
 
 
@@ -336,6 +342,50 @@ def _cofactors(a, b):
     return _content_cofactors(a, b)
 
 
+def fraction_sum(pairs, zero):
+    """The sum of (numerator, denominator) pairs of ``zero``'s ring, as an
+    element of its field, with one final gcd.
+
+    Each denominator must have a positive leading coefficient; a pair need
+    not be reduced.  Numerators over equal denominators are added first.
+    The others go over D, the lcm of the denominators, built with gcds of
+    denominators only: N/D + n/d = (N d' + n D') / (D d') with D = g D',
+    d = g d'.  Then N/D is the sum, and cancelling gcd(N, D) leaves the
+    canonical form (``_reduced`` fixes the sign).  A zero sum takes no
+    final gcd.  A failing heuristic gcd falls back to a fold of ``+``.
+    """
+    groups = []
+    for num, den in pairs:
+        for group in groups:
+            if group[1] == den:
+                group[0] = group[0] + num
+                break
+        else:
+            groups.append([num, den])
+    try:
+        total = None
+        for num, den in groups:
+            if not num:
+                continue
+            if total is None:
+                total, lcm = num, den
+                continue
+            _, d1, den1 = _cofactors(lcm, den)
+            total = total * den1 + num * d1
+            lcm = lcm * den1
+        if not total:
+            return zero
+        _, num, den = _cofactors(total, lcm)
+        return zero._reduced(num, den)
+    except HeuristicGCDFailed:
+        new = zero.raw_new
+        one = zero.field.ring.one
+        out = zero
+        for num, den in groups:
+            out = out + new(num, one) / new(den, one)
+        return out
+
+
 class Scalar(FracElement):
     """Element of a :class:`ScalarField`, always in sympy's canonical form.
 
@@ -351,7 +401,9 @@ class Scalar(FracElement):
     Each of these gcds goes through ``_cofactors`` (see the module
     docstring): proven coprime from one image mod p per shared generator,
     computed modularly when the operands share one generator, and left to
-    sympy's gcd otherwise.
+    sympy's gcd otherwise.  A pair of terms keeps these rules; a sum of
+    more, taken by :func:`fraction_sum`, takes one final gcd instead of one
+    per partial sum.
 
     Each result is the canonical form sympy's ``cancel`` would give, so it is
     equal, hashes and prints the same.  An int divided by a field element

@@ -45,6 +45,7 @@ from ..errors import (
     ZeroDivisor,
 )
 from . import linalg
+from .scalars import fraction_sum
 
 __all__ = [
     "AlgebraicTower", "FieldElem", "GenInfo", "GaloisGen", "deepest_tower",
@@ -240,6 +241,67 @@ class AlgebraicTower:
                 return x
             return self.lift(x)
         return self.from_ground(x)
+
+    # ------------------------------------------------------------- n-ary sums
+
+    def sum(self, elems):
+        """The sum of elements of this tower or a subtower, each coordinate
+        reduced once.
+
+        A coordinate with two terms takes Henrici's ``+``; three or more go
+        through :func:`~galint.algebra.scalars.fraction_sum`, whose
+        (numerator, denominator) pairs are the terms' reduced pairs, so
+        every denominator has a positive leading coefficient.
+        """
+        cols = {}
+        for x in elems:
+            for e, c in self.coerce(x).coords.items():
+                cols.setdefault(e, []).append(c)
+        zero = self.gf.zero
+        out = {}
+        for e, cs in cols.items():
+            if len(cs) == 1:
+                v = cs[0]
+            elif len(cs) == 2:
+                v = cs[0] + cs[1]
+            else:
+                v = fraction_sum([(c.numer, c.denom) for c in cs], zero)
+            if v:
+                out[e] = v
+        return FieldElem(self, out)
+
+    def dot(self, pairs):
+        """The sum of a*b over (a, b) in ``pairs``, each output coordinate
+        reduced once.
+
+        Each coordinate product c*c' is kept unreduced, as the pair
+        (numer*numer', denom*denom'), and times each coordinate of the
+        reduced monomial when its exponents reach a degree.  Reduced pairs
+        have denominators with positive leading coefficients, so these
+        products do too, which is what :func:`fraction_sum` asks; it runs
+        once per output coordinate.
+        """
+        degrees = self.degrees
+        cols = {}
+        for a, b in pairs:
+            b = self.coerce(b).coords
+            for e, ce in self.coerce(a).coords.items():
+                for f, cf in b.items():
+                    num, den = ce.numer * cf.numer, ce.denom * cf.denom
+                    key = tuple(x + y for x, y in zip(e, f))
+                    if all(k < d for k, d in zip(key, degrees)):
+                        cols.setdefault(key, []).append((num, den))
+                        continue
+                    for mono, c in self._reduce_monomial(key).items():
+                        cols.setdefault(mono, []).append(
+                            (num * c.numer, den * c.denom))
+        zero = self.gf.zero
+        out = {}
+        for e, terms in cols.items():
+            v = fraction_sum(terms, zero)
+            if v:
+                out[e] = v
+        return FieldElem(self, out)
 
     # ------------------------------------------------------- normalization
 
@@ -530,6 +592,9 @@ class FieldElem:
     # -- ring ops ---------------------------------------------------------
 
     def _same(self, other):
+        """``other`` in this tower; None when it lives in a bigger one, and
+        NotImplemented when ``from_ground`` cannot take it (a quotient of
+        series, say), so that the other operand's operator answers."""
         t = self.tower
         if isinstance(other, FieldElem):
             if other.tower is t:
@@ -539,10 +604,15 @@ class FieldElem:
             if t.ancestor_of(other.tower):
                 return None  # caller should re-dispatch in the bigger tower
             raise TowerError("operands live in unrelated towers")
-        return t.from_ground(other)
+        if isinstance(other, type(t.gf.zero)) or (
+                hasattr(other, "numerator") and hasattr(other, "denominator")):
+            return t.from_ground(other)
+        return NotImplemented
 
     def __add__(self, other):
         o = self._same(other)
+        if o is NotImplemented:
+            return o
         if o is None:
             return other.tower.lift(self) + other
         out = dict(self.coords)
@@ -562,6 +632,8 @@ class FieldElem:
 
     def __sub__(self, other):
         o = self._same(other)
+        if o is NotImplemented:
+            return o
         if o is None:
             return other.tower.lift(self) - other
         return self + (-o)
@@ -571,6 +643,8 @@ class FieldElem:
 
     def __mul__(self, other):
         o = self._same(other)
+        if o is NotImplemented:
+            return o
         if o is None:
             return other.tower.lift(self) * other
         t = self.tower
@@ -597,6 +671,8 @@ class FieldElem:
 
     def __truediv__(self, other):
         o = self._same(other)
+        if o is NotImplemented:
+            return o
         if o is None:
             return other.tower.lift(self) / other
         if o.is_scalar():
@@ -610,7 +686,10 @@ class FieldElem:
         return self * self.tower.invert(o)
 
     def __rtruediv__(self, other):
-        return self.tower.from_ground(other) / self
+        o = self._same(other)
+        if o is NotImplemented:
+            return o
+        return o / self
 
     def __pow__(self, n):
         if not isinstance(n, int):

@@ -16,10 +16,11 @@ Everything is immutable; operations return new series.  Truncation is by
 total variable degree |i| <= N.
 
 The :class:`TruncSeries` constructor is the one place where cells merge: it
-takes a mapping or a stream of ``((i, sym), c)`` contributions, sums the
-contributions to one cell in the order given, drops a cell whose sum
-cancels, and drops cells above N.  Every operation yields its contributions
-to it and keeps no accumulator of its own.
+takes a mapping or a stream of ``((i, sym), c)`` contributions, gathers the
+contributions to each cell and sums them once (``AlgebraicTower.sum``, one
+reduction per coordinate), drops a cell whose total is zero, and drops cells
+above N.  Every operation yields its contributions to it and keeps no
+accumulator of its own.
 
 These two classes are the one construction-side series engine: reduction
 (transverse expansion, time normalisation, gauges), flows, integrals, frames
@@ -41,12 +42,14 @@ M_(i-e_j) * subst_j restricted to degree k; they read the substitution only
 below degree k, so the flow construction, which adds its order-k cells
 after reading the order-k defect, keeps one such object across all its
 orders (the relaxed multiplication of van der Hoeven, "Relax, but don't be
-too lazy", JSC 34 (2002)).  :meth:`TruncSeries.compose` sums its cells
-over the degrees k <= N.
+too lazy", JSC 34 (2002)).  Each of those cells is one dot product of
+lower-degree cells (``AlgebraicTower.dot``), reduced once.
+:meth:`TruncSeries.compose` sums its cells over the degrees k <= N.
 """
 
 from __future__ import annotations
 
+from .algebra.tower import deepest_tower
 from .errors import (
     AlphabetMismatch,
     DivisionByZero,
@@ -173,10 +176,11 @@ class TruncSeries:
 
     def __init__(self, basis, alphabet, N, table=()):
         """``table`` is a mapping ``{(i, sym): c}`` or an iterable of
-        ``((i, sym), c)`` pairs.  Contributions to one cell are summed in
-        the order given; zero contributions are skipped, a sum that cancels
-        leaves no cell (a later contribution starts it afresh), and cells
-        above total degree N are dropped.  Every index is validated."""
+        ``((i, sym), c)`` pairs.  The contributions to one cell are gathered
+        and summed once, by the coefficient tower's ``sum`` (one reduction
+        per coordinate); zero contributions are skipped, a cell whose total
+        is zero is dropped, and so are cells above total degree N.  Every
+        index is validated."""
         if alphabet not in ("q", "u"):
             raise ValueError("alphabet must be 'q' or 'u'")
         self.basis = basis
@@ -184,7 +188,7 @@ class TruncSeries:
         self.N = int(N)
         if hasattr(table, "items"):
             table = table.items()
-        clean = {}
+        cols = {}
         for (i, sym), c in table or ():
             i = tuple(int(x) for x in i)
             if len(i) != basis.n:
@@ -193,13 +197,13 @@ class TruncSeries:
                 raise ValueError("negative variable exponent")
             if sum(i) > self.N or not c:
                 continue
-            key = (i, sym)
-            if key in clean:
-                c = clean[key] + c
-                if not c:
-                    del clean[key]
-                    continue
-            clean[key] = c
+            cols.setdefault((i, sym), []).append(c)
+        clean = {}
+        for key, cs in cols.items():
+            c = cs[0] if len(cs) == 1 else deepest_tower(
+                x.tower for x in cs).sum(cs)
+            if c:
+                clean[key] = c
         self.table = clean
 
     # ------------------------------------------------------------ factories
@@ -415,8 +419,9 @@ class Powers:
     it is read afresh on every call, so a caller may extend it.  The
     degree-k cells of a monomial M_i = prod_j subst_j^(i_j) with |i| >= 2
     are M_(i-e_j) * subst_j restricted to degree k, j the first variable
-    of i.  They read subst only below degree k and are kept once
-    computed, so a substitution that gains its degree-k cells only after
+    of i, each cell one ``AlgebraicTower.dot`` of the factors' cells.  They
+    read subst only below degree k and are kept once computed, so a
+    substitution that gains its degree-k cells only after
     ``cells_at(., k)`` (the flow construction's pattern, one order at a
     time) never makes them stale.  Degree-1 monomials are subst itself.
     """
@@ -462,19 +467,21 @@ class Powers:
             return hit
         rest = tuple(e - (l == j) for l, e in enumerate(i))
         unit = tuple(int(l == j) for l in range(len(i)))
-
-        def cells():
-            for d in range(n - 1, k):
-                low = self._at(unit, k - d)
-                if not low:
-                    continue
-                for (ia, sa), ca in self._at(rest, d):
-                    for (ib, sb), cb in low:
-                        yield ((tuple(a + b for a, b in zip(ia, ib)),
-                                sa.mul(sb)), ca * cb)
-
-        g = self.subst[0]
-        out = TruncSeries(g.basis, g.alphabet, k, cells()).table.items()
+        cols = {}
+        for d in range(n - 1, k):
+            low = self._at(unit, k - d)
+            if not low:
+                continue
+            for (ia, sa), ca in self._at(rest, d):
+                for (ib, sb), cb in low:
+                    key = (tuple(a + b for a, b in zip(ia, ib)), sa.mul(sb))
+                    cols.setdefault(key, []).append((ca, cb))
+        out = []
+        for key, pairs in cols.items():
+            c = deepest_tower(x.tower for pair in pairs
+                              for x in pair).dot(pairs)
+            if c:
+                out.append((key, c))
         self._memo[(i, k)] = out
         return out
 
@@ -496,9 +503,8 @@ class RatioSeries:
     checked on a RatioSeries itself is an exact statement about polynomial
     cells; ``+ - * /`` and :meth:`compose` return trimmed quotients (see
     :meth:`trim`).  Either operand of ``+ - * /`` may be a constant the
-    coefficient tower coerces (an int, a Fraction, a ground element; a
-    tower element only on the right, as its own operators take the left);
-    dividing by a zero quotient raises ``DivisionByZero``.
+    coefficient tower coerces (an int, a Fraction, a ground element or a
+    tower element); dividing by a zero quotient raises ``DivisionByZero``.
     Calculus divides once instead: :meth:`expand` inverts the trimmed
     denominator as a power series and returns one :class:`TruncSeries`,
     which frame brackets and Lie derivatives differentiate.  A quotient is

@@ -157,6 +157,18 @@ def test_time_reduce_geometric_series(gf, T):
     assert R.t == {(0,): T.one, (1,): -T.one, (2,): T.one}
 
 
+def test_tower_elements_on_the_left_of_a_quotient(gf, T):
+    # the tower element's own operators step aside for the quotient's
+    x = CoordRat.coordinate(T, 1, 0)
+    c = T.from_ground(gf.s)
+    for got, want in [(T.one + x, x + T.one), (c * x, x * c),
+                      (T.one - x, -(x - T.one)),
+                      (c / x, CoordRat.constant(T, 1, gf.s) / x)]:
+        assert isinstance(got, RatioSeries)
+        assert got.eq(want)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
 def test_equilibrium_curve_rejected(gf, T):
     x = CoordRat.coordinate(T, 1, 0)
     spec = VectorFieldSpec([x, x], [T.zero])

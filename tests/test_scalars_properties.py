@@ -20,7 +20,15 @@ from sympy.polys.fields import FracField
 from sympy.polys.polyerrors import HeuristicGCDFailed
 
 from galint.algebra import AlgebraicTower, GroundField
-from galint.algebra.scalars import _P, _POINTS, Scalar, _cofactors, _gcd_mod
+from galint.algebra.scalars import (
+    _P,
+    _POINTS,
+    Scalar,
+    _cofactors,
+    _gcd_mod,
+    fraction_sum,
+)
+from galint.series import HyperexpBasis, SymbolMonomial, TruncSeries
 
 GF = GroundField(params=("alpha", "beta"))
 S, ALPHA, BETA = GF.s, GF.gen("alpha"), GF.gen("beta")
@@ -220,6 +228,87 @@ def test_failed_heuristic_gcd_falls_back(monkeypatch):
         monkeypatch.setattr(sympy_rings, "heugcd", real)
         assert failures, f"{op} never reached the heuristic gcd"
         assert_reference(got, OPS[op], x, y)
+
+
+# --------------------------------------------------------------------------
+# n-ary sums with one final gcd
+
+
+def fold(xs, zero=GF.zero):
+    """The sum of xs by a pairwise ``+``."""
+    out = zero
+    for x in xs:
+        out = out + x
+    return out
+
+
+def assert_same(got, want):
+    """got is want in the canonical form, hashing and printing alike."""
+    assert type(got) is Scalar
+    assert (got.numer, got.denom) == (want.numer, want.denom)
+    assert hash(got) == hash(want) and str(got) == str(want)
+
+
+@st.composite
+def sum_terms(draw):
+    """1-6 scalars and (numerator, denominator) pairs for them: some share a
+    denominator, some pairs carry a common factor, some lists cancel."""
+    xs = []
+    for _ in range(draw(st.integers(1, 5))):
+        if xs and draw(st.booleans()):  # x + k keeps x's denominator
+            x = xs[draw(st.integers(0, len(xs) - 1))]
+            xs.append(x + GF.from_rational(draw(small)))
+        else:
+            xs.append(draw(scalars()))
+    if draw(st.booleans()):
+        xs.append(-fold(xs))
+    pairs = []
+    for x in xs:
+        k = draw(st.integers(-1, len(FACTORS) - 1))
+        f = GF.ring.one if k < 0 else FACTORS[k].numer
+        pairs.append((x.numer * f, x.denom * f))
+    return pairs, xs
+
+
+@PROPS
+@given(sum_terms())
+def test_fraction_sum_matches_the_pairwise_fold(case):
+    pairs, xs = case
+    assert_same(fraction_sum(pairs, GF.zero), fold(xs))
+
+
+def test_fraction_sum_falls_back_when_the_heuristic_gcd_fails(monkeypatch):
+    # the sum is (S^2 + ALPHA + BETA) / (S^2 + ALPHA)^2: the denominators
+    # share S - BETA + 1 or S^2 + ALPHA, and the summed numerator shares
+    # S - BETA + 1 with the lcm, gcds in two generators that the gate passes
+    # on to sympy's heuristic gcd; each of its calls fails in turn
+    xs = [1 / (S**2 + ALPHA) + 1 / (S - BETA + 1),
+          -1 / (S - BETA + 1),
+          BETA / (S**2 + ALPHA) ** 2]
+    pairs = [(x.numer, x.denom) for x in xs]
+    want = fold(xs)
+    real = sympy_rings.heugcd
+    seen = []
+
+    def fail_at(k):
+        def heugcd(f, g):
+            seen.append((f, g))
+            if len(seen) == k + 1:
+                raise HeuristicGCDFailed("forced")
+            return real(f, g)
+        return heugcd
+
+    monkeypatch.setattr(sympy_rings, "heugcd", fail_at(-1))
+    assert_same(fraction_sum(pairs, GF.zero), want)
+    calls = len(seen)
+    assert calls == 3
+    for k in range(calls):
+        seen.clear()
+        monkeypatch.setattr(sympy_rings, "heugcd", fail_at(k))
+        got = fraction_sum(pairs, GF.zero)
+        monkeypatch.setattr(sympy_rings, "heugcd", real)
+        assert len(seen) > k
+        assert_same(got, want)
 
 
 # --------------------------------------------------------------------------
@@ -598,3 +687,36 @@ def test_declared_galois_maps_commute_with_derive(case):
     for name in t.galois_names():
         assert a.derive().galois(name) == a.galois(name).derive()
         assert (a * b).galois(name) == a.galois(name) * b.galois(name)
+
+
+@TOWER_PROPS
+@given(tower_cases(3), st.lists(ground, min_size=1, max_size=2))
+def test_tower_sum_and_dot_match_the_pairwise_folds(case, lows):
+    # products reach w^4 = r w (w^3 = r) or w^2 v^2 = r r2 and need the
+    # reduced monomials; the base-field operands are lifted as + lifts them
+    t, elems = case
+    xs = elems + [BASE.from_ground(ground_elem(x)) for x in lows]
+    for got, want in [(t.sum(xs), fold(xs, t.zero)),
+                      (t.sum(xs + [-fold(xs, t.zero)]), t.zero)]:
+        assert got.tower is t and got == want and repr(got) == repr(want)
+    pairs = list(zip(xs, reversed(xs)))
+    got = t.dot(pairs)
+    want = fold([a * b for a, b in pairs], t.zero)
+    assert got.tower is t and got == want and repr(got) == repr(want)
+    assert t.dot(pairs + [(-a, b) for a, b in pairs]).is_zero()
+
+
+@TOWER_PROPS
+@given(tower_cases(3))
+def test_series_cell_that_cancels_takes_later_contributions(case):
+    t, (a, b, c) = case
+    basis = HyperexpBasis([t.zero])
+    key = ((1,), SymbolMonomial())
+
+    def cell(*contributions):
+        return TruncSeries(basis, "q", 2, [(key, x) for x in contributions]
+                           ).coeff((1,))
+
+    assert cell(a, -a, b) == (b or None)
+    assert cell(a, b, -a, c) == (b + c or None)
+    assert cell(a, b, -(a + b)) is None

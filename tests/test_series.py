@@ -5,8 +5,9 @@ import hashlib
 import itertools
 
 import pytest
+import sympy.polys.rings as sympy_rings
 
-from galint.algebra import AlgebraicTower, GroundField
+from galint.algebra import AlgebraicTower, GroundField, scalars
 from galint.errors import (
     AlphabetMismatch,
     NonzeroConstantTerm,
@@ -297,20 +298,43 @@ def test_powers_kept_across_a_growing_substitution(nq):
     assert any(sym.ell == (("L1", 2),) for _, sym in got.table)
 
 
-def test_deep_flow_is_pinned():
-    # the benchmark's 1dw system at seed 0, q' = (alpha/w) q + beta q^2
-    # + s q^3 on w^2 = 1 + s^2, at N = 8: the rendered components and time
-    # series hash as they did before the per-degree engine
+def one_dw_flow(N):
+    """The benchmark's 1dw system at seed 0, q' = (alpha/w) q + beta q^2
+    + s q^3 on w^2 = 1 + s^2, and its formal flow at order N, rendered."""
     gf = GroundField(params=("alpha", "beta"))
     s = gf.s
     T = AlgebraicTower(gf).extend("w", 2, 1 + s**2)
     unit = {(0,): T.one}
     table = {(0, (2,)): T.from_ground(gf.gen("beta")),
              (0, (3,)): T.from_ground(s)}
-    R = ReducedSystem(T, 1, 8, [[T.from_ground(gf.gen("alpha")) / T.gen("w")]],
+    R = ReducedSystem(T, 1, N, [[T.from_ground(gf.gen("alpha")) / T.gen("w")]],
                       table, unit, unit, time_reduced=True)
-    flow = formal_flow(R, 8)
-    text = "\n".join([c.render() for c in flow.components]
+    flow = formal_flow(R, N)
+    return "\n".join([c.render() for c in flow.components]
                      + [flow.time.render()])
+
+
+def test_deep_flow_is_pinned(monkeypatch):
+    # the rendered components and time series hash as they did before the
+    # per-degree engine (N = 8) and before one reduction per coefficient
+    # (N = 10); at N = 8 the gcds are counted too, those of the ground
+    # field's gate and those left to sympy
+    calls = {"gate": 0, "sympy": 0}
+    gate, cofactors = scalars._cofactors, sympy_rings.PolyElement.cofactors
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(scalars, "_cofactors", counted("gate", gate))
+    monkeypatch.setattr(sympy_rings.PolyElement, "cofactors",
+                        counted("sympy", cofactors))
+    text = one_dw_flow(8)
+    monkeypatch.undo()
     assert hashlib.sha1(text.encode()).hexdigest() == \
         "63481497d472b0c5e04b82d3701193b5d41aa66b"
+    assert calls["gate"] <= 3200 and calls["sympy"] <= 8, calls
+    assert hashlib.sha1(one_dw_flow(10).encode()).hexdigest() == \
+        "971838db7b4b9a897993733b208b1af7975544ad"
