@@ -23,7 +23,9 @@ method:
   pattern: the matrix is block triangular up to a permutation, so this is
   exact over any commutative ring, the residue towers with zero divisors
   included, and Faddeev-LeVerrier runs only inside the blocks (the residue
-  matrices of a deep tower are sparse, with small blocks);
+  matrices of a deep tower are sparse, with small blocks); its integer
+  roots are found in Python ints, by the rational root theorem and Horner's
+  rule on the integer polynomials it splits into;
 * the residues and the valuations at infinity come from the contexts of
   :mod:`places` on the ground tower K0 (one cached context per place): each
   residue is one coefficient of the exact local expansion
@@ -44,7 +46,7 @@ reported as ``DegreeBoundExceeded`` — never conflated with nonexistence.
 
 from __future__ import annotations
 
-import functools
+import math
 from fractions import Fraction
 
 import sympy
@@ -119,9 +121,7 @@ def _charpoly(A, ct):
     chi = [ct.one]
     AN = A  # A N_k, where N_1 = I and N_(k+1) = A N_k + c_k I
     for k in range(1, D + 1):
-        tr = ct.zero
-        for i in range(D):
-            tr = tr + AN[i][i]
+        tr = ct.sum(AN[i][i] for i in range(D))
         ck = tr * ct.from_ground(Fraction(-1, k))
         chi.append(ck)
         if k < D:  # A N_D + c_D I is zero (Cayley-Hamilton)
@@ -129,6 +129,14 @@ def _charpoly(A, ct):
                  for i in range(D)]
             AN = linalg.mat_mul(A, N, ct.zero)
     return chi
+
+
+def _horner(p, r):
+    """The integer polynomial sum p[d] T^d at T = r."""
+    v = 0
+    for c in reversed(p):
+        v = v * r + c
+    return v
 
 
 def _integer_eigs(R):
@@ -139,56 +147,48 @@ def _integer_eigs(R):
     field.  This is exact over any commutative ring, so also where the
     residue tower has zero divisors: R is block triangular up to a
     permutation, and a block-triangular determinant is the product of its
-    diagonal-block determinants.  An integer r is kept iff the product
-    vanishes at r identically in the parameters and in every residue-field
-    coordinate — special parameter values may admit more, and those surface
-    separately through the recorded pivot conditions.
+    diagonal-block determinants.  The product is taken, not the union of
+    the blocks' roots: over a tower with zero divisors a product can
+    vanish where no factor does (diag((1 - xi)/2, (1 + xi)/2) over
+    xi^2 = 1 has eigenvalues 0 and 1, neither block alone any).
+
+    An integer r is kept iff the product vanishes at r identically in the
+    parameters and in every residue-field coordinate — special parameter
+    values may admit more, and those surface separately through the
+    recorded pivot conditions.  So each coordinate's coefficients, cleared
+    of denominators, split by parameter monomial into integer polynomials
+    in T, and r must be a root of all of them.  By the rational root
+    theorem a nonzero one divides the lowest nonzero coefficient of each,
+    so the candidates are 0 and the divisors of their gcd, with either
+    sign, each checked by Horner's rule.
     """
     ct = R[0][0].tower
     D = len(R)
-    chi = [ct.one]
-    for block in _blocks(R):
-        part = _charpoly([[R[i][j] for j in block] for i in block], ct)
-        # both factors are monic, so their leading ones multiply nothing
-        prod = chi + [ct.zero] * (len(part) - 1)
-        for b in range(1, len(part)):
-            if part[b]:
-                for a, x in enumerate(chi):
-                    if x:
-                        prod[a + b] = prod[a + b] + (
-                            part[b] if a == 0 else x * part[b])
-        chi = prod
-    gf = ct.gf
+    parts = [_charpoly([[R[i][j] for j in block] for i in block], ct)
+             for block in _blocks(R)]
+    chi = parts[0]
+    for part in parts[1:]:
+        chi = [ct.dot((chi[a], part[n - a]) for a in range(len(chi))
+                      if 0 <= n - a < len(part))
+               for n in range(len(chi) + len(part) - 1)]
     by_coord = {}
     for k, c in enumerate(chi):
         for e, ce in c.coords.items():
             by_coord.setdefault(e, []).append((D - k, ce))
-    T = sympy.Symbol("T")
     comps = []
     for terms in by_coord.values():
-        common = gf.ring.one
+        common = ct.gf.ring.one
         for _, ce in terms:
             common = common * ce.denom
-        commel = gf.field.raw_new(common, gf.ring.one)
         grouped = {}
         for td, ce in terms:
-            scaled = ce * commel
-            for mono, q in scaled.numer.terms():
-                bucket = grouped.setdefault(mono, {})
-                bucket[td] = bucket.get(td, 0) + q
-        for tp in grouped.values():
-            expr = sympy.Add(*(c * T**d for d, c in tp.items()))
-            comps.append(sympy.Poly(expr, T))
-    if not comps:
-        return []
-    g = functools.reduce(lambda a, b: a.gcd(b), comps)
-    if g.degree() <= 0:
-        return []
-    out = []
-    for r in g.ground_roots():
-        if getattr(r, "is_integer", False):
-            out.append(int(r))
-    return sorted(out)
+            for mono, q in (ce.numer * common.exquo(ce.denom)).terms():
+                grouped.setdefault(mono, [0] * (D + 1))[td] = q
+        comps.extend(grouped.values())
+    lows = [next(c for c in p if c) for p in comps]
+    divs = sympy.divisors(math.gcd(*lows))
+    return [r for r in [-d for d in reversed(divs)] + [0] + divs
+            if all(_horner(p, r) == 0 for p in comps)]
 
 
 # ---------------------------------------------------------------------------
@@ -429,18 +429,16 @@ def _flatten_operator(tower, delta):
     return A, basis, idx
 
 
-def rational_ode_solve(delta, g, *, with_kernel=False, conditions=None,
-                       soundness=None):
+def rational_ode_solve(delta, g, *, conditions=None):
     """Solve  y' + delta*y = g  for y rational over the radical tower.
 
     Both arguments are tower elements (of the same tower or nested ones).
-    Returns the particular solution, or ``(particular, kernel)`` with a basis
-    of homogeneous rational solutions when ``with_kernel`` is set.  Pivots
-    divided by during elimination are appended to ``conditions`` (when given)
-    so callers can report parameter values where the formula degenerates.
-    ``soundness``, when given, receives a single boolean recording whether the
-    pole/degree bounds were complete — an empty kernel is a proof of
-    nonexistence only when that flag is true.
+    Returns ``(y, kernel, sound)``: a particular solution, a basis of the
+    homogeneous rational solutions, and whether the pole/degree bounds were
+    complete — an empty kernel is a proof of nonexistence only when
+    ``sound`` is true.  Pivots divided by during elimination are appended to
+    ``conditions`` (when given) so callers can report parameter values where
+    the formula degenerates.
 
     Raises ``NoTowerSolution`` when provably none exists, and
     ``DegreeBoundExceeded`` when only the heuristic bounds were exhausted.
@@ -454,15 +452,11 @@ def rational_ode_solve(delta, g, *, with_kernel=False, conditions=None,
         c = g.coords.get(e)
         if c:
             G[k] = c
-    Y, _, kernel, snd = solve_rational_system(_ground(tower), M, G,
-                                              conditions=conditions)
-    if soundness is not None:
-        soundness.append(snd)
+    Y, _, kernel, sound = solve_rational_system(_ground(tower), M, G,
+                                                conditions=conditions)
     y = tower.from_coords({e: c for e, c in zip(basis, Y)})
     if not tower.sum([y.derive(), delta * y, -g]).is_zero():
         raise VerificationFailed("ODE residual is nonzero (internal error)")
-    if not with_kernel:
-        return y
     hom = []
     for Yh, _ in kernel:
         h = tower.from_coords({e: c for e, c in zip(basis, Yh)})
@@ -473,7 +467,7 @@ def rational_ode_solve(delta, g, *, with_kernel=False, conditions=None,
                 "homogeneous residual is nonzero (internal error)"
             )
         hom.append(h)
-    return y, hom
+    return y, hom, sound
 
 
 def fe_integrate_rational(a, *, conditions=None):

@@ -148,15 +148,14 @@ def unit_solution(delta, *, conditions=None):
     """An invertible rational y with  y' + delta*y = 0  (or None), and
     whether the solver's bounds were complete, which makes a None a proof.
 
-    The kernel vectors are tried in turn and then their sum.  In an etale
-    (non-field) tower a kernel vector can be a zero divisor, which never
-    witnesses membership in a field; those are skipped.
+    Both come from ``rational_ode_solve``'s ``(y, kernel, sound)`` on the
+    homogeneous equation: the kernel vectors are tried in turn and then
+    their sum, and ``sound`` is passed on.  In an etale (non-field) tower a
+    kernel vector can be a zero divisor, which never witnesses membership
+    in a field; those are skipped.
     """
-    flag = []
-    _, hom = rational_ode_solve(
-        delta, delta.tower.zero, with_kernel=True, conditions=conditions,
-        soundness=flag,
-    )
+    _, hom, sound = rational_ode_solve(delta, delta.tower.zero,
+                                       conditions=conditions)
     cands = list(hom)
     if len(hom) > 1:
         total = hom[0]
@@ -168,8 +167,8 @@ def unit_solution(delta, *, conditions=None):
             y.tower.require_unit(y)
         except ZeroDivisor:
             continue
-        return y, flag[0]
-    return None, flag[0]
+        return y, sound
+    return None, sound
 
 
 def _witness_verdict(delta, *, conditions=None):

@@ -150,7 +150,8 @@ class Obstruction:
 
     def replay(self):
         """Re-run the failing solve; raises the error class seen during
-        construction."""
+        construction (the ``(y, kernel, sound)`` of a solve that succeeds
+        is discarded)."""
         rational_ode_solve(self.delta, self.rhs)
 
     def __repr__(self):
@@ -281,8 +282,7 @@ def _soft_pin(a, s0):
 
 def _solve_cell(delta, g, s0, conditions):
     """One normal-form cell:  y' + delta*y = g,  resonant ones pinned."""
-    y, hom = rational_ode_solve(delta, g, with_kernel=True,
-                                conditions=conditions)
+    y, hom, _ = rational_ode_solve(delta, g, conditions=conditions)
     if hom:
         y = _pin(y, hom, s0)
     return y, bool(hom)

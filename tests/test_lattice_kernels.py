@@ -2,10 +2,13 @@
 
 ``linode._integer_eigs`` takes the characteristic polynomial of a residue
 matrix as the product of those of its diagonal blocks (the strongly
-connected components of its nonzero pattern).  Its integer eigenvalues must
-equal those of Faddeev-LeVerrier on the whole matrix, kept below as the
-reference, over Q(alpha), over the residue field Q(alpha)(xi), xi^2 = -1,
-and over the split xi^2 = 1, which has zero divisors.
+connected components of its nonzero pattern), and finds its integer roots
+in Python ints.  Its integer eigenvalues must equal those of
+Faddeev-LeVerrier on the whole matrix, kept below as the reference, over
+Q(alpha), over the residue field Q(alpha)(xi), xi^2 = -1, and over the
+split xi^2 = 1, which has zero divisors.  The reference keeps its own root
+step in sympy (a gcd of ``Poly`` components and ``ground_roots``), so it
+stays an independent oracle for the integer one.
 
 ``resonance._residue_admissible`` reads integer rows that
 ``_integer_rows`` converts once; its verdict must equal the exact
@@ -164,20 +167,34 @@ def test_integer_eig_only_inside_a_two_by_two_block():
 
 
 def test_integer_eigs_of_triangular_zero_and_irreducible_matrices():
-    tower = TOWERS["xi^2 = -1"]
-    xi = tower.gen("xi")
-    T = matrix(tower, [[1, ALPHA, ALPHA + 3, 0], [0, ALPHA, 1, 0],
-                       [0, 0, 2, 3], [0, 0, 0, -1]])
-    T[0][3] = xi
-    Z = matrix(tower, [[0] * 3] * 3)
-    # one 3-cycle: eigenvalues the cube roots of unity times alpha + 1
-    C = matrix(tower, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    C[2][0] = tower.from_ground(ALPHA + 1) ** 3
-    for R, blocks, eigs in ((T, [[3], [2], [1], [0]], [-1, 1, 2]),
-                            (Z, [[0], [1], [2]], [0]),
-                            (C, [[0, 1, 2]], [])):
-        assert linode._blocks(R) == blocks
-        assert linode._integer_eigs(R) == reference_integer_eigs(R) == eigs
+    for name in ("xi^2 = -1", "xi^2 = 1"):
+        tower = TOWERS[name]
+        xi = tower.gen("xi")
+        T = matrix(tower, [[1, ALPHA, ALPHA + 3, 0], [0, ALPHA, 1, 0],
+                           [0, 0, 2, 3], [0, 0, 0, -1]])
+        T[0][3] = xi
+        Z = matrix(tower, [[0] * 3] * 3)
+        # one 3-cycle: eigenvalues the cube roots of unity times alpha + 1
+        C = matrix(tower, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        C[2][0] = tower.from_ground(ALPHA + 1) ** 3
+        # (1 -+ xi)/2 are orthogonal idempotents over xi^2 = 1, so the
+        # product (T - (1 - xi)/2)(T - (1 + xi)/2) = T^2 - T has the roots
+        # 0 and 1, while neither 1x1 block has an integer root alone
+        half = tower.from_ground(Fraction(1, 2))
+        E = matrix(tower, [[0, 0], [0, 0]])
+        E[0][0], E[1][1] = half - half * xi, half + half * xi
+        for R, blocks, eigs in (
+                (T, [[3], [2], [1], [0]], [-1, 1, 2]),
+                (Z, [[0], [1], [2]], [0]),
+                (C, [[0, 1, 2]], []),
+                (E, [[0], [1]], [0, 1] if name == "xi^2 = 1" else []),
+                ([[E[0][0]]], [[0]], []),
+                ([[E[1][1]]], [[0]], []),
+                ([[half]], [[0]], []),
+                (matrix(tower, [[-12]]), [[0]], [-12])):
+            assert linode._blocks(R) == blocks
+            assert linode._integer_eigs(R) == reference_integer_eigs(R) \
+                == eigs, (name, eigs)
 
 
 def nested_tower_h():

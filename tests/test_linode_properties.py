@@ -50,7 +50,7 @@ def solve_or_verdict(delta, g):
     """The checked solution and kernel, or None on a labelled verdict;
     anything else propagates."""
     try:
-        y, kernel = rational_ode_solve(delta, g, with_kernel=True)
+        y, kernel, _ = rational_ode_solve(delta, g)
     except DegreeBoundExceeded:
         return None
     assert (y.derive() + delta * y - g).is_zero()

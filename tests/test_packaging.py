@@ -53,14 +53,46 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{modname}.__all__ lists {name!r}"
 
 
+def _fresh_python(code):
+    """The stdout of ``code`` run in a new interpreter on this checkout."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}).stdout
+
+
 def test_importing_the_package_does_not_import_numpy():
     # numpy serves diophantine_eval alone, which imports it when it runs
     code = ("import sys, galint, galint.galois, galint.integrability, "
             "galint.reduction; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'numpy'))")
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                         os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
+
+
+FIRST_FLOW = """
+import sys
+import galint
+from galint.algebra import AlgebraicTower, GroundField
+from galint.integrability import formal_flow
+from galint.reduction import ReducedSystem
+
+gf = GroundField(params=("alpha", "beta"))
+s = gf.s
+T = AlgebraicTower(gf).extend("w", 2, 1 + s**2)
+unit = {(0,): T.one}
+table = {(0, (2,)): T.from_ground(gf.gen("beta")),
+         (0, (3,)): T.from_ground(s)}
+R = ReducedSystem(T, 1, 3, [[T.from_ground(gf.gen("alpha")) / T.gen("w")]],
+                  table, unit, unit, time_reduced=True)
+before = set(sys.modules)
+formal_flow(R, 3)
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_a_first_flow_imports_nothing():
+    # the 1dw system of test_series.one_dw_flow at N = 3: a first flow in a
+    # process pays no lazy import (sympy's expression layer pulls in
+    # sympy.combinatorics the first time an Add is built)
+    assert _fresh_python(FIRST_FLOW).strip() == "[]"
