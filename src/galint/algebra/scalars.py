@@ -792,17 +792,8 @@ class SPoly:
     def degree(self):
         return len(self.coeffs) - 1  # -1 for zero
 
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, SPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(str(self.coeffs))
 
     def __repr__(self):
         if not self.coeffs:

@@ -4,13 +4,10 @@ A certificate bundles what the pipeline actually proved: l commuting
 fields (the dynamics among them), n-l first integrals, the orders through
 which each claim was checked, and the outcome of the attempt to descend
 the data to the base curve.  ``verify_certificate`` recomputes every
-claim through a deliberately naive dense-series engine — a different data
-layout and different loops than the construction's calculus, which
-expands each quotient once into a power series and differentiates that —
-so a bug shared with the construction path would have to be invented
-twice to slip through.
+claim through the independent dense engine of ``galint.check``.
 """
 
+from ..check import _dadd, _dderiv_along, _dense_cols, _dratio, _lowest_bad
 from ..errors import InputError, RankDeficiency, VerificationFailed
 from ..galois.resonance import relation_lattice
 from ..reduction import ReducedSystem
@@ -68,10 +65,6 @@ class IntegrabilityCertificate:
                 f"expected n - l = {n - self.l}"
             )
 
-    @property
-    def order(self):
-        return min(self.orders.values())
-
     def __repr__(self):
         return (
             f"<IntegrabilityCertificate ({self.l},"
@@ -114,135 +107,6 @@ class CertificateReport:
     def __repr__(self):
         lines = "\n".join(repr(c) for c in self.checks)
         return f"<CertificateReport ok={self.ok}>\n{lines}"
-
-
-# ---------------------------------------------------------------------------
-# the independent dense engine
-# ---------------------------------------------------------------------------
-
-def _dense(series):
-    """Plain q-cells; None when a cell carries H (u-alphabet) or L."""
-    if series.alphabet != "q":
-        return None
-    out = {}
-    for i, sym, c in series.cells():
-        if not sym.is_neutral():
-            return None
-        out[i] = c
-    return out
-
-
-def _dadd(A, B):
-    out = dict(A)
-    for i, c in B.items():
-        prev = out.get(i)
-        s = c if prev is None else prev + c
-        if s.is_zero():
-            out.pop(i, None)
-        else:
-            out[i] = s
-    return out
-
-
-def _dmul(A, B, cap):
-    out = {}
-    for i, a in A.items():
-        for j, b in B.items():
-            k = tuple(x + y for x, y in zip(i, j))
-            if sum(k) > cap:
-                continue
-            prev = out.get(k)
-            s = a * b if prev is None else prev + a * b
-            out[k] = s
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
-def _dpartial(A, j, tower):
-    out = {}
-    for i, c in A.items():
-        if not i[j]:
-            continue
-        k = i[:j] + (i[j] - 1,) + i[j + 1:]
-        out[k] = c * tower.from_ground(i[j])
-    return out
-
-
-def _dderive(A):
-    out = {}
-    for i, c in A.items():
-        d = c.derive()
-        if not d.is_zero():
-            out[i] = d
-    return out
-
-
-def _dinv(D, cap, tower):
-    nq = len(next(iter(D)))
-    origin = (0,) * nq
-    c0 = D.get(origin)
-    if c0 is None or c0.is_zero():
-        return None
-    u = tower.invert(c0)
-    E = {i: -(c * u) for i, c in D.items() if i != origin}
-    acc = {origin: u}
-    term = {origin: u}
-    for _ in range(cap):
-        term = _dmul(term, E, cap)
-        if not term:
-            break
-        acc = _dadd(acc, term)
-    return acc
-
-
-def _dratio(r, tower):
-    """A RatioSeries as a plain dense dict plus its faithful window."""
-    num, den = _dense(r.num), _dense(r.den)
-    if num is None or den is None:
-        return None, "transcendental symbols in the series"
-    window = min(r.num.N, r.den.N)
-    if den:
-        m = None
-        for i in den:
-            m = list(i) if m is None else [min(a, b) for a, b in zip(m, i)]
-        if any(m):
-            for i in num:
-                if any(a < b for a, b in zip(i, m)):
-                    return None, "denominator valuation exceeds the numerator"
-            num = {tuple(a - b for a, b in zip(i, m)): c
-                   for i, c in num.items()}
-            den = {tuple(a - b for a, b in zip(i, m)): c
-                   for i, c in den.items()}
-            window -= sum(m)
-    inv = _dinv(den, window, tower) if den else None
-    if inv is None:
-        return None, "denominator not invertible at the curve"
-    return _dmul(num, inv, window), window
-
-
-def _dense_cols(field, tower):
-    cols, window = [], None
-    for r in list(field.components) + [field.s_component]:
-        d, w = _dratio(r, tower)
-        if d is None:
-            return None, w
-        cols.append(d)
-        window = w if window is None else min(window, w)
-    return cols, window
-
-
-def _dderiv_along(cols, F, cap, tower):
-    """The dense directional derivative sum_m cols[m] * D_m(F)."""
-    nq = len(cols) - 1
-    out = {}
-    for m in range(nq):
-        out = _dadd(out, _dmul(cols[m], _dpartial(F, m, tower), cap))
-    out = _dadd(out, _dmul(cols[nq], _dderive(F), cap))
-    return out
-
-
-def _lowest_bad(D, cap):
-    bad = [sum(i) for i in D if sum(i) <= cap]
-    return min(bad) if bad else None
 
 
 # ---------------------------------------------------------------------------
@@ -292,23 +156,26 @@ def build_certificate(R, N, *, s0=None, k_max=None, conditions=None,
     return cert
 
 
-def _independence_or_raise(cert):
+def _ranks(C):
+    """Sample ranks of the fields and of the integrals' gradient rows."""
     from .descent import _gradient_row, _point_rank
 
-    tower = cert.system.tower
-    nq = cert.system.nq
-    rows = [list(f.components) + [f.s_component] for f in cert.fields]
-    rank = _point_rank(rows, tower)
+    tower, nq = C.system.tower, C.system.nq
+    rows = [list(f.components) + [f.s_component] for f in C.fields]
+    grads = [_gradient_row(F.series, nq) for F in C.integrals]
+    return _point_rank(rows, tower), _point_rank(grads, tower)
+
+
+def _independence_or_raise(cert):
+    rank, grank = _ranks(cert)
     if rank < cert.l:
         raise RankDeficiency(
             f"certificate fields have sample rank {rank}; expected {cert.l}"
         )
-    grads = [_gradient_row(F.series, nq) for F in cert.integrals]
-    rank = _point_rank(grads, tower)
-    if rank < len(grads):
+    if grank < len(cert.integrals):
         raise RankDeficiency(
-            f"certificate integrals have gradient rank {rank}; expected "
-            f"{len(grads)}"
+            f"certificate integrals have gradient rank {grank}; expected "
+            f"{len(cert.integrals)}"
         )
 
 
@@ -320,7 +187,7 @@ def verify_certificate(C):
     """
     if not isinstance(C, IntegrabilityCertificate):
         raise InputError("verify_certificate expects an IntegrabilityCertificate")
-    from .descent import _gradient_row, _moved_under, _point_rank, group_closure
+    from .descent import _moved_under, group_closure
 
     tower = C.system.tower
     nq = C.system.nq
@@ -332,15 +199,11 @@ def verify_certificate(C):
         detail=f"l={C.l}, fields={len(C.fields)}, integrals={len(C.integrals)}",
     ))
 
-    rows = [list(f.components) + [f.s_component] for f in C.fields]
-    rank = _point_rank(rows, tower)
+    rank, grank = _ranks(C)
     checks.append(CertificateCheck(
         "field-independence", rank == C.l, detail=f"sample rank {rank}"))
-
-    grads = [_gradient_row(F.series, nq) for F in C.integrals]
-    grank = _point_rank(grads, tower)
     checks.append(CertificateCheck(
-        "integral-independence", grank == len(grads),
+        "integral-independence", grank == len(C.integrals),
         detail=f"sample gradient rank {grank}"))
 
     dense_fields = []

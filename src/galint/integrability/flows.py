@@ -17,6 +17,7 @@ from fractions import Fraction
 from ..algebra.linalg import mat_inv
 from ..algebra.linode import fe_integrate_rational, rational_ode_solve
 from ..algebra.places import evaluate_at, fiber_tower, scalarize_constant
+from ..check import check_flow
 from ..errors import (
     BasePointSingular,
     DegreeBoundExceeded,
@@ -422,27 +423,8 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
 
     flow = FormalFlow(basis1, components, time, s0, N, R,
                       tuple(resonant), tuple(symbols))
-    _verify_flow(flow)
+    check_flow(flow)
     return flow
-
-
-def _verify_flow(flow):
-    """Re-check the defining equations on the assembled object."""
-    R = flow.system
-    basis = flow.basis
-    N = flow.N
-    comps = list(flow.components)
-    for j, rhs in enumerate(R.rhs_series(basis, N)):
-        res = rhs.compose(comps) - comps[j].derive_s()
-        if not res.is_zero():
-            raise VerificationFailed(
-                f"defining residual of component {j + 1} is nonzero"
-            )
-    res = q_series(basis, N, R.t).compose(comps) - flow.time.derive_s()
-    if not res.is_zero():
-        raise VerificationFailed(
-            "defining residual of the time series is nonzero"
-        )
 
 
 def invert_flow(flow):

@@ -32,9 +32,9 @@ symbol), which ``reduction.CoordRat`` builds from tables.
 A :class:`RatioSeries` keeps a quotient exact by cross-multiplication until
 it is differentiated; then :meth:`RatioSeries.expand` turns it into one
 power series (the denominator inverted once) for the operation layer.
-The dense dictionaries in ``integrability/certificates.py`` are a deliberate
-second, independent engine: the certificate verifier recomputes every claim
-there so that a defect here cannot certify itself.
+The dense dictionaries of ``galint.check`` are a deliberate second,
+independent engine: every formal flow and every certificate claim is
+re-checked there, so that a defect here cannot certify itself.
 
 Composition works one total degree at a time.  A :class:`Powers` object
 keeps the degree-k cells of each monomial of a substitution as

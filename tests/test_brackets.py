@@ -18,13 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galint.algebra import AlgebraicTower, GroundField
+from galint.check import _dderiv_along, _dense_cols, _lowest_bad
 from galint.errors import NotExpandable, VerificationFailed, ZeroDivisor
 from galint.integrability import FirstIntegral, fields, formal_flow
-from galint.integrability.certificates import (
-    _dense_cols,
-    _dderiv_along,
-    _lowest_bad,
-)
 from galint.integrability.fields import (
     CertifiedField,
     commuting_fields,

@@ -26,6 +26,7 @@ import pytest
 import sympy.polys.rings as sympy_rings
 
 from galint.algebra import AlgebraicTower, GroundField, places
+from galint.check import check_flow
 from galint.errors import (
     BasePointSingular,
     GaugeRequired,
@@ -50,7 +51,6 @@ from galint.integrability import (
     linearize,
     ratio_lie,
 )
-from galint.integrability.flows import _verify_flow
 from galint.reduction import ReducedSystem
 from galint.series import (
     FormalVectorField,
@@ -529,7 +529,7 @@ def _corrupt(series, order):
 def test_verify_flow_catches_a_wrong_cell(gf, where):
     flow = formal_flow(one_dw(gf), 4)
     assert isinstance(flow, FormalFlow)
-    _verify_flow(flow)
+    check_flow(flow)
     comps, time = list(flow.components), flow.time
     if where == "component":
         comps[0] = _corrupt(comps[0], 3)
@@ -540,4 +540,4 @@ def test_verify_flow_catches_a_wrong_cell(gf, where):
     bad = FormalFlow(flow.basis, comps, time, flow.s0, flow.N, flow.system,
                      flow.resonant, flow.logs)
     with pytest.raises(VerificationFailed, match=label):
-        _verify_flow(bad)
+        check_flow(bad)

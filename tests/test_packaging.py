@@ -16,15 +16,24 @@ ROOT = Path(__file__).resolve().parent.parent
 PROJECT = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
 
 
+def _imports(path):
+    """The modules a source file imports from, relative imports resolved;
+    ``from m import a`` also gives ``m.a``, in case ``a`` is a module."""
+    package = path.relative_to(ROOT / "src").parent.parts
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            keep = len(package) + 1 - node.level if node.level else 0
+            module = ".".join([*package[:keep], *filter(None, [node.module])])
+            yield module
+            yield from (f"{module}.{a.name}" for a in node.names)
+
+
 def _imported_top_level_modules():
-    names = set()
-    for path in (ROOT / "src" / "galint").rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names.update(a.name.split(".")[0] for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names.add(node.module.split(".")[0])
-    return names
+    return {name.split(".")[0]
+            for path in (ROOT / "src" / "galint").rglob("*.py")
+            for name in _imports(path)}
 
 
 def test_console_scripts_resolve_to_callables():
@@ -34,6 +43,19 @@ def test_console_scripts_resolve_to_callables():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {name!r} -> {target} is not callable"
+
+
+def test_the_check_engine_imports_no_construction_code():
+    # galint.integrability's __init__ imports its flows, fields and
+    # integrals, so the whole package is out of bounds
+    src = ROOT / "src" / "galint"
+    banned = [name for name in _imports(src / "check.py")
+              if name.startswith(("galint.series", "galint.integrability"))]
+    assert banned == []
+    tree = ast.parse((src / "integrability" / "certificates.py").read_text())
+    assert [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_d")] == []
 
 
 def test_every_runtime_dependency_is_imported():

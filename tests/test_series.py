@@ -2,16 +2,20 @@
 composition, map inversion, Lie derivatives, and the error paths."""
 
 import hashlib
+import inspect
 import itertools
+import textwrap
 
 import pytest
 import sympy.polys.rings as sympy_rings
 
+from galint import series
 from galint.algebra import AlgebraicTower, GroundField, scalars
 from galint.errors import (
     AlphabetMismatch,
     NonzeroConstantTerm,
     NotTangentToIdentity,
+    VerificationFailed,
 )
 from galint.integrability import formal_flow
 from galint.reduction import ReducedSystem
@@ -338,3 +342,16 @@ def test_deep_flow_is_pinned(monkeypatch):
     assert calls["gate"] <= 3200 and calls["sympy"] <= 8, calls
     assert hashlib.sha1(one_dw_flow(10).encode()).hexdigest() == \
         "971838db7b4b9a897993733b208b1af7975544ad"
+
+
+def test_the_flow_check_refuses_a_planted_powers_defect(monkeypatch):
+    # Powers._at with its degree loop started one too high drops the
+    # products of two degree-1 cells; the flow check shares no code with
+    # Powers, so it names the first equation and order that go wrong
+    source = textwrap.dedent(inspect.getsource(Powers._at))
+    assert "range(n - 1, k)" in source
+    scope = {}
+    exec(source.replace("range(n - 1, k)", "range(n, k)"), vars(series), scope)
+    monkeypatch.setattr(Powers, "_at", scope["_at"])
+    with pytest.raises(VerificationFailed, match="component 1 .* order 2"):
+        one_dw_flow(6)

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from galint.algebra import AlgebraicTower, GroundField
 from galint.algebra.linalg import mat_inv
-from galint.errors import DivisionByZero
-from galint.integrability.certificates import (
+from galint.check import (
     _dadd,
     _dderive,
     _dense,
     _dmul,
     _dpartial,
 )
+from galint.errors import DivisionByZero
 from galint.series import (
     HyperexpBasis,
     RatioSeries,
