@@ -486,8 +486,8 @@ class AlgebraicTower:
                 self, {basis[k]: c for k, c in enumerate(ker) if c}
             )
             raise ZeroDivisor(
-                "tower is not a field at this element", witness=witness
-            )
+                f"tower is not a field at {a}: {witness} annihilates it",
+                witness=witness)
         x, _ = sol
         return FieldElem(self, {basis[k]: c for k, c in enumerate(x) if c})
 

@@ -3,15 +3,24 @@
 Its products, derivatives, inverses and substitutions share no code with
 the construction's calculus (``series.py``) or with the code that builds
 flows, integrals and frames, so a bug on the construction path would have
-to be invented twice to slip through.  :func:`check_flow` re-checks every
-formal flow ``formal_flow`` returns; ``certificates.verify_certificate``
-recomputes every certificate claim here.
+to be invented twice to slip through.  It is the one place where a
+residual is evaluated: :func:`check_flow` re-checks every formal flow
+``formal_flow`` returns, :func:`integral_defect` every first integral and
+:func:`straightening_defect` every linearizing map, and
+:func:`frame_residuals` checks the brackets and Lie derivatives of a frame
+for both ``fields.scan_frame`` (which certifies the frame's order while
+building it) and ``certificates.verify_certificate``.
 """
 
 from .algebra.tower import deepest_tower
-from .errors import VerificationFailed
+from .errors import NotExpandable, VerificationFailed, ZeroDivisor
 
-__all__ = ["check_flow"]
+__all__ = [
+    "check_flow",
+    "frame_residuals",
+    "integral_defect",
+    "straightening_defect",
+]
 
 
 def _dense(series):
@@ -34,6 +43,10 @@ def _dadd(A, B):
         else:
             out[i] = s
     return out
+
+
+def _dsub(A, B):
+    return _dadd(A, {i: -c for i, c in B.items()})
 
 
 def _dmul(A, B, cap):
@@ -95,10 +108,13 @@ def _dinv(D, cap, tower):
 
 def _dratio(r, tower):
     """A q-alphabet RatioSeries as a plain dense dict plus its faithful
-    window."""
+    window: the denominator's monomial content is cancelled (the window
+    shrinks by its degree) and what is left is inverted.  Raises
+    NotExpandable when the quotient is no power series along the curve, and
+    ZeroDivisor with its witness when its constant cell is a zero divisor."""
     num, den = _dense(r.num), _dense(r.den)
     if num is None or den is None or "u" in (r.num.alphabet, r.den.alphabet):
-        return None, "transcendental symbols in the series"
+        raise NotExpandable("transcendental symbols in the series")
     window = min(r.num.N, r.den.N)
     if den:
         m = None
@@ -107,7 +123,8 @@ def _dratio(r, tower):
         if any(m):
             for i in num:
                 if any(a < b for a, b in zip(i, m)):
-                    return None, "denominator valuation exceeds the numerator"
+                    raise NotExpandable(
+                        "denominator valuation exceeds the numerator")
             num = {tuple(a - b for a, b in zip(i, m)): c
                    for i, c in num.items()}
             den = {tuple(a - b for a, b in zip(i, m)): c
@@ -115,19 +132,14 @@ def _dratio(r, tower):
             window -= sum(m)
     inv = _dinv(den, window, tower) if den else None
     if inv is None:
-        return None, "denominator not invertible at the curve"
+        raise NotExpandable("denominator not invertible at the curve")
     return _dmul(num, inv, window), window
 
 
-def _dense_cols(field, tower):
-    cols, window = [], None
-    for r in list(field.components) + [field.s_component]:
-        d, w = _dratio(r, tower)
-        if d is None:
-            return None, w
-        cols.append(d)
-        window = w if window is None else min(window, w)
-    return cols, window
+def _dense_cols(cols, tower):
+    """A field's ratio columns as dense dicts, plus their least window."""
+    dense = [_dratio(r, tower) for r in cols]
+    return [d for d, _w in dense], min(w for _d, w in dense)
 
 
 def _dderiv_along(cols, F, cap, tower):
@@ -140,9 +152,95 @@ def _dderiv_along(cols, F, cap, tower):
     return out
 
 
-def _lowest_bad(D, cap):
-    bad = [sum(i) for i in D if sum(i) <= cap]
-    return min(bad) if bad else None
+def _lowest_bad(cap, *Ds):
+    """The least total degree through ``cap`` of a cell of any of ``Ds``;
+    None when every one vanishes there."""
+    return min((sum(i) for D in Ds for i in D if sum(i) <= cap), default=None)
+
+
+def _converted(convert, x, tower):
+    """``convert(x, tower)``, or ``(None, refusal)`` when the quotient is
+    no power series or its constant cell is a zero divisor."""
+    try:
+        return convert(x, tower)
+    except (NotExpandable, ZeroDivisor) as err:
+        return None, err
+
+
+def _dynamics(R):
+    """The reduced dynamics D = sum_j qdot_j d/dq_j + d/ds as dense
+    columns, read from the system's raw tables."""
+    return [R.qdot_series(j) for j in range(R.nq)] + [
+        {(0,) * R.nq: R.tower.one}]
+
+
+# ---------------------------------------------------------------------------
+# frames, first integrals and linearizing maps
+# ---------------------------------------------------------------------------
+
+def frame_residuals(fields, integrals, tower, debt, *, brackets=True):
+    """Check a frame's claims on dense columns, one record per claim.
+
+    ``fields`` are column lists (q-components, then s) and ``integrals``
+    quotients, all RatioSeries.  A record is ``(claim, cap, bad)``: the
+    claim ``("bracket", a, b)`` for each pair a < b of fields (unless
+    ``brackets`` is false) and ``("lie", k, t)`` for field k and integral
+    t; ``cap`` is the least window of the quotients involved less ``debt``
+    (each nested partial costs the top degree of a window), and ``bad`` the
+    lowest order through ``cap`` where the residual has a cell, or None.
+    A field or integral that does not convert yields one record
+    ``(("field", k), None, err)`` or ``(("integral", t), None, err)`` in
+    place of its claims, ``err`` the NotExpandable or ZeroDivisor refusal.
+    Records are made lazily: a caller may stop at the first bad one.
+    """
+    dense = [_converted(_dense_cols, f, tower) for f in fields]
+    for k, (cols, err) in enumerate(dense):
+        if cols is None:
+            yield ("field", k), None, err
+    for a, (ca, wa) in enumerate(dense if brackets else ()):
+        for b in range(a + 1, len(dense)):
+            cb, wb = dense[b]
+            if ca is None or cb is None:
+                continue
+            cap = min(wa, wb) - debt
+            yield ("bracket", a, b), cap, _lowest_bad(cap, *(
+                _dsub(_dderiv_along(ca, y, cap, tower),
+                      _dderiv_along(cb, x, cap, tower))
+                for x, y in zip(ca, cb)))
+    for t, F in enumerate(integrals):
+        dF, wf = _converted(_dratio, F, tower)
+        if dF is None:
+            yield ("integral", t), None, wf
+            continue
+        for k, (ck, wk) in enumerate(dense):
+            if ck is not None:
+                cap = min(wk, wf) - debt
+                yield ("lie", k, t), cap, _lowest_bad(
+                    cap, _dderiv_along(ck, dF, cap, tower))
+
+
+def integral_defect(R, F, cap):
+    """The lowest order through ``cap`` at which the reduced dynamics D of
+    ``R`` moves the quotient ``F``, or None.
+
+    The residual is cross-multiplied, D(num)·den − num·D(den), so a
+    denominator without a constant cell (q1²/q2) needs no inverse.
+    """
+    tower, D = R.tower, _dynamics(R)
+    num, den = _dense(F.num), _dense(F.den)
+    return _lowest_bad(cap, _dsub(
+        _dmul(_dderiv_along(D, num, cap, tower), den, cap),
+        _dmul(num, _dderiv_along(D, den, cap, tower), cap)))
+
+
+def straightening_defect(R, phi, j, cap):
+    """The lowest order through ``cap`` of D(phi) − h_j·phi, D the reduced
+    dynamics of ``R`` and h_j its j-th diagonal entry, or None: ``phi``
+    straightens component j when it vanishes."""
+    tower, h = R.tower, R.lambdas[j]
+    phi = _dense(phi)
+    return _lowest_bad(cap, _dsub(_dderiv_along(_dynamics(R), phi, cap, tower),
+                                  {i: c * h for i, c in phi.items()}))
 
 
 # ---------------------------------------------------------------------------

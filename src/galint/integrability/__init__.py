@@ -18,8 +18,6 @@ from .fields import (
     CommutingFrame,
     as_cols,
     commuting_fields,
-    lie_bracket,
-    ratio_lie,
     rderive_s,
     rpartial,
     stabilize_frame,
@@ -36,7 +34,7 @@ from .flows import (
     linearize,
     original_field,
 )
-from .integrals import FirstIntegral, first_integrals, lie_ratio_residual
+from .integrals import FirstIntegral, first_integrals
 
 __all__ = [
     "INCONCLUSIVE_BOUNDS",
@@ -60,11 +58,8 @@ __all__ = [
     "galois_descent",
     "group_closure",
     "invert_flow",
-    "lie_bracket",
-    "lie_ratio_residual",
     "linearize",
     "original_field",
-    "ratio_lie",
     "rderive_s",
     "rpartial",
     "stabilize_frame",

@@ -7,11 +7,11 @@ the data to the base curve.  ``verify_certificate`` recomputes every
 claim through the independent dense engine of ``galint.check``.
 """
 
-from ..check import _dadd, _dderiv_along, _dense_cols, _dratio, _lowest_bad
+from ..check import frame_residuals
 from ..errors import InputError, RankDeficiency, VerificationFailed
 from ..galois.resonance import relation_lattice
 from ..reduction import ReducedSystem
-from .fields import commuting_fields, stabilize_frame
+from .fields import as_cols, commuting_fields, stabilize_frame
 from .flows import FormalFlow, formal_flow
 from .integrals import first_integrals
 
@@ -190,8 +190,7 @@ def verify_certificate(C):
     from .descent import _moved_under, group_closure
 
     tower = C.system.tower
-    nq = C.system.nq
-    n = nq + 1
+    n = C.system.nq + 1
     checks = []
 
     checks.append(CertificateCheck(
@@ -206,51 +205,19 @@ def verify_certificate(C):
         "integral-independence", grank == len(C.integrals),
         detail=f"sample gradient rank {grank}"))
 
-    dense_fields = []
-    for k, f in enumerate(C.fields):
-        cols, w = _dense_cols(f, tower)
-        if cols is None:
-            checks.append(CertificateCheck(f"field-{k}-dense", False, detail=w))
-        dense_fields.append((cols, w))
-
-    for a in range(len(dense_fields)):
-        ca, wa = dense_fields[a]
-        if ca is None:
+    for (kind, *idx), cap, bad in frame_residuals(
+            [as_cols(f) for f in C.fields], [F.series for F in C.integrals],
+            tower, 1):
+        if cap is None:
+            checks.append(CertificateCheck(f"{kind}-{idx[0]}-dense", False,
+                                           detail=str(bad)))
             continue
-        for b in range(a + 1, len(dense_fields)):
-            cb, wb = dense_fields[b]
-            if cb is None:
-                continue
-            cap = min(wa, wb) - 1
-            bad = None
-            for k in range(n):
-                res = _dadd(
-                    _dderiv_along(ca, cb[k], cap, tower),
-                    {i: -c for i, c in
-                     _dderiv_along(cb, ca[k], cap, tower).items()},
-                )
-                low = _lowest_bad(res, cap)
-                if low is not None:
-                    bad = low if bad is None else min(bad, low)
-            checks.append(CertificateCheck(
-                f"bracket-{a}-{b}", bad is None, order=cap,
-                detail="" if bad is None else f"residual at order {bad}"))
-
-    for t, F in enumerate(C.integrals):
-        dF, wf = _dratio(F.series, tower)
-        if dF is None:
-            checks.append(CertificateCheck(f"integral-{t}-dense", False,
-                                           detail=wf))
-            continue
-        for a, (ca, wa) in enumerate(dense_fields):
-            if ca is None:
-                continue
-            cap = min(wa, wf) - 1
-            res = _dderiv_along(ca, dF, cap, tower)
-            low = _lowest_bad(res, cap)
-            checks.append(CertificateCheck(
-                f"lie-{a}-integral-{t}", low is None, order=cap,
-                detail="" if low is None else f"residual at order {low}"))
+        a, b = idx
+        name = f"bracket-{a}-{b}" if kind == "bracket" else \
+            f"lie-{a}-integral-{b}"
+        checks.append(CertificateCheck(
+            name, bad is None, order=cap,
+            detail="" if bad is None else f"residual at order {bad}"))
 
     if C.chart == "original" and tower.r > 0 and tower.galois_names():
         moved = _moved_under(group_closure(tower), C.fields,

@@ -311,8 +311,8 @@ def galois_descent(certificate):
     omega Y_i with omega = 1, then F_t^m for m = 1..|G|-1.  Candidates are
     kept in that order while the sample rank grows (:func:`_independent`),
     then the kept data is checked to be fixed by the group
-    (:func:`_moved_under`) and scanned with debt 2 by
-    :func:`fields.scan_frame`.
+    (:func:`_moved_under`) and its brackets and Lie derivatives are
+    checked with debt 2 on the dense engine (:func:`fields.scan_frame`).
     """
     from .certificates import IntegrabilityCertificate
 

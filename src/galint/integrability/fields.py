@@ -17,24 +17,19 @@ a_j = -1 and a_k = 0 on the other picked units, so that field is dual to
 -dlog c_j.  A log cell of tau must have <a, i> = 0 (its index on the
 lattice), since E_a of it would not be a series in q.  Every column is a
 polynomial series over T, exact through the flow window.  Nothing is
-taken on trust: the pairwise brackets are scanned on the power-series
-expansions of the columns (see RatioSeries.expand), and
-:func:`stabilize_frame` checks that every field kills every first
-integral.
+taken on trust: :func:`scan_frame` checks the pairwise brackets, and
+:func:`stabilize_frame` that every field kills every first integral, on
+the dense engine of ``galint.check`` (see ``check.frame_residuals``); the
+construction here only builds.
 """
 
 from fractions import Fraction
 
 from ..algebra.linalg import rank, solve
+from ..check import frame_residuals
 from ..errors import InputError, RankDeficiency, VerificationFailed
 from ..galois.resonance import relation_lattice
-from ..series import (
-    FormalVectorField,
-    RatioSeries,
-    TruncSeries,
-    q_series,
-    ts_lie,
-)
+from ..series import RatioSeries, TruncSeries, q_series
 from .flows import FormalFlow, invert_flow
 
 __all__ = [
@@ -42,24 +37,23 @@ __all__ = [
     "CommutingFrame",
     "as_cols",
     "commuting_fields",
-    "lie_bracket",
-    "ratio_lie",
     "rderive_s",
     "rpartial",
     "scan_frame",
-    "scan_residual",
     "stabilize_frame",
 ]
 
 
-class CertifiedField(FormalVectorField):
-    """A vector field whose components are rational quotients, plus the
-    order through which its frame brackets were actually checked."""
+class CertifiedField:
+    """A vector field whose components along the coordinates and along s
+    are rational quotients, plus the order through which its frame
+    brackets were actually checked."""
 
-    __slots__ = ("order",)
+    __slots__ = ("components", "s_component", "order")
 
     def __init__(self, components, s_component, order):
-        super().__init__(components, s_component)
+        self.components = tuple(components)
+        self.s_component = s_component
         self.order = int(order)
 
     def __repr__(self):
@@ -106,76 +100,39 @@ def rderive_s(r):
     ).trim()
 
 
-def scan_residual(r, debt):
-    """(defect order or None, certified order) for a residual power series.
-
-    ``debt`` is the number of q-partials nested in the computation: each
-    one costs the top degree of the window (the derivative of the
-    truncated-away cells would have landed there).  Cells above the
-    remaining window N - debt are ignored as potential junk; a clean scan
-    certifies through N - debt."""
-    W = r.N - debt
-    f = r.valuation()
-    if f is None or f > W:
-        return None, W
-    return f, f - 1
-
-
 def scan_frame(fields, integrals, debt, order, *, brackets=True):
-    """``order`` lowered to what a clean scan certifies.
+    """``order`` lowered to what a clean check certifies.
 
-    Scans (see :func:`scan_residual`, with ``debt``) every pairwise bracket
-    of ``fields`` unless ``brackets`` is false, then the Lie derivative of
-    every quotient in ``integrals`` along every field; the first defect
-    raises VerificationFailed naming the fields or the field and integral.
-    Each quotient keeps its expansion (see RatioSeries.expand), so every
-    field and integral is expanded once, on first use, however many pairs
-    and integrals it meets.
+    Checks (see ``check.frame_residuals``, with ``debt``) every pairwise
+    bracket of ``fields`` unless ``brackets`` is false, then the Lie
+    derivative of every quotient in ``integrals`` along every field, and
+    lowers ``order`` to each claim's cap.  The first failing claim raises
+    VerificationFailed naming the fields or the field and integral; a
+    column or integral that is no power series along the curve raises
+    NotExpandable, and one whose constant cell is a zero divisor raises
+    ZeroDivisor with its witness.
     """
-    def lowered(order, r, what):
-        defect, cert = scan_residual(r, debt)
-        if defect is not None:
-            raise VerificationFailed(f"{what} at order {defect}")
-        return min(order, cert)
-
-    for a in range(len(fields) if brackets else 0):
-        for b in range(a + 1, len(fields)):
-            for r in lie_bracket(fields[a], fields[b]):
-                order = lowered(order, r,
-                                f"frame fields {a} and {b} fail to commute")
-    for k, f in enumerate(fields):
-        for t, F in enumerate(integrals):
-            order = lowered(order, ratio_lie(f, F),
-                            f"frame field {k} moves first integral {t}")
+    fields = [as_cols(f) for f in fields]
+    tower = fields[0][0].num.basis.hs[0].tower
+    for (kind, *idx), cap, bad in frame_residuals(fields, integrals, tower,
+                                                  debt, brackets=brackets):
+        if cap is None:
+            raise bad
+        if bad is not None:
+            a, b = idx
+            what = f"frame fields {a} and {b} fail to commute" \
+                if kind == "bracket" else \
+                f"frame field {a} moves first integral {b}"
+            raise VerificationFailed(f"{what} at order {bad}")
+        order = min(order, cap)
     return order
 
 
 def as_cols(f):
     """Column list (q-components then s) of a field-like object."""
-    if isinstance(f, FormalVectorField):
+    if isinstance(f, CertifiedField):
         return list(f.components) + [f.s_component]
     return list(f)
-
-
-def _expanded(field):
-    """The field with every ratio column expanded once (a power series)."""
-    cols = [x.expand() for x in as_cols(field)]
-    return FormalVectorField(cols[:-1], cols[-1])
-
-
-def ratio_lie(field, f):
-    """Derivative of the quotient ``f`` along a field with ratio columns,
-    as a power series; raises NotExpandable when a quotient is not one."""
-    return ts_lie(f.expand(), _expanded(field))
-
-
-def lie_bracket(a, b):
-    """Componentwise [a, b] as power series, both given as ratio columns or
-    fields; each column is expanded once."""
-    A = _expanded(a)
-    B = _expanded(b)
-    return [ts_lie(y, A) - ts_lie(x, B)
-            for x, y in zip(as_cols(A), as_cols(B))]
 
 
 # ------------------------------------------------------------- construction
@@ -247,7 +204,7 @@ def commuting_fields(flow, report=None, *, conditions=None):
     CommutingFrame of l = n - rank(lattice) fields: one pushed-forward
     Euler field per unit chosen by the transverse choice (see the module
     docstring), then the original-time dynamics.  Every pairwise bracket is
-    scanned with debt 1 (one partial per product), so a clean frame is
+    checked with debt 1 (one partial per product), so a clean frame is
     certified through ``flow.N - 1``.  Raises RankDeficiency when the
     lattice cannot be completed by unit rows and VerificationFailed when a
     bracket residual survives, or when a log cell of the time series varies
@@ -296,13 +253,15 @@ def commuting_fields(flow, report=None, *, conditions=None):
 def stabilize_frame(frame, integrals=()):
     """Check that every frame field kills every first integral.
 
-    Each Lie derivative is scanned with debt 1 like the brackets; a defect
+    Each Lie derivative is checked with debt 1 like the brackets; a defect
     raises VerificationFailed.  A clean check returns the frame, its order
     lowered to what the checks certified (only when an integral's window
     is the shorter one).
     """
     if not isinstance(frame, CommutingFrame):
         raise InputError("stabilize_frame expects a CommutingFrame")
+    if not integrals:
+        return frame
     order = scan_frame(frame.fields, [F.series for F in integrals], 1,
                        frame.order, brackets=False)
     if order == frame.order:

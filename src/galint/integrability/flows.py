@@ -17,7 +17,7 @@ from fractions import Fraction
 from ..algebra.linalg import mat_inv
 from ..algebra.linode import fe_integrate_rational, rational_ode_solve
 from ..algebra.places import evaluate_at, fiber_tower, scalarize_constant
-from ..check import check_flow
+from ..check import check_flow, straightening_defect
 from ..errors import (
     BasePointSingular,
     DegreeBoundExceeded,
@@ -37,7 +37,6 @@ from ..errors import (
 from ..galois.resonance import combination, unit_solution
 from ..reduction import ReducedSystem, fuchsian_scan, time_reduce
 from ..series import (
-    FormalVectorField,
     HyperexpBasis,
     Powers,
     RatioSeries,
@@ -46,7 +45,6 @@ from ..series import (
     linear_subst,
     q_series,
     ts_invert_map,
-    ts_lie,
 )
 
 #: classification labels used by :class:`Obstruction`
@@ -545,17 +543,12 @@ def linearize(R, N=None, s0=None, *, conditions=None):
 
     tower = R.tower
     nq = R.nq
-    hs = R.lambdas
     basis = flow.basis
     M = flow.N
 
     # in the reduced chart the inverse map straightens the field exactly
-    field = FormalVectorField(
-        R.rhs_series(basis, M), TruncSeries.constant(basis, "q", M, tower.one)
-    )
     for j in range(nq):
-        res = ts_lie(Phi[j], field) - Phi[j].scale(hs[j])
-        if not res.is_zero():
+        if straightening_defect(R, Phi[j], j, M) is not None:
             raise VerificationFailed(
                 f"inverse map does not straighten component {j + 1}"
             )

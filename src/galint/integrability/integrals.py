@@ -4,18 +4,15 @@ Each basis relation k with witness y (a rational solution of y'/y = <k, h>)
 yields the integral F = y^{-1} prod_j Phi_j^{k_j}, where Phi is the inverse
 of the flow map: in flow-box coordinates F is just y^{-1} u^k, killed by the
 dynamics because the witness cancels the H-drift.  Negative entries of k go
-to the denominator — F is carried as an exact quotient and every check is a
-cross-multiplied polynomial identity.
+to the denominator — F is carried as an exact quotient, and its check
+(``check.integral_defect``, on the dense engine) is a cross-multiplied
+polynomial identity.
 """
 
+from ..check import integral_defect
 from ..errors import InputError, OrderExceedsTable, VerificationFailed
 from ..galois.resonance import relation_lattice
-from ..series import (
-    FormalVectorField,
-    RatioSeries,
-    TruncSeries,
-    ts_lie,
-)
+from ..series import RatioSeries, TruncSeries
 from .flows import FormalFlow, invert_flow
 
 
@@ -38,12 +35,6 @@ class FirstIntegral:
 
     def __repr__(self):
         return f"FirstIntegral(exponent={self.exponent}, order={self.order})"
-
-
-def lie_ratio_residual(F, field):
-    """Numerator of  L_X (num/den),  an exact polynomial object."""
-    a, b = F.num, F.den
-    return ts_lie(a, field) * b - a * ts_lie(b, field)
 
 
 def first_integrals(flow, report=None, *, order=None, conditions=None):
@@ -76,7 +67,6 @@ def first_integrals(flow, report=None, *, order=None, conditions=None):
 
     Phi = [p.truncate(M) for p in invert_flow(flow)]
     one = TruncSeries.constant(basis, "q", M, tower.one)
-    field = FormalVectorField(R.rhs_series(basis, M), one)  # ds/ds = 1
 
     out = []
     for row in report.basis:
@@ -89,7 +79,7 @@ def first_integrals(flow, report=None, *, order=None, conditions=None):
             for _ in range(-k, 0, -1):
                 den = den * Phi[j]
         F = RatioSeries(num, den)
-        bad = lie_ratio_residual(F, field).valuation()
+        bad = integral_defect(R, F, M)
         if bad is not None and bad <= flow.N:
             raise VerificationFailed(
                 f"integral residual for {tuple(row)} fails inside the "

@@ -29,12 +29,11 @@ Plain ``{exponent: coeff}`` tables cross the boundary through
 :func:`q_series` and :func:`q_table`; a rational function of the
 coordinates is a :class:`RatioSeries` of neutral q-series (cells with no L
 symbol), which ``reduction.CoordRat`` builds from tables.
-A :class:`RatioSeries` keeps a quotient exact by cross-multiplication until
-it is differentiated; then :meth:`RatioSeries.expand` turns it into one
-power series (the denominator inverted once) for the operation layer.
-The dense dictionaries of ``galint.check`` are a deliberate second,
-independent engine: every formal flow and every certificate claim is
-re-checked there, so that a defect here cannot certify itself.
+A :class:`RatioSeries` keeps a quotient exact by cross-multiplication.
+This engine only builds: every residual (of a formal flow, a first
+integral, a frame bracket or Lie derivative, a linearizing map) is
+evaluated on the dense dictionaries of ``galint.check``, a deliberate
+second, independent engine, so that a defect here cannot certify itself.
 
 Composition works one total degree at a time.  A :class:`Powers` object
 keeps the degree-k cells of each monomial of a substitution as
@@ -54,7 +53,6 @@ from .errors import (
     AlphabetMismatch,
     DivisionByZero,
     NonzeroConstantTerm,
-    NotExpandable,
     NotTangentToIdentity,
 )
 
@@ -63,13 +61,11 @@ __all__ = [
     "Powers",
     "SymbolMonomial",
     "TruncSeries",
-    "FormalVectorField",
     "RatioSeries",
     "linear_subst",
     "q_series",
     "q_table",
     "ts_invert_map",
-    "ts_lie",
 ]
 
 
@@ -486,16 +482,6 @@ class Powers:
         return out
 
 
-class FormalVectorField:
-    """Components along the coordinates plus an s-component, all series."""
-
-    __slots__ = ("components", "s_component")
-
-    def __init__(self, components, s_component):
-        self.components = tuple(components)
-        self.s_component = s_component
-
-
 class RatioSeries:
     """A formal quotient num/den of truncated series.
 
@@ -505,21 +491,15 @@ class RatioSeries:
     :meth:`trim`).  Either operand of ``+ - * /`` may be a constant the
     coefficient tower coerces (an int, a Fraction, a ground element or a
     tower element); dividing by a zero quotient raises ``DivisionByZero``.
-    Calculus divides once instead: :meth:`expand` inverts the trimmed
-    denominator as a power series and returns one :class:`TruncSeries`,
-    which frame brackets and Lie derivatives differentiate.  A quotient is
-    never changed after construction, so its expansion is computed on first
-    use and kept.
     """
 
-    __slots__ = ("num", "den", "_series")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den):
         if den.is_zero():
             raise ZeroDivisionError("RatioSeries with zero denominator")
         self.num = num
         self.den = den
-        self._series = None
 
     def trim(self):
         """Cancel the common monomial content of numerator and denominator.
@@ -550,31 +530,6 @@ class RatioSeries:
             )
 
         return RatioSeries(shift(num), shift(den))
-
-    def expand(self):
-        """The quotient as one power series through ``min(num.N, den.N)``.
-
-        After :meth:`trim` the denominator must have a symbol-free constant
-        cell and no other cell of degree 0; it is inverted once (see
-        :meth:`TruncSeries.inverse`).  Otherwise the quotient is not a power
-        series along the curve and :class:`NotExpandable` is raised; a
-        constant cell that is a zero divisor of the tower raises
-        ``ZeroDivisor`` with its witness, as dividing by it would.  The
-        series is computed once, on the first call that succeeds.
-        """
-        if self._series is not None:
-            return self._series
-        r = self.trim()
-        zero_i = (0,) * r.den.basis.n
-        if (zero_i, _NEUTRAL) not in r.den.table or any(
-            not any(i) and not sym.is_neutral() for i, sym in r.den.table
-        ):
-            raise NotExpandable(
-                "denominator has no symbol-free unit constant cell"
-            )
-        N = min(r.num.N, r.den.N)
-        self._series = r.num * r.den.truncate(N).inverse()
-        return self._series
 
     def _mate(self, other):
         """``other`` as a quotient: a RatioSeries as it is, anything else as
@@ -715,16 +670,6 @@ def ts_invert_map(phi):
     for _ in range(max(0, N - 1)):
         cur = [q_id[j] - R[j].compose(cur) for j in range(n)]
     return cur
-
-
-def ts_lie(a, v):
-    """Lie derivative of a series along a formal vector field."""
-    out = None
-    for j, comp in enumerate(v.components):
-        term = a.partial(j) * comp
-        out = term if out is None else out + term
-    ds = a.derive_s() * v.s_component
-    return ds if out is None else out + ds
 
 
 def _one_of_list(series_list):

@@ -1,16 +1,17 @@
-"""Frame brackets on power-series expansions.
+"""Frame brackets and Lie derivatives on the dense check engine.
 
-``RatioSeries.expand`` turns a quotient with a unit denominator (after its
-common monomial content is cancelled) into one power series, and the frame
-brackets, Lie derivatives and their scans run on those expansions.  The
+``check._dratio`` turns a quotient with a unit denominator (after its
+monomial content is cancelled) into one dense power series, and
+``check.frame_residuals`` checks the frame brackets and Lie derivatives
+on those for both ``fields.scan_frame`` and ``verify_certificate``.  The
 property tests pin why that agrees with differentiating quotients by the
-quotient rule: expansion is a ring map through the shared window, it
-commutes with ``rpartial``/``rderive_s`` one degree below the window, and
+quotient rule of the series engine: the dense conversion commutes with
+``rpartial``/``rderive_s`` one degree below the window, and
 ``partial``/``derive_s`` obey the Leibniz rule on truncated series.  The
-rest are labelled failures and the frame of ``commuting_fields``: certified
-through the flow window less one, a cell planted into a field is named at
-its own order, and ``stabilize_frame`` names a field that moves an
-integral.
+rest are labelled refusals and the frame of ``commuting_fields``:
+certified through the flow window less one, a cell planted into a field
+is named at its own order, and ``stabilize_frame`` names a field that
+moves an integral.
 """
 
 import pytest
@@ -18,17 +19,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galint.algebra import AlgebraicTower, GroundField
-from galint.check import _dderiv_along, _dense_cols, _lowest_bad
+from galint import check
+from galint.check import (
+    _dadd,
+    _dderiv_along,
+    _dderive,
+    _dense_cols,
+    _dpartial,
+    _dratio,
+    _dsub,
+    frame_residuals,
+)
 from galint.errors import NotExpandable, VerificationFailed, ZeroDivisor
-from galint.integrability import FirstIntegral, fields, formal_flow
+from galint.integrability import FirstIntegral, formal_flow
 from galint.integrability.fields import (
     CertifiedField,
+    as_cols,
     commuting_fields,
-    lie_bracket,
-    ratio_lie,
     rderive_s,
     rpartial,
-    scan_residual,
+    scan_frame,
     stabilize_frame,
 )
 from galint.reduction import CoordRat, VectorFieldSpec, reduce_to_curve, \
@@ -73,7 +83,7 @@ units = st.tuples(ground.filter(any), st.tuples(small, st.just(0), st.just(0)))
 @st.composite
 def quotients(draw, tower, nq=NQ):
     """num/den with a unit constant in den, both raised by one common
-    monomial so that ``expand`` has content to cancel first."""
+    monomial so that ``_dratio`` has content to cancel first."""
     zero = (0,) * nq
     shift = draw(st.sampled_from(
         [zero] + [tuple(int(k == j) for k in range(nq)) for j in range(nq)]))
@@ -92,37 +102,23 @@ def quotients(draw, tower, nq=NQ):
     return RatioSeries(series(draw(tables)), series(den_tab))
 
 
-@st.composite
-def quotient_pairs(draw):
-    tower = draw(towers)
-    return draw(quotients(tower)), draw(quotients(tower))
-
-
 def upto(a, M):
-    return a.truncate(M) if M < a.N else a
-
-
-@PROPS
-@given(quotient_pairs())
-def test_expand_is_a_ring_map(pair):
-    a, b = pair
-    ea, eb = a.expand(), b.expand()
-    for got, want in ((a + b, ea + eb), (a - b, ea - eb), (a * b, ea * eb)):
-        # quotient arithmetic can shed more common content than either
-        # operand did, so its window may be the narrower one
-        got = got.expand()
-        M = min(got.N, want.N)
-        assert upto(got, M) == upto(want, M)
+    """The cells of a dense series through total degree M."""
+    return {i: c for i, c in a.items() if sum(i) <= M}
 
 
 @PROPS
 @given(towers.flatmap(quotients))
-def test_expand_commutes_with_the_quotient_rule(r):
-    e = r.expand()
-    top = e.N - 1
-    for j in range(NQ):
-        assert upto(rpartial(r, j).expand(), top) == upto(e.partial(j), top)
-    assert upto(rderive_s(r).expand(), top) == upto(e.derive_s(), top)
+def test_dense_conversion_commutes_with_the_quotient_rule(r):
+    tower = r.num.basis.hs[0].tower
+    e, window = _dratio(r, tower)
+    top = window - 1
+    derivatives = [(rpartial(r, j), _dpartial(e, j, tower))
+                   for j in range(NQ)] + [(rderive_s(r), _dderive(e))]
+    for quotient_rule, dense in derivatives:
+        got, w = _dratio(quotient_rule, tower)
+        assert w >= top
+        assert upto(got, top) == upto(dense, top)
 
 
 # u-series (each u^i carries H^i) with and without an L symbol, for the
@@ -148,8 +144,8 @@ def test_leibniz_rule(tab_a, tab_b):
     assert (a * b).derive_s() == a.derive_s() * b + a * b.derive_s()
     for j in range(NQ):
         # the top cell of a partial would come from the truncated degree
-        assert upto((a * b).partial(j), N - 1) == \
-            upto(a.partial(j) * b + a * b.partial(j), N - 1)
+        assert (a * b).partial(j).truncate(N - 1) == \
+            (a.partial(j) * b + a * b.partial(j)).truncate(N - 1)
 
 
 # ------------------------------------------------------- labelled failures
@@ -168,14 +164,15 @@ def test_non_unit_denominators_are_not_expandable():
     unit = RatioSeries(one, one)
     for bad in (q1_plus_q2, over_q1):
         with pytest.raises(NotExpandable):
-            bad.expand()
+            _dratio(bad, BASE)
         with pytest.raises(NotExpandable):
-            lie_bracket([unit, unit, bad], [unit, unit, unit])
+            scan_frame([[unit, unit, bad], [unit, unit, unit]], (), 1, N)
         with pytest.raises(NotExpandable):
-            ratio_lie([unit, unit, unit], bad)
+            scan_frame([[unit, unit, unit]], [bad], 1, N, brackets=False)
     # the quotient by a monomial that divides the numerator is a series,
     # one degree narrower
-    assert divisible.expand() == q(((0, 0), S), ((1, 1), 1), N=N - 1)
+    assert _dratio(divisible, BASE) == (
+        {(0, 0): BASE.from_ground(S), (1, 1): BASE.one}, N - 1)
 
 
 def test_zero_divisor_constant_raises_with_its_witness():
@@ -185,31 +182,32 @@ def test_zero_divisor_constant_raises_with_its_witness():
     B = HyperexpBasis((T.zero,))
     r = RatioSeries(q_series(B, N, {(0,): T.one}),
                     q_series(B, N, {(0,): w_minus_s, (1,): T.one}))
-    with pytest.raises(ZeroDivisor) as err:
-        r.expand()
-    assert (w_minus_s * err.value.witness).is_zero()
+    for refuse in (lambda: _dratio(r, T), lambda: scan_frame([[r, r]], (), 1, N)):
+        with pytest.raises(ZeroDivisor) as err:
+            refuse()
+        assert (w_minus_s * err.value.witness).is_zero()
 
 
 def test_planted_cell_defect_matches_the_dense_verifier():
-    # [q d/dq, s q^2 d/dq] = s q^2 d/dq: a residual cell at order 2
+    # [q d/dq, s q^2 d/dq] = s q^2 d/dq: a residual cell at order 2, one
+    # record that the frame scan raises on and the verifier reports
     one = q(((0,), 1), nq=1, N=4)
     zero = q(nq=1, N=4)
     X = CertifiedField([RatioSeries(q(((1,), 1), nq=1, N=4), one)],
                        RatioSeries(zero, one), 4)
     Y = CertifiedField([RatioSeries(q(((2,), S), nq=1, N=4), one)],
                        RatioSeries(zero, one), 4)
-    res_q, res_s = lie_bracket(X, Y)
-    assert res_q == q(((2,), S), nq=1, N=4)
-    assert res_s.is_zero()
-    assert scan_residual(res_q, 1) == (2, 1)
-    assert scan_residual(res_s, 1) == (None, 3)
-    (cx, wx), (cy, wy) = _dense_cols(X, BASE), _dense_cols(Y, BASE)
+    (cx, wx), (cy, wy) = (_dense_cols(as_cols(f), BASE) for f in (X, Y))
     cap = min(wx, wy) - 1
-    dense = _dderiv_along(cx, cy[0], cap, BASE)
-    for i, c in _dderiv_along(cy, cx[0], cap, BASE).items():
-        dense[i] = dense[i] - c if i in dense else -c
-    dense = {i: c for i, c in dense.items() if not c.is_zero()}
-    assert _lowest_bad(dense, cap) == 2
+    assert [_dsub(_dderiv_along(cx, y, cap, BASE),
+                  _dderiv_along(cy, x, cap, BASE))
+            for x, y in zip(cx, cy)] == [{(2,): BASE.from_ground(S)}, {}]
+    assert list(frame_residuals([as_cols(X), as_cols(Y)], (), BASE, 1)) == \
+        [(("bracket", 0, 1), 3, 2)]
+    with pytest.raises(VerificationFailed,
+                       match="frame fields 0 and 1 fail to commute at "
+                             "order 2"):
+        scan_frame([X, Y], (), 1, 4)
 
 
 # ------------------------------------------------------------ frame brackets
@@ -228,17 +226,19 @@ def cubic_drag_flow(N=4):
 
 
 def plant_in_first_column(monkeypatch, degree):
-    """Add s q^degree to the first column of field 0 as the bracket sees
-    it."""
-    bracket = fields.lie_bracket
+    """Add s q^degree to the first column of the first field the dense
+    check converts (field 0 of ``commuting_fields``)."""
+    convert = check._dense_cols
+    seen = []
 
-    def planted(a, b):
-        c, *rest = fields.as_cols(a)
-        cell = q_series(c.num.basis, c.num.N,
-                        {(degree,): BASE.from_ground(S)})
-        return bracket([RatioSeries(c.num + cell * c.den, c.den)] + rest, b)
+    def planted(cols, tower):
+        dense, window = convert(cols, tower)
+        if not seen:
+            dense[0] = _dadd(dense[0], {(degree,): tower.from_ground(S)})
+        seen.append(cols)
+        return dense, window
 
-    monkeypatch.setattr(fields, "lie_bracket", planted)
+    monkeypatch.setattr(check, "_dense_cols", planted)
 
 
 def test_frame_is_bracketed_once_at_the_flow_window():

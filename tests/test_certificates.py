@@ -17,8 +17,9 @@ through the whole pipeline:
   decoupled third coordinate q3' = (alpha/s) q3 -> (2, 2), and descent
   carries a frame field as well.
 
-Two mutations show that the verifier can fail: a duplicated field and a
-frame field perturbed by the cell s q^2.
+Three mutations show that the verifier can fail: a duplicated field, a
+frame field perturbed by the cell s q^2, and a column whose denominator's
+constant cell is a zero divisor.
 """
 
 from fractions import Fraction
@@ -51,7 +52,7 @@ from galint.reduction import (
     reduce_to_curve,
     time_reduce,
 )
-from galint.series import RatioSeries, TruncSeries, q_series
+from galint.series import RatioSeries, q_series
 
 
 @pytest.fixture()
@@ -230,6 +231,26 @@ def test_perturbed_field_fails_a_bracket(gf):
         "[FAILED] bracket-0-1 (order 3): residual at order 2"]
 
 
+def test_zero_divisor_column_is_a_failed_check(gf):
+    # on w^2 = s^2 the constant w - s of the column q/((w - s) + q) is a
+    # zero divisor: the dense check records it with its witness instead of
+    # raising out of the verifier
+    s, a = gf.s, gf.gen("alpha")
+    T = AlgebraicTower(gf).extend("w", 2, s**2)
+    cert = build_certificate(reduced(T, [[T.from_ground(a / s)]], {}, 3), 3)
+    assert (cert.l, cert.orders) == (2, {"flow": 3, "frame": 2})
+    Y, X = cert.fields
+    B = Y.s_component.num.basis
+    w_minus_s = T.gen("w") - T.from_ground(s)
+    col = RatioSeries(q_series(B, 3, {(1,): T.one}),
+                      q_series(B, 3, {(0,): w_minus_s, (1,): T.one}))
+    bad = CertifiedField([col], Y.s_component, Y.order)
+    report = verify_certificate(with_fields(cert, (bad, X)))
+    assert failed(report) == [
+        f"[FAILED] field-0-dense: tower is not a field at {w_minus_s}: "
+        f"{T.gen('w') + T.from_ground(s)} annihilates it"]
+
+
 def model_two(decoupled=False):
     # model two at alpha = 1 on w^2 = 1 + s^2 with sigma: w -> -w, under its
     # eigenvector gauge; ``decoupled`` adds q3' = (alpha/s) q3 over
@@ -287,24 +308,6 @@ def test_decoupled_third_coordinate_descends_a_frame_field():
     report = verify_certificate(down)
     assert report.ok, report
     assert "galois-fixed" in [c.name for c in report]
-
-
-def test_frame_scans_expand_each_quotient_once(monkeypatch):
-    # the three frame scans (commuting_fields, stabilize_frame, descent)
-    # meet 20 distinct quotients, each expanded by one power-series
-    # inversion, however many brackets and integrals it enters
-    system = model_two(decoupled=True)
-    real = TruncSeries.inverse
-    inversions = []
-
-    def counting(series):
-        inversions.append(series)
-        return real(series)
-
-    monkeypatch.setattr(TruncSeries, "inverse", counting)
-    cert = build_certificate(system, 4)
-    assert cert.descent == "base-field"
-    assert len(inversions) == 20
 
 
 def test_descent_weights_a_frame_field_by_an_integral(monkeypatch):

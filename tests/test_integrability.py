@@ -26,7 +26,7 @@ import pytest
 import sympy.polys.rings as sympy_rings
 
 from galint.algebra import AlgebraicTower, GroundField, places
-from galint.check import check_flow
+from galint.check import check_flow, frame_residuals, integral_defect
 from galint.errors import (
     BasePointSingular,
     GaugeRequired,
@@ -45,15 +45,13 @@ from galint.integrability import (
     commuting_fields,
     first_integrals,
     formal_flow,
+    as_cols,
     invert_flow,
-    lie_bracket,
-    lie_ratio_residual,
     linearize,
-    ratio_lie,
 )
+from galint.integrability import flows
 from galint.reduction import ReducedSystem
 from galint.series import (
-    FormalVectorField,
     RatioSeries,
     SymbolMonomial,
     TruncSeries,
@@ -273,6 +271,22 @@ def test_linearize_toy(gf, T):
     assert m.coeff((2,)) == T.from_ground(1 / (2 * s) - 1)
 
 
+def test_linearize_refuses_a_map_that_does_not_straighten(gf, T,
+                                                          monkeypatch):
+    # s q^2 added to the inverse map leaves a residual D(phi) - h phi
+    invert = flows.ts_invert_map
+
+    def planted(phi):
+        first, *rest = invert(phi)
+        cell = qser(first.basis, first.N, {(2,): T.from_ground(gf.s)})
+        return [first + cell, *rest]
+
+    monkeypatch.setattr(flows, "ts_invert_map", planted)
+    with pytest.raises(VerificationFailed,
+                       match="inverse map does not straighten component 1"):
+        linearize(resonant_toy(gf, T), 3)
+
+
 def test_linearize_equilibrium_curve_keeps_ds(gf, T):
     s, a = gf.s, gf.gen("alpha")
     R = ReducedSystem(T, 1, 3, [[T.from_ground(a / s)]],
@@ -320,20 +334,28 @@ def test_pair_integral_is_exact(gf, T):
     F = ints[0]
     assert F.exponent == (1, 1)
     assert F.witness.derive().is_zero()
-    # the Lie residual is not merely small: it is the zero polynomial
-    comps = [qser(ob.partial.basis, 5, {(1, 0): R.qdot_series(0)[(1, 0)],
-                                        (2, 1): R.qdot_series(0)[(2, 1)]}),
-             qser(ob.partial.basis, 5, {(0, 1): R.qdot_series(1)[(0, 1)],
-                                        (1, 2): R.qdot_series(1)[(1, 2)]})]
-    field = FormalVectorField(
-        comps, TruncSeries.constant(ob.partial.basis, "q", 5, T.one))
-    assert lie_ratio_residual(F.series, field).is_zero()
+    # the Lie residual is not merely small: it vanishes through order 5,
+    # above the partial flow's order 2
+    assert integral_defect(R, F.series, 5) is None
     assert F.order == 5
     # q1 q2 over the constant witness
     winv = T.invert(F.witness)
     assert F.series.num.coeff((1, 1)) == winv
     assert len(F.series.num.table) == 1
     assert F.series.den.coeff((0, 0)) == T.one
+
+
+def test_a_wrong_witness_fails_inside_the_certified_range(gf, T):
+    # y (1 + s) is no witness of (1, 1): the dynamics moves q1 q2 / (y (1 + s))
+    # at its lowest degree, inside the partial flow's order 2
+    ob = formal_flow(opposite_pair(gf, T, order=5), 5)
+    report = relation_lattice(list(ob.partial.basis.hs), 5)
+    report.witnesses[(1, 1)] = report.witnesses[(1, 1)] * \
+        T.from_ground(1 + gf.s)
+    with pytest.raises(VerificationFailed,
+                       match=r"integral residual for \(1, 1\) fails inside "
+                             r"the flow's certified range \(degree 2\)"):
+        first_integrals(ob.partial, report, order=5)
 
 
 def test_integral_with_a_negative_exponent(gf, T):
@@ -411,9 +433,9 @@ def test_cubic_drag_frame_matches_hand_jacobian(gf, T):
     assert X.s_component.eq(rq(one, den))
     assert X.components[0].eq(rq({(1,): T.from_ground(a / s)}, den))
 
-    # both brackets vanish as polynomial identities, not just in window
-    for r in lie_bracket(Y1, X):
-        assert r.is_zero()
+    # the bracket vanishes through the whole window, not just below it
+    assert list(frame_residuals([as_cols(Y1), as_cols(X)], (), T, 0)) == [
+        (("bracket", 0, 1), 5, None)]
     assert frame.order >= 1
 
 
@@ -449,12 +471,12 @@ def test_linear_pair_frame_and_integral(gf):
     assert X.components[0].eq(rq({(1, 0): h1}, one))
     assert X.components[1].eq(rq({(0, 1): -h1}, one))
     assert X.s_component.eq(rq(one, one))
-    for r in lie_bracket(Y1, X):
-        assert r.is_zero()
-    # and the frame is tangent to the level sets of q1 q2
+    # the bracket vanishes, and the frame is tangent to the level sets of
+    # q1 q2, through the whole window
     Fq = rq({(1, 1): T2.one}, one)
-    assert ratio_lie(Y1, Fq).is_zero()
-    assert ratio_lie(X, Fq).is_zero()
+    assert list(frame_residuals([as_cols(Y1), as_cols(X)], [Fq], T2, 0)) == [
+        (("bracket", 0, 1), 4, None), (("lie", 0, 0), 4, None),
+        (("lie", 1, 0), 4, None)]
 
 
 # --------------------------------------------------------------------------
