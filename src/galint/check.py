@@ -1,26 +1,33 @@
 """The independent check engine: a series is a plain dict ``{i: c}``.
 
-Its products, derivatives, inverses and substitutions share no code with
-the construction's calculus (``series.py``) or with the code that builds
-flows, integrals and frames, so a bug on the construction path would have
-to be invented twice to slip through.  It is the one place where a
-residual is evaluated: :func:`check_flow` re-checks every formal flow
-``formal_flow`` returns, :func:`integral_defect` every first integral and
-:func:`straightening_defect` every linearizing map, and
-:func:`frame_residuals` checks the brackets and Lie derivatives of a frame
-for both ``fields.scan_frame`` (which certifies the frame's order while
-building it) and ``certificates.verify_certificate``.
+Its products, derivatives, inverses, substitutions and point values share
+no code with the construction's calculus (``series.py``) or with the code
+that builds flows, integrals and frames, so a bug on the construction path
+would have to be invented twice to slip through.  It is the one place where
+a claim is evaluated: :func:`check_flow` re-checks every formal flow,
+:func:`integral_defect` every first integral, :func:`straightening_defect`
+every linearizing map; :func:`frame_residuals` (brackets and Lie
+derivatives), :func:`sample_rank` (independence) and :func:`galois_moved`
+check certificates, for construction and ``verify_certificate`` alike.
 """
 
+from fractions import Fraction
+from math import prod
+
+from .algebra.linalg import rank
 from .algebra.tower import deepest_tower
 from .errors import NotExpandable, VerificationFailed, ZeroDivisor
 
 __all__ = [
     "check_flow",
     "frame_residuals",
+    "galois_moved",
     "integral_defect",
+    "sample_rank",
     "straightening_defect",
 ]
+
+_DEBT = 1   # one partial of series known through w is known through w - 1
 
 
 def _dense(series):
@@ -106,16 +113,22 @@ def _dinv(D, cap, tower):
     return acc
 
 
-def _dratio(r, tower):
-    """A q-alphabet RatioSeries as a plain dense dict plus its faithful
-    window: the denominator's monomial content is cancelled (the window
-    shrinks by its degree) and what is left is inverted.  Raises
-    NotExpandable when the quotient is no power series along the curve, and
-    ZeroDivisor with its witness when its constant cell is a zero divisor."""
+def _dquot(r):
+    """A q-alphabet RatioSeries as its dense numerator and denominator and
+    its window; raises NotExpandable when a cell carries a symbol."""
     num, den = _dense(r.num), _dense(r.den)
     if num is None or den is None or "u" in (r.num.alphabet, r.den.alphabet):
         raise NotExpandable("transcendental symbols in the series")
-    window = min(r.num.N, r.den.N)
+    return num, den, min(r.num.N, r.den.N)
+
+
+def _dratio(r, tower):
+    """A field column as a plain dense dict plus its faithful window: the
+    denominator's monomial content is cancelled (the window shrinks by its
+    degree) and what is left is inverted.  Raises NotExpandable when the
+    quotient is no power series along the curve, and ZeroDivisor with its
+    witness when its constant cell is a zero divisor."""
+    num, den, window = _dquot(r)
     if den:
         m = None
         for i in den:
@@ -152,6 +165,13 @@ def _dderiv_along(cols, F, cap, tower):
     return out
 
 
+def _dlie(cols, num, den, cap, tower):
+    """X(num)·den − num·X(den) through ``cap``, X = sum_m cols[m] D_m: it
+    vanishes where X kills num/den, and den needs no inverse (q1²/q2)."""
+    return _dsub(_dmul(_dderiv_along(cols, num, cap, tower), den, cap),
+                 _dmul(num, _dderiv_along(cols, den, cap, tower), cap))
+
+
 def _lowest_bad(cap, *Ds):
     """The least total degree through ``cap`` of a cell of any of ``Ds``;
     None when every one vanishes there."""
@@ -178,20 +198,22 @@ def _dynamics(R):
 # frames, first integrals and linearizing maps
 # ---------------------------------------------------------------------------
 
-def frame_residuals(fields, integrals, tower, debt, *, brackets=True):
+def frame_residuals(fields, integrals, tower, *, brackets=True):
     """Check a frame's claims on dense columns, one record per claim.
 
     ``fields`` are column lists (q-components, then s) and ``integrals``
     quotients, all RatioSeries.  A record is ``(claim, cap, bad)``: the
     claim ``("bracket", a, b)`` for each pair a < b of fields (unless
     ``brackets`` is false) and ``("lie", k, t)`` for field k and integral
-    t; ``cap`` is the least window of the quotients involved less ``debt``
-    (each nested partial costs the top degree of a window), and ``bad`` the
-    lowest order through ``cap`` where the residual has a cell, or None.
-    A field or integral that does not convert yields one record
-    ``(("field", k), None, err)`` or ``(("integral", t), None, err)`` in
-    place of its claims, ``err`` the NotExpandable or ZeroDivisor refusal.
-    Records are made lazily: a caller may stop at the first bad one.
+    t; ``cap`` is the least window of the quotients involved less
+    ``_DEBT``, and ``bad`` the lowest order through ``cap`` where the
+    residual has a cell, or None.  A Lie derivative is checked
+    cross-multiplied, X(num)·den − num·X(den), like
+    :func:`integral_defect`, so an integral need not be a power series.  A
+    field that does not convert yields one record
+    ``(("field", k), None, err)`` in place of its claims, ``err`` the
+    NotExpandable or ZeroDivisor refusal.  Records are made lazily: a
+    caller may stop at the first bad one.
     """
     dense = [_converted(_dense_cols, f, tower) for f in fields]
     for k, (cols, err) in enumerate(dense):
@@ -202,35 +224,26 @@ def frame_residuals(fields, integrals, tower, debt, *, brackets=True):
             cb, wb = dense[b]
             if ca is None or cb is None:
                 continue
-            cap = min(wa, wb) - debt
+            cap = min(wa, wb) - _DEBT
             yield ("bracket", a, b), cap, _lowest_bad(cap, *(
                 _dsub(_dderiv_along(ca, y, cap, tower),
                       _dderiv_along(cb, x, cap, tower))
                 for x, y in zip(ca, cb)))
     for t, F in enumerate(integrals):
-        dF, wf = _converted(_dratio, F, tower)
-        if dF is None:
-            yield ("integral", t), None, wf
-            continue
+        num, den, wf = _dquot(F)
         for k, (ck, wk) in enumerate(dense):
             if ck is not None:
-                cap = min(wk, wf) - debt
+                cap = min(wk, wf) - _DEBT
                 yield ("lie", k, t), cap, _lowest_bad(
-                    cap, _dderiv_along(ck, dF, cap, tower))
+                    cap, _dlie(ck, num, den, cap, tower))
 
 
 def integral_defect(R, F, cap):
     """The lowest order through ``cap`` at which the reduced dynamics D of
-    ``R`` moves the quotient ``F``, or None.
-
-    The residual is cross-multiplied, D(num)·den − num·D(den), so a
-    denominator without a constant cell (q1²/q2) needs no inverse.
-    """
-    tower, D = R.tower, _dynamics(R)
-    num, den = _dense(F.num), _dense(F.den)
-    return _lowest_bad(cap, _dsub(
-        _dmul(_dderiv_along(D, num, cap, tower), den, cap),
-        _dmul(num, _dderiv_along(D, den, cap, tower), cap)))
+    ``R`` moves the quotient ``F``, or None; cross-multiplied like the Lie
+    claims of :func:`frame_residuals`."""
+    num, den, _w = _dquot(F)
+    return _lowest_bad(cap, _dlie(_dynamics(R), num, den, cap, R.tower))
 
 
 def straightening_defect(R, phi, j, cap):
@@ -241,6 +254,113 @@ def straightening_defect(R, phi, j, cap):
     phi = _dense(phi)
     return _lowest_bad(cap, _dsub(_dderiv_along(_dynamics(R), phi, cap, tower),
                                   {i: c * h for i, c in phi.items()}))
+
+
+# ---------------------------------------------------------------------------
+# sampled ranks and Galois-fixedness
+# ---------------------------------------------------------------------------
+
+def _sample_points(nq):
+    """The fixed rational points of :func:`sample_rank`, in order: q_l =
+    1/(l + 2), then 2/(2l + 3), then 3/(3l + 5)."""
+    for a, c in ((1, 2), (2, 3), (3, 5)):
+        yield tuple(Fraction(a, a * l + c) for l in range(nq))
+
+
+def _deval(D, point, tower):
+    """A dense series at a rational point, summed by one ``tower.dot``."""
+    return tower.dot([(c, prod(x**e for x, e in zip(point, i)))
+                      for i, c in D.items()])
+
+
+def _row_at(row, point, tower):
+    """A rank row at a point as (numerator, denominator) values.
+
+    A list is a field's columns.  Anything else is an integral num/den,
+    whose row is its gradient by the quotient rule at the point,
+    (dnum(p)·den(p) − num(p)·dden(p), den(p)²): no series product.
+    """
+    if isinstance(row, list):
+        return [(_deval(n, point, tower), _deval(d, point, tower))
+                for n, d, _w in map(_dquot, row)]
+    num, den, _w = _dquot(row)
+    n, d = _deval(num, point, tower), _deval(den, point, tower)
+    parts = [(_dpartial(num, j, tower), _dpartial(den, j, tower))
+             for j in range(len(point))]
+    parts.append((_dderive(num), _dderive(den)))
+    return [(_deval(a, point, tower) * d - n * _deval(b, point, tower), d * d)
+            for a, b in parts]
+
+
+def _scaled(pairs, tower):
+    """Row values times the product of their distinct denominators; None
+    when a denominator vanishes.  Each denominator is proven a unit first,
+    so the scaled row spans the same line as the row of quotients, without
+    dividing in the tower."""
+    dens = []
+    for _n, d in pairs:
+        if d.is_zero():
+            return None
+        if d not in dens:
+            tower.require_unit(d)
+            dens.append(d)
+    return [prod((e for e in dens if e != d), start=n) for n, d in pairs]
+
+
+def sample_rank(rows, tower):
+    """Generic rank of ``rows`` (see :func:`_row_at`), certified from
+    below at the points of :func:`_sample_points`.
+
+    A point where a denominator vanishes is skipped; the first point of
+    full rank ends the search.  Elimination is division-free
+    (``linalg.rank``) and every denominator and pivot is proven a unit
+    (``AlgebraicTower.require_unit``), so a zero divisor raises
+    ``ZeroDivisor`` with its witness.  A symbol raises NotExpandable.
+    """
+    if not rows:
+        return 0
+    first = rows[0]
+    nq = len(first) - 1 if isinstance(first, list) else first.num.basis.n
+    full = min(len(rows), nq + 1)
+    best = 0
+    for point in _sample_points(nq):
+        mat = []
+        for row in rows:
+            vals = _scaled(_row_at(row, point, tower), tower)
+            if vals is None:
+                break
+            mat.append(vals)
+        else:
+            pivots = []
+            best = max(best, rank(mat, pivot_values=pivots))
+            for pv in pivots:
+                tower.require_unit(pv)
+            if best == full:
+                break
+    return best
+
+
+def galois_moved(group, fields, integrals):
+    """What the automorphisms of ``group`` (identity first; each with a
+    ``word`` and an action ``on_elem``) move, as "field k under w" for a
+    field's column list and "integral t under w".  sigma fixes num/den
+    when sigma(num)·den == num·sigma(den) through its window.
+    """
+    def fixed(r, sigma):
+        num, den, w = _dquot(r)
+        return (_dmul({i: sigma(c) for i, c in num.items()}, den, w)
+                == _dmul(num, {i: sigma(c) for i, c in den.items()}, w))
+
+    moved = []
+    for auto in group[1:]:
+        word = "*".join(auto.word)
+        for k, cols in enumerate(fields):
+            if not all(fixed(x, auto.on_elem) for x in cols):
+                moved.append(f"field {k} under {word}")
+        for t, F in enumerate(integrals):
+            if not fixed(F, auto.on_elem):
+                moved.append(f"integral {t} under {word}")
+    return moved
 
 
 # ---------------------------------------------------------------------------

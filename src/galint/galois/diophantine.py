@@ -15,8 +15,8 @@ partial sums, and classify the observed growth:
 
 * ``resonant-hit``      — some eps is zero (exactly, or within ``hit_tol``);
 * ``divergence-suspected`` — log2(1/eps) grows faster than
-  ``ratio_threshold`` times nu at some shell, the bounded-horizon signature
-  of a Liouville-type angle;
+  ``_RATIO_THRESHOLD`` times nu at some shell from ``_MIN_SHELL`` on, the
+  bounded-horizon signature of a Liouville-type angle;
 * ``diophantine-up-to-nu_max`` — neither event within the horizon.
 
 Arithmetic is two-layered.  Angles are held exactly (inputs are converted
@@ -50,6 +50,8 @@ ShellRow = namedtuple(
 )
 
 _BAND_CAP = 256          # exact rechecks per shell
+_RATIO_THRESHOLD = 2.0   # log2(1/eps)/nu that suggests divergence ...
+_MIN_SHELL = 6           # ... from this shell on
 _FLOAT_SLACK = 1e-10     # float-guided selection band half-width
 
 
@@ -269,7 +271,6 @@ def _shell_vectors(d, lo, hi, work_left):
 
 def diophantine_eval(eigenvalues=None, *, angles=None, places=None,
                      params=None, nu_max=24, hit_tol=None,
-                     ratio_threshold=2.0, min_shell=6,
                      work_limit=(1 << 25)):
     """Sweep the small-divisor shells and classify the observed growth.
 
@@ -376,7 +377,7 @@ def diophantine_eval(eigenvalues=None, *, angles=None, places=None,
 
     if hit is not None:
         verdict = "resonant-hit"
-    elif any(r.ratio >= ratio_threshold and r.nu >= min_shell
+    elif any(r.ratio >= _RATIO_THRESHOLD and r.nu >= _MIN_SHELL
              for r in shells):
         verdict = "divergence-suspected"
     else:
@@ -386,5 +387,5 @@ def diophantine_eval(eigenvalues=None, *, angles=None, places=None,
     return DiophantineReport(
         params=dict(params or {}), nu_max=nu_max, nu_reached=nu_reached,
         shells=shells, verdict=verdict, hit=hit, hit_tol=hit_tol,
-        ratio_threshold=ratio_threshold, notes=notes,
+        ratio_threshold=_RATIO_THRESHOLD, notes=notes,
     )

@@ -18,8 +18,6 @@ from .fields import (
     CommutingFrame,
     as_cols,
     commuting_fields,
-    rderive_s,
-    rpartial,
     stabilize_frame,
 )
 from .flows import (
@@ -60,8 +58,6 @@ __all__ = [
     "invert_flow",
     "linearize",
     "original_field",
-    "rderive_s",
-    "rpartial",
     "stabilize_frame",
     "verify_certificate",
 ]

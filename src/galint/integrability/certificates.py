@@ -4,11 +4,15 @@ A certificate bundles what the pipeline actually proved: l commuting
 fields (the dynamics among them), n-l first integrals, the orders through
 which each claim was checked, and the outcome of the attempt to descend
 the data to the base curve.  ``verify_certificate`` recomputes every
-claim through the independent dense engine of ``galint.check``.
+claim on the independent dense engine of ``galint.check``: the sampled
+ranks of the fields and of the integrals' gradients, the brackets, the
+Lie derivatives of the integrals and Galois-fixedness.  It evaluates no
+series arithmetic of its own.
 """
 
-from ..check import frame_residuals
-from ..errors import InputError, RankDeficiency, VerificationFailed
+from ..check import frame_residuals, galois_moved, sample_rank
+from ..errors import (InputError, NotExpandable, RankDeficiency,
+                      VerificationFailed, ZeroDivisor)
 from ..galois.resonance import relation_lattice
 from ..reduction import ReducedSystem
 from .fields import as_cols, commuting_fields, stabilize_frame
@@ -156,41 +160,34 @@ def build_certificate(R, N, *, s0=None, k_max=None, conditions=None,
     return cert
 
 
-def _ranks(C):
-    """Sample ranks of the fields and of the integrals' gradient rows."""
-    from .descent import _gradient_row, _point_rank
-
-    tower, nq = C.system.tower, C.system.nq
-    rows = [list(f.components) + [f.s_component] for f in C.fields]
-    grads = [_gradient_row(F.series, nq) for F in C.integrals]
-    return _point_rank(rows, tower), _point_rank(grads, tower)
-
-
 def _independence_or_raise(cert):
-    rank, grank = _ranks(cert)
-    if rank < cert.l:
-        raise RankDeficiency(
-            f"certificate fields have sample rank {rank}; expected {cert.l}"
-        )
-    if grank < len(cert.integrals):
-        raise RankDeficiency(
-            f"certificate integrals have gradient rank {grank}; expected "
-            f"{len(cert.integrals)}"
-        )
+    tower = cert.system.tower
+    for rows, want, what in (
+            ([as_cols(f) for f in cert.fields], cert.l, "fields have sample"),
+            ([F.series for F in cert.integrals], len(cert.integrals),
+             "integrals have gradient")):
+        got = sample_rank(rows, tower)
+        if got < want:
+            raise RankDeficiency(
+                f"certificate {what} rank {got}; expected {want}")
 
 
 def verify_certificate(C):
     """Recompute every certificate claim through the dense engine.
 
     Nothing raises: each claim becomes a report entry with its verdict and
-    the order through which it was actually checked.
+    the order through which it was actually checked.  A zero divisor fails
+    the claim that met it, naming its witness; a series carrying symbols
+    fails that claim or ``symbol-free``.
     """
     if not isinstance(C, IntegrabilityCertificate):
         raise InputError("verify_certificate expects an IntegrabilityCertificate")
-    from .descent import _moved_under, group_closure
+    from .descent import group_closure
 
     tower = C.system.tower
     n = C.system.nq + 1
+    fields = [as_cols(f) for f in C.fields]
+    integrals = [F.series for F in C.integrals]
     checks = []
 
     checks.append(CertificateCheck(
@@ -198,31 +195,36 @@ def verify_certificate(C):
         detail=f"l={C.l}, fields={len(C.fields)}, integrals={len(C.integrals)}",
     ))
 
-    rank, grank = _ranks(C)
-    checks.append(CertificateCheck(
-        "field-independence", rank == C.l, detail=f"sample rank {rank}"))
-    checks.append(CertificateCheck(
-        "integral-independence", grank == len(C.integrals),
-        detail=f"sample gradient rank {grank}"))
+    for name, rows, what in (
+            ("field-independence", fields, "sample rank"),
+            ("integral-independence", integrals, "sample gradient rank")):
+        try:
+            r = sample_rank(rows, tower)
+        except (NotExpandable, ZeroDivisor) as err:
+            checks.append(CertificateCheck(name, False, detail=str(err)))
+        else:
+            checks.append(CertificateCheck(name, r == len(rows),
+                                           detail=f"{what} {r}"))
 
-    for (kind, *idx), cap, bad in frame_residuals(
-            [as_cols(f) for f in C.fields], [F.series for F in C.integrals],
-            tower, 1):
-        if cap is None:
-            checks.append(CertificateCheck(f"{kind}-{idx[0]}-dense", False,
-                                           detail=str(bad)))
-            continue
-        a, b = idx
-        name = f"bracket-{a}-{b}" if kind == "bracket" else \
-            f"lie-{a}-integral-{b}"
-        checks.append(CertificateCheck(
-            name, bad is None, order=cap,
-            detail="" if bad is None else f"residual at order {bad}"))
+    try:
+        for (kind, *idx), cap, bad in frame_residuals(fields, integrals,
+                                                      tower):
+            if cap is None:
+                checks.append(CertificateCheck(
+                    f"{kind}-{idx[0]}-dense", False, detail=str(bad)))
+                continue
+            a, b = idx
+            name = f"bracket-{a}-{b}" if kind == "bracket" else \
+                f"lie-{a}-integral-{b}"
+            checks.append(CertificateCheck(
+                name, bad is None, order=cap,
+                detail="" if bad is None else f"residual at order {bad}"))
 
-    if C.chart == "original" and tower.r > 0 and tower.galois_names():
-        moved = _moved_under(group_closure(tower), C.fields,
-                            [F.series for F in C.integrals])
-        checks.append(CertificateCheck(
-            "galois-fixed", not moved, detail="; ".join(moved)))
+        if C.chart == "original" and tower.r > 0 and tower.galois_names():
+            moved = galois_moved(group_closure(tower), fields, integrals)
+            checks.append(CertificateCheck(
+                "galois-fixed", not moved, detail="; ".join(moved)))
+    except NotExpandable as err:
+        checks.append(CertificateCheck("symbol-free", False, detail=str(err)))
 
     return CertificateReport(checks)

@@ -27,12 +27,17 @@ then does conjugating a symmetry yield again a symmetry of the *same*
 dynamics, and the group action reduces to a coefficient-wise application
 of the declared automorphisms.  A system whose right sides move is
 labelled ``"not-over-base"`` instead.
+
+Which averages are independent (``check.sample_rank``) and whether the
+kept ones are fixed by the group (``check.galois_moved``) are certificate
+claims, decided on the check engine; only the stabiliser of the
+integrals (:func:`_ratio_fixed`) is the construction's own decision.
 """
 
 from itertools import combinations
 
-from ..algebra.linalg import rank
 from ..algebra.tower import AlgebraicTower
+from ..check import galois_moved, sample_rank as _point_rank
 from ..errors import (
     InputError,
     OrbitIncomplete,
@@ -40,7 +45,7 @@ from ..errors import (
     VerificationFailed,
 )
 from ..series import RatioSeries, TruncSeries, linear_subst
-from .fields import CertifiedField, as_cols, rderive_s, rpartial, scan_frame
+from .fields import CertifiedField, scan_frame
 from .flows import _gauge_inverse, _system_fixed, original_field
 from .integrals import FirstIntegral
 
@@ -157,124 +162,18 @@ def _ratio_fixed(r, auto):
 
 
 # ---------------------------------------------------------------------------
-# exact independence tests at a rational sample point
-# ---------------------------------------------------------------------------
-
-def _sample_points(nq):
-    yield tuple((1, l + 2) for l in range(nq))
-    yield tuple((2, 2 * l + 3) for l in range(nq))
-    yield tuple((3, 3 * l + 5) for l in range(nq))
-
-
-def _eval_series(a, qvals, tower):
-    gf = tower.gf
-    total = tower.zero
-    for i, sym, c in a.cells():
-        if a.alphabet != "q" or not sym.is_neutral():
-            raise VerificationFailed(
-                "independence sampling is undefined on series carrying "
-                "transcendental symbols"
-            )
-        factor = gf.one
-        for e, (p, q) in zip(i, qvals):
-            if e:
-                factor = factor * gf.from_rational(p) ** e / gf.from_rational(q) ** e
-        total = total + c * tower.from_ground(factor)
-    return total
-
-
-def _eval_row(row, qvals, tower):
-    """One row of ratios at a point, times the product of its distinct
-    denominators; None when a denominator vanishes there.
-
-    Each denominator is proven a unit first, so the scaled row spans the
-    same line as the row of quotients, without dividing in the tower.
-    """
-    nums, dens = [], []
-    for x in row:
-        den = _eval_series(x.den, qvals, tower)
-        if den.is_zero():
-            return None
-        if den not in dens:
-            tower.require_unit(den)
-            dens.append(den)
-        nums.append((_eval_series(x.num, qvals, tower), den))
-    out = []
-    for num, den in nums:
-        for d in dens:
-            if d != den:
-                num = num * d
-        out.append(num)
-    return out
-
-
-def _point_rank(rows_of_ratios, tower):
-    """Generic rank certified from below: evaluate at rational transverse
-    points and eliminate over the tower.
-
-    Tries the points of ``_sample_points`` in order, skipping one where a
-    denominator vanishes, keeps the best rank seen and stops at the first
-    point of full rank, since no later point can raise it; later points are
-    not evaluated at all.  Elimination is division-free
-    (:func:`linalg.rank`), and every evaluated denominator and every pivot
-    is proven a unit by ``AlgebraicTower.require_unit``: a zero divisor
-    raises ``ZeroDivisor`` with the witness a division by it would give.
-    """
-    if not rows_of_ratios:
-        return 0
-    nq = len(rows_of_ratios[0]) - 1
-    full = min(len(rows_of_ratios), nq + 1)
-    best = 0
-    for qvals in _sample_points(nq):
-        mat = []
-        for row in rows_of_ratios:
-            vals = _eval_row(row, qvals, tower)
-            if vals is None:
-                mat = None
-                break
-            mat.append(vals)
-        if mat is None:
-            continue
-        pivots = []
-        best = max(best, rank(mat, pivot_values=pivots))
-        for pv in pivots:
-            tower.require_unit(pv)
-        if best == full:
-            break
-    return best
-
-
-def _gradient_row(r, nq):
-    return [rpartial(r, j) for j in range(nq)] + [rderive_s(r)]
-
-
-# ---------------------------------------------------------------------------
 # descent proper
 # ---------------------------------------------------------------------------
 
-def _moved_under(group, fields, integrals):
-    """What a non-identity element of ``group`` moves, as "field k under w"
-    (once per field, for any of its columns) and "integral t under w"."""
-    moved = []
-    for auto in group[1:]:
-        word = "*".join(auto.word)
-        for k, f in enumerate(fields):
-            if not all(_ratio_fixed(x, auto) for x in as_cols(f)):
-                moved.append(f"field {k} under {word}")
-        for t, F in enumerate(integrals):
-            if not _ratio_fixed(F, auto):
-                moved.append(f"integral {t} under {word}")
-    return moved
-
-
-def _independent(candidates, need, row_of, tower, what):
-    """The first ``need`` candidates, in order, whose rows raise the sample
-    rank of the rows kept before them; all-zero rows are skipped.
+def _independent(candidates, need, tower, what):
+    """The first ``need`` candidates, in order, that raise the sample rank
+    (``check.sample_rank``) of the ones kept before them; zero candidates
+    are skipped.  A candidate is a field's column list or an integral.
 
     ``candidates`` is consumed lazily, only until ``need`` are kept; raises
     RankDeficiency when it runs out first.
     """
-    kept, rows = [], []
+    kept = []
     candidates = iter(candidates)
     while len(kept) < need:
         cand = next(candidates, None)
@@ -283,12 +182,10 @@ def _independent(candidates, need, row_of, tower, what):
                 f"descent assembled only {len(kept)} of {need} independent "
                 f"base-curve {what}"
             )
-        row = row_of(cand)
-        if all(x.is_zero() for x in row):
+        if not (any(cand) if isinstance(cand, list) else cand):
             continue
-        if _point_rank(rows + [row], tower) > len(rows):
+        if _point_rank(kept + [cand], tower) > len(kept):
             kept.append(cand)
-            rows.append(row)
     return kept
 
 
@@ -311,8 +208,9 @@ def galois_descent(certificate):
     omega Y_i with omega = 1, then F_t^m for m = 1..|G|-1.  Candidates are
     kept in that order while the sample rank grows (:func:`_independent`),
     then the kept data is checked to be fixed by the group
-    (:func:`_moved_under`) and its brackets and Lie derivatives are
-    checked with debt 2 on the dense engine (:func:`fields.scan_frame`).
+    (``check.galois_moved``) and its brackets and Lie derivatives are
+    checked on the dense engine (:func:`fields.scan_frame`), with the
+    same debt as every other frame claim.
     """
     from .certificates import IntegrabilityCertificate
 
@@ -371,22 +269,22 @@ def galois_descent(certificate):
     new_ints = _independent(
         map(average, [Fm for p in pows for Fm in p[1:]]
             + [Fa * Fb for Fa, Fb in combinations(ints_orig, 2)]),
-        len(ints_orig), lambda F: _gradient_row(F, nq), tower, "integrals")
+        len(ints_orig), tower, "integrals")
     # omega = 1 (None: the columns as they are), then F_t^m, m < |G|
     weights = [None] + [p[m] for m in range(1, len(group)) for p in pows]
     new_fields = _independent(
         ([average(x if w is None else (w * x if x else rzero)) for x in cols]
          for w in weights for cols in y_orig),
-        len(y_orig), lambda cols: cols, tower, "fields")
+        len(y_orig), tower, "fields")
     new_fields.append(x_orig)
 
     # every surviving coefficient must be fixed by every group element,
     # and the descended data must still verify against the dynamics
-    moved = _moved_under(group, new_fields, new_ints)
+    moved = galois_moved(group, new_fields, new_ints)
     if moved:
         raise VerificationFailed(
             f"descended data moves: {'; '.join(moved)}")
-    order = scan_frame(new_fields, new_ints, 2,
+    order = scan_frame(new_fields, new_ints,
                        certificate.orders.get("frame", flow.N - 1))
 
     fields = tuple(

@@ -18,9 +18,10 @@ a_j = -1 and a_k = 0 on the other picked units, so that field is dual to
 lattice), since E_a of it would not be a series in q.  Every column is a
 polynomial series over T, exact through the flow window.  Nothing is
 taken on trust: :func:`scan_frame` checks the pairwise brackets, and
-:func:`stabilize_frame` that every field kills every first integral, on
+:func:`stabilize_frame` that every field kills every first integral
+(cross-multiplied, so an integral such as q1²/q2 needs no expansion), on
 the dense engine of ``galint.check`` (see ``check.frame_residuals``); the
-construction here only builds.
+construction here only builds and differentiates nothing.
 """
 
 from fractions import Fraction
@@ -37,8 +38,6 @@ __all__ = [
     "CommutingFrame",
     "as_cols",
     "commuting_fields",
-    "rderive_s",
-    "rpartial",
     "scan_frame",
     "stabilize_frame",
 ]
@@ -83,39 +82,23 @@ class CommutingFrame:
                f"order {self.order}>"
 
 
-# ------------------------------------------------------------ ratio calculus
+# ------------------------------------------------------------------ checks
 
-def rpartial(r, j):
-    """d/dq_{j+1} of a quotient, by the quotient rule."""
-    return RatioSeries(
-        r.num.partial(j) * r.den - r.num * r.den.partial(j),
-        r.den * r.den,
-    ).trim()
-
-
-def rderive_s(r):
-    return RatioSeries(
-        r.num.derive_s() * r.den - r.num * r.den.derive_s(),
-        r.den * r.den,
-    ).trim()
-
-
-def scan_frame(fields, integrals, debt, order, *, brackets=True):
+def scan_frame(fields, integrals, order, *, brackets=True):
     """``order`` lowered to what a clean check certifies.
 
-    Checks (see ``check.frame_residuals``, with ``debt``) every pairwise
-    bracket of ``fields`` unless ``brackets`` is false, then the Lie
-    derivative of every quotient in ``integrals`` along every field, and
-    lowers ``order`` to each claim's cap.  The first failing claim raises
-    VerificationFailed naming the fields or the field and integral; a
-    column or integral that is no power series along the curve raises
-    NotExpandable, and one whose constant cell is a zero divisor raises
-    ZeroDivisor with its witness.
+    Checks (see ``check.frame_residuals``) every pairwise bracket of
+    ``fields`` unless ``brackets`` is false, then the Lie derivative of
+    every quotient in ``integrals`` along every field, and lowers ``order``
+    to each claim's cap.  The first failing claim raises VerificationFailed
+    naming the fields or the field and integral; a column that is no power
+    series along the curve raises NotExpandable, and one whose constant
+    cell is a zero divisor raises ZeroDivisor with its witness.
     """
     fields = [as_cols(f) for f in fields]
     tower = fields[0][0].num.basis.hs[0].tower
     for (kind, *idx), cap, bad in frame_residuals(fields, integrals, tower,
-                                                  debt, brackets=brackets):
+                                                  brackets=brackets):
         if cap is None:
             raise bad
         if bad is not None:
@@ -203,9 +186,9 @@ def commuting_fields(flow, report=None, *, conditions=None):
     Needs a complete flow (with its time component).  Returns a
     CommutingFrame of l = n - rank(lattice) fields: one pushed-forward
     Euler field per unit chosen by the transverse choice (see the module
-    docstring), then the original-time dynamics.  Every pairwise bracket is
-    checked with debt 1 (one partial per product), so a clean frame is
-    certified through ``flow.N - 1``.  Raises RankDeficiency when the
+    docstring), then the original-time dynamics.  Every pairwise bracket
+    costs one partial per product, so a clean frame is certified through
+    ``flow.N - 1``.  Raises RankDeficiency when the
     lattice cannot be completed by unit rows and VerificationFailed when a
     bracket residual survives, or when a log cell of the time series varies
     along the level sets.
@@ -242,7 +225,7 @@ def commuting_fields(flow, report=None, *, conditions=None):
     one = TruncSeries.constant(basis, "q", N, tower.one)
     cols_by_field.append([RatioSeries(x, T) for x in qdot + [one]])
 
-    order = scan_frame(cols_by_field, (), 1, N - 1)
+    order = scan_frame(cols_by_field, (), N - 1)
 
     fields = tuple(
         CertifiedField(c[:nq], c[-1], order) for c in cols_by_field
@@ -253,8 +236,8 @@ def commuting_fields(flow, report=None, *, conditions=None):
 def stabilize_frame(frame, integrals=()):
     """Check that every frame field kills every first integral.
 
-    Each Lie derivative is checked with debt 1 like the brackets; a defect
-    raises VerificationFailed.  A clean check returns the frame, its order
+    Each Lie derivative is checked one degree below its windows like the
+    brackets; a defect raises VerificationFailed.  A clean check returns the frame, its order
     lowered to what the checks certified (only when an integral's window
     is the shorter one).
     """
@@ -262,7 +245,7 @@ def stabilize_frame(frame, integrals=()):
         raise InputError("stabilize_frame expects a CommutingFrame")
     if not integrals:
         return frame
-    order = scan_frame(frame.fields, [F.series for F in integrals], 1,
+    order = scan_frame(frame.fields, [F.series for F in integrals],
                        frame.order, brackets=False)
     if order == frame.order:
         return frame

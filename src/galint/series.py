@@ -354,15 +354,6 @@ class TruncSeries:
 
         return TruncSeries(basis, self.alphabet, self.N, cells())
 
-    def partial(self, j):
-        """d/dx_j; in the u-alphabet the variable carries H_j, which leaves
-        with it.  The L symbols stay."""
-        drop = tuple(-1 if k == j else 0 for k in range(self.basis.n))
-        return TruncSeries(self.basis, self.alphabet, self.N, (
-            ((tuple(a + d for a, d in zip(i, drop)), sym),
-             c * c.tower.from_ground(i[j]))
-            for (i, sym), c in self.table.items() if i[j]))
-
     # ------------------------------------------------------------- compose
 
     def compose(self, subst):

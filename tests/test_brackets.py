@@ -1,17 +1,16 @@
 """Frame brackets and Lie derivatives on the dense check engine.
 
-``check._dratio`` turns a quotient with a unit denominator (after its
+``check._dratio`` turns a field column with a unit denominator (after its
 monomial content is cancelled) into one dense power series, and
-``check.frame_residuals`` checks the frame brackets and Lie derivatives
-on those for both ``fields.scan_frame`` and ``verify_certificate``.  The
-property tests pin why that agrees with differentiating quotients by the
-quotient rule of the series engine: the dense conversion commutes with
-``rpartial``/``rderive_s`` one degree below the window, and
-``partial``/``derive_s`` obey the Leibniz rule on truncated series.  The
-rest are labelled refusals and the frame of ``commuting_fields``:
-certified through the flow window less one, a cell planted into a field
-is named at its own order, and ``stabilize_frame`` names a field that
-moves an integral.
+``check.frame_residuals`` checks the frame brackets on those, and the Lie
+derivatives of integrals cross-multiplied, for both ``fields.scan_frame``
+and ``verify_certificate``.  The property tests pin why the two agree: a
+derivation of the dense quotient, times den², is the cross-multiplied
+residual one degree below the window, and ``derive_s`` obeys the Leibniz
+rule on truncated series.  The rest are labelled refusals and
+the frame of ``commuting_fields``: certified through the flow window less
+one, a cell planted into a field is named at its own order, and
+``stabilize_frame`` names a field that moves an integral.
 """
 
 import pytest
@@ -23,9 +22,10 @@ from galint import check
 from galint.check import (
     _dadd,
     _dderiv_along,
-    _dderive,
     _dense_cols,
-    _dpartial,
+    _dlie,
+    _dmul,
+    _dquot,
     _dratio,
     _dsub,
     frame_residuals,
@@ -36,8 +36,6 @@ from galint.integrability.fields import (
     CertifiedField,
     as_cols,
     commuting_fields,
-    rderive_s,
-    rpartial,
     scan_frame,
     stabilize_frame,
 )
@@ -110,15 +108,18 @@ def upto(a, M):
 @PROPS
 @given(towers.flatmap(quotients))
 def test_dense_conversion_commutes_with_the_quotient_rule(r):
+    # along each coordinate field X, den^2 times X of the dense quotient is
+    # the cross-multiplied X(num) den - num X(den) of the Lie claims, one
+    # degree below the window
     tower = r.num.basis.hs[0].tower
+    num, den, _w = _dquot(r)
     e, window = _dratio(r, tower)
     top = window - 1
-    derivatives = [(rpartial(r, j), _dpartial(e, j, tower))
-                   for j in range(NQ)] + [(rderive_s(r), _dderive(e))]
-    for quotient_rule, dense in derivatives:
-        got, w = _dratio(quotient_rule, tower)
-        assert w >= top
-        assert upto(got, top) == upto(dense, top)
+    for j in range(NQ + 1):
+        X = [{(0,) * NQ: tower.one} if m == j else {} for m in range(NQ + 1)]
+        Xe = _dderiv_along(X, e, top, tower)
+        assert upto(_dmul(_dmul(Xe, den, top), den, top), top) == \
+            upto(_dlie(X, num, den, top, tower), top)
 
 
 # u-series (each u^i carries H^i) with and without an L symbol, for the
@@ -142,10 +143,6 @@ def sym_series(tab):
 def test_leibniz_rule(tab_a, tab_b):
     a, b = sym_series(tab_a), sym_series(tab_b)
     assert (a * b).derive_s() == a.derive_s() * b + a * b.derive_s()
-    for j in range(NQ):
-        # the top cell of a partial would come from the truncated degree
-        assert (a * b).partial(j).truncate(N - 1) == \
-            (a.partial(j) * b + a * b.partial(j)).truncate(N - 1)
 
 
 # ------------------------------------------------------- labelled failures
@@ -166,9 +163,13 @@ def test_non_unit_denominators_are_not_expandable():
         with pytest.raises(NotExpandable):
             _dratio(bad, BASE)
         with pytest.raises(NotExpandable):
-            scan_frame([[unit, unit, bad], [unit, unit, unit]], (), 1, N)
-        with pytest.raises(NotExpandable):
-            scan_frame([[unit, unit, unit]], [bad], 1, N, brackets=False)
+            scan_frame([[unit, unit, bad], [unit, unit, unit]], (), N)
+        # an integral is checked cross-multiplied, not expanded: the field
+        # d/dq1 + d/dq2 + d/ds moves both quotients at order 0
+        with pytest.raises(VerificationFailed,
+                           match="frame field 0 moves first integral 0 at "
+                                 "order 0"):
+            scan_frame([[unit, unit, unit]], [bad], N, brackets=False)
     # the quotient by a monomial that divides the numerator is a series,
     # one degree narrower
     assert _dratio(divisible, BASE) == (
@@ -182,7 +183,7 @@ def test_zero_divisor_constant_raises_with_its_witness():
     B = HyperexpBasis((T.zero,))
     r = RatioSeries(q_series(B, N, {(0,): T.one}),
                     q_series(B, N, {(0,): w_minus_s, (1,): T.one}))
-    for refuse in (lambda: _dratio(r, T), lambda: scan_frame([[r, r]], (), 1, N)):
+    for refuse in (lambda: _dratio(r, T), lambda: scan_frame([[r, r]], (), N)):
         with pytest.raises(ZeroDivisor) as err:
             refuse()
         assert (w_minus_s * err.value.witness).is_zero()
@@ -202,12 +203,12 @@ def test_planted_cell_defect_matches_the_dense_verifier():
     assert [_dsub(_dderiv_along(cx, y, cap, BASE),
                   _dderiv_along(cy, x, cap, BASE))
             for x, y in zip(cx, cy)] == [{(2,): BASE.from_ground(S)}, {}]
-    assert list(frame_residuals([as_cols(X), as_cols(Y)], (), BASE, 1)) == \
+    assert list(frame_residuals([as_cols(X), as_cols(Y)], (), BASE)) == \
         [(("bracket", 0, 1), 3, 2)]
     with pytest.raises(VerificationFailed,
                        match="frame fields 0 and 1 fail to commute at "
                              "order 2"):
-        scan_frame([X, Y], (), 1, 4)
+        scan_frame([X, Y], (), 4)
 
 
 # ------------------------------------------------------------ frame brackets
@@ -245,7 +246,7 @@ def test_frame_is_bracketed_once_at_the_flow_window():
     flow = cubic_drag_flow()
     frame = commuting_fields(flow)
     # every column is a series over T at the flow window N = 4; one
-    # bracket partial (debt 1) leaves the frame certified through 3
+    # bracket partial leaves the frame certified through 3
     assert frame.order == 3
     assert all(f.order == 3 for f in frame.fields)
     assert stabilize_frame(frame) is frame

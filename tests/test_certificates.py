@@ -12,14 +12,18 @@ through the whole pipeline:
 * diag(h1, alpha/s) with t = 1 + ... whose time series carries a log(s)
   cell -> (2, 1) when the cell's index lies on the lattice, and a labelled
   VerificationFailed when the lattice is cut off below it;
+* diag(alpha/s, 2 alpha/s), whose integral q1^2/q2 has a denominator
+  -> (2, 1);
 * model two diagonalised by its eigenvector gauge on w^2 = 1 + s^2 ->
   (1, 2), and Galois descent carries it to the base curve; with a
   decoupled third coordinate q3' = (alpha/s) q3 -> (2, 2), and descent
   carries a frame field as well.
 
-Three mutations show that the verifier can fail: a duplicated field, a
-frame field perturbed by the cell s q^2, and a column whose denominator's
-constant cell is a zero divisor.
+Four mutations show that the verifier can fail: a duplicated field, a
+frame field perturbed by the cell s q^2, and two columns whose
+denominator's constant cell is a zero divisor.  With the series engine's
+arithmetic disabled the verifier still passes every certificate: it
+evaluates no series arithmetic of its own.
 """
 
 from fractions import Fraction
@@ -35,6 +39,7 @@ from galint.errors import (
 from galint.integrability import (
     INCONCLUSIVE_BOUNDS,
     CertifiedField,
+    FirstIntegral,
     IntegrabilityCertificate,
     NeedsCovering,
     Obstruction,
@@ -52,7 +57,7 @@ from galint.reduction import (
     reduce_to_curve,
     time_reduce,
 )
-from galint.series import RatioSeries, q_series
+from galint.series import RatioSeries, TruncSeries, q_series
 
 
 @pytest.fixture()
@@ -251,6 +256,64 @@ def test_zero_divisor_column_is_a_failed_check(gf):
         f"{T.gen('w') + T.from_ground(s)} annihilates it"]
 
 
+def test_zero_divisor_denominator_fails_the_sampled_rank(gf):
+    # on w^2 = s^2 the column q/(w - s) has a zero divisor for its
+    # denominator at every point: both the sampled rank and the dense check
+    # record it with its witness instead of raising out of the verifier
+    s, a = gf.s, gf.gen("alpha")
+    T = AlgebraicTower(gf).extend("w", 2, s**2)
+    cert = build_certificate(reduced(T, [[T.from_ground(a / s)]], {}, 3), 3)
+    Y, X = cert.fields
+    B = Y.s_component.num.basis
+    w_minus_s = T.gen("w") - T.from_ground(s)
+    col = RatioSeries(q_series(B, 3, {(1,): T.one}),
+                      q_series(B, 3, {(0,): w_minus_s}))
+    bad = CertifiedField([col], Y.s_component, Y.order)
+    witness = f"tower is not a field at {w_minus_s}: " \
+              f"{T.gen('w') + T.from_ground(s)} annihilates it"
+    assert failed(verify_certificate(with_fields(cert, (bad, X)))) == [
+        f"[FAILED] field-independence: {witness}",
+        f"[FAILED] field-0-dense: {witness}"]
+
+
+def test_an_integral_in_the_u_alphabet_is_a_failed_check(gf):
+    # the same cells read in the flow-box alphabet carry H symbols: the
+    # rank and Lie checks refuse them, and the verifier records it
+    T = AlgebraicTower(gf)
+    cert = build_certificate(reduced(T, [[T.from_ground(1 / gf.s)]],
+                                     {(0, (2,)): T.from_ground(1 / gf.s)},
+                                     3), 3)
+    (F,) = cert.integrals
+    u = [TruncSeries(x.basis, "u", x.N, x.table)
+         for x in (F.series.num, F.series.den)]
+    bad = IntegrabilityCertificate(
+        cert.l, cert.fields, [FirstIntegral((1,), F.witness, RatioSeries(*u),
+                                            F.order)],
+        cert.descent, cert.orders, chart=cert.chart, flow=cert.flow,
+        frame=cert.frame, report=cert.report, system=cert.system)
+    refusal = "transcendental symbols in the series"
+    assert failed(verify_certificate(bad)) == [
+        f"[FAILED] integral-independence: {refusal}",
+        f"[FAILED] symbol-free: {refusal}"]
+
+
+def test_integral_with_a_denominator_gets_a_frame(gf):
+    # diag(alpha/s, 2 alpha/s): the lattice row (2, -1) gives the integral
+    # q1^2/q2, no power series along the curve; its Lie derivatives are
+    # checked cross-multiplied, so the frame is kept
+    s, a = gf.s, gf.gen("alpha")
+    T = AlgebraicTower(gf)
+    R = reduced(T, [[T.from_ground(a / s), T.zero],
+                    [T.zero, T.from_ground(2 * a / s)]], {}, 3)
+    cert = build_certificate(R, 3)
+    assert (cert.l, len(cert.integrals), cert.descent) == (2, 1, "base-field")
+    assert cert.report.basis == [(2, -1)]
+    assert cert.orders == {"flow": 3, "frame": 2, "integrals": 3}
+    report = verify_certificate(cert)
+    assert report.ok, report
+    assert [c.order for c in report if c.name.startswith("lie-")] == [2, 2]
+
+
 def model_two(decoupled=False):
     # model two at alpha = 1 on w^2 = 1 + s^2 with sigma: w -> -w, under its
     # eigenvector gauge; ``decoupled`` adds q3' = (alpha/s) q3 over
@@ -287,7 +350,7 @@ def test_model_two_descends_to_the_base_field():
     down = cert.descended
     assert down.chart == "original"
     assert down.orders == {"flow": 4, "frame": 3, "integrals": 4,
-                           "descent": 2}
+                           "descent": 3}
     report = verify_certificate(down)
     assert report.ok, report
     assert "galois-fixed" in [c.name for c in report]
@@ -304,10 +367,21 @@ def test_decoupled_third_coordinate_descends_a_frame_field():
     down = cert.descended
     assert down.chart == "original"
     assert down.orders == {"flow": 4, "frame": 3, "integrals": 4,
-                           "descent": 2}
+                           "descent": 3}
     report = verify_certificate(down)
     assert report.ok, report
     assert "galois-fixed" in [c.name for c in report]
+
+
+def test_a_field_moved_by_sigma_fails_galois_fixedness():
+    # w X still spans the frame and kills the integrals, but sigma moves it
+    down = build_certificate(model_two(), 4).descended
+    (X,) = down.fields
+    w = down.system.tower.gen("w")
+    wX = CertifiedField([c.scale(w) for c in X.components],
+                        X.s_component.scale(w), X.order)
+    assert failed(verify_certificate(with_fields(down, (wX,)))) == [
+        "[FAILED] galois-fixed: field 0 under sigma"]
 
 
 def test_descent_weights_a_frame_field_by_an_integral(monkeypatch):
@@ -319,12 +393,12 @@ def test_descent_weights_a_frame_field_by_an_integral(monkeypatch):
     real = descent._independent
     drawn = []
 
-    def refuse_first_field(candidates, need, row_of, tower, what):
+    def refuse_first_field(candidates, need, tower, what):
         candidates = iter(candidates)
         if what == "fields":
             next(candidates)
             candidates = (drawn.append(c) or c for c in candidates)
-        return real(candidates, need, row_of, tower, what)
+        return real(candidates, need, tower, what)
 
     monkeypatch.setattr(descent, "_independent", refuse_first_field)
     down = build_certificate(model_two(decoupled=True), 4).descended
@@ -354,3 +428,29 @@ def test_heuristic_bound_gives_an_inconclusive_obstruction(gf):
         assert ob.classification == INCONCLUSIVE_BOUNDS
         with pytest.raises(DegreeBoundExceeded):
             ob.replay()
+
+
+def test_the_verifier_evaluates_no_series_arithmetic(monkeypatch, gf):
+    # every claim is re-checked on the dense engine: with the series
+    # engine's arithmetic, calculus and trimming disabled, the certificates
+    # of cubic drag, the resonant toy and both descended model twos verify
+    T = AlgebraicTower(gf)
+    toy = reduced(T, [[T.from_ground(1 / gf.s)]],
+                  {(0, (2,)): T.from_ground(1 / gf.s)}, 3)
+    certs = [cubic_drag_cert(gf), build_certificate(toy, 3),
+             build_certificate(model_two(), 4).descended,
+             build_certificate(model_two(decoupled=True), 4).descended]
+
+    def disabled(*args, **kw):
+        raise AssertionError("series arithmetic in the verifier")
+
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "scale",
+                 "derive_s", "compose"):
+        monkeypatch.setattr(TruncSeries, name, disabled)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__neg__",
+                 "scale", "compose", "trim", "eq"):
+        monkeypatch.setattr(RatioSeries, name, disabled)
+    for cert in certs:
+        report = verify_certificate(cert)
+        assert report.ok, report

@@ -1,8 +1,9 @@
 """Rank questions: ``linalg.rank`` against ``rref``, and the sampled rank
-``descent._point_rank`` behind every independence claim of a certificate.
+``check.sample_rank`` behind every independence claim of a certificate
+(descent reaches it as ``descent._point_rank``).
 
-The sampled rank evaluates the ratio rows at the fixed rational points of
-``descent._sample_points`` (q = 1/2, then 2/3, then 3/5 for one transverse
+The sampled rank evaluates the rows at the fixed rational points of
+``check._sample_points`` (q = 1/2, then 2/3, then 3/5 for one transverse
 coordinate) and stops at the first point of full rank.  Every evaluated
 denominator and every pivot must be a unit of the tower; on a tower that is
 not a field, a zero divisor surfaces as ``ZeroDivisor`` with a witness.
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from galint import check
 from galint.algebra import AlgebraicTower, GroundField
 from galint.algebra.linalg import rank, rref
 from galint.errors import DivisionByZero, ZeroDivisor
@@ -132,14 +134,14 @@ def q_rows(tower, den=None):
 @pytest.fixture()
 def points_used(monkeypatch):
     used = []
-    sample = descent._sample_points
+    sample = check._sample_points
 
     def spy(nq):
         for p in sample(nq):
             used.append(p)
             yield p
 
-    monkeypatch.setattr(descent, "_sample_points", spy)
+    monkeypatch.setattr(check, "_sample_points", spy)
     return used
 
 
@@ -179,3 +181,35 @@ def test_zero_divisor_denominator_raises():
     rows = [[ratio(T, {(1,): T.one}, {(0,): bad}), ratio(T, {(0,): T.one})]]
     with pytest.raises(ZeroDivisor):
         descent._point_rank(rows, T)
+
+
+def test_an_integral_row_is_its_gradient():
+    # q and q^2 have parallel gradients (1, 0) and (2q, 0); q and s q do not
+    one = {(0,): BASE.one}
+    q = ratio(BASE, {(1,): BASE.one})
+    q2 = ratio(BASE, {(2,): BASE.one})
+    sq = ratio(BASE, {(1,): BASE.from_ground(S)})
+    assert check.sample_rank([q, q2], BASE) == 1
+    assert check.sample_rank([q, sq], BASE) == 2
+    # the quotient rule needs no expansion: 1/q has the gradient (-1/q^2, 0)
+    over_q = RatioSeries(q_series(q.num.basis, 3, one),
+                         q_series(q.num.basis, 3, {(1,): BASE.one}))
+    assert check.sample_rank([q, over_q], BASE) == 1
+    # q1/q2 and q1 q2 have the gradients (q2, -q1, 0)/q2^2 and (q2, q1, 0)
+    B2 = HyperexpBasis((BASE.zero, BASE.zero))
+    q1, q2 = ({i: BASE.one} for i in ((1, 0), (0, 1)))
+    assert check.sample_rank(
+        [RatioSeries(q_series(B2, 3, q1), q_series(B2, 3, q2)),
+         RatioSeries(q_series(B2, 3, {(1, 1): BASE.one}),
+                     q_series(B2, 3, {(0, 0): BASE.one}))], BASE) == 2
+
+
+def test_each_entry_is_scaled_by_the_other_denominators():
+    # [1/(1+q), 1/(1+2q)] spans the line of [1+2q, 1+q], independent of
+    # [1+q, 1+2q]; scaling an entry by its own denominator would repeat it
+    one = {(0,): BASE.one}
+    d1 = {(0,): BASE.one, (1,): BASE.one}
+    d2 = {(0,): BASE.one, (1,): BASE.from_ground(2)}
+    rows = [[ratio(BASE, one, d1), ratio(BASE, one, d2)],
+            [ratio(BASE, d1), ratio(BASE, d2)]]
+    assert descent._point_rank(rows, BASE) == 2
