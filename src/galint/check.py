@@ -30,16 +30,6 @@ __all__ = [
 _DEBT = 1   # one partial of series known through w is known through w - 1
 
 
-def _dense(series):
-    """The cells of a series, either alphabet; None when a cell carries L."""
-    out = {}
-    for (i, sym), c in series.table.items():
-        if not sym.is_neutral():
-            return None
-        out[i] = c
-    return out
-
-
 def _dadd(A, B):
     out = dict(A)
     for i, c in B.items():
@@ -115,19 +105,21 @@ def _dinv(D, cap, tower):
 
 def _dquot(r):
     """A q-alphabet RatioSeries as its dense numerator and denominator and
-    its window; raises NotExpandable when a cell carries a symbol."""
-    num, den = _dense(r.num), _dense(r.den)
-    if num is None or den is None or "u" in (r.num.alphabet, r.den.alphabet):
+    its window; raises NotExpandable on the u-alphabet, whose cells carry
+    H symbols."""
+    if "u" in (r.num.alphabet, r.den.alphabet):
         raise NotExpandable("transcendental symbols in the series")
-    return num, den, min(r.num.N, r.den.N)
+    return r.num.table, r.den.table, min(r.num.N, r.den.N)
 
 
-def _dratio(r, tower):
+def _dratio(r, tower, inverses=None):
     """A field column as a plain dense dict plus its faithful window: the
     denominator's monomial content is cancelled (the window shrinks by its
-    degree) and what is left is inverted.  Raises NotExpandable when the
-    quotient is no power series along the curve, and ZeroDivisor with its
-    witness when its constant cell is a zero divisor."""
+    degree) and what is left is inverted, or read from ``inverses``, a
+    dict keyed by (denominator, window) that this call fills.  Raises
+    NotExpandable when the quotient is no power series along the curve,
+    and ZeroDivisor with its witness when its constant cell is a zero
+    divisor."""
     num, den, window = _dquot(r)
     if den:
         m = None
@@ -143,15 +135,23 @@ def _dratio(r, tower):
             den = {tuple(a - b for a, b in zip(i, m)): c
                    for i, c in den.items()}
             window -= sum(m)
-    inv = _dinv(den, window, tower) if den else None
+    if inverses is None:
+        inverses = {}
+    key = (frozenset(den.items()), window)
+    if key not in inverses:
+        inverses[key] = _dinv(den, window, tower) if den else None
+    inv = inverses[key]
     if inv is None:
         raise NotExpandable("denominator not invertible at the curve")
     return _dmul(num, inv, window), window
 
 
 def _dense_cols(cols, tower):
-    """A field's ratio columns as dense dicts, plus their least window."""
-    dense = [_dratio(r, tower) for r in cols]
+    """A field's ratio columns as dense dicts, plus their least window;
+    each distinct denominator is inverted once (the columns of a
+    ``commuting_fields`` field share theirs)."""
+    inverses = {}
+    dense = [_dratio(r, tower, inverses) for r in cols]
     return [d for d, _w in dense], min(w for _d, w in dense)
 
 
@@ -251,7 +251,7 @@ def straightening_defect(R, phi, j, cap):
     dynamics of ``R`` and h_j its j-th diagonal entry, or None: ``phi``
     straightens component j when it vanishes."""
     tower, h = R.tower, R.lambdas[j]
-    phi = _dense(phi)
+    phi = phi.table
     return _lowest_bad(cap, _dsub(_dderiv_along(_dynamics(R), phi, cap, tower),
                                   {i: c * h for i, c in phi.items()}))
 
@@ -315,7 +315,8 @@ def sample_rank(rows, tower):
     full rank ends the search.  Elimination is division-free
     (``linalg.rank``) and every denominator and pivot is proven a unit
     (``AlgebraicTower.require_unit``), so a zero divisor raises
-    ``ZeroDivisor`` with its witness.  A symbol raises NotExpandable.
+    ``ZeroDivisor`` with its witness.  A u-alphabet row raises
+    NotExpandable.
     """
     if not rows:
         return 0
@@ -372,19 +373,18 @@ def check_flow(flow):
     rhs_j(phi) = d/ds phi_j for each component and t(phi) = d/ds phi_t.
 
     The dynamics come from the system's raw tables (``qdot_series``, ``t``),
-    the H weights h_j from its ``lambdas``, the L derivatives from
-    ``flow.logs``.  A u-cell c u^i L^ell carries H^i, so d/ds gives
-    (c' + <i, h> c) u^i L^ell and, for each L of exponent m in ell,
-    m L' c u^i L^(ell - 1).  Each side sums a cell once and the sides are
-    compared with ``==`` (reduced tower coordinates are canonical).  Raises
-    VerificationFailed naming the equation and its lowest bad order.
+    the H weights h_j from its ``lambdas``.  A u-cell c u^i carries H^i, so
+    d/ds gives (c' + <i, h> c) u^i.  The logarithmic cells of phi_t are
+    read from ``flow.logs``: a record's cell c u^i H^i L gives
+    (c' + <i, h> c) u^i H^i L, which must vanish since t(phi) has no L
+    part, and c L' u^i H^i, which joins plain cell i.  Each side sums a
+    cell once and the sides are compared with ``==`` (reduced tower
+    coordinates are canonical).  Raises VerificationFailed naming the
+    equation and its lowest bad order.
     """
     R, N, tower = flow.system, flow.N, flow.system.tower
     hs = R.lambdas
-    logs = {rec.name: rec.deriv for rec in flow.logs}
-    phi = [_dense(p) for p in flow.components]
-    if None in phi:
-        raise VerificationFailed("a transverse component carries L symbols")
+    phi = [p.table for p in flow.components]
     origin = (0,) * R.nq
     powers = {origin: {origin: tower.one}}
 
@@ -395,21 +395,26 @@ def check_flow(flow):
             powers[i] = _dmul(power(rest), phi[j], N) if any(rest) else phi[j]
         return powers[i]
 
-    eqs = [(f"component {j + 1}", R.qdot_series(j), p)
+    def dcell(i, c):
+        """The terms of (c' + <i, h> c)."""
+        return [c.derive()] + [hs[j] * tower.from_ground(e) * c
+                               for j, e in enumerate(i) if e]
+
+    eqs = [(f"component {j + 1}", R.qdot_series(j), p.table, ())
            for j, p in enumerate(flow.components)]
-    for name, table, series in eqs + [("the time series", R.t, flow.time)]:
+    eqs.append(("the time series", R.t, flow.time.table, flow.logs))
+    for name, table, cells, logs in eqs:
         image, deriv = {}, {}
         for i, c in table.items():
             for k, p in (power(i) if sum(i) <= N else {}).items():
-                image.setdefault((k, ()), []).append(c * p)
-        for (i, sym), c in series.table.items():
-            deriv.setdefault((i, sym.ell), []).extend(
-                [c.derive()] + [hs[j] * tower.from_ground(e) * c
-                                for j, e in enumerate(i) if e])
-            for n, (L, m) in enumerate(sym.ell):
-                low = sym.ell[:n] + ((L, m - 1),) * (m > 1) + sym.ell[n + 1:]
-                deriv.setdefault((i, low), []).append(
-                    logs[L] * c * tower.from_ground(m))
+                image.setdefault((k, None), []).append(c * p)
+        for i, c in cells.items():
+            deriv.setdefault((i, None), []).extend(dcell(i, c))
+        for rec in logs:
+            deriv.setdefault((rec.index, rec.name), []).extend(
+                dcell(rec.index, rec.coeff))
+            deriv.setdefault((rec.index, None), []).append(
+                rec.coeff * rec.deriv)
         image, deriv = ({k: tower.sum(cs) for k, cs in d.items()}
                         for d in (image, deriv))
         bad = [sum(k[0]) for k in image.keys() | deriv.keys()

@@ -139,16 +139,14 @@ def group_closure(tower):
 
 
 def _series_galois(a, auto):
-    """Coefficient-wise action; only symbol-free series can be acted on."""
-    table = {}
-    for i, sym, c in a.cells():
-        if a.alphabet != "q" or not sym.is_neutral():
-            raise VerificationFailed(
-                "Galois action is undefined on series carrying "
-                "transcendental symbols"
-            )
-        table[(i, sym)] = auto.on_elem(c)
-    return TruncSeries(a.basis, a.alphabet, a.N, table)
+    """Coefficient-wise action; only q-alphabet series can be acted on."""
+    if a.alphabet != "q":
+        raise VerificationFailed(
+            "Galois action is undefined on series carrying "
+            "transcendental symbols"
+        )
+    return TruncSeries(a.basis, a.alphabet, a.N,
+                       {i: auto.on_elem(c) for i, c in a.table.items()})
 
 
 def _ratio_galois(r, auto):

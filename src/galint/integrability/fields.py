@@ -161,22 +161,23 @@ def _weights(lattice_rows, chosen, nq):
     return out
 
 
-def _euler(series, a, tower):
+def _euler(series, a, tower, logs=()):
     """E_a = sum_j a_j u_j d/du_j: every cell u^i times <a, i>.
 
-    A log cell must be fixed by E_a: its coefficient L(s) is not a series
-    in q, so a transverse derivative of it would leave the chart."""
-    table = {}
-    for (i, sym), c in series.table.items():
-        w = sum(x * y for x, y in zip(a, i))
-        if not w:
-            continue
-        if sym.ell:
+    The log cells of ``logs`` (LogSymbol records) must be fixed by E_a:
+    their L(s) is not a series in q, so a transverse derivative of one
+    would leave the chart."""
+    for rec in logs:
+        if sum(x * y for x, y in zip(a, rec.index)):
             raise VerificationFailed(
-                f"the log cell {i} of the time series varies along the "
-                "level sets; its index is off the resonance lattice"
+                f"the log cell {rec.index} of the time series varies along "
+                "the level sets; its index is off the resonance lattice"
             )
-        table[(i, sym)] = c * tower.from_ground(w)
+    table = {}
+    for i, c in series.table.items():
+        w = sum(x * y for x, y in zip(a, i))
+        if w:
+            table[i] = c * tower.from_ground(w)
     return TruncSeries(series.basis, series.alphabet, series.N, table)
 
 
@@ -215,7 +216,7 @@ def commuting_fields(flow, report=None, *, conditions=None):
 
     cols_by_field = []
     for a in _weights(report.basis, chosen, nq):
-        e_tau = _euler(flow.time, a, tower).compose(Phi)
+        e_tau = _euler(flow.time, a, tower, flow.logs).compose(Phi)
         cols = [
             RatioSeries(_euler(p, a, tower).compose(Phi) * T - e_tau * x, T)
             for p, x in zip(flow.components, qdot)

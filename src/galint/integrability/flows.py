@@ -40,7 +40,6 @@ from ..series import (
     HyperexpBasis,
     Powers,
     RatioSeries,
-    SymbolMonomial,
     TruncSeries,
     linear_subst,
     q_series,
@@ -57,19 +56,22 @@ INCONCLUSIVE_BOUNDS = "inconclusive-bounds"
 # ---------------------------------------------------------------------------
 
 class LogSymbol:
-    """A formal primitive L appearing in the time series.
+    """A formal primitive L and its cell coeff * u^index * H^index * L of
+    the time series.
 
     ``deriv`` is the exact derivative L' (a tower element); ``argument`` is
     the log argument when L = log(argument), None for an opaque primitive;
-    ``index`` is the variable multi-index of the cell that created it.
+    ``index`` is the variable multi-index of the cell and ``coeff`` its
+    tower-element coefficient.
     """
 
-    __slots__ = ("name", "deriv", "index", "argument")
+    __slots__ = ("name", "deriv", "index", "coeff", "argument")
 
-    def __init__(self, name, deriv, index, argument=None):
+    def __init__(self, name, deriv, index, coeff, argument=None):
         self.name = name
         self.deriv = deriv
         self.index = tuple(index)
+        self.coeff = coeff
         self.argument = argument
 
     def __repr__(self):
@@ -81,12 +83,12 @@ class FormalFlow:
     """Normal-form flow data.
 
     ``components`` are the transverse series phi_j in the u-alphabet,
-    ``time`` the series phi_t (with L-symbol cells where the primitive is
-    logarithmic; None on a partial flow recovered from an Obstruction),
-    ``s0`` the base point used to pin resonant coefficients, ``resonant``
-    the (component, index) pairs that needed pinning, ``logs`` the
-    LogSymbol records in creation order.  The inverse map of
-    :func:`invert_flow` is kept once computed.
+    ``time`` the plain cells of the series phi_t (None on a partial flow
+    recovered from an Obstruction), ``s0`` the base point used to pin
+    resonant coefficients, ``resonant`` the (component, index) pairs that
+    needed pinning, ``logs`` the LogSymbol records in creation order, each
+    carrying one cell of phi_t whose primitive is logarithmic.  The inverse
+    map of :func:`invert_flow` is kept once computed.
     """
 
     __slots__ = ("basis", "components", "time", "s0", "N", "system",
@@ -344,11 +346,7 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
     for order in range(2, N + 1):
         for j in range(nq):
             defect = powers.cells_at(rhs[j], order)
-            for index, sym, g in defect.cells():
-                if sym.ell:
-                    raise VerificationFailed(
-                        "transverse defect carries unexpected symbols"
-                    )
+            for index, g in defect.cells():
                 delta = combination(tower, index, hs) - hs[j]
                 try:
                     y, res = _solve_cell(delta, g, s0, conditions)
@@ -358,9 +356,7 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
                 except DegreeBoundExceeded:
                     return Obstruction(order, j + 1, index, delta, g,
                                        INCONCLUSIVE_BOUNDS, partial(order - 1))
-                phi[j] = phi[j] + TruncSeries(
-                    basis, "u", N, {(index, SymbolMonomial()): y}
-                )
+                phi[j] = phi[j] + TruncSeries(basis, "u", N, {index: y})
                 if res:
                     resonant.append((j + 1, index))
 
@@ -368,10 +364,7 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
     image = powers.compose(q_series(basis, N, R.t), N)
     plain = {}
     symbols = []
-    log_cells = []
-    for index, sym, g in image.cells():
-        if sym.ell:
-            raise VerificationFailed("time defect carries unexpected symbols")
+    for index, g in image.cells():
         delta = combination(tower, index, hs)
         try:
             y, res = _solve_cell(delta, g, s0, conditions)
@@ -390,9 +383,8 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
             except IntegrationIncomplete:
                 pass
             if split is None:
-                rec = LogSymbol(f"L{len(symbols) + 1}", gi, index)
-                symbols.append(rec)
-                log_cells.append((index, rec.name, psi))
+                symbols.append(
+                    LogSymbol(f"L{len(symbols) + 1}", gi, index, psi))
             else:
                 r, glogs = split
                 r = _soft_pin(r, s0)
@@ -400,27 +392,17 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
                     plain[tuple(index)] = psi * r
                 for c, arg in glogs:
                     deriv = arg.derive() * tower.invert(arg)
-                    rec = LogSymbol(f"L{len(symbols) + 1}", deriv, index, arg)
-                    symbols.append(rec)
-                    log_cells.append((index, rec.name,
-                                      psi * tower.from_ground(c)))
+                    symbols.append(LogSymbol(
+                        f"L{len(symbols) + 1}", deriv, index,
+                        psi * tower.from_ground(c), arg))
         else:
             if res:
                 resonant.append((nq + 1, tuple(index)))
             if not y.is_zero():
                 plain[tuple(index)] = y
 
-    basis1 = basis
-    for rec in symbols:
-        basis1 = basis1.with_log(rec.name, rec.deriv)
-    components = tuple(TruncSeries(basis1, "u", N, p.table) for p in phi)
-    ttab = {(index, SymbolMonomial()): y for index, y in plain.items()}
-    for index, name, coeff in log_cells:
-        ttab[(index, SymbolMonomial({name: 1}))] = coeff
-    time = TruncSeries(basis1, "u", N, ttab)
-
-    flow = FormalFlow(basis1, components, time, s0, N, R,
-                      tuple(resonant), tuple(symbols))
+    flow = FormalFlow(basis, phi, TruncSeries(basis, "u", N, plain), s0, N,
+                      R, tuple(resonant), tuple(symbols))
     check_flow(flow)
     return flow
 
@@ -502,7 +484,7 @@ def _fixed(series, names):
     """Whether every cell of every series is fixed by every named Galois
     generator."""
     return all((c.galois(name) - c).is_zero()
-               for a in series for _i, _s, c in a.cells() for name in names)
+               for a in series for c in a.table.values() for name in names)
 
 
 def _system_fixed(R, basis, names):

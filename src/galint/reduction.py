@@ -9,8 +9,8 @@ variational systems of any jet order, and finally locate and classify the
 singular places of the reduced diagonal data.
 
 A rational function of the coordinates is a
-:class:`~galint.series.RatioSeries` of neutral q-series (no cell carries H-
-or L-content at this stage); :class:`CoordRat` builds one from tables.  All
+:class:`~galint.series.RatioSeries` of q-series (no cell carries H-content
+at this stage); :class:`CoordRat` builds one from tables.  All
 series work here runs on :class:`~galint.series.TruncSeries` over that
 neutral basis: expanding a :class:`CoordRat` around the curve (whose
 degree-0 cell is also its value there), inverting the tangential speed, and
@@ -79,8 +79,8 @@ _EXACT = 10**9
 
 
 def _neutral_basis(tower, nq):
-    """A symbol basis for plain q-series: no cell carries H- or L-content,
-    so its hs are only the tower's zeros, which name the tower."""
+    """A symbol basis for plain q-series: no cell carries H-content, so its
+    hs are only the tower's zeros, which name the tower."""
     return HyperexpBasis((tower.zero,) * nq)
 
 

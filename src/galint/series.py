@@ -1,22 +1,22 @@
-"""Truncated multivariate series with hyperexponential and logarithmic symbols.
+"""Truncated multivariate series with hyperexponential symbols.
 
-A cell of a :class:`TruncSeries` is a pair (variable multi-index i, symbol
-monomial) holding a tower-element coefficient a(s).  The symbol monomial is a
-multiset of L symbols, each known through its derivative; the alphabet fixes
-the cell's H-content:
+A cell of a :class:`TruncSeries` is a variable multi-index i holding a
+tower-element coefficient a(s); the alphabet fixes the cell's H-content:
 
-    q-alphabet (plain coordinates):      a(s) * q^i * L(s)^ell
-    u-alphabet (u_j = c_j*H_j(s)):       a(s) * u^i * H(s)^i * L(s)^ell
+    q-alphabet (plain coordinates):      a(s) * q^i
+    u-alphabet (u_j = c_j*H_j(s)):       a(s) * u^i * H(s)^i
 
 H_j are hyperexponential symbols known only through their logarithmic
 derivatives h_j = H_j'/H_j, so d/ds of a u-cell picks up the weight
-sum_j i_j h_j read off its index.
+sum_j i_j h_j read off its index.  The logarithmic cells of a formal
+flow's time series are not series cells: each lives on its
+``flows.LogSymbol`` record.
 
 Everything is immutable; operations return new series.  Truncation is by
 total variable degree |i| <= N.
 
 The :class:`TruncSeries` constructor is the one place where cells merge: it
-takes a mapping or a stream of ``((i, sym), c)`` contributions, gathers the
+takes a mapping or a stream of ``(i, c)`` contributions, gathers the
 contributions to each cell and sums them once (``AlgebraicTower.sum``, one
 reduction per coordinate), drops a cell whose total is zero, and drops cells
 above N.  Every operation yields its contributions to it and keeps no
@@ -27,8 +27,8 @@ These two classes are the one construction-side series engine: reduction
 and descent all compute with :class:`TruncSeries` and :class:`RatioSeries`.
 Plain ``{exponent: coeff}`` tables cross the boundary through
 :func:`q_series` and :func:`q_table`; a rational function of the
-coordinates is a :class:`RatioSeries` of neutral q-series (cells with no L
-symbol), which ``reduction.CoordRat`` builds from tables.
+coordinates is a :class:`RatioSeries` of q-series, which
+``reduction.CoordRat`` builds from tables.
 A :class:`RatioSeries` keeps a quotient exact by cross-multiplication.
 This engine only builds: every residual (of a formal flow, a first
 integral, a frame bracket or Lie derivative, a linearizing map) is
@@ -59,7 +59,6 @@ from .errors import (
 __all__ = [
     "HyperexpBasis",
     "Powers",
-    "SymbolMonomial",
     "TruncSeries",
     "RatioSeries",
     "linear_subst",
@@ -70,22 +69,15 @@ __all__ = [
 
 
 class HyperexpBasis:
-    """The symbol dictionary: n-1 hyperexponential symbols and the L symbols.
+    """The symbol dictionary: n-1 hyperexponential symbols.
 
-    ``hs[j]`` is the logarithmic derivative of H_{j+1} (a tower element);
-    ``logs`` maps each L-symbol name to its derivative.
+    ``hs[j]`` is the logarithmic derivative of H_{j+1} (a tower element).
     """
 
-    __slots__ = ("hs", "logs", "_lognames")
+    __slots__ = ("hs",)
 
-    def __init__(self, hs, logs=()):
+    def __init__(self, hs):
         self.hs = tuple(hs)
-        if isinstance(logs, dict):
-            logs = tuple(sorted(logs.items()))
-        self.logs = tuple(logs)
-        self._lognames = tuple(name for name, _ in self.logs)
-        if len(set(self._lognames)) != len(self._lognames):
-            raise ValueError("duplicate L-symbol names")
         towers = {id(h.tower) for h in self.hs}
         if len(towers) > 1:
             raise ValueError("hyperexponential symbols must share one tower")
@@ -94,70 +86,16 @@ class HyperexpBasis:
     def n(self):
         return len(self.hs)
 
-    def log_deriv(self, name):
-        for nm, d in self.logs:
-            if nm == name:
-                return d
-        raise KeyError(f"unknown L symbol {name!r}")
-
-    def with_log(self, name, deriv):
-        """A copy with one more L symbol (idempotent on identical re-adds)."""
-        for nm, d in self.logs:
-            if nm == name:
-                if d == deriv:
-                    return self
-                raise ValueError(f"L symbol {name!r} already bound")
-        return HyperexpBasis(self.hs, self.logs + ((name, deriv),))
-
     def __eq__(self, other):
         if not isinstance(other, HyperexpBasis):
             return NotImplemented
-        return self.hs == other.hs and self.logs == other.logs
+        return self.hs == other.hs
 
     def __hash__(self):
-        return hash((len(self.hs), self._lognames))
+        return hash(len(self.hs))
 
     def __repr__(self):
-        return f"HyperexpBasis(n={self.n}, logs={self._lognames})"
-
-
-class SymbolMonomial:
-    """A multiset of L symbols; the neutral symbol is empty."""
-
-    __slots__ = ("ell",)
-
-    def __init__(self, ell=None):
-        """``ell`` maps L-symbol names to exponents; zeros are dropped."""
-        ell = ell or {}
-        self.ell = tuple(sorted((k, int(v)) for k, v in ell.items() if v))
-
-    def is_neutral(self):
-        return not self.ell
-
-    def mul(self, other):
-        d = dict(self.ell)
-        for k, v in other.ell:
-            d[k] = d.get(k, 0) + v
-        return SymbolMonomial(d)
-
-    def lower_log(self, name):
-        d = dict(self.ell)
-        d[name] -= 1
-        return SymbolMonomial(d)
-
-    def __eq__(self, other):
-        if not isinstance(other, SymbolMonomial):
-            return NotImplemented
-        return self.ell == other.ell
-
-    def __hash__(self):
-        return hash(self.ell)
-
-    def __repr__(self):
-        return "*".join(_powers(self.ell)) or "1"
-
-
-_NEUTRAL = SymbolMonomial()
+        return f"HyperexpBasis(n={self.n})"
 
 
 def _powers(pairs):
@@ -171,12 +109,12 @@ class TruncSeries:
     __slots__ = ("basis", "alphabet", "N", "table")
 
     def __init__(self, basis, alphabet, N, table=()):
-        """``table`` is a mapping ``{(i, sym): c}`` or an iterable of
-        ``((i, sym), c)`` pairs.  The contributions to one cell are gathered
-        and summed once, by the coefficient tower's ``sum`` (one reduction
-        per coordinate); zero contributions are skipped, a cell whose total
-        is zero is dropped, and so are cells above total degree N.  Every
-        index is validated."""
+        """``table`` is a mapping ``{i: c}`` or an iterable of ``(i, c)``
+        pairs.  The contributions to one cell are gathered and summed once,
+        by the coefficient tower's ``sum`` (one reduction per coordinate);
+        zero contributions are skipped, a cell whose total is zero is
+        dropped, and so are cells above total degree N.  Every index is
+        validated."""
         if alphabet not in ("q", "u"):
             raise ValueError("alphabet must be 'q' or 'u'")
         self.basis = basis
@@ -185,7 +123,7 @@ class TruncSeries:
         if hasattr(table, "items"):
             table = table.items()
         cols = {}
-        for (i, sym), c in table or ():
+        for i, c in table or ():
             i = tuple(int(x) for x in i)
             if len(i) != basis.n:
                 raise ValueError("variable multi-index length mismatch")
@@ -193,13 +131,13 @@ class TruncSeries:
                 raise ValueError("negative variable exponent")
             if sum(i) > self.N or not c:
                 continue
-            cols.setdefault((i, sym), []).append(c)
+            cols.setdefault(i, []).append(c)
         clean = {}
-        for key, cs in cols.items():
+        for i, cs in cols.items():
             c = cs[0] if len(cs) == 1 else deepest_tower(
                 x.tower for x in cs).sum(cs)
             if c:
-                clean[key] = c
+                clean[i] = c
         self.table = clean
 
     # ------------------------------------------------------------ factories
@@ -210,14 +148,13 @@ class TruncSeries:
 
     @classmethod
     def constant(cls, basis, alphabet, N, c):
-        zero_i = (0,) * basis.n
-        return cls(basis, alphabet, N, {(zero_i, _NEUTRAL): c})
+        return cls(basis, alphabet, N, {(0,) * basis.n: c})
 
     @classmethod
     def variable(cls, basis, alphabet, N, j, coeff):
         """The coordinate x_{j+1} (in the u-alphabet it carries H_{j+1})."""
         i = tuple(1 if k == j else 0 for k in range(basis.n))
-        return cls(basis, alphabet, N, {(i, _NEUTRAL): coeff})
+        return cls(basis, alphabet, N, {i: coeff})
 
     # ------------------------------------------------------------- basics
 
@@ -225,20 +162,16 @@ class TruncSeries:
         return not self.table
 
     def cells(self):
-        """Deterministically ordered (i, sym, coeff) triples."""
-        return [
-            (i, sym, self.table[(i, sym)])
-            for i, sym in sorted(
-                self.table, key=lambda k: (sum(k[0]), k[0], k[1].ell)
-            )
-        ]
+        """Deterministically ordered (i, coeff) pairs."""
+        return [(i, self.table[i])
+                for i in sorted(self.table, key=lambda i: (sum(i), i))]
 
-    def coeff(self, i, sym=_NEUTRAL):
-        return self.table.get((tuple(i), sym))
+    def coeff(self, i):
+        return self.table.get(tuple(i))
 
     def valuation(self):
         """Least total variable degree of a nonzero cell; None for zero."""
-        return min((sum(i) for i, _ in self.table), default=None)
+        return min((sum(i) for i in self.table), default=None)
 
     def truncate(self, M):
         return TruncSeries(self.basis, self.alphabet, M, self.table)
@@ -260,7 +193,7 @@ class TruncSeries:
     def __neg__(self):
         return TruncSeries(
             self.basis, self.alphabet, self.N,
-            {k: -c for k, c in self.table.items()},
+            {i: -c for i, c in self.table.items()},
         )
 
     def __sub__(self, other):
@@ -271,13 +204,13 @@ class TruncSeries:
         N = min(self.N, other.N)
 
         def cells():
-            for (ia, sa), ca in self.table.items():
+            for ia, ca in self.table.items():
                 if sum(ia) > N:
                     continue
-                for (ib, sb), cb in other.table.items():
+                for ib, cb in other.table.items():
                     i = tuple(a + b for a, b in zip(ia, ib))
                     if sum(i) <= N:
-                        yield (i, sa.mul(sb)), ca * cb
+                        yield i, ca * cb
 
         return TruncSeries(self.basis, self.alphabet, N, cells())
 
@@ -287,28 +220,25 @@ class TruncSeries:
             return TruncSeries.zero(self.basis, self.alphabet, self.N)
         return TruncSeries(
             self.basis, self.alphabet, self.N,
-            {k: v * c for k, v in self.table.items()},
+            {i: v * c for i, v in self.table.items()},
         )
 
     def inverse(self):
         """The multiplicative inverse through order N.
 
-        The constant cell must be a symbol-free unit c; with u = 1/c and
-        w = 1 - u * self the inverse is u * sum_k w^k, a finite sum because
-        w has no cell of degree 0.
+        The constant cell must be a unit c; with u = 1/c and w = 1 - u * self
+        the inverse is u * sum_k w^k, a finite sum because w has no cell of
+        degree 0.
         """
         zero_i = (0,) * self.basis.n
-        c0 = self.table.get((zero_i, _NEUTRAL))
+        c0 = self.table.get(zero_i)
         if c0 is None:
             raise DivisionByZero("series constant term vanishes; cannot invert")
         u = c0.tower.one / c0
         w = TruncSeries(
             self.basis, self.alphabet, self.N,
-            {k: -(c * u) for k, c in self.table.items()
-             if k != (zero_i, _NEUTRAL)},
+            {i: -(c * u) for i, c in self.table.items() if i != zero_i},
         )
-        if w.valuation() == 0:
-            raise ValueError("inverse needs a symbol-free constant term")
         out = TruncSeries.constant(self.basis, self.alphabet, self.N, u)
         power = w
         while not power.is_zero():
@@ -329,40 +259,14 @@ class TruncSeries:
     def __hash__(self):
         return hash((self.alphabet, self.N, frozenset(self.table)))
 
-    # -------------------------------------------------------------- calculus
-
-    def derive_s(self):
-        """d/ds: coefficient derivative + H-weights + L-lowering.
-
-        A u-cell u^i carries H^i, so it picks up sum_j i_j h_j."""
-        basis = self.basis
-        carries_h = self.alphabet == "u"
-
-        def cells():
-            for (i, sym), c in self.table.items():
-                yield (i, sym), c.derive()
-                w = None
-                for j, ij in enumerate(i if carries_h else ()):
-                    if ij:
-                        term = basis.hs[j] * basis.hs[j].tower.from_ground(ij)
-                        w = term if w is None else w + term
-                if w is not None:
-                    yield (i, sym), w * c
-                for name, m in sym.ell:
-                    yield ((i, sym.lower_log(name)),
-                           basis.log_deriv(name) * c * c.tower.from_ground(m))
-
-        return TruncSeries(basis, self.alphabet, self.N, cells())
-
     # ------------------------------------------------------------- compose
 
     def compose(self, subst):
         """Substitute x_j -> subst[j] (series without constant term).
 
-        In the u-alphabet the substituted variable takes its H-content along,
-        so only the L symbols of the two cells multiply.  The result lives in
-        the substituted series' alphabet.  It is the sum over the degrees
-        k <= N of :meth:`Powers.cells_at`.
+        In the u-alphabet the substituted variable takes its H-content
+        along.  The result lives in the substituted series' alphabet.  It is
+        the sum over the degrees k <= N of :meth:`Powers.cells_at`.
         """
         basis = self.basis
         if len(subst) != basis.n:
@@ -373,7 +277,7 @@ class TruncSeries:
                 raise AlphabetMismatch(
                     "substituted series disagree on alphabet or basis"
                 )
-            if any(not any(i) for (i, _) in g.table):
+            if any(not any(i) for i in g.table):
                 raise NonzeroConstantTerm(
                     "substituted series must vanish at the origin"
                 )
@@ -388,11 +292,11 @@ class TruncSeries:
             return "0"
         letters = ("u", "H") if self.alphabet == "u" else ("q",)
         parts = []
-        for i, sym, c in self.cells():
+        for i, c in self.cells():
             bits = [f"({c})"]
             for letter in letters:
                 bits += _powers((f"{letter}{j + 1}", k) for j, k in enumerate(i))
-            parts.append("*".join(bits + _powers(sym.ell)))
+            parts.append("*".join(bits))
         return " + ".join(parts)
 
     def __repr__(self):
@@ -424,15 +328,15 @@ class Powers:
         (see :meth:`TruncSeries.compose`)."""
 
         def cells():
-            for (i, sym), c in series.table.items():
+            for i, c in series.table.items():
                 if sum(i) > k:
                     continue
                 if not any(i):  # the constant cell of series
                     if not k:
-                        yield (i, sym), c
+                        yield i, c
                     continue
-                for (it, st), ct in self._at(i, k):
-                    yield (it, st.mul(sym)), ct * c
+                for it, ct in self._at(i, k):
+                    yield it, ct * c
 
         return TruncSeries(series.basis, self.subst[0].alphabet, k, cells())
 
@@ -443,12 +347,12 @@ class Powers:
             for cell in self.cells_at(series, k).table.items()))
 
     def _at(self, i, k):
-        """The degree-k ((index, symbol), coeff) cells of M_i, |i| >= 1."""
+        """The degree-k (index, coeff) cells of M_i, |i| >= 1."""
         j = next(j for j, e in enumerate(i) if e)
         n = sum(i)
         if n == 1:
-            return [(key, c) for key, c in self.subst[j].table.items()
-                    if sum(key[0]) == k]
+            return [(it, c) for it, c in self.subst[j].table.items()
+                    if sum(it) == k]
         hit = self._memo.get((i, k))
         if hit is not None:
             return hit
@@ -459,16 +363,16 @@ class Powers:
             low = self._at(unit, k - d)
             if not low:
                 continue
-            for (ia, sa), ca in self._at(rest, d):
-                for (ib, sb), cb in low:
-                    key = (tuple(a + b for a, b in zip(ia, ib)), sa.mul(sb))
-                    cols.setdefault(key, []).append((ca, cb))
+            for ia, ca in self._at(rest, d):
+                for ib, cb in low:
+                    it = tuple(a + b for a, b in zip(ia, ib))
+                    cols.setdefault(it, []).append((ca, cb))
         out = []
-        for key, pairs in cols.items():
+        for it, pairs in cols.items():
             c = deepest_tower(x.tower for pair in pairs
                               for x in pair).dot(pairs)
             if c:
-                out.append((key, c))
+                out.append((it, c))
         self._memo[(i, k)] = out
         return out
 
@@ -507,7 +411,7 @@ class RatioSeries:
             return self
         m = None
         for tab in (num.table, den.table):
-            for i, _sym in tab:
+            for i in tab:
                 m = list(i) if m is None else [min(a, b) for a, b in zip(m, i)]
         if m is None or not any(m):
             return self
@@ -516,8 +420,8 @@ class RatioSeries:
         def shift(s):
             return TruncSeries(
                 s.basis, "q", s.N - drop,
-                {(tuple(a - b for a, b in zip(i, m)), sym): c
-                 for (i, sym), c in s.table.items()},
+                {tuple(a - b for a, b in zip(i, m)): c
+                 for i, c in s.table.items()},
             )
 
         return RatioSeries(shift(num), shift(den))
@@ -598,16 +502,15 @@ class RatioSeries:
 # ---------------------------------------------------------------------------
 
 def q_series(basis, N, tab):
-    """A plain table ``{exponent: coeff}`` as a neutral q-alphabet series."""
-    return TruncSeries(basis, "q", N, {(i, _NEUTRAL): c for i, c in tab.items()})
+    """A plain table ``{exponent: coeff}`` as a q-alphabet series."""
+    return TruncSeries(basis, "q", N, tab)
 
 
 def q_table(series):
-    """The plain table ``{exponent: coeff}`` of a neutral q-series."""
-    if series.alphabet != "q" or any(not sym.is_neutral()
-                                     for _i, sym in series.table):
-        raise ValueError("only symbol-free series have a plain table")
-    return {i: c for (i, _sym), c in series.table.items()}
+    """The plain table ``{exponent: coeff}`` of a q-alphabet series."""
+    if series.alphabet != "q":
+        raise ValueError("only q-alphabet series have a plain table")
+    return dict(series.table)
 
 
 def linear_subst(basis, M, N):
@@ -615,7 +518,7 @@ def linear_subst(basis, M, N):
     return [
         TruncSeries(
             basis, "q", N,
-            {(tuple(int(k == l) for k in range(len(row))), _NEUTRAL): c
+            {tuple(int(k == l) for k in range(len(row))): c
              for l, c in enumerate(row) if c},
         )
         for row in M
@@ -649,7 +552,7 @@ def ts_invert_map(phi):
             raise AlphabetMismatch("inversion expects u-alphabet series")
         lead = TruncSeries.variable(basis, "u", N, j, one)
         rest = p.truncate(N) - lead
-        for (i, _sym) in rest.table:
+        for i in rest.table:
             if sum(i) <= 1:
                 raise NotTangentToIdentity(
                     f"component {j + 1} is not u_{j + 1} + O(order 2)"

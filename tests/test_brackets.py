@@ -6,8 +6,7 @@ monomial content is cancelled) into one dense power series, and
 derivatives of integrals cross-multiplied, for both ``fields.scan_frame``
 and ``verify_certificate``.  The property tests pin why the two agree: a
 derivation of the dense quotient, times den², is the cross-multiplied
-residual one degree below the window, and ``derive_s`` obeys the Leibniz
-rule on truncated series.  The rest are labelled refusals and
+residual one degree below the window.  The rest are labelled refusals and
 the frame of ``commuting_fields``: certified through the flow window less
 one, a cell planted into a field is named at its own order, and
 ``stabilize_frame`` names a field that moves an integral.
@@ -44,8 +43,6 @@ from galint.reduction import CoordRat, VectorFieldSpec, reduce_to_curve, \
 from galint.series import (
     HyperexpBasis,
     RatioSeries,
-    SymbolMonomial,
-    TruncSeries,
     q_series,
 )
 
@@ -120,29 +117,6 @@ def test_dense_conversion_commutes_with_the_quotient_rule(r):
         Xe = _dderiv_along(X, e, top, tower)
         assert upto(_dmul(_dmul(Xe, den, top), den, top), top) == \
             upto(_dlie(X, num, den, top, tower), top)
-
-
-# u-series (each u^i carries H^i) with and without an L symbol, for the
-# Leibniz rule
-SYMS = [SymbolMonomial(), SymbolMonomial({"L": 1})]
-SYM_BASIS = HyperexpBasis((BASE.from_ground(ALPHA / S), BASE.from_ground(S)),
-                          {"L": BASE.from_ground(1 / (1 + S))})
-sym_tables = st.dictionaries(
-    st.tuples(st.sampled_from(CELLS), st.integers(0, len(SYMS) - 1)),
-    ground.filter(any), max_size=4)
-
-
-def sym_series(tab):
-    return TruncSeries(SYM_BASIS, "u", N, {
-        (i, SYMS[k]): coeff(BASE, x, None) for (i, k), x in tab.items()
-    })
-
-
-@PROPS
-@given(sym_tables, sym_tables)
-def test_leibniz_rule(tab_a, tab_b):
-    a, b = sym_series(tab_a), sym_series(tab_b)
-    assert (a * b).derive_s() == a.derive_s() * b + a * b.derive_s()
 
 
 # ------------------------------------------------------- labelled failures

@@ -42,6 +42,7 @@ from galint.galois import relation_lattice
 from galint.integrability import (
     FormalFlow,
     Linearization,
+    LogSymbol,
     Obstruction,
     commuting_fields,
     first_integrals,
@@ -52,11 +53,8 @@ from galint.integrability import (
 )
 from galint.integrability import flows
 from galint.reduction import ReducedSystem
-from galint.series import (
-    RatioSeries,
-    SymbolMonomial,
-    TruncSeries,
-)
+from galint.series import RatioSeries, TruncSeries
+from test_certificates import log_time_system
 
 
 @pytest.fixture()
@@ -164,7 +162,7 @@ def test_cubic_drag_flow(gf, T):
 
     # the transverse equation is linear: phi_1 = u_1 on the nose
     comp = flow.components[0]
-    assert comp.table == {((1,), SymbolMonomial()): T.one}
+    assert comp.table == {(1,): T.one}
 
     # time cells, solved independently per power
     assert flow.time.coeff((2,)) == \
@@ -205,8 +203,7 @@ def test_opposite_pair_obstructs(gf, T):
     assert ob.partial.N == 2
     assert ob.partial.time is None
     for j, comp in enumerate(ob.partial.components):
-        assert list(comp.table) == [((1, 0) if j == 0 else (0, 1),
-                                     SymbolMonomial())]
+        assert list(comp.table) == [(1, 0) if j == 0 else (0, 1)]
 
 
 def test_linearize_propagates_obstruction(gf, T):
@@ -251,7 +248,7 @@ def test_invert_flow_round_trip(gf, T):
     flow = formal_flow(resonant_toy(gf, T), 3)
     Phi = invert_flow(flow)
     back = Phi[0].compose(list(flow.components))
-    assert list(back.table) == [((1,), SymbolMonomial())]
+    assert list(back.table) == [(1,)]
     assert back.coeff((1,)) == T.one
 
 
@@ -297,9 +294,7 @@ def test_linearize_equilibrium_curve_keeps_ds(gf, T):
     assert lz.order == 3 and lz.invariant is None
     c = T.from_ground(s / (a + 1))
     m = lz.map[0]
-    assert m.table == {((1,), SymbolMonomial()): T.one,
-                       ((2,), SymbolMonomial()): -c,
-                       ((3,), SymbolMonomial()): c * c}
+    assert m.table == {(1,): T.one, (2,): -c, (3,): c * c}
     # dt = ds: the time series is s - s0 alone
     flow = lz.flow
     assert flow.time == TruncSeries.constant(flow.basis, "u", 3,
@@ -322,8 +317,7 @@ def test_linear_diagonal_flow_is_trivial(gf, T):
 
 
 def qser(basis, N, cells):
-    return TruncSeries(basis, "q", N,
-                       {(i, SymbolMonomial()): c for i, c in cells.items()})
+    return TruncSeries(basis, "q", N, cells)
 
 
 def test_pair_integral_is_exact(gf, T):
@@ -545,24 +539,42 @@ def test_place_contexts_are_built_once_per_tower_and_place(monkeypatch):
 def _corrupt(series, order):
     """The series with one of its order-``order`` cells doubled."""
     tab = dict(series.table)
-    key = next(k for k in sorted(tab, key=repr) if sum(k[0]) == order)
+    key = next(k for k in sorted(tab) if sum(k) == order)
     tab[key] = tab[key] + tab[key]
     return TruncSeries(series.basis, series.alphabet, series.N, tab)
 
 
-@pytest.mark.parametrize("where", ["component", "time"])
+@pytest.mark.parametrize("where", ["component", "time", "log-coeff",
+                                   "log-deriv", "log-part"])
 def test_verify_flow_catches_a_wrong_cell(gf, where):
-    flow = formal_flow(one_dw(gf), 4)
+    if where.startswith("log"):
+        # the cell c u1 H1 L of log_time_system's time series, L = log(s),
+        # is carried on its LogSymbol
+        R = log_time_system(gf, -1 / gf.s, [(0, 0), (1, 0), (0, 1)])
+        flow = formal_flow(R, 3)
+    else:
+        flow = formal_flow(one_dw(gf), 4)
     assert isinstance(flow, FormalFlow)
     check_flow(flow)
-    comps, time = list(flow.components), flow.time
+    comps, time, logs = list(flow.components), flow.time, flow.logs
+    label = "time series"
     if where == "component":
         comps[0] = _corrupt(comps[0], 3)
         label = "component 1"
-    else:
+    elif where == "time":
         time = _corrupt(time, 0)
-        label = "time series"
+    else:
+        (rec,) = logs
+        T = flow.system.tower
+        f = T.from_ground(1 + gf.s)
+        coeff, deriv = {
+            "log-coeff": (rec.coeff + rec.coeff, rec.deriv),
+            "log-deriv": (rec.coeff, rec.deriv + rec.deriv),
+            # c L' is kept, so only the L part c' + <i, h> c moves
+            "log-part": (rec.coeff * f, rec.deriv * T.invert(f)),
+        }[where]
+        logs = [LogSymbol(rec.name, deriv, rec.index, coeff, rec.argument)]
     bad = FormalFlow(flow.basis, comps, time, flow.s0, flow.N, flow.system,
-                     flow.resonant, flow.logs)
+                     flow.resonant, logs)
     with pytest.raises(VerificationFailed, match=label):
         check_flow(bad)

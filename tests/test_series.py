@@ -1,6 +1,6 @@
-"""Truncated series with hyperexponential/log symbols: arithmetic, d/ds,
-composition, map inversion, the dense check engine's Lie derivatives, and
-the error paths."""
+"""Truncated series with hyperexponential symbols: arithmetic, composition,
+map inversion, the dense check engine's Lie derivatives, and the error
+paths."""
 
 import hashlib
 import inspect
@@ -12,7 +12,7 @@ import sympy.polys.rings as sympy_rings
 
 from galint import series
 from galint.algebra import AlgebraicTower, GroundField, scalars
-from galint.check import _dderiv_along, _dense
+from galint.check import _dderiv_along
 from galint.errors import (
     AlphabetMismatch,
     NonzeroConstantTerm,
@@ -24,7 +24,6 @@ from galint.reduction import ReducedSystem
 from galint.series import (
     HyperexpBasis,
     Powers,
-    SymbolMonomial,
     TruncSeries,
     q_table,
     ts_invert_map,
@@ -76,36 +75,6 @@ def test_product_of_tangent_maps_has_unit_cross_cell(ctx):
     phi2 = u2 - u1 * u1
     c = (phi1 * phi2).coeff((1, 1))
     assert c == T.one
-
-
-def test_derive_single_hyperexp_variable(ctx):
-    gf, T, B = ctx
-    d = u(B, T, 0).derive_s()
-    assert d.coeff((1, 0)) == T.from_ground(gf.gen("alpha") / gf.s)
-    assert len(d.table) == 1
-
-
-def test_derive_log_symbol(ctx):
-    gf, T, B = ctx
-    B2 = B.with_log("L1", T.from_ground(1 / gf.s))
-    L = TruncSeries(B2, "u", 3, {((0, 0), SymbolMonomial({"L1": 1})): T.one})
-    d = L.derive_s()
-    assert d.coeff((0, 0)) == T.from_ground(1 / gf.s)
-    assert len(d.table) == 1
-
-
-def test_derive_resonant_cell_closes(ctx):
-    # with h1 = alpha/s:  d/ds [ s^2/(2a+2) * u1^2 H1^2 ]
-    #   = [ 2s/(2a+2) + 2*(a/s)*s^2/(2a+2) ] u1^2 H1^2 = s * u1^2 H1^2
-    gf, T, B = ctx
-    s, alpha = gf.s, gf.gen("alpha")
-    cell = TruncSeries(
-        B, "u", 3,
-        {((2, 0), SymbolMonomial()): T.from_ground(s**2 / (2 * alpha + 2))},
-    )
-    d = cell.derive_s()
-    assert d.coeff((2, 0)) == T.from_ground(s)
-    assert len(d.table) == 1
 
 
 def test_compose_square(ctx):
@@ -177,7 +146,7 @@ def test_invert_rejects_bad_linear_part(ctx):
 def lie(a, v, cap, T):
     """The derivative of a series along columns (q-components, then s), on
     the dense engine."""
-    return _dderiv_along([_dense(c) for c in v], _dense(a), cap, T)
+    return _dderiv_along([c.table for c in v], a.table, cap, T)
 
 
 def test_lie_of_coordinate_and_constant(ctx):
@@ -185,7 +154,7 @@ def test_lie_of_coordinate_and_constant(ctx):
     q1, q2 = q(B, T, 0), q(B, T, 1)
     one = TruncSeries.constant(B, "q", 3, T.one)
     v = [q2, q1, one]
-    assert lie(q1, v, 3, T) == _dense(q2)
+    assert lie(q1, v, 3, T) == q2.table
     const = TruncSeries.constant(B, "q", 3, T.from_ground(gf.gen("alpha")))
     assert lie(const, v, 3, T) == {}
 
@@ -224,7 +193,6 @@ def test_truncation_coherence_spot(ctx):
     )
     b = u(B, T, 1, 4) + u(B, T, 0, 4) * u(B, T, 0, 4)
     assert (a * b).truncate(2) == a.truncate(2) * b.truncate(2)
-    assert a.derive_s().truncate(2) == a.truncate(2).derive_s()
 
 
 def test_constructor_merges_cells(ctx):
@@ -232,25 +200,24 @@ def test_constructor_merges_cells(ctx):
     # cancelling pair leaves no cell, cells above N are dropped
     gf, T, B = ctx
     one, two = T.one, T.from_ground(2)
-    L = SymbolMonomial({"L1": 1})
     pairs = [
-        (((1, 0), L), one),
-        (((0, 1), L), one),
-        (((1, 0), L), one),
-        (((0, 1), L), -one),
-        (((2, 2), L), one),
+        ((1, 0), one),
+        ((0, 1), one),
+        ((1, 0), one),
+        ((0, 1), -one),
+        ((2, 2), one),
     ]
     a = TruncSeries(B, "q", 3, pairs)
-    assert a.table == {((1, 0), L): two}
-    assert a == TruncSeries(B, "q", 3, {((1, 0), L): two, ((2, 2), L): one})
+    assert a.table == {(1, 0): two}
+    assert a == TruncSeries(B, "q", 3, {(1, 0): two, (2, 2): one})
     # a cell that cancelled starts afresh from a later contribution
-    again = TruncSeries(B, "q", 3, pairs + [(((0, 1), L), two)])
-    assert again.coeff((0, 1), L) == two
-    for bad in ([(((1,), L), one)], [(((1, -1), L), one)]):
+    again = TruncSeries(B, "q", 3, pairs + [((0, 1), two)])
+    assert again.coeff((0, 1)) == two
+    for bad in ([((1,), one)], [((1, -1), one)]):
         with pytest.raises(ValueError):
             TruncSeries(B, "q", 3, bad)
     with pytest.raises(ValueError):
-        TruncSeries(B, "q", 3, {((-1, 0), L): one})
+        TruncSeries(B, "q", 3, {(-1, 0): one})
 
 
 # --------------------------------------------------------------------------
@@ -261,8 +228,8 @@ def _naive_compose(a, subst):
     """a∘subst from whole-series products, cell by cell."""
     zero_i = (0,) * a.basis.n
     out = TruncSeries.zero(a.basis, "u", a.N)
-    for i, sym, c in a.cells():
-        term = TruncSeries(a.basis, "u", a.N, {(zero_i, sym): c})
+    for i, c in a.cells():
+        term = TruncSeries(a.basis, "u", a.N, {zero_i: c})
         for j, k in enumerate(i):
             for _ in range(k):
                 term = term * subst[j]
@@ -274,21 +241,18 @@ def _naive_compose(a, subst):
 def test_powers_kept_across_a_growing_substitution(nq):
     # formal_flow's pattern: the substitution gains its degree-k cells only
     # after the degree-k cells of the composite were read.  The composed
-    # series has no linear cell (those read the substitution at degree k),
-    # and an L symbol sits on its cells and the substitution's with first
-    # index 2.
+    # series has no linear cell (those read the substitution at degree k).
     gf = GroundField(params=("alpha",))
     T = AlgebraicTower(gf)
     s, alpha = gf.s, gf.gen("alpha")
     hs = [T.from_ground((l + 1) * alpha / s) for l in range(nq)]
-    B = HyperexpBasis(hs).with_log("L1", T.from_ground(1 / s))
+    B = HyperexpBasis(hs)
     N = 5
     idx = [i for i in itertools.product(range(N + 1), repeat=nq)
            if sum(i) <= N]
 
     def cell(i, *ks):
-        sym = SymbolMonomial({"L1": 1} if i[0] == 2 else {})
-        return (i, sym), T.from_ground(sum(ks) + 1 + ks[0] * s - alpha * ks[-1])
+        return i, T.from_ground(sum(ks) + 1 + ks[0] * s - alpha * ks[-1])
 
     a = TruncSeries(B, "q", N, [cell(i, *i) for i in idx if sum(i) != 1])
     subst = [TruncSeries.variable(B, "u", N, j, T.one) for j in range(nq)]
@@ -296,7 +260,7 @@ def test_powers_kept_across_a_growing_substitution(nq):
     gathered = []
     for k in range(N + 1):
         part = P.cells_at(a, k)
-        assert all(sum(i) == k for i, _ in part.table)
+        assert all(sum(i) == k for i in part.table)
         gathered += part.table.items()
         if k > 1:
             for j in range(nq):
@@ -305,7 +269,6 @@ def test_powers_kept_across_a_growing_substitution(nq):
     got = TruncSeries(B, "u", N, gathered)
     assert got == a.compose(subst)
     assert got == _naive_compose(a, subst)
-    assert any(sym.ell == (("L1", 2),) for _, sym in got.table)
 
 
 def one_dw_flow(N):
