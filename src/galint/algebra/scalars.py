@@ -66,6 +66,21 @@ von zur Gathen and Gerhard, *Modern Computer Algebra*, 6.7).
 Every gcd is the one sympy gives, up to a sign that the normal form fixes,
 so every result is unchanged.
 
+Each field decides a pair once: ``ScalarField.cofactors`` keeps a gcd memo
+from a pair (a, b) of its polynomials, compared by content and in that
+order, to the triple the gate gave.  Pairs repeat because the pipeline
+checks its results on purpose, the check engine and the certificate
+verifier deriving again what construction computed, and because a few
+denominators (powers of alpha^2 - 1, 1 + s^2) meet again across cells.
+The memo lives as long as its field, so as long as the ``GroundField``
+that built it.  A pair with a constant operand takes the content gcd at
+once, with no gate and no entry; a pair of more than ``_MEMO_TERMS`` terms
+in all runs the gate every time, which bounds the memo on deep flows.  A
+stored cofactor becomes the numerator or denominator of many elements, so
+no polynomial here is changed in place after it is built, and each hashes
+by its content: ``Scalar.__pow__`` copies sympy's powers, whose squares
+are hashed before they are finished.
+
 A "scalar" below always means an element of the ground field; a "parameter
 scalar" is one whose numerator and denominator are free of ``s``.
 """
@@ -110,7 +125,8 @@ class ScalarField(FracField):
     Over ZZ it is still Q(x_1, ..., x_n): numerators and denominators lie in
     Z[x_1, ..., x_n] and a rational constant is a pair of integers.  Equal
     to the plain ``FracField`` over ZZ on the same generators, so it hashes
-    like one too; only the element type differs.
+    like one too; only the element type differs, and each field carries
+    its own gcd memo (:meth:`cofactors`).
     """
 
     def __new__(cls, symbols, domain, order=lex):
@@ -128,7 +144,29 @@ class ScalarField(FracField):
             name = getattr(sym, "name", None)
             if name is not None and getattr(obj, name, None) is plain:
                 setattr(obj, name, gen)
+        obj._gcd_memo = {}
         return obj
+
+    def cofactors(self, a, b):
+        """``_cofactors(a, b)`` for nonzero polynomials of the field's ring,
+        each pair decided once per field.
+
+        A constant operand needs no gate: the gcd is that of the contents.
+        A pair of at most ``_MEMO_TERMS`` terms in all is looked up by the
+        content of (a, b), in that order; a miss runs the gate and stores
+        its triple, unless the gate raises ``HeuristicGCDFailed``.  Larger
+        pairs run the gate every time.
+        """
+        zero = self.ring.zero_monom
+        if len(a) == 1 and zero in a or len(b) == 1 and zero in b:
+            return _content_cofactors(a, b)
+        if len(a) + len(b) > _MEMO_TERMS:
+            return _cofactors(a, b)
+        key = (a, b)
+        got = self._gcd_memo.get(key)
+        if got is None:
+            got = self._gcd_memo[key] = _cofactors(a, b)
+        return got
 
 
 # The coprimality gate's prime and the points the other generators take, by
@@ -142,6 +180,15 @@ _POINTS = tuple(pow(3, 64 + 7 * j, _P) for j in range(16))
 # gcd): each retry is for a prime dividing a leading coefficient, an image
 # gcd of too high a degree, or gcd coefficients beyond half the prime.
 _PRIMES = (_P, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1)
+
+# The largest pair, in terms of both operands together, that a field's gcd
+# memo stores.  An entry lives as long as its field, and a deep flow decides
+# many large pairs that never repeat: one 1dw formal_flow at N = 12 stores
+# 1415 pairs with no cap, and its process peaks 13 MB above the same flow
+# with no memo; with this cap it stores 728 and peaks 3 MB above.  The
+# repeats are small: every hit of the certify and lattice workloads is of
+# at most 16 terms.
+_MEMO_TERMS = 32
 
 
 def _image(p, i, deg, powers):
@@ -362,6 +409,7 @@ def fraction_sum(pairs, zero):
                 break
         else:
             groups.append([num, den])
+    cofactors = zero.field.cofactors
     try:
         total = None
         for num, den in groups:
@@ -370,12 +418,12 @@ def fraction_sum(pairs, zero):
             if total is None:
                 total, lcm = num, den
                 continue
-            _, d1, den1 = _cofactors(lcm, den)
+            _, d1, den1 = cofactors(lcm, den)
             total = total * den1 + num * d1
             lcm = lcm * den1
         if not total:
             return zero
-        _, num, den = _cofactors(total, lcm)
+        _, num, den = cofactors(total, lcm)
         return zero._reduced(num, den)
     except HeuristicGCDFailed:
         new = zero.raw_new
@@ -398,12 +446,19 @@ class Scalar(FracElement):
       numerator against the shared denominator.
     * (a/b)(c/d) = (a/gcd(a,d))(c/gcd(c,b)) / ((b/gcd(c,b))(d/gcd(a,d))).
 
-    Each of these gcds goes through ``_cofactors`` (see the module
-    docstring): proven coprime from one image mod p per shared generator,
-    computed modularly when the operands share one generator, and left to
-    sympy's gcd otherwise.  A pair of terms keeps these rules; a sum of
-    more, taken by :func:`fraction_sum`, takes one final gcd instead of one
-    per partial sum.
+    Each of these gcds goes through the field's gcd memo,
+    :meth:`ScalarField.cofactors`, and on a miss through the gate
+    ``_cofactors`` (see the module docstring): proven coprime from one image
+    mod p per shared generator, computed modularly when the operands share
+    one generator, and left to sympy's gcd otherwise.  The memo stores the
+    gate's triple under the content of the pair, for the life of the field,
+    when neither operand is constant and the two have at most
+    ``_MEMO_TERMS`` terms; pairs repeat because the check engine and the
+    verifier derive again what construction computed.  So a stored
+    polynomial may be the numerator or denominator of many elements, and
+    none is changed in place (see :meth:`__pow__`).  A pair of terms keeps
+    these rules; a sum of more, taken by :func:`fraction_sum`, takes one
+    final gcd instead of one per partial sum.
 
     Each result is the canonical form sympy's ``cancel`` would give, so it is
     equal, hashes and prints the same.  An int divided by a field element
@@ -460,7 +515,9 @@ class Scalar(FracElement):
         sympy's own power leaves a negative power's sign in the denominator,
         and ``PolyElement.square`` hashes the square before it is finished
         (in ``imul_num``), so a square would hash unlike the equal product;
-        the copies drop that hash.
+        the copies drop that hash.  A polynomial that hashes unlike its
+        content would also be stored in the field's gcd memo under the
+        wrong key.
         """
         num, den = f.numer, f.denom
         if n < 0:
@@ -472,27 +529,30 @@ class Scalar(FracElement):
     def _add(f, c, d):
         """f + c/d for a reduced, nonzero c/d."""
         a, b = f.numer, f.denom
+        field = f.field
         if b == d:
             t = a + c
             if not t:
-                return f.field.zero
-            _, num, den = _cofactors(t, b)
+                return field.zero
+            _, num, den = field.cofactors(t, b)
             return f._reduced(num, den)
-        g, b1, d1 = _cofactors(b, d)
-        if g.is_one:
+        g, b1, d1 = field.cofactors(b, d)
+        if len(g) == 1 and g.get(b.ring.zero_monom) == 1:
             return f._reduced(a * d + c * b, b * d)
         t = a * d1 + c * b1
         if not t:
-            return f.field.zero
-        _, num, g1 = _cofactors(t, g)
+            return field.zero
+        _, num, g1 = field.cofactors(t, g)
         return f._reduced(num, g1 * b1 * d1)
 
     def _mul(f, c, d):
         """f * (c/d) for coprime, nonzero c and d."""
-        if c.is_one and d.is_one:
+        zero = c.ring.zero_monom
+        if len(c) == len(d) == 1 and c.get(zero) == 1 and d.get(zero) == 1:
             return f
-        _, a1, d1 = _cofactors(f.numer, d)
-        _, c1, b1 = _cofactors(c, f.denom)
+        cofactors = f.field.cofactors
+        _, a1, d1 = cofactors(f.numer, d)
+        _, c1, b1 = cofactors(c, f.denom)
         return f._reduced(a1 * c1, b1 * d1)
 
     def _reduced(f, num, den):
@@ -513,6 +573,15 @@ class GroundField:
         them except the explicit numeric evaluators.
     curve_var : str
         Name of the curve coordinate (defaults to ``"s"``).
+
+    Its ``field`` is a :class:`ScalarField` built for this ground field
+    alone, and so is the field's gcd memo: every gcd the arithmetic takes
+    (``+ - * /``, :func:`fraction_sum`, :meth:`diff_s`) stores the gate's
+    triple there, keyed by the content of the pair, unless an operand is
+    constant or the pair has more than ``_MEMO_TERMS`` terms.  Pairs repeat
+    because results are checked again by code independent of the code that
+    built them.  The memo dies with the ground field; nothing else empties
+    it.
     """
 
     def __init__(self, params=(), curve_var="s"):
@@ -580,10 +649,10 @@ class GroundField:
 
     def diff_s(self, f):
         """d/ds, the derivation every tower extends, by the quotient rule on
-        the reduced pair a/b, its gcds taken by ``_cofactors``: proven
-        coprime, computed modularly when the two polynomials share one
-        generator (say b free of s and in one parameter), or left to
-        sympy's gcd.
+        the reduced pair a/b, its gcds taken by the field's gcd memo and
+        gate: proven coprime, computed modularly when the two polynomials
+        share one generator (say b free of s and in one parameter), or left
+        to sympy's gcd.
 
         When b is free of s, (a/b)' = a'/b and only gcd(a', b) can cancel.
         Otherwise write b = g b1 and b' = g c with g = gcd(b, b'): then
@@ -596,14 +665,15 @@ class GroundField:
         x = self.ring.gens[self._s_index]
         a, b = f.numer, f.denom
         da = a.diff(x)
+        cofactors = self.field.cofactors
         try:
             if b.degree(x) <= 0:
                 if not da:
                     return self.zero
-                _, num, den = _cofactors(da, b)
+                _, num, den = cofactors(da, b)
                 return f._reduced(num, den)
-            g, b1, c = _cofactors(b, b.diff(x))
-            _, num, g1 = _cofactors(da * b1 - a * c, g)
+            g, b1, c = cofactors(b, b.diff(x))
+            _, num, g1 = cofactors(da * b1 - a * c, g)
             return f._reduced(num, g1 * b1**2)
         except HeuristicGCDFailed:
             return FracElement.diff(f, self.s)

@@ -22,10 +22,18 @@ from sympy.polys.polyerrors import HeuristicGCDFailed
 from galint.algebra import AlgebraicTower, GroundField
 from galint.algebra.places import evaluate_at, scalarize_constant
 
+
+def operands(gf):
+    """Two elements of gf whose sum, difference, product and quotient each
+    meet a gcd in two generators, which sympy's heuristic gcd decides."""
+    s, alpha, beta = gf.s, gf.gen("alpha"), gf.gen("beta")
+    return ((1 + s) / ((s**2 + alpha) * (s - beta + 1)),
+            (beta - s) * (s - beta + 1) / (s**2 + alpha))
+
+
 GF = GroundField(params=("alpha", "beta"))
 S, ALPHA, BETA = GF.s, GF.gen("alpha"), GF.gen("beta")
-X = (1 + S) / ((S**2 + ALPHA) * (S - BETA + 1))
-Y = (BETA - S) * (S - BETA + 1) / (S**2 + ALPHA)
+X, Y = operands(GF)
 OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
 
 
@@ -58,8 +66,10 @@ def test_gated_operations_yield_integer_polynomials(op):
 
 @pytest.mark.parametrize("op", OPS)
 def test_heuristic_gcd_fallback_yields_integer_polynomials(monkeypatch, op):
+    # on a fresh field, whose gcd memo has decided none of the pairs yet
+    x, y = operands(GroundField(params=("alpha", "beta")))
     failures = fail_first_heugcd(monkeypatch)
-    got = op(X, Y)
+    got = op(x, y)
     assert failures
     assert_integral(got)
 

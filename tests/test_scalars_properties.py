@@ -8,7 +8,10 @@ random small towers the tests check the field axioms, inverses, the Leibniz
 rule and that declared Galois maps commute with d/ds.
 """
 
+import gc
+import itertools
 import operator
+import weakref
 from unittest import mock
 
 import pytest
@@ -20,7 +23,9 @@ from sympy.polys.fields import FracField
 from sympy.polys.polyerrors import HeuristicGCDFailed
 
 from galint.algebra import AlgebraicTower, GroundField
+from galint.algebra import scalars as scalars_module
 from galint.algebra.scalars import (
+    _MEMO_TERMS,
     _P,
     _POINTS,
     Scalar,
@@ -281,12 +286,19 @@ def test_fraction_sum_falls_back_when_the_heuristic_gcd_fails(monkeypatch):
     # the sum is (S^2 + ALPHA + BETA) / (S^2 + ALPHA)^2: the denominators
     # share S - BETA + 1 or S^2 + ALPHA, and the summed numerator shares
     # S - BETA + 1 with the lcm, gcds in two generators that the gate passes
-    # on to sympy's heuristic gcd; each of its calls fails in turn
-    xs = [1 / (S**2 + ALPHA) + 1 / (S - BETA + 1),
-          -1 / (S - BETA + 1),
-          BETA / (S**2 + ALPHA) ** 2]
-    pairs = [(x.numer, x.denom) for x in xs]
-    want = fold(xs)
+    # on to sympy's heuristic gcd; each of its calls fails in turn.  Each
+    # run sums on a fresh field, whose gcd memo has decided none of the
+    # pairs, and the fold that gives the wanted sum runs on another one.
+    def terms():
+        gf = GroundField(params=("alpha", "beta"))
+        s, alpha, beta = gf.s, gf.gen("alpha"), gf.gen("beta")
+        xs = [1 / (s**2 + alpha) + 1 / (s - beta + 1),
+              -1 / (s - beta + 1),
+              beta / (s**2 + alpha) ** 2]
+        return gf.zero, [(x.numer, x.denom) for x in xs], xs
+
+    zero, _, xs = terms()
+    want = fold(xs, zero)
     real = sympy_rings.heugcd
     seen = []
 
@@ -298,14 +310,17 @@ def test_fraction_sum_falls_back_when_the_heuristic_gcd_fails(monkeypatch):
             return real(f, g)
         return heugcd
 
+    zero, pairs, _ = terms()
     monkeypatch.setattr(sympy_rings, "heugcd", fail_at(-1))
-    assert_same(fraction_sum(pairs, GF.zero), want)
+    assert_same(fraction_sum(pairs, zero), want)
+    monkeypatch.setattr(sympy_rings, "heugcd", real)
     calls = len(seen)
     assert calls == 3
     for k in range(calls):
+        zero, pairs, _ = terms()
         seen.clear()
         monkeypatch.setattr(sympy_rings, "heugcd", fail_at(k))
-        got = fraction_sum(pairs, GF.zero)
+        got = fraction_sum(pairs, zero)
         monkeypatch.setattr(sympy_rings, "heugcd", real)
         assert len(seen) > k
         assert_same(got, want)
@@ -601,6 +616,94 @@ def test_one_shared_generator_never_reaches_sympy(monkeypatch):
     got = _cofactors(c, d)
     assert calls == [(c, d)]
     assert got == real(c, d)
+
+
+# --------------------------------------------------------------------------
+# the gcd memo of a field
+
+
+def fresh_field():
+    """The ground field's ScalarField, built anew with an empty gcd memo."""
+    return GroundField(params=("alpha", "beta")).field
+
+
+@st.composite
+def memo_polys(draw):
+    """The numerator or denominator of each of three scalars, times the
+    denominator of a fourth, so that many pairs share a factor."""
+    xs = [draw(scalars().filter(bool)) for _ in range(3)]
+    c = draw(scalars()).denom
+    return [draw(st.sampled_from((x.numer, x.denom))) * c for x in xs]
+
+
+@GATE_PROPS
+@given(memo_polys())
+def test_memo_matches_the_gate_and_sympy(polys):
+    # every ordered pair of the three, twice, on one fresh field: the first
+    # round decides each pair after pairs that share one of its operands,
+    # and the second, on copies, finds each by its content
+    field = fresh_field()
+    pairs = list(itertools.permutations(polys, 2))
+    for a, b in pairs + [(a.copy(), b.copy()) for a, b in pairs]:
+        got = field.cofactors(a, b)
+        assert got == _cofactors(a, b)
+        ref = a.cofactors(b)
+        assert got in (ref, tuple(-x for x in ref))
+
+
+def test_memo_stores_no_constant_and_no_large_pair(monkeypatch):
+    field = fresh_field()
+    p = ZS**2 + ZA
+
+    def refuse(a, b):
+        raise AssertionError(f"the gate ran on {a} and {b}")
+
+    # a constant operand takes the content gcd, with no gate and no entry
+    monkeypatch.setattr(scalars_module, "_cofactors", refuse)
+    for a, b in ((ZRING(6), 4 * p), (4 * p, ZRING(-6)), (ZRING.one, p),
+                 (p, ZRING.one)):
+        ref = a.cofactors(b)
+        assert field.cofactors(a, b) in (ref, tuple(-x for x in ref))
+    monkeypatch.undo()
+    assert not field._gcd_memo
+
+    def powers(n):
+        """s + s^2 + ... + s^n, n terms."""
+        return sum((ZS**k for k in range(1, n + 1)), ZRING.zero)
+
+    b = ZA + 1
+    big = powers(_MEMO_TERMS - 1)
+    assert field.cofactors(big, b) == _cofactors(big, b)
+    assert not field._gcd_memo
+    small = powers(_MEMO_TERMS - 2)
+    assert field.cofactors(small, b) == _cofactors(small, b)
+    assert list(field._gcd_memo) == [(small, b)]
+
+    # a heuristic gcd that fails stores nothing
+    c = (ZS**2 + ZA) * (ZS + ZB)
+    d = (ZS**2 + ZA) * (ZS - ZB + 1)
+
+    def fail(f, g):
+        raise HeuristicGCDFailed("forced")
+
+    monkeypatch.setattr(sympy_rings, "heugcd", fail)
+    with pytest.raises(HeuristicGCDFailed):
+        field.cofactors(c, d)
+    assert list(field._gcd_memo) == [(small, b)]
+
+
+def test_memo_dies_with_its_field():
+    gf = GroundField(params=("alpha", "beta"))
+    s, alpha = gf.s, gf.gen("alpha")
+    T = AlgebraicTower(gf).extend("w", 2, 1 + s**2)
+    x = T.from_ground((1 + s) / (s**2 + alpha)) + T.gen("w") / (s - alpha)
+    assert T.invert(x) * x == T.one
+    assert gf.diff_s(s / (s**2 + alpha) + alpha / (s - 1))
+    assert gf.field._gcd_memo
+    ref = weakref.ref(gf.field)
+    del gf, s, alpha, T, x
+    gc.collect()
+    assert ref() is None
 
 
 # --------------------------------------------------------------------------
