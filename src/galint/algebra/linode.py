@@ -535,9 +535,8 @@ def fe_integrate_rational(a, *, conditions=None):
         ) from exc
     y = tower.from_coords({e: c for e, c in zip(basis, Y)})
     logs = [(c, v) for c, v in zip(cvals, cand) if c]
-    resid = y.derive() - a
-    for c, v in logs:
-        resid = resid + (v.derive() / v) * tower.from_ground(c)
+    resid = tower.dot([(y.derive(), 1), (a, -1)]
+                      + [(v.derive() / v, c) for c, v in logs])
     if not resid.is_zero():
         raise VerificationFailed("integral residual is nonzero (internal error)")
     return y, logs

@@ -143,7 +143,9 @@ class Exponent:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.rational, self.param))
+        # a parameter-free exponent equals its rational, so hashes as it
+        return hash((self.rational, self.param) if self.param
+                    else self.rational)
 
     def __repr__(self):
         bits = []
@@ -196,7 +198,10 @@ class Lau:
 
     ``len(cs)`` is the relative precision: coefficients beyond it are
     unknown, not zero.  The all-zero series keeps its precision window so
-    sums honestly propagate what is known.
+    sums honestly propagate what is known.  ``ct`` may be a subtower of the
+    coefficients' tower, since the place context extends it as it adjoins
+    generators; each product coefficient is one ``ct.dot``, which runs on
+    the deepest tower of its operands.
     """
 
     __slots__ = ("ct", "v", "cs")
@@ -245,13 +250,9 @@ class Lau:
         prec = min(len(self.cs), len(other.cs), rel_prec)
         if prec <= 0 or not self.cs or not other.cs:
             return Lau.zero(ct, self.v + other.v, max(prec, 0))
-        out = [ct.zero] * prec
-        for i, a in enumerate(self.cs[:prec]):
-            if not a:
-                continue
-            for j, b in enumerate(other.cs[: prec - i]):
-                if b:
-                    out[i + j] = out[i + j] + a * b
+        a, b = self.cs, other.cs
+        out = [ct.dot((a[i], b[k - i]) for i in range(k + 1))
+               for k in range(prec)]
         return Lau(ct, self.v + other.v, out)
 
     def scale(self, c):
@@ -294,11 +295,8 @@ class Lau:
         out = [ct.zero] * prec
         out[0] = lead_inv
         for k in range(1, prec):
-            acc = ct.zero
-            for j in range(1, k + 1):
-                if j < len(self.cs) and self.cs[j] and out[k - j]:
-                    acc = acc + self.cs[j] * out[k - j]
-            out[k] = -lead_inv * acc
+            out[k] = -lead_inv * ct.dot(
+                (self.cs[j], out[k - j]) for j in range(1, k + 1))
         return Lau(ct, -self.v, out)
 
 

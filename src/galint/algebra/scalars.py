@@ -22,8 +22,10 @@ denominators and of cross numerator/denominator pairs only (Henrici-Knuth).
 A sum of three or more terms is one step, :func:`fraction_sum`: the terms go
 over the lcm of their denominators, built from gcds of denominators only,
 and one final gcd reduces the total, where a fold of ``+`` would reduce
-every partial sum.  ``AlgebraicTower.sum`` and ``dot`` sum each coordinate
-that way.
+every partial sum.  ``AlgebraicTower.sum`` and ``dot`` are the one kernel
+that accumulates tower elements, every tower ``+`` and ``*`` included.  Per
+coordinate, ``sum`` takes Henrici's ``+`` for two terms and ``dot``
+Henrici's ``*`` for one product; more go through :func:`fraction_sum`.
 What stays is sympy's canonical form: integer coefficients, numerator and
 denominator coprime and jointly content-free, the denominator's leading
 coefficient positive.  So equality, hashing, printing and every cache key

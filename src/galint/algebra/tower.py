@@ -7,7 +7,14 @@ of radicals.  Elements are stored in the reduced monomial basis
     { w_1^{e_1} ... w_r^{e_r} : 0 <= e_i < d_i },
 
 with ground-field coordinates; arithmetic reduces exponents through the
-defining relations.  On top of the plain field structure the tower carries
+defining relations.  One kernel accumulates tower elements,
+:meth:`AlgebraicTower.sum` and :meth:`AlgebraicTower.dot`: ``+`` and ``*``,
+the derivation, the Galois action and the Laurent products of
+:mod:`galint.algebra.places` are each one call.  A coordinate that one term
+reaches takes Henrici's ``+`` or ``*``; where more meet,
+:func:`~galint.algebra.scalars.fraction_sum` reduces their sum once.  The
+kernel runs on the deepest tower of its operands, whichever tower it is
+called on.  On top of the plain field structure the tower carries
 
 * the derivation extending d/ds, via  w_i' = b_i' w_i / (d_i b_i);
 * user-declared Galois generators (verified ring automorphisms commuting
@@ -245,19 +252,23 @@ class AlgebraicTower:
     # ------------------------------------------------------------- n-ary sums
 
     def sum(self, elems):
-        """The sum of elements of this tower or a subtower, each coordinate
-        reduced once.
+        """The sum of ``elems``, each output coordinate reduced once.
 
-        A coordinate with two terms takes Henrici's ``+``; three or more go
+        The elements may be ground scalars or live in this tower, a
+        subtower or a supertower: the sum lives in the deepest of them.  A
+        coordinate with two terms takes Henrici's ``+``; three or more go
         through :func:`~galint.algebra.scalars.fraction_sum`, whose
         (numerator, denominator) pairs are the terms' reduced pairs, so
         every denominator has a positive leading coefficient.
         """
+        elems = list(elems)
+        t = deepest_tower([self, *(x.tower for x in elems
+                                   if isinstance(x, FieldElem))])
         cols = {}
         for x in elems:
-            for e, c in self.coerce(x).coords.items():
+            for e, c in t.coerce(x).coords.items():
                 cols.setdefault(e, []).append(c)
-        zero = self.gf.zero
+        zero = t.gf.zero
         out = {}
         for e, cs in cols.items():
             if len(cs) == 1:
@@ -268,40 +279,50 @@ class AlgebraicTower:
                 v = fraction_sum([(c.numer, c.denom) for c in cs], zero)
             if v:
                 out[e] = v
-        return FieldElem(self, out)
+        return FieldElem(t, out)
 
     def dot(self, pairs):
         """The sum of a*b over (a, b) in ``pairs``, each output coordinate
-        reduced once.
+        reduced once; operands are placed as in :meth:`sum`.
 
-        Each coordinate product c*c' is kept unreduced, as the pair
-        (numer*numer', denom*denom'), and times each coordinate of the
-        reduced monomial when its exponents reach a degree.  Reduced pairs
+        A coordinate that one coordinate product c*c' reaches takes
+        Henrici's ``*`` (times the coordinate of the reduced monomial when
+        the exponents reach a degree).  Where two or more meet, each is
+        kept unreduced, as the pair (numer*numer', denom*denom'), and
+        :func:`fraction_sum` sums them with one final gcd; reduced pairs
         have denominators with positive leading coefficients, so these
-        products do too, which is what :func:`fraction_sum` asks; it runs
-        once per output coordinate.
+        products do too.
         """
-        degrees = self.degrees
+        pairs = list(pairs)
+        t = deepest_tower([self, *(x.tower for pair in pairs for x in pair
+                                   if isinstance(x, FieldElem))])
+        degrees = t.degrees
         cols = {}
         for a, b in pairs:
-            b = self.coerce(b).coords
-            for e, ce in self.coerce(a).coords.items():
+            b = t.coerce(b).coords
+            for e, ce in t.coerce(a).coords.items():
                 for f, cf in b.items():
-                    num, den = ce.numer * cf.numer, ce.denom * cf.denom
                     key = tuple(x + y for x, y in zip(e, f))
                     if all(k < d for k, d in zip(key, degrees)):
-                        cols.setdefault(key, []).append((num, den))
+                        cols.setdefault(key, []).append((ce, cf, None))
                         continue
-                    for mono, c in self._reduce_monomial(key).items():
-                        cols.setdefault(mono, []).append(
-                            (num * c.numer, den * c.denom))
-        zero = self.gf.zero
+                    for mono, c in t._reduce_monomial(key).items():
+                        cols.setdefault(mono, []).append((ce, cf, c))
+        zero = t.gf.zero
         out = {}
         for e, terms in cols.items():
-            v = fraction_sum(terms, zero)
+            if len(terms) == 1:
+                ce, cf, c = terms[0]
+                v = ce * cf if c is None else ce * cf * c
+            else:
+                v = fraction_sum([
+                    (ce.numer * cf.numer, ce.denom * cf.denom) if c is None
+                    else (ce.numer * cf.numer * c.numer,
+                          ce.denom * cf.denom * c.denom)
+                    for ce, cf, c in terms], zero)
             if v:
                 out[e] = v
-        return FieldElem(self, out)
+        return FieldElem(t, out)
 
     # ------------------------------------------------------- normalization
 
@@ -337,18 +358,15 @@ class AlgebraicTower:
         hit = self._dfac_cache.get(e)
         if hit is not None:
             return hit
-        acc = self.zero
-        for i, k in enumerate(e):
-            if k:
-                dc = self.gens[i].dcoef
-                if dc is None:
-                    raise TowerError(
-                        f"derivation undefined: generator {self.names[i]!r} "
-                        "has a non-radical, non-constant replacement rule"
-                    )
-                acc = acc + dc * self.from_ground(k)
-        self._dfac_cache[e] = acc
-        return acc
+        for g, k in zip(self.gens, e):
+            if k and g.dcoef is None:
+                raise TowerError(
+                    f"derivation undefined: generator {g.name!r} "
+                    "has a non-radical, non-constant replacement rule"
+                )
+        hit = self._dfac_cache[e] = self.dot(
+            (g.dcoef, k) for g, k in zip(self.gens, e) if k)
+        return hit
 
     # ------------------------------------------------------------- galois
 
@@ -369,12 +387,10 @@ class AlgebraicTower:
         g = GaloisGen(name, img_list)
         # relations: sigma(w_i)^{d_i} == sigma(rep_i)
         for i, info in enumerate(self.gens):
-            lhs = img_list[i] ** info.degree
-            rhs = self.zero
-            for f, c in info.rep.items():
-                full = f + (0,) * (self.r - len(f))
-                rhs = rhs + self.from_ground(c) * self._galois_monomial(g, full)
-            if lhs != rhs:
+            pad = (0,) * (self.r - i - 1)
+            rhs = self.dot((c, self._galois_monomial(g, f + pad))
+                           for f, c in info.rep.items())
+            if img_list[i] ** info.degree != rhs:
                 raise VerificationFailed(
                     f"declared images of {name!r} break the relation for "
                     f"{info.name!r}"
@@ -421,10 +437,8 @@ class AlgebraicTower:
         return acc
 
     def _apply_galois(self, g, a):
-        acc = self.zero
-        for e, c in a.coords.items():
-            acc = acc + self.from_ground(c) * self._galois_monomial(g, e)
-        return acc
+        return self.dot((c, self._galois_monomial(g, e))
+                        for e, c in a.coords.items())
 
     # ------------------------------------------------- regular representation
 
@@ -506,12 +520,20 @@ def _unit_points(n):
         yield tuple(QQ(2 * i + 5 * k + 3, k + 2) for i in range(n))
 
 
+def _trim(e):
+    """An exponent tuple without the trailing zeros that ``lift`` pads, so
+    that equal elements of nested towers hash alike."""
+    while e and not e[-1]:
+        e = e[:-1]
+    return e
+
+
 def deepest_tower(towers):
     """The deepest of nested towers; ``TowerError`` when two are unrelated."""
     towers = iter(towers)
     deepest = next(towers)
     for t in towers:
-        if t.ancestor_of(deepest):
+        if t is deepest or t.ancestor_of(deepest):
             continue
         if not deepest.ancestor_of(t):
             raise TowerError("data lives in unrelated towers")
@@ -568,7 +590,8 @@ class FieldElem:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.coords.items()))
+            self._hash = hash(frozenset(
+                (_trim(e), c) for e, c in self.coords.items()))
         return self._hash
 
     def __repr__(self):
@@ -615,15 +638,7 @@ class FieldElem:
             return o
         if o is None:
             return other.tower.lift(self) + other
-        out = dict(self.coords)
-        for e, c in o.coords.items():
-            v = out.get(e)
-            v = c if v is None else v + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return FieldElem(self.tower, out)
+        return self.tower.sum((self, o))
 
     __radd__ = __add__
 
@@ -647,25 +662,7 @@ class FieldElem:
             return o
         if o is None:
             return other.tower.lift(self) * other
-        t = self.tower
-        out = {}
-        for e, ce in self.coords.items():
-            for f, cf in o.coords.items():
-                c = ce * cf
-                key = tuple(a + b for a, b in zip(e, f))
-                if all(k < d for k, d in zip(key, t.degrees)):
-                    terms = [(key, c)]
-                else:
-                    red = t._reduce_monomial(key)
-                    terms = [(mono, c * c2) for mono, c2 in red.items()]
-                for mono, x in terms:
-                    v = out.get(mono)
-                    v = x if v is None else v + x
-                    if v:
-                        out[mono] = v
-                    elif mono in out:
-                        del out[mono]
-        return FieldElem(t, out)
+        return self.tower.dot(((self, o),))
 
     __rmul__ = __mul__
 
@@ -679,10 +676,7 @@ class FieldElem:
             c = o.scalar_part()
             if not c:
                 raise DivisionByZero("division by zero tower element")
-            inv = self.tower.gf.one / c
-            return FieldElem(
-                self.tower, {e: v * inv for e, v in self.coords.items()}
-            )
+            return self.tower.dot(((self, self.tower.gf.one / c),))
         return self * self.tower.invert(o)
 
     def __rtruediv__(self, other):
@@ -711,15 +705,11 @@ class FieldElem:
         """d/ds, extended through w_i' = b_i' w_i/(d_i b_i)."""
         t = self.tower
         gf = t.gf
-        out = t.zero
+        pairs = []
         for e, c in self.coords.items():
-            dc = gf.diff_s(c)
-            if dc:
-                out = out + FieldElem(t, {e: dc})
-            fac = t._deriv_factor(e)
-            if fac:
-                out = out + fac * FieldElem(t, {e: c})
-        return out
+            pairs.append((gf.diff_s(c), FieldElem(t, {e: gf.one})))
+            pairs.append((t._deriv_factor(e), FieldElem(t, {e: c})))
+        return t.dot(pairs)
 
     def galois(self, gen_name):
         t = self.tower

@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import prod
 
 from .algebra.linalg import rank
-from .algebra.tower import deepest_tower
 from .errors import NotExpandable, VerificationFailed, ZeroDivisor
 
 __all__ = [
@@ -51,7 +50,6 @@ def _dmul(A, B, cap):
     output cell are summed by one ``AlgebraicTower.dot``."""
     if not A or not B:
         return {}
-    tower = deepest_tower(c.tower for c in (*A.values(), *B.values()))
     cols = {}
     for i, a in A.items():
         for j, b in B.items():
@@ -60,7 +58,7 @@ def _dmul(A, B, cap):
                 cols.setdefault(k, []).append((a, b))
     out = {}
     for k, pairs in cols.items():
-        c = tower.dot(pairs)
+        c = pairs[0][0].tower.dot(pairs)
         if c:
             out[k] = c
     return out

@@ -113,11 +113,7 @@ class NonResonant:
 
 def combination(tower, k, h):
     """The tower element  sum_l k_l * h_l."""
-    out = tower.zero
-    for c, hl in zip(k, h):
-        if c:
-            out = out + tower.from_ground(c) * hl
-    return out
+    return tower.dot((c, hl) for c, hl in zip(k, h) if c)
 
 
 def _param_split(tower, delta):

@@ -203,7 +203,7 @@ def _regular_at(tower, vals, s0):
         fiber_tower(tower, s0)
         for v in vals:
             evaluate_at(v, s0)
-    except (ZeroDivisionError, TowerError, NotExpandable):
+    except (ZeroDivisionError, NotExpandable):
         return False
     return True
 
@@ -274,7 +274,7 @@ def _soft_pin(a, s0):
         return a
     try:
         c = scalarize_constant(evaluate_at(a, s0))
-    except (ZeroDivisionError, TowerError):
+    except ZeroDivisionError:
         return a
     if c is None or not c:
         return a

@@ -537,7 +537,7 @@ def _build_variational(R, k, with_t):
     variables = _jet_variables(slots, k)
     index = {v: i for i, v in enumerate(variables)}
     size = len(variables)
-    M = [[T.zero] * size for _ in range(size)]
+    M = [[[] for _ in range(size)] for _ in range(size)]
     # one right-hand table per slot: dq_j/ds, then the time slot's dt/ds
     rhs = [R.qdot_series(j) for j in range(nq)]
     if with_t:
@@ -554,8 +554,8 @@ def _build_variational(R, k, with_t):
                     target[l] += x
                 if sum(target) > k:
                     continue
-                col = index[tuple(target)]
-                M[row][col] = M[row][col] + factor * c
+                M[row][index[tuple(target)]].append((factor, c))
+    M = [[T.dot(pairs) for pairs in cells] for cells in M]
     return VESystem(T, k, variables, M, with_t)
 
 

@@ -48,7 +48,6 @@ lower-degree cells (``AlgebraicTower.dot``), reduced once.
 
 from __future__ import annotations
 
-from .algebra.tower import deepest_tower
 from .errors import (
     AlphabetMismatch,
     DivisionByZero,
@@ -134,8 +133,7 @@ class TruncSeries:
             cols.setdefault(i, []).append(c)
         clean = {}
         for i, cs in cols.items():
-            c = cs[0] if len(cs) == 1 else deepest_tower(
-                x.tower for x in cs).sum(cs)
+            c = cs[0] if len(cs) == 1 else cs[0].tower.sum(cs)
             if c:
                 clean[i] = c
         self.table = clean
@@ -369,8 +367,7 @@ class Powers:
                     cols.setdefault(it, []).append((ca, cb))
         out = []
         for it, pairs in cols.items():
-            c = deepest_tower(x.tower for pair in pairs
-                              for x in pair).dot(pairs)
+            c = pairs[0][0].tower.dot(pairs)
             if c:
                 out.append((it, c))
         self._memo[(i, k)] = out

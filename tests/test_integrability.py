@@ -36,6 +36,7 @@ from galint.errors import (
     NotTimeReduced,
     NoTowerSolution,
     OrderExceedsTable,
+    TowerError,
     VerificationFailed,
 )
 from galint.galois import relation_lattice
@@ -136,6 +137,18 @@ def test_a_branch_point_on_one_sheet_is_not_a_base_point(gf, T):
     assert flow.s0 == Fraction(3, 2)
     with pytest.raises(BasePointSingular):
         formal_flow(R, 2, s0=1)
+
+
+def test_a_tower_mismatch_at_the_base_point_is_not_a_singular_point(
+        monkeypatch, gf, T):
+    # at a rational point evaluate_at raises TowerError only for a defect,
+    # which must surface instead of reading as "no regular base point"
+    def broken(a, s0):
+        raise TowerError("operands live in unrelated towers")
+
+    monkeypatch.setattr(flows, "evaluate_at", broken)
+    with pytest.raises(TowerError):
+        formal_flow(cubic_drag(gf, T), 3)
 
 
 def test_irregular_diagonal_is_rejected_up_front():

@@ -131,6 +131,14 @@ def test_exponent_from_scalar(gf, case):
     assert Exponent.from_scalar(gf, scalar(gf.s, gf.gen("alpha"))) == want
 
 
+def test_a_parameter_free_exponent_hashes_as_its_rational():
+    half = Fraction(1, 2)
+    assert Exponent(half) == half
+    assert len({Exponent(half), half}) == 1
+    assert len({Exponent(3), 3}) == 1
+    assert len({Exponent(half, {"alpha": 1}), half}) == 2
+
+
 def test_fiber_evaluation(gf, T):
     s = gf.s
     T1 = T.extend("w", 2, T.from_ground(1 - s**2))
