@@ -202,18 +202,24 @@ def det(M, zero, one):
 
 
 def mat_mul(A, B, zero):
-    m = len(A)
-    k = len(B)
-    n = len(B[0]) if k else 0
+    """A B.  Over a tower (``zero`` a tower element) each entry is one
+    ``AlgebraicTower.dot``, reduced once per coordinate; other scalars
+    fold ``+``."""
+    from .tower import FieldElem
+
+    dot = zero.tower.dot if isinstance(zero, FieldElem) else None
+    n = len(B[0]) if B else 0
     out = []
-    for i in range(m):
+    for a_row in A:
         row = []
         for j in range(n):
-            acc = zero
-            for t in range(k):
-                a = A[i][t]
-                b = B[t][j]
-                if a and b:
+            pairs = [(a, b) for a, b in zip(a_row, (r[j] for r in B))
+                     if a and b]
+            if dot is not None:
+                acc = dot(pairs)
+            else:
+                acc = zero
+                for a, b in pairs:
                     acc = acc + a * b
             row.append(acc)
         out.append(row)

@@ -50,18 +50,24 @@ von zur Gathen and Gerhard, *Modern Computer Algebra*, 6.7).
 * Proven coprime.  Most are an integer, the gcd of the two contents, and
   one image mod a prime per variable proves that far more cheaply than a
   gcd.  In every generator x_i where both polynomials have positive
-  degree, a gate maps them to F_p[x_i] (p = 2^61 - 1, the other
+  degree, a gate maps them to F_q[x_i] (q = 2^29 - 3, the other
   generators at fixed points) and runs Euclid there.  If both leading
-  coefficients in x_i stay nonzero mod p, so does that of the gcd, which
+  coefficients in x_i stay nonzero mod q, so does that of the gcd, which
   divides them; the gcd's image then keeps its degree in x_i and divides
   the gcd of the images.  So if that gcd is constant for every such x_i,
-  the gcd has degree 0 in every generator and is the content gcd.
+  the gcd has degree 0 in every generator and is the content gcd.  The
+  argument holds for any prime q, so the proof does not depend on its
+  size; a smaller q only fails to prove a coprime pair more often (a
+  vanishing leading coefficient or a common root mod q, each about
+  deg / q likely), and q below 2^30 keeps every residue one CPython digit.
 * One shared generator, computed modularly.  When x_i is the only
   generator in which both have positive degree, the gcd lies in Z[x_i]:
   it is the gcd of their coefficients as polynomials in the other
   generators.  Those univariate gcds are taken mod a prime that divides
   neither leading coefficient, lifted, and accepted only when the lift
-  divides both exactly; a failed check retries with a larger prime.
+  divides both exactly; a failed check retries with a larger prime.  The
+  lift reads the gcd's coefficients off symmetric residues, so its primes
+  are 2^61 - 1 and larger, whatever the gate's q.
 * Otherwise sympy's gcd decides: for two or more shared generators, or
   once the primes are used up.
 
@@ -81,7 +87,11 @@ in all runs the gate every time, which bounds the memo on deep flows.  A
 stored cofactor becomes the numerator or denominator of many elements, so
 no polynomial here is changed in place after it is built, and each hashes
 by its content: ``Scalar.__pow__`` copies sympy's powers, whose squares
-are hashed before they are finished.
+are hashed before they are finished.  The gate relies on the same rule: a
+polynomial's degrees and images mod q are computed once and stored on
+the polynomial object, where every later pair that has it as an operand
+finds them.  A product with a factor 1 is that other factor itself, with
+no new polynomial.
 
 A "scalar" below always means an element of the ground field; a "parameter
 scalar" is one whose numerator and denominator are free of ``s``.
@@ -153,14 +163,17 @@ class ScalarField(FracField):
         """``_cofactors(a, b)`` for nonzero polynomials of the field's ring,
         each pair decided once per field.
 
-        A constant operand needs no gate: the gcd is that of the contents.
-        A pair of at most ``_MEMO_TERMS`` terms in all is looked up by the
-        content of (a, b), in that order; a miss runs the gate and stores
-        its triple, unless the gate raises ``HeuristicGCDFailed``.  Larger
-        pairs run the gate every time.
+        A constant operand needs no gate: the gcd is that of the contents,
+        and (1, a, b) at once when either operand has constant term 1, an
+        operand 1 included.  A pair of at most ``_MEMO_TERMS`` terms in all
+        is looked up by the content of (a, b), in that order; a miss runs
+        the gate and stores its triple, unless the gate raises
+        ``HeuristicGCDFailed``.  Larger pairs run the gate every time.
         """
         zero = self.ring.zero_monom
         if len(a) == 1 and zero in a or len(b) == 1 and zero in b:
+            if a.get(zero) == 1 or b.get(zero) == 1:
+                return self.ring.one, a, b
             return _content_cofactors(a, b)
         if len(a) + len(b) > _MEMO_TERMS:
             return _cofactors(a, b)
@@ -172,15 +185,23 @@ class ScalarField(FracField):
 
 
 # The coprimality gate's prime and the points the other generators take, by
-# generator index.  At a prime this large an image loses a leading
-# coefficient or gains a common root only by rare accident, and then the
-# gate merely moves on.
-_P = 2**61 - 1
-_POINTS = tuple(pow(3, 64 + 7 * j, _P) for j in range(16))
+# generator index, nonzero and distinct mod _Q.  The gate's proof holds for
+# any prime; only its speed depends on the size.  Below 2^30 every residue
+# is one CPython digit.  An image loses a leading coefficient or gains a
+# common root only by rare accident (about deg / _Q), and then the gate
+# merely moves on to the exact gcd.
+_Q = 2**29 - 3
+_POINTS = tuple(pow(3, 64 + 7 * j, _Q) for j in range(16))
+
+# _POWERS[j][e] is _POINTS[j]**e mod _Q, grown on demand by _gate_data.
+_POWERS = [[1] for _ in _POINTS]
 
 # The primes of the gcd in one shared generator, tried in turn ("big prime"
 # gcd): each retry is for a prime dividing a leading coefficient, an image
-# gcd of too high a degree, or gcd coefficients beyond half the prime.
+# gcd of too high a degree, or gcd coefficients beyond half the prime.  The
+# lift reads coefficients below half its prime, so it starts at 61 bits,
+# where most gcds lift at the first prime, whatever the gate's prime.
+_P = 2**61 - 1
 _PRIMES = (_P, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1)
 
 # The largest pair, in terms of both operands together, that a field's gcd
@@ -193,16 +214,37 @@ _PRIMES = (_P, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1)
 _MEMO_TERMS = 32
 
 
-def _image(p, i, deg, powers):
-    """p mod _P in F_p[x_i], the other generators at _POINTS; dense, entry k
-    the coefficient of x_i^k, so entry ``deg`` is the image of lc_{x_i}(p)."""
-    out = [0] * (deg + 1)
-    for m, c in p.items():
-        for j, e in enumerate(m):
-            if e and j != i:
-                c = c * powers[j][e] % _P
-        out[m[i]] += c
-    return [c % _P for c in out]
+def _gate_data(p):
+    """p's degree in each generator and its images so far, by generator
+    index, computed once and stored on p (no polynomial changes after it
+    is built).  Grows _POWERS to p's degrees."""
+    try:
+        return p._gate
+    except AttributeError:
+        pass
+    degs = [max(e) for e in zip(*p)]
+    for row, pt, d in zip(_POWERS, _POINTS, degs):
+        while len(row) <= d:
+            row.append(row[-1] * pt % _Q)
+    p._gate = data = (degs, {})
+    return data
+
+
+def _image(p, i):
+    """p mod _Q in F_q[x_i], the other generators at _POINTS; dense, entry
+    k the coefficient of x_i^k, so the last entry is the image of
+    lc_{x_i}(p).  Stored on p: callers that consume it must copy it."""
+    degs, images = _gate_data(p)
+    out = images.get(i)
+    if out is None:
+        out = [0] * (degs[i] + 1)
+        for m, c in p.items():
+            for j, e in enumerate(m):
+                if e and j != i:
+                    c = c * _POWERS[j][e] % _Q
+            out[m[i]] += c
+        out = images[i] = [c % _Q for c in out]
+    return out
 
 
 def _gcd_mod(f, g, p):
@@ -352,11 +394,13 @@ def _cofactors(a, b):
     G.  There are three outcomes.
 
     * Proven coprime: in each generator x_i where both have positive
-      degree, a and b go to F_p[x_i], the other generators at fixed points.
-      If lc_{x_i} of a and of b stay nonzero there, so does lc_{x_i}(G),
-      which divides them, so the image of G keeps its degree in x_i and
-      divides the gcd of the images.  When that gcd is constant for every
-      such x_i, G has degree 0 everywhere: G = c, the gcd of the contents.
+      degree, a and b go to F_q[x_i] (q = _Q), the other generators at
+      fixed points.  If lc_{x_i} of a and of b stay nonzero there, so does
+      lc_{x_i}(G), which divides them, so the image of G keeps its degree
+      in x_i and divides the gcd of the images.  When that gcd is constant
+      for every such x_i, G has degree 0 everywhere: G = c, the gcd of the
+      contents.  Degrees and images are those ``_gate_data`` stores on
+      each operand.
     * One shared generator: when x_i is the only generator in which both
       have positive degree and its image proves nothing (a vanishing
       leading coefficient or an image gcd of positive degree), G lies in
@@ -366,29 +410,31 @@ def _cofactors(a, b):
       the prime list is used up, and in a field with more generators than
       there are points.
     """
-    ring = a.ring
-    if ring.ngens > len(_POINTS):
+    if a.ring.ngens > len(_POINTS):
         return a.cofactors(b)
-    da = [max(e) for e in zip(*a)]
-    db = [max(e) for e in zip(*b)]
+    da = _gate_data(a)[0]
+    db = _gate_data(b)[0]
     shared = [i for i, (x, y) in enumerate(zip(da, db)) if x and y]
-    if shared:
-        powers = []
-        for pt, x, y in zip(_POINTS, da, db):
-            row = [1]
-            for _ in range(max(x, y)):
-                row.append(row[-1] * pt % _P)
-            powers.append(row)
-        for i in shared:
-            f = _image(a, i, da[i], powers)
-            g = _image(b, i, db[i], powers)
-            if not (f[-1] and g[-1] and len(_gcd_mod(f, g, _P)) == 1):
-                if len(shared) == 1:
-                    got = _one_generator_cofactors(a, b, i)
-                    if got is not None:
-                        return got
-                return a.cofactors(b)
+    for i in shared:
+        f = _image(a, i)
+        g = _image(b, i)
+        if not (f[-1] and g[-1] and len(_gcd_mod(f[:], g[:], _Q)) == 1):
+            if len(shared) == 1:
+                got = _one_generator_cofactors(a, b, i)
+                if got is not None:
+                    return got
+            return a.cofactors(b)
     return _content_cofactors(a, b)
+
+
+def _times(p, q):
+    """p * q, or the other factor itself when p or q is 1."""
+    zero = p.ring.zero_monom
+    if len(q) == 1 and q.get(zero) == 1:
+        return p
+    if len(p) == 1 and p.get(zero) == 1:
+        return q
+    return p * q
 
 
 def fraction_sum(pairs, zero):
@@ -421,8 +467,8 @@ def fraction_sum(pairs, zero):
                 total, lcm = num, den
                 continue
             _, d1, den1 = cofactors(lcm, den)
-            total = total * den1 + num * d1
-            lcm = lcm * den1
+            total = _times(total, den1) + _times(num, d1)
+            lcm = _times(lcm, den1)
         if not total:
             return zero
         _, num, den = cofactors(total, lcm)
@@ -451,7 +497,7 @@ class Scalar(FracElement):
     Each of these gcds goes through the field's gcd memo,
     :meth:`ScalarField.cofactors`, and on a miss through the gate
     ``_cofactors`` (see the module docstring): proven coprime from one image
-    mod p per shared generator, computed modularly when the operands share
+    mod q per shared generator, computed modularly when the operands share
     one generator, and left to sympy's gcd otherwise.  The memo stores the
     gate's triple under the content of the pair, for the life of the field,
     when neither operand is constant and the two have at most
@@ -474,7 +520,8 @@ class Scalar(FracElement):
     """
 
     def __add__(f, g):
-        if f and f.field.is_element(g) and g:
+        if f and (isinstance(g, Scalar) and g.field is f.field
+                  or f.field.is_element(g)) and g:
             try:
                 return f._add(g.numer, g.denom)
             except HeuristicGCDFailed:
@@ -482,7 +529,8 @@ class Scalar(FracElement):
         return super().__add__(g)
 
     def __sub__(f, g):
-        if f and f.field.is_element(g) and g:
+        if f and (isinstance(g, Scalar) and g.field is f.field
+                  or f.field.is_element(g)) and g:
             try:
                 return f._add(-g.numer, g.denom)
             except HeuristicGCDFailed:
@@ -490,7 +538,8 @@ class Scalar(FracElement):
         return super().__sub__(g)
 
     def __mul__(f, g):
-        if f and f.field.is_element(g) and g:
+        if f and (isinstance(g, Scalar) and g.field is f.field
+                  or f.field.is_element(g)) and g:
             try:
                 return f._mul(g.numer, g.denom)
             except HeuristicGCDFailed:
@@ -498,7 +547,8 @@ class Scalar(FracElement):
         return super().__mul__(g)
 
     def __truediv__(f, g):
-        if f and f.field.is_element(g) and g:
+        if f and (isinstance(g, Scalar) and g.field is f.field
+                  or f.field.is_element(g)) and g:
             try:
                 return f._mul(g.denom, g.numer)
             except HeuristicGCDFailed:
@@ -540,12 +590,12 @@ class Scalar(FracElement):
             return f._reduced(num, den)
         g, b1, d1 = field.cofactors(b, d)
         if len(g) == 1 and g.get(b.ring.zero_monom) == 1:
-            return f._reduced(a * d + c * b, b * d)
-        t = a * d1 + c * b1
+            return f._reduced(_times(a, d) + _times(c, b), _times(b, d))
+        t = _times(a, d1) + _times(c, b1)
         if not t:
             return field.zero
         _, num, g1 = field.cofactors(t, g)
-        return f._reduced(num, g1 * b1 * d1)
+        return f._reduced(num, _times(_times(g1, b1), d1))
 
     def _mul(f, c, d):
         """f * (c/d) for coprime, nonzero c and d."""
@@ -555,7 +605,7 @@ class Scalar(FracElement):
         cofactors = f.field.cofactors
         _, a1, d1 = cofactors(f.numer, d)
         _, c1, b1 = cofactors(c, f.denom)
-        return f._reduced(a1 * c1, b1 * d1)
+        return f._reduced(_times(a1, c1), _times(b1, d1))
 
     def _reduced(f, num, den):
         """The element num/den from coprime integer polynomials."""
@@ -846,13 +896,16 @@ class SPoly:
     # -- construction -------------------------------------------------------
 
     def to_element(self):
-        """Back to a FracElement of the ground field."""
-        s = self.gf.s
-        acc = self.gf.zero
+        """Back to a FracElement of the ground field, the terms c_k s^k
+        summed by one :func:`fraction_sum`."""
+        gf = self.gf
+        ngens, i = gf.ring.ngens, gf._s_index
+        pairs = []
         for k, c in enumerate(self.coeffs):
             if c:
-                acc += c * s**k
-        return acc
+                shift = (0,) * i + (k,) + (0,) * (ngens - i - 1)
+                pairs.append((c.numer.mul_monom(shift), c.denom))
+        return fraction_sum(pairs, gf.zero)
 
     def key(self):
         """Hashable canonical key (for caches and dedup)."""

@@ -52,7 +52,7 @@ from ..errors import (
     ZeroDivisor,
 )
 from . import linalg
-from .scalars import fraction_sum
+from .scalars import _times, fraction_sum
 
 __all__ = [
     "AlgebraicTower", "FieldElem", "GenInfo", "GaloisGen", "deepest_tower",
@@ -316,9 +316,10 @@ class AlgebraicTower:
                 v = ce * cf if c is None else ce * cf * c
             else:
                 v = fraction_sum([
-                    (ce.numer * cf.numer, ce.denom * cf.denom) if c is None
-                    else (ce.numer * cf.numer * c.numer,
-                          ce.denom * cf.denom * c.denom)
+                    (_times(ce.numer, cf.numer), _times(ce.denom, cf.denom))
+                    if c is None else
+                    (_times(_times(ce.numer, cf.numer), c.numer),
+                     _times(_times(ce.denom, cf.denom), c.denom))
                     for ce, cf, c in terms], zero)
             if v:
                 out[e] = v

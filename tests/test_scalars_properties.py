@@ -15,6 +15,7 @@ import weakref
 from unittest import mock
 
 import pytest
+import sympy
 import sympy.polys.rings as sympy_rings
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -24,13 +25,18 @@ from sympy.polys.polyerrors import HeuristicGCDFailed
 
 from galint.algebra import AlgebraicTower, GroundField
 from galint.algebra import scalars as scalars_module
+from galint.algebra.linalg import mat_mul
 from galint.algebra.scalars import (
     _MEMO_TERMS,
     _P,
     _POINTS,
+    _PRIMES,
+    _Q,
+    SPoly,
     Scalar,
     _cofactors,
     _gcd_mod,
+    _image,
     fraction_sum,
 )
 from galint.series import HyperexpBasis, TruncSeries
@@ -370,6 +376,24 @@ def test_spoly_groups_terms_by_power_of_s(f):
         assert c == r and str(c) == str(r)
 
 
+@st.composite
+def param_scalars(draw):
+    """(a + b alpha + c alpha beta) over a product from SFREE_POOL."""
+    a, b, c = (draw(small) for _ in range(3))
+    den = GF.one
+    for k in draw(st.lists(st.integers(0, len(SFREE_POOL) - 1), max_size=2)):
+        den = den * SFREE_POOL[k]
+    return (a + b * ALPHA + c * ALPHA * BETA) / den
+
+
+@PROPS
+@given(st.lists(param_scalars(), max_size=5))
+def test_spoly_to_element_matches_the_fold(coeffs):
+    # coefficients with unrelated denominators, summed by fraction_sum
+    want = fold([c * S**k for k, c in enumerate(coeffs)])
+    assert_same(SPoly(GF, list(coeffs)).to_element(), want)
+
+
 def test_s_free_denominators_are_not_factored(monkeypatch):
     factored = []
     factor_list = sympy_rings.PolyElement.factor_list
@@ -452,6 +476,66 @@ def test_gate_falls_back_on_a_vanishing_leading_coefficient():
     a, b = g * (ZS + 1), g * (ZS + ZA)
     assert a.cofactors(b)[0] == g
     assert_gate_matches_sympy(a, b)
+
+
+def test_gate_prime_and_points():
+    # one CPython digit per residue; the lift keeps primes of 61 bits and up
+    assert sympy.isprime(_Q) and _Q < 2**30
+    residues = {pt % _Q for pt in _POINTS}
+    assert 0 not in residues and len(residues) == len(_POINTS)
+    assert _PRIMES[0] == _P and all(map(sympy.isprime, _PRIMES))
+
+
+generators = st.sampled_from((ZA, ZB, ZS))
+
+
+@GATE_PROPS
+@given(common_factors(), zpolys(), generators, st.integers(1, 3), small)
+def test_gate_matches_sympy_when_a_leading_coefficient_vanishes_mod_q(
+        g, x, v, k, r):
+    # lc_v(h) is k q for h = k q v + r, so the image of h in v loses its
+    # degree; as a common factor, its image is constant
+    h = k * _Q * v + r
+    for a, b in ((g * x * h, g * (v + 2)), (h * x, h * (v + 2))):
+        assert_gate_matches_sympy(a, b)
+        assert_gate_matches_sympy(b, a)
+
+
+@GATE_PROPS
+@given(common_factors(), zpolys(), generators, nonzero, small)
+def test_gate_matches_sympy_when_images_share_a_root_mod_q(g, x, v, k, r):
+    # v - r and v - r - k q are coprime over Z and equal mod q
+    a, b = g * x * (v - r), g * (v - r - k * _Q)
+    assert_gate_matches_sympy(a, b)
+    assert_gate_matches_sympy(b, a)
+
+
+def image_reference(p, i):
+    """p's image in x_i mod _Q, the other generators at _POINTS, by
+    sympy's evaluation."""
+    gens = ZRING.gens
+    rest = [(x, pt) for j, (x, pt) in enumerate(zip(gens, _POINTS)) if j != i]
+    u = p.evaluate(rest)
+    coeffs = [0] * (p.degree(i) + 1)
+    for (k,), c in u.terms():
+        coeffs[k] = int(c) % _Q
+    return coeffs
+
+
+@GATE_PROPS
+@given(common_factors(), zpolys(), zpolys())
+def test_gate_data_is_stored_once_and_left_intact(g, x, y):
+    # the gate's degrees and images live on its operands; a second run on
+    # the same objects reuses them and must find them as the first left
+    # them, though Euclid mod q uses up the lists it is given
+    a, b = g * x, g * y
+    first = _cofactors(a, b)
+    assert _cofactors(a, b) == first
+    for p in (a, b):
+        degs, images = p._gate
+        assert degs == [max(e) for e in zip(*p)]
+        for i, image in images.items():
+            assert image == image_reference(p, i) == _image(p.copy(), i)
 
 
 # Common factors in one generator, planted in pairs that share only that
@@ -549,12 +633,13 @@ def spy_on_primes(monkeypatch):
 def test_each_prime_lifts_what_the_smaller_ones_cannot(monkeypatch, bits,
                                                        prime):
     # the image gcd of the two alpha-coefficients is that of 2^bits alpha + 1,
-    # whose coefficient is lifted only by a prime above 2^(bits + 1)
+    # whose coefficient is lifted only by a prime above 2^(bits + 1); the
+    # gate's image mod _Q comes first, then the lift's primes in turn
     g = 2**bits * ZA + 1
     a, b = g * (ZA + 2) * (ZS + ZB), g * (ZA - 3)
     primes = spy_on_primes(monkeypatch)
     assert_one_generator_gcd(a, b)
-    assert primes[0] == _P and max(primes) == prime
+    assert primes == [_Q, *_PRIMES[:_PRIMES.index(prime) + 1]]
 
 
 def test_one_generator_gcd_beyond_every_prime_asks_sympy():
@@ -580,13 +665,25 @@ def test_one_generator_gcd_after_a_vanishing_leading_coefficient(g):
 def test_one_generator_gcd_skips_a_prime_dividing_a_leading_coefficient(
         monkeypatch):
     # (s + 1)(p s + 1) is primitive with leading coefficient p = 2^61 - 1,
-    # so its image mod p would lose a degree: the next prime decides
+    # so its image mod p would lose a degree: after the gate's image mod
+    # _Q, the next prime decides
     primes = spy_on_primes(monkeypatch)
     a = (ZS + 1) * (_P * ZS + 1) * (1 + ZA * ZB)
     b = (ZS + 1) * (ZS - 2)
     assert_one_generator_gcd(a, b)
-    assert primes == [2**89 - 1]
+    assert primes == [_Q, 2**89 - 1]
     assert_one_generator_gcd(a * (ZS + 1), b * (_P * ZS + 1))
+
+
+def test_one_generator_gcd_of_a_pair_equal_mod_q(monkeypatch):
+    # s - 5 and s - 5 - q are coprime but their images are equal, so the
+    # gate proves nothing and the lift finds gcd 1 at the first prime
+    primes = spy_on_primes(monkeypatch)
+    a = (ZS - 5) * (1 + ZA * ZB)
+    b = ZS - 5 - _Q
+    assert_one_generator_gcd(a, b)
+    assert primes == [_Q, _P]
+    assert _cofactors(a, b) == (ZRING.one, a, b)
 
 
 def test_one_shared_generator_never_reaches_sympy(monkeypatch):
@@ -807,6 +904,22 @@ def test_tower_sum_and_dot_match_the_pairwise_folds(case, lows):
     want = fold([a * b for a, b in pairs], t.zero)
     assert got.tower is t and got == want and repr(got) == repr(want)
     assert t.dot(pairs + [(-a, b) for a, b in pairs]).is_zero()
+
+
+@TOWER_PROPS
+@given(tower_cases(4), ground)
+def test_tower_mat_mul_matches_the_fold(case, low):
+    # each entry of A B is one dot; a zero entry and a base-field entry
+    # are placed as + places them
+    t, (a, b, c, d) = case
+    A = [[a, b], [t.zero, BASE.from_ground(ground_elem(low))]]
+    B = [[c, t.zero], [d, a]]
+    got = mat_mul(A, B, t.zero)
+    for i in range(2):
+        for j in range(2):
+            want = fold([A[i][k] * B[k][j] for k in range(2)], t.zero)
+            assert got[i][j].tower is t
+            assert got[i][j] == want and repr(got[i][j]) == repr(want)
 
 
 @TOWER_PROPS
