@@ -83,8 +83,10 @@ INF = _Infinity()
 class Exponent:
     """A local exponent: rational part plus a ℚ-linear parameter part.
 
-    Immutable; supports the small amount of affine arithmetic the resonance
-    and local-extension checks need.
+    Immutable.  These are the exact exponents that ``fuchsian_scan`` puts on
+    its places and that the lattice sweep's residue rows are read from.  The
+    addition and scaling kept here are what the tests use as the exact
+    reference for the integer residue kernel and the Fuchs relation.
     """
 
     __slots__ = ("rational", "param")
@@ -114,19 +116,6 @@ class Exponent:
                 d[k] = d.get(k, Fraction(0)) + v
             return Exponent(self.rational + other.rational, d)
         return Exponent(self.rational + Fraction(other), self.param)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Exponent(-self.rational, {k: -v for k, v in self.param})
-
-    def __sub__(self, other):
-        if not isinstance(other, Exponent):
-            other = Exponent(Fraction(other))
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, c):
         c = Fraction(c)

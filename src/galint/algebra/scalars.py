@@ -511,7 +511,8 @@ class Scalar(FracElement):
     Each result is the canonical form sympy's ``cancel`` would give, so it is
     equal, hashes and prints the same.  An int divided by a field element
     is that int's element divided by it, so ``1 / x`` is the inverse
-    without a full gcd.  Other mixed operations with ints, rationals or
+    without a full gcd, and zero divided by a nonzero element is that zero,
+    with no product.  Other mixed operations with ints, rationals or
     polynomials keep sympy's own operation, and so does the rare operation
     whose heuristic gcd fails (``HeuristicGCDFailed``): sympy then cancels
     the whole result, a different gcd problem.  Code that builds elements
@@ -547,8 +548,10 @@ class Scalar(FracElement):
         return super().__mul__(g)
 
     def __truediv__(f, g):
-        if f and (isinstance(g, Scalar) and g.field is f.field
-                  or f.field.is_element(g)) and g:
+        if (isinstance(g, Scalar) and g.field is f.field
+                or f.field.is_element(g)) and g:
+            if not f:
+                return f
             try:
                 return f._mul(g.denom, g.numer)
             except HeuristicGCDFailed:
@@ -954,7 +957,7 @@ class SPoly:
         if not self.coeffs:
             return self
         lead = self.coeffs[-1]
-        return SPoly(self.gf, [c / lead for c in self.coeffs])
+        return SPoly(self.gf, [c / lead if c else c for c in self.coeffs])
 
     def divmod(self, other):
         """Exact polynomial division with remainder over the coefficient field."""

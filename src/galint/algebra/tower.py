@@ -40,7 +40,6 @@ decreases and the worklist empties.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from sympy import QQ
 
@@ -583,16 +582,18 @@ class FieldElem:
                     return self == self.tower.lift(other)
                 return NotImplemented
             return self.coords == other.coords
-        if isinstance(other, (int, Fraction)) or isinstance(
-            other, type(self.tower.gf.zero)
-        ):
+        if isinstance(other, type(self.tower.gf.zero)):
             return self == self.tower.from_ground(other)
+        # an int or Fraction cannot hash as the ground scalar it would
+        # embed as (sympy hashes gf.from_rational(3) unlike 3)
         return NotImplemented
 
     def __hash__(self):
+        # a scalar element equals its ground coordinate, so hashes as it
         if self._hash is None:
-            self._hash = hash(frozenset(
-                (_trim(e), c) for e, c in self.coords.items()))
+            self._hash = hash(self.scalar_part() if self.is_scalar() else
+                              frozenset((_trim(e), c)
+                                        for e, c in self.coords.items()))
         return self._hash
 
     def __repr__(self):

@@ -1,17 +1,13 @@
 """Resonance structure of the diagonal Galois data.
 
 Exact resonance tests and relation lattices for hyperexponential
-log-derivative bases, the local condition at ramified places, and the
-bounded-horizon Diophantine evaluator.
+log-derivative bases, and the bounded-horizon Diophantine evaluator.
 """
 
 from .resonance import (
-    LocalOK,
-    LocalResonance,
     NonResonant,
     Resonant,
     ResonanceReport,
-    local_extension_check,
     relation_lattice,
     resonance_test,
 )
@@ -27,9 +23,6 @@ __all__ = [
     "ResonanceReport",
     "resonance_test",
     "relation_lattice",
-    "LocalOK",
-    "LocalResonance",
-    "local_extension_check",
     "DiophantineReport",
     "angles_from_places",
     "diophantine_eval",

@@ -2,23 +2,26 @@
 
 A diagonalized reduced system hands us a vector of log-derivatives
 h = (h_1, ..., h_d), h_l = H_l'/H_l, for hyperexponential solutions H_l
-living over a radical tower.  Everything here answers multiplicative
-questions about the H_l exactly:
+living over a radical tower.  A cell (j, k) of the variational equations
+is resonant when H^k / H_j lies in the coefficient field.  Everything here
+answers such multiplicative questions about the H_l exactly:
 
+* ``relation_lattice`` — the subgroup of Z^d of all k with H^k in the
+  field, swept up to a sup-norm bound and returned as a Hermite normal form
+  basis with multiplicative witnesses.  This is what the pipeline runs:
+  first integrals, the commuting frame and certificates read its basis
+  and witnesses.
 * ``resonance_test`` — is  H^k / H_j  an element of the coefficient field?
   Equivalently, does  y'/y = sum_l k_l h_l - h_j  have a solution y in the
   tower?  Such a y is exactly what turns the (j, k) jet cell resonant in
-  normal-form computations, so the verdict carries it as a witness.
-* ``relation_lattice`` — the subgroup of Z^d of all k with H^k in the
-  field, swept up to a sup-norm bound and returned as a Hermite normal form
-  basis with multiplicative witnesses.
-* ``local_extension_check`` — the arithmetic criterion for whether an m-fold
-  ramified cover u^m = s - s0 stays resonance-free at a singular place,
-  decided from the local exponent vector alone.
+  normal-form computations, so the verdict carries it as a witness.  A
+  report answers single cells with it (``ResonanceReport.query``).
 
-Positive verdicts carry proofs (the witness is re-verified on construction),
-and inconclusive solver outcomes — ``DegreeBoundExceeded`` — are first-class:
-they propagate or are listed, never silently mapped to NonResonant.
+Positive verdicts carry proofs (each witness is re-verified on
+construction, and each lattice witness again after the Hermite normal form
+recombines them), and inconclusive solver outcomes — ``DegreeBoundExceeded``
+— are first-class: they propagate or are listed, never silently mapped to
+NonResonant.
 
 The lattice sweep prunes candidates with an exact necessary condition before
 the ODE solver runs: at every usable singular place, the residue of
@@ -60,7 +63,6 @@ from ..algebra.linode import rational_ode_solve
 from ..algebra.places import (
     INF,
     Exponent,
-    SingularPlace,
     place_context,
     pole_places,
     residue_exponent,
@@ -73,9 +75,6 @@ __all__ = [
     "ResonanceReport",
     "resonance_test",
     "relation_lattice",
-    "LocalOK",
-    "LocalResonance",
-    "local_extension_check",
 ]
 
 
@@ -521,101 +520,3 @@ def relation_lattice(h, k_max, *, conditions=None):
     res = _nonneg_members(basis, d, k_max)
     return ResonanceReport(h, k_max, basis, witnesses, inconclusive, res)
 
-
-# ---------------------------------------------------------------------------
-# local condition at a ramified place
-# ---------------------------------------------------------------------------
-
-class LocalOK:
-    """No integer hit within the bound: the cover stays resonance-free."""
-
-    __slots__ = ("m", "k_max")
-    ok = True
-
-    def __init__(self, m, k_max):
-        self.m = int(m)
-        self.k_max = int(k_max)
-
-    def __bool__(self):
-        return True
-
-    def __repr__(self):
-        return f"LocalOK(m={self.m}, k_max={self.k_max})"
-
-
-class LocalResonance:
-    """A violation  k . alpha - m alpha_j in Z  on the m-fold cover.
-
-    ``k`` is the exponent vector of the relation (m times the cover
-    multi-index ``cover_index``), ``value`` the integer it evaluates to.
-    """
-
-    __slots__ = ("j", "k", "m", "value", "cover_index")
-    ok = False
-
-    def __init__(self, j, k, m, value, cover_index):
-        self.j = int(j)
-        self.k = tuple(int(x) for x in k)
-        self.m = int(m)
-        self.value = int(value)
-        self.cover_index = tuple(int(x) for x in cover_index)
-
-    def __bool__(self):
-        return False
-
-    def __repr__(self):
-        return (f"LocalResonance(j={self.j}, k={self.k}, m={self.m}, "
-                f"value={self.value})")
-
-
-def _as_exponent(entry):
-    if isinstance(entry, Exponent):
-        return entry
-    if isinstance(entry, str):
-        raise InputError(
-            f"exponent {entry!r} is not affine in the parameters"
-        )
-    return Exponent(Fraction(entry))
-
-
-def local_extension_check(exponents, m=None, *, k_max=6):
-    """Does an m-fold cover keep this place resonance-free?
-
-    ``exponents`` is the local exponent vector (Exponent or rational
-    entries; a SingularPlace may be passed directly, supplying both the
-    vector and m).  Sweeps cover multi-indices i in N^d with
-    2 <= |i| <= k_max and every 1-based j, looking for
-    m * (i . alpha - alpha_j) in Z.  The first hit (graded order, then j)
-    comes back as ``LocalResonance``; otherwise ``LocalOK``.  The sweep is
-    complete within its bound.
-    """
-    if isinstance(exponents, SingularPlace):
-        if m is None:
-            m = exponents.m
-        exponents = exponents.exponents
-    if m is None:
-        raise InputError("ramification index m is required")
-    m = int(m)
-    if m < 1:
-        raise InputError("ramification index must be positive")
-    alphas = [_as_exponent(e) for e in exponents]
-    if not alphas:
-        raise InputError("empty exponent vector")
-    d = len(alphas)
-    k_max = int(k_max)
-    cand = [i for i in itertools.product(range(k_max + 1), repeat=d)
-            if 2 <= sum(i) <= k_max]
-    cand.sort(key=lambda i: (sum(i), i))
-    for i in cand:
-        total = Exponent(0)
-        for c, a in zip(i, alphas):
-            if c:
-                total = total + a.scale(c)
-        for j in range(1, d + 1):
-            diff = (total - alphas[j - 1]).scale(m)
-            if not diff.param and diff.rational.denominator == 1:
-                return LocalResonance(
-                    j=j, k=tuple(m * x for x in i), m=m,
-                    value=int(diff.rational), cover_index=i,
-                )
-    return LocalOK(m, k_max)

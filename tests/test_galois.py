@@ -11,14 +11,17 @@ import pytest
 
 from galint.algebra import AlgebraicTower, Exponent, GroundField
 from galint.algebra.places import INF, SingularPlace
-from galint.errors import DegreeBoundExceeded, InputError, PrecisionLoss
+from galint.errors import (
+    DegreeBoundExceeded,
+    InputError,
+    PrecisionLoss,
+    VerificationFailed,
+)
 from galint.galois import (
-    LocalOK,
     NonResonant,
     Resonant,
     angles_from_places,
     diophantine_eval,
-    local_extension_check,
     relation_lattice,
     resonance_test,
 )
@@ -158,6 +161,22 @@ class TestRelationLattice:
         comb = T.from_ground((2 + 1) / s)  # 4/2 + 3/3 = 3
         assert (y.derive() - comb * y).is_zero()
 
+    def test_a_planted_recombination_defect_is_caught(self, gf,
+                                                      monkeypatch):
+        # doubled transform rows recombine the raw witnesses into y^2 for
+        # each basis row y, which the log-derivative check refuses
+        def doubled(rows, width):
+            basis, transform = _hnf_with_transform(rows, width)
+            return basis, [[2 * c for c in row] for row in transform]
+
+        monkeypatch.setattr("galint.galois.resonance._hnf_with_transform",
+                            doubled)
+        T = AlgebraicTower(gf)
+        h = (T.from_ground(1 / (2 * gf.s)), T.from_ground(1 / (3 * gf.s)))
+        with pytest.raises(VerificationFailed,
+                           match="recombined lattice witness failed"):
+            relation_lattice(h, 3)
+
     def test_square_root_pair_lattice(self, gf):
         s, alpha = gf.s, gf.gen("alpha")
         T = AlgebraicTower(gf).extend("w", 2, 1 + s**2)
@@ -242,57 +261,6 @@ def test_hnf_transform_consistency():
     assert basis2 == [(1, 3), (0, 6)]
     basis3, _ = _hnf_with_transform([], 3)
     assert basis3 == []
-
-
-# ---------------------------------------------------------------------------
-# local_extension_check
-# ---------------------------------------------------------------------------
-
-class TestLocalExtensionCheck:
-    def test_double_cover_hits(self):
-        vec = (Exponent(0, {"alpha": 1}),
-               Exponent(Fraction(1, 2), {"alpha": 2}))
-        res = local_extension_check(vec, 2)
-        assert not res and not res.ok
-        assert res.j == 2 and res.k == (4, 0) and res.value == -1
-        assert res.cover_index == (2, 0) and res.m == 2
-
-    def test_unramified_stays_clean(self):
-        vec = (Exponent(0, {"alpha": 1}),
-               Exponent(Fraction(1, 2), {"alpha": 2}))
-        res = local_extension_check(vec, 1, k_max=6)
-        assert res and res.ok and isinstance(res, LocalOK)
-        assert res.m == 1 and res.k_max == 6
-
-    def test_rational_thirds(self):
-        vec = (Fraction(1, 3), Fraction(1, 3))
-        # the |i| = 2 cover indices miss: 2/3 - 1/3 is not an integer...
-        assert local_extension_check(vec, 1, k_max=3)
-        # ...but |i| = 4 lands on 4/3 - 1/3 = 1
-        res = local_extension_check(vec, 1, k_max=6)
-        assert not res
-        assert res.cover_index == (0, 4) and res.j == 1 and res.value == 1
-        assert res.k == (0, 4)
-
-    def test_place_input_supplies_m(self):
-        pl = SingularPlace(Fraction(0), 2,
-                           (Exponent(0, {"alpha": 1}),
-                            Exponent(Fraction(1, 2), {"alpha": 2})),
-                           "curve-singularity")
-        res = local_extension_check(pl)
-        assert not res and res.k == (4, 0) and res.m == 2
-        # an explicit m overrides the place's ramification
-        assert local_extension_check(pl, 1)
-
-    def test_bad_inputs(self):
-        with pytest.raises(InputError):
-            local_extension_check((Exponent(0, {"alpha": 1}), "xi+1/2"), 2)
-        with pytest.raises(InputError):
-            local_extension_check((), 2)
-        with pytest.raises(InputError):
-            local_extension_check((Fraction(1, 2),))  # no m anywhere
-        with pytest.raises(InputError):
-            local_extension_check((Fraction(1, 2),), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def test_require_unit(monkeypatch):
     split.require_unit(v + 1)             # norm 1 - s^2: a unit
     with pytest.raises(ZeroDivisor) as err:
         split.require_unit(v - S)         # (w - s)(w + s) = 0
-    assert err.value.witness * (v - S) == 0
+    assert (err.value.witness * (v - S)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def test_zero_divisor_entry_raises():
     with pytest.raises(ZeroDivisor) as err:
         descent._point_rank(rows, T)
     witness = err.value.witness
-    assert witness and witness * bad == 0
+    assert witness and (witness * bad).is_zero()
 
 
 def test_zero_divisor_denominator_raises():

@@ -143,6 +143,24 @@ def test_multiplying_by_one_returns_the_operand():
     assert x * GF.one is x and x / GF.one is x
 
 
+def test_dividing_zero_returns_it_without_a_product(monkeypatch):
+    x = (1 + S) / (ALPHA - S)
+    calls = []
+    mul = sympy_rings.PolyElement.__mul__
+
+    def counted(p, q):
+        calls.append(1)
+        return mul(p, q)
+
+    monkeypatch.setattr(sympy_rings.PolyElement, "__mul__", counted)
+    assert GF.zero / x is GF.zero
+    assert not calls
+    monkeypatch.undo()
+    for num in (GF.zero, x):
+        with pytest.raises(ZeroDivisionError):
+            num / GF.zero
+
+
 def power(x, n):
     """x**n by repeated multiplication and one division."""
     out = GF.one
@@ -392,6 +410,34 @@ def test_spoly_to_element_matches_the_fold(coeffs):
     # coefficients with unrelated denominators, summed by fraction_sum
     want = fold([c * S**k for k, c in enumerate(coeffs)])
     assert_same(SPoly(GF, list(coeffs)).to_element(), want)
+
+
+@PROPS
+@given(st.lists(st.one_of(st.just(GF.zero), param_scalars()), max_size=6))
+def test_spoly_monic_divides_each_coefficient_by_the_leading_one(coeffs):
+    sp = SPoly(GF, list(coeffs))
+    got = sp.monic().coeffs
+    assert len(got) == len(sp.coeffs)
+    for c, g in zip(sp.coeffs, got):
+        want = plain(c) / plain(sp.coeffs[-1])
+        assert (g.numer, g.denom) == (want.numer, want.denom)
+
+
+def test_spoly_monic_leaves_zero_coefficients_undivided(monkeypatch):
+    c2, c4 = (ALPHA + 1) / BETA, (ALPHA - BETA) / (ALPHA * BETA + 1)
+    sp = SPoly(GF, [GF.zero, GF.zero, c2, GF.zero, c4])
+    divided = []
+    div = Scalar.__truediv__
+
+    def counted(f, g):
+        divided.append(f)
+        return div(f, g)
+
+    monkeypatch.setattr(Scalar, "__truediv__", counted)
+    got = sp.monic().coeffs
+    monkeypatch.undo()
+    assert divided == [c2, c4]
+    assert got == [GF.zero, GF.zero, c2 / c4, GF.zero, GF.one]
 
 
 def test_s_free_denominators_are_not_factored(monkeypatch):

@@ -257,6 +257,32 @@ def test_equal_elements_of_nested_towers_hash_alike(plain):
     assert len({b, t2.gen("w2")}) == 2
 
 
+def test_equal_operands_hash_alike(plain):
+    # a scalar element hashes as its ground coordinate; ints and Fractions
+    # hash unlike the ground scalars they embed as, so they compare unequal
+    gf, t0 = plain
+    t1 = t0.extend("w1", 2, t0.from_ground(gf.s))
+    t2 = t1.extend("w2", 3, t1.one + t1.gen("w1"))
+    grounds = [gf.zero, gf.one, gf.from_rational(3),
+               gf.from_rational(Fraction(1, 2)), gf.s, gf.gen("alpha") / gf.s]
+    elems = [t.from_ground(c) for t in (t0, t1, t2) for c in grounds]
+    elems += [t1.gen("w1"), t2.lift(t1.gen("w1")), t2.gen("w2"),
+              t2.gen("w1") + t2.from_ground(gf.s)]
+    operands = [0, 1, 3, Fraction(1, 2), *grounds, *elems]
+    agreed = 0
+    for e in elems:
+        for x in operands:
+            if e == x or x == e:
+                assert hash(e) == hash(x), (e, type(x).__name__, x)
+                agreed += 1
+    assert agreed > len(elems)
+    assert t2.from_ground(gf.s) == gf.s and len({t2.from_ground(gf.s),
+                                                 gf.s}) == 1
+    assert t0.from_ground(3) != 3 and t0.from_ground(Fraction(1, 2)) != \
+        Fraction(1, 2)
+    assert len({t0.zero, t1.zero, gf.zero}) == 1
+
+
 # ---------------------------------------------------------------------------
 # values at rational points
 
