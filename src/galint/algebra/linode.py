@@ -177,12 +177,12 @@ def _integer_eigs(R):
             by_coord.setdefault(e, []).append((D - k, ce))
     comps = []
     for terms in by_coord.values():
-        common = ct.gf.ring.one
+        common = ct.gf.kernel.one
         for _, ce in terms:
-            common = common * ce.denom
+            common = common * ce.den
         grouped = {}
         for td, ce in terms:
-            for mono, q in (ce.numer * common.exquo(ce.denom)).terms():
+            for mono, q in (ce.num * common.exquo(ce.den)).items():
                 grouped.setdefault(mono, [0] * (D + 1))[td] = q
         comps.extend(grouped.values())
     lows = [next(c for c in p if c) for p in comps]
@@ -372,8 +372,8 @@ def solve_rational_system(ground, M, G, *, extra_cols=(), conditions=None):
     if conditions is not None:
         seen = {str(c) for c in conditions}
         for pv in pivots:
-            for part in (gf.field.raw_new(pv.numer, gf.ring.one),
-                         gf.field.raw_new(pv.denom, gf.ring.one)):
+            for part in (gf.field.new(pv.num, gf.kernel.one),
+                         gf.field.new(pv.den, gf.kernel.one)):
                 if gf.is_rational_const(part):
                     continue
                 k = str(part)

@@ -400,7 +400,7 @@ class PlaceContext:
         gf = self.gf
         if self.loc is INF:
             i = gf._s_index
-            return self.m * (c.denom.degree(i) - c.numer.degree(i))
+            return self.m * (c.den.degree(i) - c.num.degree(i))
         p = self.place_poly
         num = gf.numer_spoly(c)
         den = gf.denom_spoly(c)

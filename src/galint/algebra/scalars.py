@@ -2,10 +2,10 @@
 
 Everything upstairs (radical towers, local expansions, the ODE solver) works
 with elements of a single rational function field: the formal parameters
-``alpha_i`` and the curve coordinate ``s`` over Q.  We host it on sympy's
-sparse ``FracField`` over ZZ, the fractions of Z[alpha_1, ..., alpha_p, s],
-which gives exact normalized arithmetic, and wrap it in :class:`GroundField`
-to add the structure the rest of the package needs:
+``alpha_i`` and the curve coordinate ``s`` over Q.  An element is a
+:class:`Scalar`, a reduced pair of polynomials of Z[alpha_1, ..., alpha_p, s]
+held on the packed-exponent kernel of :mod:`galint.algebra.packed`, and
+:class:`GroundField` adds the structure the rest of the package needs:
 
 * the distinguished role of ``s`` (derivation d/ds, degrees in s,
   polynomial-in-s views with coefficients in the parameter subfield);
@@ -13,39 +13,44 @@ to add the structure the rest of the package needs:
   with a cache keyed on the polynomial;
 * evaluation at rational parameter/curve values.
 
-The field is a :class:`ScalarField` with :class:`Scalar` elements,
-subclasses of sympy's ``FracField`` / ``FracElement`` that change one thing,
-how ``+ - * /`` between two field elements reach the normal form.  sympy
-takes a full gcd of the result's numerator against its denominator on every
-operation; a :class:`Scalar` keeps its operands reduced and takes gcds of
-denominators and of cross numerator/denominator pairs only (Henrici-Knuth).
-A sum of three or more terms is one step, :func:`fraction_sum`: the terms go
-over the lcm of their denominators, built from gcds of denominators only,
-and one final gcd reduces the total, where a fold of ``+`` would reduce
-every partial sum.  ``AlgebraicTower.sum`` and ``dot`` are the one kernel
-that accumulates tower elements, every tower ``+`` and ``*`` included.  Per
-coordinate, ``sum`` takes Henrici's ``+`` for two terms and ``dot``
-Henrici's ``*`` for one product; more go through :func:`fraction_sum`.
-What stays is sympy's canonical form: integer coefficients, numerator and
-denominator coprime and jointly content-free, the denominator's leading
-coefficient positive.  So equality, hashing, printing and every cache key
-are those of plain ``FracElement`` objects, and a ``ScalarField`` compares and
-hashes equal to the plain ``FracField`` over ZZ on the same generators.
+The kernel's polynomial is a dict from one int per monomial to an int
+coefficient.  The int packs the exponents into one field of 16 bits per
+generator, the first parameter's the most significant and ``s``'s the
+least, so a product of monomials is a sum of ints and the leading term in
+lex order is the largest key.  The top bit of each field is a guard:
+exponents stay at most 2^15 - 1, a sum of two fields never carries into
+the next, and an operation whose result would exceed that raises
+``OverflowError`` instead of wrapping.
 
-That form is also the one the field over QQ prints, so hosting on ZZ changes
-no printed result, only ``hash()`` values (the ground domain is part of
-them).  What it saves is the move of every operand to integer coefficients
-and back.  The ring over ZZ fails silently where a ring over QQ divides:
-``quo_ground(c)``, ``monic()`` and ``p / c`` drop or floor the terms that c
-does not divide, and ``p(*point)`` at a rational point raises
-``CoercionFailed``.  So each ring-level step here is exact by construction
-(a content divided out, an integer embedded, a factorization over Z), and
-everything else is field-level, where sympy keeps a rational operand as a
-fraction of integers; values at rational points are taken over Q
-(``tower._value``).
+``+ - * /`` between two field elements reach the normal form with gcds of
+denominators and of cross numerator/denominator pairs only (Henrici-Knuth),
+never a gcd of a whole result's numerator against its denominator; two
+rational constants take the gcd of their integers.  A sum of three or more
+terms is one step, :func:`fraction_sum`: the terms go over the lcm of their
+denominators, built from gcds of denominators only, and one final gcd
+reduces the total, where a fold of ``+`` would reduce every partial sum.
+``AlgebraicTower.sum`` and ``dot`` are the one kernel that accumulates
+tower elements, every tower ``+`` and ``*`` included.  Per coordinate,
+``sum`` takes Henrici's ``+`` for two terms and ``dot`` Henrici's ``*`` for
+one product; more go through :func:`fraction_sum`.  The normal form is
+sympy's: integer coefficients, numerator and denominator coprime and
+jointly content-free, the denominator's leading coefficient in lex order
+positive.  So equal elements have equal pairs, and every printed result is
+the one sympy's ``FracField`` over ZZ gives.
 
-Each of those gcds has one of three outcomes (Brown, J. ACM 18 (1971);
-von zur Gathen and Gerhard, *Modern Computer Algebra*, 6.7).
+sympy's ``PolyElement`` is built from the kernel on demand, for four uses
+only, where sympy does work that the kernel does not:
+
+1. ``factor_list``, in :meth:`GroundField.monic_s_factors` and
+   :meth:`GroundField.nth_root`;
+2. the gcds that the gate below leaves to sympy's ``cofactors``, and
+   sympy's ``cancel`` of a whole result when its heuristic gcd fails;
+3. conversion from and to expressions and printing (``from_expr``,
+   ``as_expr``, ``str``), through sympy's ``FracField`` over ZZ;
+4. the ``numer``/``denom`` views that code outside the kernel reads.
+
+Each gcd has one of three outcomes (Brown, J. ACM 18 (1971); von zur
+Gathen and Gerhard, *Modern Computer Algebra*, 6.7).
 
 * Proven coprime.  Most are an integer, the gcd of the two contents, and
   one image mod a prime per variable proves that far more cheaply than a
@@ -86,12 +91,10 @@ once, with no gate and no entry; a pair of more than ``_MEMO_TERMS`` terms
 in all runs the gate every time, which bounds the memo on deep flows.  A
 stored cofactor becomes the numerator or denominator of many elements, so
 no polynomial here is changed in place after it is built, and each hashes
-by its content: ``Scalar.__pow__`` copies sympy's powers, whose squares
-are hashed before they are finished.  The gate relies on the same rule: a
-polynomial's degrees and images mod q are computed once and stored on
-the polynomial object, where every later pair that has it as an operand
-finds them.  A product with a factor 1 is that other factor itself, with
-no new polynomial.
+by its content.  The gate relies on the same rule: a polynomial's degrees
+and images mod q are computed once and stored on the polynomial object,
+where every later pair that has it as an operand finds them.  A product
+with a factor 1 is that other factor itself, with no new polynomial.
 
 A "scalar" below always means an element of the ground field; a "parameter
 scalar" is one whose numerator and denominator are free of ``s``.
@@ -104,9 +107,12 @@ from fractions import Fraction
 
 import sympy
 from sympy import ZZ
-from sympy.polys.fields import FracElement, FracField
+from sympy.core.sympify import CantSympify
+from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
 from sympy.polys.polyerrors import HeuristicGCDFailed
+
+from .packed import PackedRing
 
 __all__ = [
     "GroundField",
@@ -131,37 +137,113 @@ def _fraction_nth_root(c, d):
     return Fraction(int(pn), int(pd))
 
 
-class ScalarField(FracField):
-    """sympy's rational function field over ZZ with :class:`Scalar` elements.
+class ScalarField:
+    """Q(x_1, ..., x_n) with :class:`Scalar` elements on the packed kernel.
 
-    Over ZZ it is still Q(x_1, ..., x_n): numerators and denominators lie in
-    Z[x_1, ..., x_n] and a rational constant is a pair of integers.  Equal
-    to the plain ``FracField`` over ZZ on the same generators, so it hashes
-    like one too; only the element type differs, and each field carries
-    its own gcd memo (:meth:`cofactors`).
+    ``kernel`` is the :class:`~galint.algebra.packed.PackedRing` that holds
+    every numerator and denominator: one int key per monomial, 16 bits per
+    generator with x_1 the most significant, exponents at most 2^15 - 1,
+    and ``OverflowError`` from any operation whose result would exceed
+    that.  ``ring`` is its sympy twin, the ``PolyRing`` over ZZ in lex
+    order on the same symbols, which the ``numer``/``denom`` views,
+    :meth:`raw_new`, printing, ``factor_list`` and the gate's sympy
+    fallback convert through.  The field equals and hashes like sympy's
+    plain ``FracField`` over ZZ on the same generators, whose elements
+    print as these do.  Each field carries its own gcd memo
+    (:meth:`cofactors`).
     """
 
-    def __new__(cls, symbols, domain, order=lex):
-        obj = super().__new__(cls, symbols, domain, order)
-        if not obj.domain.is_ZZ:
-            raise ValueError("a ScalarField is a field over ZZ")
-        obj._hash_tuple = (FracField.__name__,) + obj._hash_tuple[1:]
-        obj._hash = hash(obj._hash_tuple)
-        plain_gens = obj.gens
-        obj.dtype = Scalar(obj, obj.ring.zero).raw_new
-        obj.zero = obj.dtype(obj.ring.zero)
-        obj.one = obj.dtype(obj.ring.one)
-        obj.gens = obj._gens()
-        for sym, plain, gen in zip(obj.symbols, plain_gens, obj.gens):
-            name = getattr(sym, "name", None)
-            if name is not None and getattr(obj, name, None) is plain:
-                setattr(obj, name, gen)
-        obj._gcd_memo = {}
-        return obj
+    def __init__(self, symbols):
+        self.kernel = kernel = PackedRing(symbols)
+        self.ring = kernel.sympy
+        self.symbols = kernel.symbols
+        self.ngens = kernel.ngens
+        self.domain = ZZ
+        self.order = lex
+        self._plain = FracField(self.symbols, ZZ, lex)
+        one = kernel.one
+        self.zero = Scalar(self, kernel.zero, one)
+        self.one = Scalar(self, one, one)
+        self.gens = tuple(Scalar(self, g, one) for g in kernel.gens)
+        self._gcd_memo = {}
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return isinstance(other, (ScalarField, FracField)) and (
+            self.symbols, self.ngens, self.domain, self.order) == (
+            other.symbols, other.ngens, other.domain, other.order)
+
+    def __hash__(self):
+        return hash(self._plain)
+
+    def __repr__(self):
+        return f"ScalarField({', '.join(map(str, self.symbols))})"
+
+    # -- elements ----------------------------------------------------------
+
+    def new(self, num, den):
+        """The element num/den from a reduced pair of kernel polynomials,
+        den's leading coefficient positive."""
+        return Scalar(self, num, den)
+
+    def rational(self, value):
+        """An int / Fraction / sympy Rational / QQ element.  Each keeps its
+        numerator and a positive denominator coprime, so the two integers
+        are already the canonical pair and no gcd is taken."""
+        K = self.kernel
+        d = int(value.denominator)
+        return Scalar(self, K.ground(int(value.numerator)),
+                      K.one if d == 1 else K.ground(d))
+
+    def _rational(self, n, d):
+        """n/d for integers n and d > 0, reduced by their gcd."""
+        if not n:
+            return self.zero
+        g = math.gcd(n, d)
+        K = self.kernel
+        d //= g
+        return Scalar(self, K.ground(n // g), K.one if d == 1 else K.ground(d))
+
+    def __call__(self, value):
+        """An element of an equal field as it is, and a rational number as
+        an element (:meth:`rational`)."""
+        if isinstance(value, Scalar) and value.field == self:
+            return value
+        return self.rational(value)
+
+    def raw_new(self, numer, denom=None):
+        """The element numer/denom from a reduced pair of ``ring``'s
+        polynomials (sympy's), denom's leading coefficient positive."""
+        K = self.kernel
+        return Scalar(self, K.from_sympy(numer),
+                      K.one if denom is None else K.from_sympy(denom))
+
+    def plain(self, f):
+        """f as an element of sympy's ``FracField`` over ZZ."""
+        return self._plain.raw_new(f.numer, f.denom)
+
+    def from_expr(self, expr):
+        """A sympy expression in the generators, at field level: a rational
+        coefficient stays a fraction of integers."""
+        f = self._plain.from_expr(expr)
+        return self.raw_new(f.numer, f.denom)
+
+    def _cancelled(self, num, den):
+        """num/den reduced by sympy's ``cancel``, the way out when the
+        gate's gcd fails (``HeuristicGCDFailed``): a gcd of the whole pair,
+        a different problem for sympy's heuristic gcd."""
+        if not num:
+            return self.zero
+        K = self.kernel
+        p, q = K.to_sympy(num).cancel(K.to_sympy(den))
+        return Scalar(self, K.from_sympy(p), K.from_sympy(q))
+
+    # -- the gcd memo ------------------------------------------------------
 
     def cofactors(self, a, b):
-        """``_cofactors(a, b)`` for nonzero polynomials of the field's ring,
-        each pair decided once per field.
+        """``_cofactors(a, b)`` for nonzero kernel polynomials, each pair
+        decided once per field.
 
         A constant operand needs no gate: the gcd is that of the contents,
         and (1, a, b) at once when either operand has constant term 1, an
@@ -170,10 +252,9 @@ class ScalarField(FracField):
         the gate and stores its triple, unless the gate raises
         ``HeuristicGCDFailed``.  Larger pairs run the gate every time.
         """
-        zero = self.ring.zero_monom
-        if len(a) == 1 and zero in a or len(b) == 1 and zero in b:
-            if a.get(zero) == 1 or b.get(zero) == 1:
-                return self.ring.one, a, b
+        if len(a) == 1 and 0 in a or len(b) == 1 and 0 in b:
+            if a.get(0) == 1 or b.get(0) == 1:
+                return self.kernel.one, a, b
             return _content_cofactors(a, b)
         if len(a) + len(b) > _MEMO_TERMS:
             return _cofactors(a, b)
@@ -222,7 +303,7 @@ def _gate_data(p):
         return p._gate
     except AttributeError:
         pass
-    degs = [max(e) for e in zip(*p)]
+    degs = p.degrees()
     for row, pt, d in zip(_POWERS, _POINTS, degs):
         while len(row) <= d:
             row.append(row[-1] * pt % _Q)
@@ -237,12 +318,18 @@ def _image(p, i):
     degs, images = _gate_data(p)
     out = images.get(i)
     if out is None:
+        ring = p.ring
+        mask, shifts = ring.mask, ring.shifts
+        others = [(shifts[j], _POWERS[j]) for j, d in enumerate(degs)
+                  if d and j != i]
+        shi = shifts[i]
         out = [0] * (degs[i] + 1)
-        for m, c in p.items():
-            for j, e in enumerate(m):
-                if e and j != i:
-                    c = c * _POWERS[j][e] % _Q
-            out[m[i]] += c
+        for k, c in p.items():
+            for sh, powers in others:
+                e = (k >> sh) & mask
+                if e:
+                    c = c * powers[e] % _Q
+            out[(k >> shi) & mask] += c
         out = images[i] = [c % _Q for c in out]
     return out
 
@@ -322,23 +409,32 @@ def _gcd_z(f, g):
     return None
 
 
+
+
 def _content_cofactors(a, b):
     """``a.cofactors(b)`` when the gcd is c, the gcd of the contents."""
     c = math.gcd(*a.values(), *b.values())
     if c == 1:
         return a.ring.one, a, b
-    # exact: c divides every coefficient (over ZZ ``quo_ground`` drops a
-    # term that it does not divide)
-    return a.ring.ground_new(c), a.quo_ground(c), b.quo_ground(c)
+    return a.ring.ground(c), a.quo_ground(c), b.quo_ground(c)
+
+
+def _sympy_cofactors(a, b):
+    """``a.cofactors(b)`` by sympy's gcd, on the sympy twins of a and b."""
+    ring = a.ring
+    got = ring.to_sympy(a).cofactors(ring.to_sympy(b))
+    return tuple(map(ring.from_sympy, got))
 
 
 def _rows(p, i):
     """p as {its monomials with x_i^0: dense coefficient lists in Z[x_i]}."""
+    ring = p.ring
+    sh, mask = ring.shifts[i], ring.mask
+    clear = ~(mask << sh)
     out = {}
     for m, c in p.items():
-        k = m[i]
-        key = m[:i] + (0,) + m[i + 1:]
-        row = out.setdefault(key, [])
+        k = (m >> sh) & mask
+        row = out.setdefault(m & clear, [])
         if len(row) <= k:
             row.extend([0] * (k + 1 - len(row)))
         row[k] = c
@@ -347,7 +443,8 @@ def _rows(p, i):
 
 def _from_rows(ring, i, rows):
     """The polynomial of ``ring`` with the given ``_rows`` in x_i."""
-    return ring.dtype({key[:i] + (k,) + key[i + 1:]: c
+    sh = ring.shifts[i]
+    return ring.dtype({key | (k << sh): c
                        for key, row in rows.items()
                        for k, c in enumerate(row) if c})
 
@@ -381,7 +478,7 @@ def _one_generator_cofactors(a, b, i):
     ring = a.ring
     c = math.gcd(*a.values(), *b.values())
     g = [c * x for x in h]
-    return (_from_rows(ring, i, {(0,) * ring.ngens: g}),
+    return (_from_rows(ring, i, {0: g}),
             *(_from_rows(ring, i, {key: _quo(row, g)
                                    for key, row in rows.items()})
               for rows in (ra, rb)))
@@ -406,12 +503,12 @@ def _cofactors(a, b):
       leading coefficient or an image gcd of positive degree), G lies in
       Z[x_i] and ``_one_generator_cofactors`` computes it modularly and
       checks it by exact division.
-    * Otherwise sympy decides: for two or more shared generators, after
-      the prime list is used up, and in a field with more generators than
-      there are points.
+    * Otherwise sympy decides (``_sympy_cofactors``): for two or more
+      shared generators, after the prime list is used up, and in a field
+      with more generators than there are points.
     """
     if a.ring.ngens > len(_POINTS):
-        return a.cofactors(b)
+        return _sympy_cofactors(a, b)
     da = _gate_data(a)[0]
     db = _gate_data(b)[0]
     shared = [i for i, (x, y) in enumerate(zip(da, db)) if x and y]
@@ -423,23 +520,22 @@ def _cofactors(a, b):
                 got = _one_generator_cofactors(a, b, i)
                 if got is not None:
                     return got
-            return a.cofactors(b)
+            return _sympy_cofactors(a, b)
     return _content_cofactors(a, b)
 
 
 def _times(p, q):
     """p * q, or the other factor itself when p or q is 1."""
-    zero = p.ring.zero_monom
-    if len(q) == 1 and q.get(zero) == 1:
+    if len(q) == 1 and q.get(0) == 1:
         return p
-    if len(p) == 1 and p.get(zero) == 1:
+    if len(p) == 1 and p.get(0) == 1:
         return q
     return p * q
 
 
 def fraction_sum(pairs, zero):
-    """The sum of (numerator, denominator) pairs of ``zero``'s ring, as an
-    element of its field, with one final gcd.
+    """The sum of (numerator, denominator) pairs of kernel polynomials of
+    ``zero``'s field, as an element of that field, with one final gcd.
 
     Each denominator must have a positive leading coefficient; a pair need
     not be reduced.  Numerators over equal denominators are added first.
@@ -457,7 +553,8 @@ def fraction_sum(pairs, zero):
                 break
         else:
             groups.append([num, den])
-    cofactors = zero.field.cofactors
+    field = zero.field
+    cofactors = field.cofactors
     try:
         total = None
         for num, den in groups:
@@ -474,16 +571,16 @@ def fraction_sum(pairs, zero):
         _, num, den = cofactors(total, lcm)
         return zero._reduced(num, den)
     except HeuristicGCDFailed:
-        new = zero.raw_new
-        one = zero.field.ring.one
+        one = field.kernel.one
         out = zero
         for num, den in groups:
-            out = out + new(num, one) / new(den, one)
+            out = out + field.new(num, one) / field.new(den, one)
         return out
 
 
-class Scalar(FracElement):
-    """Element of a :class:`ScalarField`, always in sympy's canonical form.
+class Scalar(CantSympify):
+    """Element of a :class:`ScalarField`: the reduced pair ``num``/``den``
+    of kernel polynomials, in sympy's canonical form.
 
     Between two field elements, ``+ - * /`` use the Henrici-Knuth rules
     (Knuth, TAOCP vol. 2, 4.5.1), which rely on both operands being reduced:
@@ -494,97 +591,182 @@ class Scalar(FracElement):
       numerator against the shared denominator.
     * (a/b)(c/d) = (a/gcd(a,d))(c/gcd(c,b)) / ((b/gcd(c,b))(d/gcd(a,d))).
 
-    Each of these gcds goes through the field's gcd memo,
+    Two rational constants take the gcd of their integers instead.  Each
+    other gcd goes through the field's gcd memo,
     :meth:`ScalarField.cofactors`, and on a miss through the gate
-    ``_cofactors`` (see the module docstring): proven coprime from one image
-    mod q per shared generator, computed modularly when the operands share
-    one generator, and left to sympy's gcd otherwise.  The memo stores the
-    gate's triple under the content of the pair, for the life of the field,
-    when neither operand is constant and the two have at most
-    ``_MEMO_TERMS`` terms; pairs repeat because the check engine and the
-    verifier derive again what construction computed.  So a stored
+    ``_cofactors`` (see the module docstring): proven coprime from one
+    image mod q per shared generator, computed modularly when the operands
+    share one generator, and left to sympy's gcd otherwise.  The memo
+    stores the gate's triple under the content of the pair, for the life
+    of the field, when neither operand is constant and the two have at
+    most ``_MEMO_TERMS`` terms; pairs repeat because the check engine and
+    the verifier derive again what construction computed.  So a stored
     polynomial may be the numerator or denominator of many elements, and
-    none is changed in place (see :meth:`__pow__`).  A pair of terms keeps
-    these rules; a sum of more, taken by :func:`fraction_sum`, takes one
-    final gcd instead of one per partial sum.
+    none is changed in place.  A pair of terms keeps these rules; a sum of
+    more, taken by :func:`fraction_sum`, takes one final gcd instead of one
+    per partial sum.
 
-    Each result is the canonical form sympy's ``cancel`` would give, so it is
-    equal, hashes and prints the same.  An int divided by a field element
-    is that int's element divided by it, so ``1 / x`` is the inverse
-    without a full gcd, and zero divided by a nonzero element is that zero,
-    with no product.  Other mixed operations with ints, rationals or
-    polynomials keep sympy's own operation, and so does the rare operation
-    whose heuristic gcd fails (``HeuristicGCDFailed``): sympy then cancels
-    the whole result, a different gcd problem.  Code that builds elements
-    with ``raw_new`` must pass a reduced pair of the field's polynomials
-    over ZZ, the denominator's leading coefficient positive.
+    An int, a ``Fraction`` or another exact rational operand is that
+    rational's element; an int divided by a field element is that int's
+    element divided by it, so ``1 / x`` is the inverse without a full gcd,
+    and zero divided by a nonzero element is that zero, with no product.
+    The rare operation whose heuristic gcd fails (``HeuristicGCDFailed``)
+    cancels the whole unreduced result with sympy's ``cancel`` instead, a
+    different gcd problem.
+
+    Equal elements have equal pairs and hash alike; a rational constant
+    equals the int or ``Fraction`` of its value and hashes as it.  Any
+    other operand, a tower element included, gets ``NotImplemented``, so
+    that its own comparison or operator answers.
+
+    ``num`` and ``den`` are polynomials of the field's packed kernel (one
+    int key per monomial, 16 bits per generator, ``OverflowError`` for an
+    exponent beyond 2^15 - 1).  sympy objects are built from them for the
+    module docstring's four uses only: ``factor_list``, the gcds the gate
+    leaves to sympy, expressions and printing (``as_expr``, ``str``, which
+    go through sympy's ``FracElement``), and ``numer`` and ``denom``, the
+    pair as ``PolyElement`` objects of the field's ``ring``, built on each
+    read.
     """
 
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field, num, den):
+        self.field = field
+        self.num = num
+        self.den = den
+
+    # -- views -------------------------------------------------------------
+
+    @property
+    def numer(f):
+        return f.field.kernel.to_sympy(f.num)
+
+    @property
+    def denom(f):
+        return f.field.kernel.to_sympy(f.den)
+
+    def as_expr(f):
+        return f.field.plain(f).as_expr()
+
+    def __str__(f):
+        return str(f.field.plain(f))
+
+    __repr__ = __str__
+
+    # -- comparison --------------------------------------------------------
+
+    def __bool__(f):
+        return bool(f.num)
+
+    def __eq__(f, g):
+        if isinstance(g, Scalar):
+            return f.num == g.num and f.den == g.den and (
+                f.field is g.field or f.field == g.field)
+        if isinstance(g, (int, Fraction)):
+            num, den = f.num, f.den
+            return (len(den) == 1 and den.get(0) == g.denominator
+                    and num.get(0, 0) == g.numerator and num.is_ground())
+        return NotImplemented
+
+    def __hash__(f):
+        num, den = f.num, f.den
+        if len(den) == 1 and 0 in den and num.is_ground():
+            n, d = num.get(0, 0), den[0]
+            return hash(n) if d == 1 else hash(Fraction(n, d))
+        return hash((num, den))
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _operand(f, g):
+        """g as an element of f's field, or NotImplemented."""
+        if isinstance(g, Scalar):
+            return g if g.field is f.field or g.field == f.field \
+                else NotImplemented
+        if isinstance(g, int) or (hasattr(g, "numerator")
+                                  and hasattr(g, "denominator")):
+            return f.field.rational(g)
+        return NotImplemented
+
+    def __pos__(f):
+        return f
+
+    def __neg__(f):
+        return Scalar(f.field, -f.num, f.den)
+
     def __add__(f, g):
-        if f and (isinstance(g, Scalar) and g.field is f.field
-                  or f.field.is_element(g)) and g:
-            try:
-                return f._add(g.numer, g.denom)
-            except HeuristicGCDFailed:
-                pass
-        return super().__add__(g)
+        g = f._operand(g)
+        if g is NotImplemented or not f:
+            return g
+        if not g:
+            return f
+        try:
+            return f._add(g.num, g.den)
+        except HeuristicGCDFailed:
+            return f.field._cancelled(f.num * g.den + g.num * f.den,
+                                      f.den * g.den)
+
+    __radd__ = __add__
 
     def __sub__(f, g):
-        if f and (isinstance(g, Scalar) and g.field is f.field
-                  or f.field.is_element(g)) and g:
-            try:
-                return f._add(-g.numer, g.denom)
-            except HeuristicGCDFailed:
-                pass
-        return super().__sub__(g)
+        g = f._operand(g)
+        if g is NotImplemented:
+            return g
+        return f + (-g)
+
+    def __rsub__(f, g):
+        return (-f) + g
 
     def __mul__(f, g):
-        if f and (isinstance(g, Scalar) and g.field is f.field
-                  or f.field.is_element(g)) and g:
-            try:
-                return f._mul(g.numer, g.denom)
-            except HeuristicGCDFailed:
-                pass
-        return super().__mul__(g)
+        g = f._operand(g)
+        if g is NotImplemented:
+            return g
+        if not (f and g):
+            return f.field.zero
+        try:
+            return f._mul(g.num, g.den)
+        except HeuristicGCDFailed:
+            return f.field._cancelled(f.num * g.num, f.den * g.den)
+
+    __rmul__ = __mul__
 
     def __truediv__(f, g):
-        if (isinstance(g, Scalar) and g.field is f.field
-                or f.field.is_element(g)) and g:
-            if not f:
-                return f
-            try:
-                return f._mul(g.denom, g.numer)
-            except HeuristicGCDFailed:
-                pass
-        return super().__truediv__(g)
+        g = f._operand(g)
+        if g is NotImplemented:
+            return g
+        if not g:
+            raise ZeroDivisionError("division by zero in the ground field")
+        if not f:
+            return f
+        try:
+            return f._mul(g.den, g.num)
+        except HeuristicGCDFailed:
+            return f.field._cancelled(f.num * g.den, f.den * g.num)
 
     def __rtruediv__(f, c):
-        if f and isinstance(c, int):  # so ground_new(c) is exact
-            ring = f.field.ring
-            return f.raw_new(ring.ground_new(c), ring.one) / f
-        return super().__rtruediv__(c)
+        c = f._operand(c)
+        if c is NotImplemented:
+            return c
+        return c / f
 
     def __pow__(f, n):
-        """f**n for an int n, in canonical form.
-
-        sympy's own power leaves a negative power's sign in the denominator,
-        and ``PolyElement.square`` hashes the square before it is finished
-        (in ``imul_num``), so a square would hash unlike the equal product;
-        the copies drop that hash.  A polynomial that hashes unlike its
-        content would also be stored in the field's gcd memo under the
-        wrong key.
-        """
-        num, den = f.numer, f.denom
+        """f**n for an int n, in canonical form: powers of a reduced pair
+        stay coprime and jointly content-free, and ``_reduced`` moves a
+        negative power's sign to the numerator."""
+        num, den = f.num, f.den
         if n < 0:
             if not f:
-                raise ZeroDivisionError
+                raise ZeroDivisionError("zero to a negative power")
             num, den, n = den, num, -n
-        return f._reduced((num**n).copy(), (den**n).copy())
+        return f._reduced(num**n, den**n)
 
     def _add(f, c, d):
-        """f + c/d for a reduced, nonzero c/d."""
-        a, b = f.numer, f.denom
+        """f + c/d for a nonzero f and a reduced, nonzero c/d."""
+        a, b = f.num, f.den
         field = f.field
+        if len(a) == len(b) == len(c) == len(d) == 1 and \
+                0 in a and 0 in b and 0 in c and 0 in d:
+            return field._rational(a[0] * d[0] + c[0] * b[0], b[0] * d[0])
         if b == d:
             t = a + c
             if not t:
@@ -592,7 +774,7 @@ class Scalar(FracElement):
             _, num, den = field.cofactors(t, b)
             return f._reduced(num, den)
         g, b1, d1 = field.cofactors(b, d)
-        if len(g) == 1 and g.get(b.ring.zero_monom) == 1:
+        if len(g) == 1 and g.get(0) == 1:
             return f._reduced(_times(a, d) + _times(c, b), _times(b, d))
         t = _times(a, d1) + _times(c, b1)
         if not t:
@@ -601,20 +783,26 @@ class Scalar(FracElement):
         return f._reduced(num, _times(_times(g1, b1), d1))
 
     def _mul(f, c, d):
-        """f * (c/d) for coprime, nonzero c and d."""
-        zero = c.ring.zero_monom
-        if len(c) == len(d) == 1 and c.get(zero) == 1 and d.get(zero) == 1:
-            return f
+        """f * (c/d) for a nonzero f and coprime, nonzero c and d."""
+        a, b = f.num, f.den
+        if len(c) == len(d) == 1 and 0 in c and 0 in d:
+            cn, dn = c[0], d[0]
+            if cn == dn == 1:
+                return f
+            if len(a) == len(b) == 1 and 0 in a and 0 in b:
+                if dn < 0:
+                    cn, dn = -cn, -dn
+                return f.field._rational(a[0] * cn, b[0] * dn)
         cofactors = f.field.cofactors
-        _, a1, d1 = cofactors(f.numer, d)
-        _, c1, b1 = cofactors(c, f.denom)
+        _, a1, d1 = cofactors(a, d)
+        _, c1, b1 = cofactors(c, b)
         return f._reduced(_times(a1, c1), _times(b1, d1))
 
     def _reduced(f, num, den):
         """The element num/den from coprime integer polynomials."""
         if den.LC < 0:
             num, den = -num, -den
-        return f.raw_new(num, den)
+        return Scalar(f.field, num, den)
 
 
 class GroundField:
@@ -636,7 +824,8 @@ class GroundField:
     constant or the pair has more than ``_MEMO_TERMS`` terms.  Pairs repeat
     because results are checked again by code independent of the code that
     built them.  The memo dies with the ground field; nothing else empties
-    it.
+    it.  ``kernel`` is the field's packed polynomial ring and ``ring`` its
+    sympy twin.
     """
 
     def __init__(self, params=(), curve_var="s"):
@@ -650,8 +839,9 @@ class GroundField:
             seen.add(p)
         self.param_names = params
         self.curve_var = curve_var
-        self.field = ScalarField(list(params) + [curve_var], ZZ)
-        self.ring = self.field.to_ring()
+        self.field = ScalarField(list(params) + [curve_var])
+        self.kernel = self.field.kernel
+        self.ring = self.field.ring
         gens = self.field.gens
         self.param_gens = gens[: len(params)]
         self.s = gens[-1]
@@ -685,12 +875,9 @@ class GroundField:
             raise KeyError(f"unknown generator {name!r}") from None
 
     def from_rational(self, value):
-        """Embed an int / Fraction / sympy Rational / QQ element.  Each keeps
-        its numerator and a positive denominator coprime, so the two integer
-        constants are already the canonical pair and no gcd is taken."""
-        ring = self.ring
-        return self.field.raw_new(ring.ground_new(int(value.numerator)),
-                                  ring.ground_new(int(value.denominator)))
+        """Embed an int / Fraction / sympy Rational / QQ element, with no
+        gcd (:meth:`ScalarField.rational`)."""
+        return self.field.rational(value)
 
     def from_expr(self, expr):
         """Convert a sympy expression in the declared generators, at field
@@ -715,34 +902,34 @@ class GroundField:
         involves s; if p^e exactly divides b, then p^(e-1) exactly divides
         b' and g, so p divides neither c nor a (a/b is reduced), nor t.  So
         only gcd(t, g) can cancel.  A failing heuristic gcd falls back to
-        sympy's ``diff``.
+        sympy's ``cancel`` of (a' b - a b') / b^2.
         """
-        x = self.ring.gens[self._s_index]
-        a, b = f.numer, f.denom
-        da = a.diff(x)
+        i = self._s_index
+        a, b = f.num, f.den
+        da = a.diff(i)
         cofactors = self.field.cofactors
         try:
-            if b.degree(x) <= 0:
+            if b.degree(i) <= 0:
                 if not da:
                     return self.zero
                 _, num, den = cofactors(da, b)
                 return f._reduced(num, den)
-            g, b1, c = cofactors(b, b.diff(x))
+            g, b1, c = cofactors(b, b.diff(i))
             _, num, g1 = cofactors(da * b1 - a * c, g)
             return f._reduced(num, g1 * b1**2)
         except HeuristicGCDFailed:
-            return FracElement.diff(f, self.s)
+            return self.field._cancelled(da * b - a * b.diff(i), b * b)
 
     # --------------------------------------------------------------- queries
 
     def is_param_scalar(self, f):
         """True iff f is free of the curve variable."""
         i = self._s_index
-        return f.numer.degree(i) <= 0 and f.denom.degree(i) <= 0
+        return f.num.degree(i) <= 0 and f.den.degree(i) <= 0
 
     def is_rational_const(self, f):
         """True iff f is a rational number (free of all generators)."""
-        return f.numer.is_ground and f.denom.is_ground
+        return f.num.is_ground() and f.den.is_ground()
 
     # ----------------------------------------------------- polynomial views
 
@@ -752,25 +939,27 @@ class GroundField:
         Raises ValueError if the denominator involves s.
         """
         i = self._s_index
-        if f.denom.degree(i) > 0:
+        if f.den.degree(i) > 0:
             raise ValueError(f"{f} has s in its denominator")
-        one = self.ring.one
-        den = self.field.raw_new(f.denom, one)
+        K = self.kernel
+        new, one = self.field.new, K.one
+        den = new(f.den, one)
+        sh, mask = K.shifts[i], K.mask
         groups = {}
-        for mono, c in f.numer.terms():
-            free = mono[:i] + (0,) + mono[i + 1:]
-            groups.setdefault(mono[i], []).append((free, c))
+        for m, c in f.num.items():
+            k = (m >> sh) & mask
+            groups.setdefault(k, K.dtype())[m - (k << sh)] = c
         n = max(groups) if groups else -1
-        dense = [self.field.raw_new(self.ring.from_terms(groups[k]), one) / den
-                 if k in groups else self.zero for k in range(n + 1)]
+        dense = [new(groups[k], one) / den if k in groups else self.zero
+                 for k in range(n + 1)]
         return SPoly(self, dense)
 
     def numer_spoly(self, f):
         """Numerator of f as a polynomial in s (parameter-scalar coefficients)."""
-        return self.spoly(self.field.raw_new(f.numer, self.ring.one))
+        return self.spoly(self.field.new(f.num, self.kernel.one))
 
     def denom_spoly(self, f):
-        return self.spoly(self.field.raw_new(f.denom, self.ring.one))
+        return self.spoly(self.field.new(f.den, self.kernel.one))
 
     def nth_root(self, f, d):
         """Exact d-th root of a field element, or None when not a d-th power.
@@ -782,15 +971,17 @@ class GroundField:
             raise ValueError("root index must be positive")
         if not f:
             return self.zero
+        K = self.kernel
         parts = []
-        for poly in (f.numer, f.denom):
-            content, facs = poly.factor_list()
+        for poly in (f.num, f.den):
+            content, facs = K.to_sympy(poly).factor_list()
             croot = _fraction_nth_root(Fraction(content), d)
             if croot is None or any(mult % d for _, mult in facs):
                 return None
             acc = self.from_rational(croot)
             for base, mult in facs:
-                acc = acc * self.field.raw_new(base ** (mult // d))
+                acc = acc * self.field.new(K.from_sympy(base) ** (mult // d),
+                                           K.one)
             parts.append(acc)
         return parts[0] / parts[1]
 
@@ -809,7 +1000,7 @@ class GroundField:
             return None
 
         def frac(c):
-            return Fraction(int(c.numer.LC), int(c.denom.LC))
+            return Fraction(c.num.get(0, 0), c.den[0])
 
         return frac(const), {name: frac(c) for name, c in lin.items()}
 
@@ -821,27 +1012,24 @@ class GroundField:
         occurs in the denominator or the numerator is not affine in the
         parameters.
         """
-        si = self._s_index
-        for mono, _ in f.denom.terms():
-            if any(e and i != si for i, e in enumerate(mono)):
-                return None
+        K = self.kernel
+        s_field = K.mask << K.shifts[self._s_index]
+        if any(m & ~s_field for m in f.den):
+            return None
         groups = {}
-        for mono, c in f.numer.terms():
-            live = [i for i, e in enumerate(mono) if e and i != si]
+        for m in sorted(f.num, reverse=True):
+            params = K.unpack(m & ~s_field)
+            live = [i for i, e in enumerate(params) if e]
             if not live:
                 key = None
-            elif len(live) == 1 and mono[live[0]] == 1:
+            elif len(live) == 1 and params[live[0]] == 1:
                 key = live[0]
             else:
                 return None
-            rest = tuple(0 if i != si else e for i, e in enumerate(mono))
-            groups.setdefault(key, []).append((rest, c))
-        den = self.field.raw_new(f.denom, self.ring.one)
-        out = {}
-        for key, terms in groups.items():
-            num = self.field.raw_new(self.ring.from_terms(terms),
-                                     self.ring.one)
-            out[key] = num / den
+            groups.setdefault(key, K.dtype())[m & s_field] = f.num[m]
+        new, one = self.field.new, K.one
+        den = new(f.den, one)
+        out = {key: new(num, one) / den for key, num in groups.items()}
         const = out.pop(None, self.zero)
         return const, {self.param_names[i]: v for i, v in out.items()}
 
@@ -858,23 +1046,24 @@ class GroundField:
         """
         if not f:
             raise ValueError("zero has no factorization")
-        return [(fac, -mult) for fac, mult in self._poly_factors(f.denom)]
+        return [(fac, -mult) for fac, mult in self._poly_factors(f.den)]
 
     def _poly_factors(self, p):
-        """The monic s-dependent irreducible factors of p, with multiplicity,
-        cached by p; a polynomial free of s has none and is not factored."""
-        if p.degree(self._s_index) <= 0:
+        """The monic s-dependent irreducible factors of the kernel
+        polynomial p, with multiplicity, cached by p; a polynomial free of
+        s has none and is not factored."""
+        i = self._s_index
+        if p.degree(i) <= 0:
             return []
-        key = tuple(sorted(p.terms()))
-        hit = self._factor_cache.get(key)
+        hit = self._factor_cache.get(p)
         if hit is not None:
             return hit
-        _, facs = p.factor_list()
-        i = self._s_index
-        out = [(self.spoly(self.field.raw_new(base, self.ring.one)).monic(),
+        K = self.kernel
+        _, facs = K.to_sympy(p).factor_list()
+        out = [(self.spoly(self.field.new(K.from_sympy(base), K.one)).monic(),
                 mult)
                for base, mult in facs if base.degree(i) > 0]
-        self._factor_cache[key] = out
+        self._factor_cache[p] = out
         return out
 
 
@@ -883,7 +1072,7 @@ class SPoly:
 
     A deliberately small helper: the solver needs exact division, gcd, and
     evaluation of polynomials *in s only*, with coefficients in Q(alpha).
-    Coefficients are ground-field FracElements that happen to be s-free.
+    Coefficients are ground-field elements that happen to be s-free.
     ``coeffs[k]`` multiplies s^k; trailing zeros are stripped; the zero
     polynomial has an empty list.
     """
@@ -899,15 +1088,14 @@ class SPoly:
     # -- construction -------------------------------------------------------
 
     def to_element(self):
-        """Back to a FracElement of the ground field, the terms c_k s^k
+        """Back to an element of the ground field, the terms c_k s^k
         summed by one :func:`fraction_sum`."""
         gf = self.gf
-        ngens, i = gf.ring.ngens, gf._s_index
+        s_key = gf.kernel.gens[gf._s_index]
         pairs = []
         for k, c in enumerate(self.coeffs):
             if c:
-                shift = (0,) * i + (k,) + (0,) * (ngens - i - 1)
-                pairs.append((c.numer.mul_monom(shift), c.denom))
+                pairs.append((c.num * s_key**k, c.den))
         return fraction_sum(pairs, gf.zero)
 
     def key(self):

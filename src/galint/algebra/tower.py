@@ -275,7 +275,7 @@ class AlgebraicTower:
             elif len(cs) == 2:
                 v = cs[0] + cs[1]
             else:
-                v = fraction_sum([(c.numer, c.denom) for c in cs], zero)
+                v = fraction_sum([(c.num, c.den) for c in cs], zero)
             if v:
                 out[e] = v
         return FieldElem(t, out)
@@ -315,10 +315,10 @@ class AlgebraicTower:
                 v = ce * cf if c is None else ce * cf * c
             else:
                 v = fraction_sum([
-                    (_times(ce.numer, cf.numer), _times(ce.denom, cf.denom))
+                    (_times(ce.num, cf.num), _times(ce.den, cf.den))
                     if c is None else
-                    (_times(_times(ce.numer, cf.numer), c.numer),
-                     _times(_times(ce.denom, cf.denom), c.denom))
+                    (_times(_times(ce.num, cf.num), c.num),
+                     _times(_times(ce.den, cf.den), c.den))
                     for ce, cf, c in terms], zero)
             if v:
                 out[e] = v
@@ -477,7 +477,7 @@ class AlgebraicTower:
         mat, _, _ = self.regular_matrix(a)
         for point in _unit_points(len(self.gf.param_names) + 1):
             try:
-                spec = [[_value(f.numer, point) / _value(f.denom, point)
+                spec = [[_value(f.num, point) / _value(f.den, point)
                          for f in row] for row in mat]
             except ZeroDivisionError:
                 continue
@@ -507,9 +507,9 @@ class AlgebraicTower:
 
 
 def _value(p, point):
-    """An integer polynomial at a point of Q^n, over Q: the ring over ZZ
-    refuses rational arguments (``p(*point)`` raises ``CoercionFailed``)."""
-    return sum((c * math.prod(x**e for x, e in zip(point, m) if e)
+    """A kernel polynomial at a point of Q^n, over Q."""
+    unpack = p.ring.unpack
+    return sum((c * math.prod(x**e for x, e in zip(point, unpack(m)) if e)
                 for m, c in p.items()), QQ.zero)
 
 
@@ -584,8 +584,8 @@ class FieldElem:
             return self.coords == other.coords
         if isinstance(other, type(self.tower.gf.zero)):
             return self == self.tower.from_ground(other)
-        # an int or Fraction cannot hash as the ground scalar it would
-        # embed as (sympy hashes gf.from_rational(3) unlike 3)
+        # a tower element equals only tower elements and ground scalars;
+        # an int or Fraction is left to its own comparison
         return NotImplemented
 
     def __hash__(self):

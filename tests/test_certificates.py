@@ -122,7 +122,7 @@ def test_one_generator_gcds_match_sympy_end_to_end(monkeypatch, gf):
     def checked(a, b, i):
         got = real(a, b, i)
         if got is not None:
-            ref = a.cofactors(b)
+            ref = scalars._sympy_cofactors(a, b)
             assert got in (ref, tuple(-x for x in ref)), (a, b)
             taken.append(i)
         return got

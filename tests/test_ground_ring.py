@@ -21,6 +21,7 @@ from sympy.polys.polyerrors import HeuristicGCDFailed
 
 from galint.algebra import AlgebraicTower, GroundField
 from galint.algebra.places import evaluate_at, scalarize_constant
+from galint.algebra.scalars import ScalarField
 
 
 def operands(gf):
@@ -103,18 +104,44 @@ def test_constructors_and_views_yield_integer_polynomials(monkeypatch):
 
 
 def test_from_rational_takes_no_gcd(monkeypatch):
+    # no gcd of the kernel (the field's memo and gate, the gcd of two
+    # integer constants) and none of sympy's
     calls = []
-    cancel = sympy_rings.PolyElement.cancel
 
-    def spy(p, q):
-        calls.append((p, q))
-        return cancel(p, q)
+    def spy(owner, name):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(sympy_rings.PolyElement, "cancel", spy)
+        def wrapper(*args):
+            calls.append((name, args))
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(ScalarField, "cofactors")
+    spy(ScalarField, "_rational")
+    spy(sympy_rings.PolyElement, "cancel")
+    spy(sympy_rings.PolyElement, "cofactors")
     got = GF.from_rational(Fraction(-6, 4))
     assert not calls
     assert (got.numer, got.denom) == (GF.ring(-3), GF.ring(2))
     assert str(got) == "-3/2"
+
+
+def test_scalars_and_tower_elements_compare_both_ways():
+    # a scalar answers NotImplemented to a tower element, so the tower
+    # element's comparison decides in either order, and equal operands
+    # hash alike
+    T = AlgebraicTower(GF).extend("w", 2, 1 + S**2)
+    w = T.gen("w")
+    for x in (S, GF.from_rational(3)):
+        y = T.from_ground(x)
+        assert x == y and y == x
+        assert not (x != y) and not (y != x)
+        assert hash(x) == hash(y) and len({x, y}) == 1
+        assert x != w and w != x
+    assert GF.from_rational(3) == 3 and hash(GF.from_rational(3)) == hash(3)
+    half = GF.from_rational(Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
 
 
 ROOTS = GroundField(params=("alpha",))

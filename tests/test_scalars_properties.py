@@ -2,8 +2,11 @@
 
 The ground field's elements (``Scalar``) reach sympy's canonical form with
 gcds of denominators only; every result is checked against sympy's plain
-``FracElement`` operation on the same operands, in the field over ZZ that
-hosts them and in the field over QQ, whose printed form is the same.  Over
+``FracElement`` operation on the same operands, in the field over ZZ and in
+the field over QQ, whose printed form is the same.  The gcd gate and the
+memo work on the packed kernel's polynomials; their tests draw polynomials
+of sympy's ring, convert them with ``K.from_sympy`` and compare the results
+with sympy's ``cofactors`` after ``K.to_sympy``.  Over
 random small towers the tests check the field axioms, inverses, the Leibniz
 rule and that declared Galois maps commute with d/ds.
 """
@@ -26,6 +29,7 @@ from sympy.polys.polyerrors import HeuristicGCDFailed
 from galint.algebra import AlgebraicTower, GroundField
 from galint.algebra import scalars as scalars_module
 from galint.algebra.linalg import mat_mul
+from galint.algebra.packed import Poly
 from galint.algebra.scalars import (
     _MEMO_TERMS,
     _P,
@@ -45,6 +49,7 @@ GF = GroundField(params=("alpha", "beta"))
 S, ALPHA, BETA = GF.s, GF.gen("alpha"), GF.gen("beta")
 PLAIN = FracField(GF.field.symbols, ZZ)
 PLAIN_QQ = FracField(GF.field.symbols, QQ)
+K = GF.kernel
 
 PROPS = settings(max_examples=25, deadline=None, database=None,
                  derandomize=True)
@@ -84,12 +89,14 @@ def diff_s(f):
 
 
 def assert_reference(got, compute, *xs):
-    """got is compute(*xs) as sympy's plain field over ZZ gives it, and
-    prints as sympy's plain field over QQ gives it."""
+    """got is compute(*xs) as sympy's plain field over ZZ gives it, hashes
+    as that result brought back to the field, and prints as sympy's plain
+    fields over ZZ and over QQ give it."""
     ref = compute(*map(plain, xs))
     assert type(got) is Scalar
     assert (got.numer, got.denom) == (ref.numer, ref.denom)
-    assert hash(got) == hash(ref) and str(got) == str(ref)
+    back = GF.field.raw_new(ref.numer, ref.denom)
+    assert got == back and hash(got) == hash(back) and str(got) == str(ref)
     ref = compute(*(plain(x, PLAIN_QQ) for x in xs))
     qring = PLAIN_QQ.ring
     assert str(got) == str(ref)
@@ -146,13 +153,13 @@ def test_multiplying_by_one_returns_the_operand():
 def test_dividing_zero_returns_it_without_a_product(monkeypatch):
     x = (1 + S) / (ALPHA - S)
     calls = []
-    mul = sympy_rings.PolyElement.__mul__
+    mul = Poly.__mul__
 
     def counted(p, q):
         calls.append(1)
         return mul(p, q)
 
-    monkeypatch.setattr(sympy_rings.PolyElement, "__mul__", counted)
+    monkeypatch.setattr(Poly, "__mul__", counted)
     assert GF.zero / x is GF.zero
     assert not calls
     monkeypatch.undo()
@@ -182,6 +189,22 @@ def test_powers_equal_products(x, n):
         want = 1 / (x**-n)
         assert got == want and hash(got) == hash(want)
         assert str(got) == str(want)
+
+
+def test_a_square_is_stored_under_the_products_memo_key():
+    # the kernel hashes a power only once it is finished, so x**2 equals
+    # and hashes like x * x, and a gcd that takes the square's denominator
+    # is stored under the key the product's denominator finds
+    gf = GroundField(params=("alpha", "beta"))
+    s, alpha, beta = gf.s, gf.gen("alpha"), gf.gen("beta")
+    x = (1 + s) / (s**2 + alpha * s + beta)
+    square, product = x**2, x * x
+    assert square == product and hash(square) == hash(product)
+    assert str(square) == str(product)
+    assert square.den is not product.den
+    other = (s - alpha).num
+    got = gf.field.cofactors(square.den, other)
+    assert gf.field._gcd_memo[(product.den, other)] is got
 
 
 def test_inverse_of_a_negated_generator():
@@ -294,8 +317,8 @@ def sum_terms(draw):
     pairs = []
     for x in xs:
         k = draw(st.integers(-1, len(FACTORS) - 1))
-        f = GF.ring.one if k < 0 else FACTORS[k].numer
-        pairs.append((x.numer * f, x.denom * f))
+        f = K.one if k < 0 else FACTORS[k].num
+        pairs.append((x.num * f, x.den * f))
     return pairs, xs
 
 
@@ -319,7 +342,7 @@ def test_fraction_sum_falls_back_when_the_heuristic_gcd_fails(monkeypatch):
         xs = [1 / (s**2 + alpha) + 1 / (s - beta + 1),
               -1 / (s - beta + 1),
               beta / (s**2 + alpha) ** 2]
-        return gf.zero, [(x.numer, x.denom) for x in xs], xs
+        return gf.zero, [(x.num, x.den) for x in xs], xs
 
     zero, _, xs = terms()
     want = fold(xs, zero)
@@ -501,8 +524,15 @@ def common_factors(draw):
     return ZA**i * ZB**j * ZS**k
 
 
+def gate(a, b):
+    """``_cofactors`` on the kernel twins of sympy polynomials a and b,
+    with its triple brought back to sympy's ring."""
+    return tuple(map(K.to_sympy, _cofactors(K.from_sympy(a),
+                                            K.from_sympy(b))))
+
+
 def assert_gate_matches_sympy(a, b):
-    got = _cofactors(a, b)
+    got = gate(a, b)
     ref = a.cofactors(b)
     assert got in (ref, tuple(-x for x in ref))
 
@@ -574,14 +604,15 @@ def test_gate_data_is_stored_once_and_left_intact(g, x, y):
     # the gate's degrees and images live on its operands; a second run on
     # the same objects reuses them and must find them as the first left
     # them, though Euclid mod q uses up the lists it is given
-    a, b = g * x, g * y
+    a, b = K.from_sympy(g * x), K.from_sympy(g * y)
     first = _cofactors(a, b)
     assert _cofactors(a, b) == first
     for p in (a, b):
         degs, images = p._gate
-        assert degs == [max(e) for e in zip(*p)]
+        assert degs == [max(e) for e in zip(*K.to_sympy(p))]
         for i, image in images.items():
-            assert image == image_reference(p, i) == _image(p.copy(), i)
+            assert image == image_reference(K.to_sympy(p), i) \
+                == _image(K.dtype(p), i)
 
 
 # Common factors in one generator, planted in pairs that share only that
@@ -597,7 +628,7 @@ def cofactors_without_sympy(a, b):
         raise AssertionError(f"sympy's gcd reached on {f} and {g}")
 
     with mock.patch.object(sympy_rings.PolyElement, "cofactors", refuse):
-        return _cofactors(a, b)
+        return gate(a, b)
 
 
 def assert_one_generator_gcd(a, b):
@@ -729,7 +760,7 @@ def test_one_generator_gcd_of_a_pair_equal_mod_q(monkeypatch):
     b = ZS - 5 - _Q
     assert_one_generator_gcd(a, b)
     assert primes == [_Q, _P]
-    assert _cofactors(a, b) == (ZRING.one, a, b)
+    assert gate(a, b) == (ZRING.one, a, b)
 
 
 def test_one_shared_generator_never_reaches_sympy(monkeypatch):
@@ -745,7 +776,7 @@ def test_one_shared_generator_never_reaches_sympy(monkeypatch):
         return real(f, g)
 
     monkeypatch.setattr(sympy_rings.PolyElement, "cofactors", spy)
-    got = _cofactors(a, b)
+    got = gate(a, b)
     assert not calls
     assert got == (ZA**2 - 1, (ZA**2 - 1)**2 * (ZS + ZB), 18 * ZA + 54)
     gots = {op: OPS[op](x, y) for op in sorted(OPS)}
@@ -756,7 +787,7 @@ def test_one_shared_generator_never_reaches_sympy(monkeypatch):
     # a pair sharing alpha and s still goes to sympy
     c = (ZS**2 + ZA) * (ZS + ZB)
     d = (ZS**2 + ZA) * (ZS - ZB + 1)
-    got = _cofactors(c, d)
+    got = gate(c, d)
     assert calls == [(c, d)]
     assert got == real(c, d)
 
@@ -775,8 +806,8 @@ def memo_polys(draw):
     """The numerator or denominator of each of three scalars, times the
     denominator of a fourth, so that many pairs share a factor."""
     xs = [draw(scalars().filter(bool)) for _ in range(3)]
-    c = draw(scalars()).denom
-    return [draw(st.sampled_from((x.numer, x.denom))) * c for x in xs]
+    c = draw(scalars()).den
+    return [draw(st.sampled_from((x.num, x.den))) * c for x in xs]
 
 
 @GATE_PROPS
@@ -787,10 +818,11 @@ def test_memo_matches_the_gate_and_sympy(polys):
     # and the second, on copies, finds each by its content
     field = fresh_field()
     pairs = list(itertools.permutations(polys, 2))
-    for a, b in pairs + [(a.copy(), b.copy()) for a, b in pairs]:
+    for a, b in pairs + [(K.dtype(a), K.dtype(b)) for a, b in pairs]:
         got = field.cofactors(a, b)
         assert got == _cofactors(a, b)
-        ref = a.cofactors(b)
+        ref = K.to_sympy(a).cofactors(K.to_sympy(b))
+        got = tuple(map(K.to_sympy, got))
         assert got in (ref, tuple(-x for x in ref))
 
 
@@ -806,7 +838,8 @@ def test_memo_stores_no_constant_and_no_large_pair(monkeypatch):
     for a, b in ((ZRING(6), 4 * p), (4 * p, ZRING(-6)), (ZRING.one, p),
                  (p, ZRING.one)):
         ref = a.cofactors(b)
-        assert field.cofactors(a, b) in (ref, tuple(-x for x in ref))
+        got = field.cofactors(K.from_sympy(a), K.from_sympy(b))
+        assert tuple(map(K.to_sympy, got)) in (ref, tuple(-x for x in ref))
     monkeypatch.undo()
     assert not field._gcd_memo
 
@@ -814,17 +847,17 @@ def test_memo_stores_no_constant_and_no_large_pair(monkeypatch):
         """s + s^2 + ... + s^n, n terms."""
         return sum((ZS**k for k in range(1, n + 1)), ZRING.zero)
 
-    b = ZA + 1
-    big = powers(_MEMO_TERMS - 1)
+    b = K.from_sympy(ZA + 1)
+    big = K.from_sympy(powers(_MEMO_TERMS - 1))
     assert field.cofactors(big, b) == _cofactors(big, b)
     assert not field._gcd_memo
-    small = powers(_MEMO_TERMS - 2)
+    small = K.from_sympy(powers(_MEMO_TERMS - 2))
     assert field.cofactors(small, b) == _cofactors(small, b)
     assert list(field._gcd_memo) == [(small, b)]
 
     # a heuristic gcd that fails stores nothing
-    c = (ZS**2 + ZA) * (ZS + ZB)
-    d = (ZS**2 + ZA) * (ZS - ZB + 1)
+    c = K.from_sympy((ZS**2 + ZA) * (ZS + ZB))
+    d = K.from_sympy((ZS**2 + ZA) * (ZS - ZB + 1))
 
     def fail(f, g):
         raise HeuristicGCDFailed("forced")
