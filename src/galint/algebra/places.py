@@ -644,7 +644,7 @@ def residue_exponent(ctx, a):
     if scalar is None:
         return str(resid)
     e = Exponent.from_scalar(gf, scalar)
-    return e if e is not None else str(gf.to_expr(scalar))
+    return e if e is not None else str(scalar.as_expr())
 
 
 def fe_local_exponent(a, place):

@@ -43,10 +43,10 @@ only, where sympy does work that the kernel does not:
 
 1. ``factor_list``, in :meth:`GroundField.monic_s_factors` and
    :meth:`GroundField.nth_root`;
-2. the gcds that the gate below leaves to sympy's ``cofactors``, and
-   sympy's ``cancel`` of a whole result when its heuristic gcd fails;
-3. conversion from and to expressions and printing (``from_expr``,
-   ``as_expr``, ``str``), through sympy's ``FracField`` over ZZ;
+2. the gcds that the gate below leaves to sympy: its heuristic gcd
+   (``cofactors``), then the subresultant PRS gcd when that fails;
+3. conversion to expressions and printing (``as_expr``, ``str``), through
+   sympy's ``FracField`` over ZZ;
 4. the ``numer``/``denom`` views that code outside the kernel reads.
 
 Each gcd has one of three outcomes (Brown, J. ACM 18 (1971); von zur
@@ -74,7 +74,9 @@ Gathen and Gerhard, *Modern Computer Algebra*, 6.7).
   lift reads the gcd's coefficients off symmetric residues, so its primes
   are 2^61 - 1 and larger, whatever the gate's q.
 * Otherwise sympy's gcd decides: for two or more shared generators, or
-  once the primes are used up.
+  once the primes are used up.  Its heuristic gcd (Char, Geddes and
+  Gonnet, JSC 7 (1989)) can fail; the subresultant PRS gcd then decides,
+  so every gcd has an answer.
 
 Every gcd is the one sympy gives, up to a sign that the normal form fixes,
 so every result is unchanged.
@@ -108,6 +110,7 @@ from fractions import Fraction
 import sympy
 from sympy import ZZ
 from sympy.core.sympify import CantSympify
+from sympy.polys.euclidtools import dmp_rr_prs_gcd
 from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
 from sympy.polys.polyerrors import HeuristicGCDFailed
@@ -223,22 +226,6 @@ class ScalarField:
         """f as an element of sympy's ``FracField`` over ZZ."""
         return self._plain.raw_new(f.numer, f.denom)
 
-    def from_expr(self, expr):
-        """A sympy expression in the generators, at field level: a rational
-        coefficient stays a fraction of integers."""
-        f = self._plain.from_expr(expr)
-        return self.raw_new(f.numer, f.denom)
-
-    def _cancelled(self, num, den):
-        """num/den reduced by sympy's ``cancel``, the way out when the
-        gate's gcd fails (``HeuristicGCDFailed``): a gcd of the whole pair,
-        a different problem for sympy's heuristic gcd."""
-        if not num:
-            return self.zero
-        K = self.kernel
-        p, q = K.to_sympy(num).cancel(K.to_sympy(den))
-        return Scalar(self, K.from_sympy(p), K.from_sympy(q))
-
     # -- the gcd memo ------------------------------------------------------
 
     def cofactors(self, a, b):
@@ -249,8 +236,8 @@ class ScalarField:
         and (1, a, b) at once when either operand has constant term 1, an
         operand 1 included.  A pair of at most ``_MEMO_TERMS`` terms in all
         is looked up by the content of (a, b), in that order; a miss runs
-        the gate and stores its triple, unless the gate raises
-        ``HeuristicGCDFailed``.  Larger pairs run the gate every time.
+        the gate and stores its triple.  Larger pairs run the gate every
+        time.
         """
         if len(a) == 1 and 0 in a or len(b) == 1 and 0 in b:
             if a.get(0) == 1 or b.get(0) == 1:
@@ -409,8 +396,6 @@ def _gcd_z(f, g):
     return None
 
 
-
-
 def _content_cofactors(a, b):
     """``a.cofactors(b)`` when the gcd is c, the gcd of the contents."""
     c = math.gcd(*a.values(), *b.values())
@@ -420,9 +405,17 @@ def _content_cofactors(a, b):
 
 
 def _sympy_cofactors(a, b):
-    """``a.cofactors(b)`` by sympy's gcd, on the sympy twins of a and b."""
+    """``a.cofactors(b)`` by sympy, on the sympy twins of a and b: its
+    sparse heuristic gcd, and when that fails the subresultant PRS gcd on
+    their dense forms, which always has an answer."""
     ring = a.ring
-    got = ring.to_sympy(a).cofactors(ring.to_sympy(b))
+    f, g = ring.to_sympy(a), ring.to_sympy(b)
+    try:
+        got = f.cofactors(g)
+    except HeuristicGCDFailed:
+        R = f.ring
+        got = map(R.from_dense, dmp_rr_prs_gcd(f.to_dense(), g.to_dense(),
+                                               R.ngens - 1, R.domain))
     return tuple(map(ring.from_sympy, got))
 
 
@@ -543,7 +536,7 @@ def fraction_sum(pairs, zero):
     denominators only: N/D + n/d = (N d' + n D') / (D d') with D = g D',
     d = g d'.  Then N/D is the sum, and cancelling gcd(N, D) leaves the
     canonical form (``_reduced`` fixes the sign).  A zero sum takes no
-    final gcd.  A failing heuristic gcd falls back to a fold of ``+``.
+    final gcd.
     """
     groups = []
     for num, den in pairs:
@@ -553,29 +546,21 @@ def fraction_sum(pairs, zero):
                 break
         else:
             groups.append([num, den])
-    field = zero.field
-    cofactors = field.cofactors
-    try:
-        total = None
-        for num, den in groups:
-            if not num:
-                continue
-            if total is None:
-                total, lcm = num, den
-                continue
-            _, d1, den1 = cofactors(lcm, den)
-            total = _times(total, den1) + _times(num, d1)
-            lcm = _times(lcm, den1)
-        if not total:
-            return zero
-        _, num, den = cofactors(total, lcm)
-        return zero._reduced(num, den)
-    except HeuristicGCDFailed:
-        one = field.kernel.one
-        out = zero
-        for num, den in groups:
-            out = out + field.new(num, one) / field.new(den, one)
-        return out
+    cofactors = zero.field.cofactors
+    total = None
+    for num, den in groups:
+        if not num:
+            continue
+        if total is None:
+            total, lcm = num, den
+            continue
+        _, d1, den1 = cofactors(lcm, den)
+        total = _times(total, den1) + _times(num, d1)
+        lcm = _times(lcm, den1)
+    if not total:
+        return zero
+    _, num, den = cofactors(total, lcm)
+    return zero._reduced(num, den)
 
 
 class Scalar(CantSympify):
@@ -596,7 +581,8 @@ class Scalar(CantSympify):
     :meth:`ScalarField.cofactors`, and on a miss through the gate
     ``_cofactors`` (see the module docstring): proven coprime from one
     image mod q per shared generator, computed modularly when the operands
-    share one generator, and left to sympy's gcd otherwise.  The memo
+    share one generator, and left to sympy otherwise (its heuristic gcd,
+    then the subresultant PRS gcd when that fails).  The memo
     stores the gate's triple under the content of the pair, for the life
     of the field, when neither operand is constant and the two have at
     most ``_MEMO_TERMS`` terms; pairs repeat because the check engine and
@@ -610,9 +596,6 @@ class Scalar(CantSympify):
     rational's element; an int divided by a field element is that int's
     element divided by it, so ``1 / x`` is the inverse without a full gcd,
     and zero divided by a nonzero element is that zero, with no product.
-    The rare operation whose heuristic gcd fails (``HeuristicGCDFailed``)
-    cancels the whole unreduced result with sympy's ``cancel`` instead, a
-    different gcd problem.
 
     Equal elements have equal pairs and hash alike; a rational constant
     equals the int or ``Fraction`` of its value and hashes as it.  Any
@@ -700,11 +683,7 @@ class Scalar(CantSympify):
             return g
         if not g:
             return f
-        try:
-            return f._add(g.num, g.den)
-        except HeuristicGCDFailed:
-            return f.field._cancelled(f.num * g.den + g.num * f.den,
-                                      f.den * g.den)
+        return f._add(g.num, g.den)
 
     __radd__ = __add__
 
@@ -723,10 +702,7 @@ class Scalar(CantSympify):
             return g
         if not (f and g):
             return f.field.zero
-        try:
-            return f._mul(g.num, g.den)
-        except HeuristicGCDFailed:
-            return f.field._cancelled(f.num * g.num, f.den * g.den)
+        return f._mul(g.num, g.den)
 
     __rmul__ = __mul__
 
@@ -738,10 +714,7 @@ class Scalar(CantSympify):
             raise ZeroDivisionError("division by zero in the ground field")
         if not f:
             return f
-        try:
-            return f._mul(g.den, g.num)
-        except HeuristicGCDFailed:
-            return f.field._cancelled(f.num * g.den, f.den * g.num)
+        return f._mul(g.den, g.num)
 
     def __rtruediv__(f, c):
         c = f._operand(c)
@@ -879,14 +852,6 @@ class GroundField:
         gcd (:meth:`ScalarField.rational`)."""
         return self.field.rational(value)
 
-    def from_expr(self, expr):
-        """Convert a sympy expression in the declared generators, at field
-        level: a rational coefficient stays a fraction of integers."""
-        return self.field.from_expr(expr)
-
-    def to_expr(self, f):
-        return f.as_expr()
-
     # ------------------------------------------------------------ derivation
 
     def diff_s(self, f):
@@ -894,31 +859,27 @@ class GroundField:
         the reduced pair a/b, its gcds taken by the field's gcd memo and
         gate: proven coprime, computed modularly when the two polynomials
         share one generator (say b free of s and in one parameter), or left
-        to sympy's gcd.
+        to sympy (its heuristic gcd, then the subresultant PRS gcd).
 
         When b is free of s, (a/b)' = a'/b and only gcd(a', b) can cancel.
         Otherwise write b = g b1 and b' = g c with g = gcd(b, b'): then
         (a/b)' = t / (g b1^2) with t = a' b1 - a c.  A prime p dividing b1
         involves s; if p^e exactly divides b, then p^(e-1) exactly divides
         b' and g, so p divides neither c nor a (a/b is reduced), nor t.  So
-        only gcd(t, g) can cancel.  A failing heuristic gcd falls back to
-        sympy's ``cancel`` of (a' b - a b') / b^2.
+        only gcd(t, g) can cancel.
         """
         i = self._s_index
         a, b = f.num, f.den
         da = a.diff(i)
         cofactors = self.field.cofactors
-        try:
-            if b.degree(i) <= 0:
-                if not da:
-                    return self.zero
-                _, num, den = cofactors(da, b)
-                return f._reduced(num, den)
-            g, b1, c = cofactors(b, b.diff(i))
-            _, num, g1 = cofactors(da * b1 - a * c, g)
-            return f._reduced(num, g1 * b1**2)
-        except HeuristicGCDFailed:
-            return self.field._cancelled(da * b - a * b.diff(i), b * b)
+        if b.degree(i) <= 0:
+            if not da:
+                return self.zero
+            _, num, den = cofactors(da, b)
+            return f._reduced(num, den)
+        g, b1, c = cofactors(b, b.diff(i))
+        _, num, g1 = cofactors(da * b1 - a * c, g)
+        return f._reduced(num, g1 * b1**2)
 
     # --------------------------------------------------------------- queries
 

@@ -110,7 +110,7 @@ def _dquot(r):
     return r.num.table, r.den.table, min(r.num.N, r.den.N)
 
 
-def _dratio(r, tower, inverses=None):
+def _dratio(r, tower, inverses):
     """A field column as a plain dense dict plus its faithful window: the
     denominator's monomial content is cancelled (the window shrinks by its
     degree) and what is left is inverted, or read from ``inverses``, a
@@ -133,8 +133,6 @@ def _dratio(r, tower, inverses=None):
             den = {tuple(a - b for a, b in zip(i, m)): c
                    for i, c in den.items()}
             window -= sum(m)
-    if inverses is None:
-        inverses = {}
     key = (frozenset(den.items()), window)
     if key not in inverses:
         inverses[key] = _dinv(den, window, tower) if den else None

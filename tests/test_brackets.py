@@ -110,7 +110,7 @@ def test_dense_conversion_commutes_with_the_quotient_rule(r):
     # degree below the window
     tower = r.num.basis.hs[0].tower
     num, den, _w = _dquot(r)
-    e, window = _dratio(r, tower)
+    e, window = _dratio(r, tower, {})
     top = window - 1
     for j in range(NQ + 1):
         X = [{(0,) * NQ: tower.one} if m == j else {} for m in range(NQ + 1)]
@@ -135,7 +135,7 @@ def test_non_unit_denominators_are_not_expandable():
     unit = RatioSeries(one, one)
     for bad in (q1_plus_q2, over_q1):
         with pytest.raises(NotExpandable):
-            _dratio(bad, BASE)
+            _dratio(bad, BASE, {})
         with pytest.raises(NotExpandable):
             scan_frame([[unit, unit, bad], [unit, unit, unit]], (), N)
         # an integral is checked cross-multiplied, not expanded: the field
@@ -146,7 +146,7 @@ def test_non_unit_denominators_are_not_expandable():
             scan_frame([[unit, unit, unit]], [bad], N, brackets=False)
     # the quotient by a monomial that divides the numerator is a series,
     # one degree narrower
-    assert _dratio(divisible, BASE) == (
+    assert _dratio(divisible, BASE, {}) == (
         {(0, 0): BASE.from_ground(S), (1, 1): BASE.one}, N - 1)
 
 
@@ -157,7 +157,8 @@ def test_zero_divisor_constant_raises_with_its_witness():
     B = HyperexpBasis((T.zero,))
     r = RatioSeries(q_series(B, N, {(0,): T.one}),
                     q_series(B, N, {(0,): w_minus_s, (1,): T.one}))
-    for refuse in (lambda: _dratio(r, T), lambda: scan_frame([[r, r]], (), N)):
+    for refuse in (lambda: _dratio(r, T, {}),
+                   lambda: scan_frame([[r, r]], (), N)):
         with pytest.raises(ZeroDivisor) as err:
             refuse()
         assert (w_minus_s * err.value.witness).is_zero()

@@ -24,7 +24,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, ZZ
 from sympy.polys.fields import FracField
-from sympy.polys.polyerrors import HeuristicGCDFailed
 
 from galint.algebra import AlgebraicTower, GroundField
 from galint.algebra import scalars as scalars_module
@@ -41,9 +40,13 @@ from galint.algebra.scalars import (
     _cofactors,
     _gcd_mod,
     _image,
+    _sympy_cofactors,
     fraction_sum,
 )
 from galint.series import HyperexpBasis, TruncSeries
+
+from test_ground_ring import operands
+from test_series import one_dw_flow
 
 GF = GroundField(params=("alpha", "beta"))
 S, ALPHA, BETA = GF.s, GF.gen("alpha"), GF.gen("beta")
@@ -88,20 +91,28 @@ def diff_s(f):
     return f.diff(f.field.gens[-1])
 
 
-def assert_reference(got, compute, *xs):
-    """got is compute(*xs) as sympy's plain field over ZZ gives it, hashes
-    as that result brought back to the field, and prints as sympy's plain
-    fields over ZZ and over QQ give it."""
-    ref = compute(*map(plain, xs))
+def references(compute, *xs):
+    """compute(*xs) as sympy's plain fields over ZZ and over QQ give it."""
+    return (compute(*map(plain, xs)),
+            compute(*(plain(x, PLAIN_QQ) for x in xs)))
+
+
+def assert_matches(got, ref, ref_qq):
+    """got is ref, sympy's result over ZZ, hashes as ref brought back to the
+    field, and prints as ref and as ref_qq, sympy's result over QQ."""
     assert type(got) is Scalar
     assert (got.numer, got.denom) == (ref.numer, ref.denom)
     back = GF.field.raw_new(ref.numer, ref.denom)
     assert got == back and hash(got) == hash(back) and str(got) == str(ref)
-    ref = compute(*(plain(x, PLAIN_QQ) for x in xs))
     qring = PLAIN_QQ.ring
-    assert str(got) == str(ref)
+    assert str(got) == str(ref_qq)
     assert (got.numer.set_ring(qring), got.denom.set_ring(qring)) == (
-        ref.numer, ref.denom)
+        ref_qq.numer, ref_qq.denom)
+
+
+def assert_reference(got, compute, *xs):
+    """got is compute(*xs) as sympy's plain fields give it."""
+    assert_matches(got, *references(compute, *xs))
 
 
 # --------------------------------------------------------------------------
@@ -237,49 +248,21 @@ def test_diff_s_matches_sympy(f):
     assert_reference(GF.diff_s(f), diff_s, f)
 
 
-def test_diff_s_falls_back_when_the_heuristic_gcd_fails(monkeypatch):
-    # gcd(b, b') = S^2 + ALPHA has positive degree, so the gate passes it on
-    # to sympy's heuristic gcd
-    x = (BETA + S) / ((S**2 + ALPHA) ** 2 * (S - BETA + 1))
-    real = sympy_rings.heugcd
-    failures = []
-
-    def fail_once(f, g):
-        if not failures:
-            failures.append((f, g))
-            raise HeuristicGCDFailed("forced")
-        return real(f, g)
-
-    monkeypatch.setattr(sympy_rings, "heugcd", fail_once)
-    got = GF.diff_s(x)
-    monkeypatch.setattr(sympy_rings, "heugcd", real)
-    assert failures
-    assert_reference(got, diff_s, x)
-
-
-def test_failed_heuristic_gcd_falls_back(monkeypatch):
+def test_failed_heuristic_gcd_falls_back(request):
     # every operation meets a gcd of positive degree, which the modular
     # coprimality gate passes on to sympy: the shared S^2 + ALPHA of the
     # denominators for + - and /, and S - BETA + 1 of y's numerator and
-    # x's denominator for *
-    x = (1 + S) / ((S**2 + ALPHA) * (S - BETA + 1))
-    y = (BETA - S) * (S - BETA + 1) / (S**2 + ALPHA)
-    real = sympy_rings.heugcd
-    failures = []
-
-    def fail_once(f, g):
-        if not failures:
-            failures.append((f, g))
-            raise HeuristicGCDFailed("forced")
-        return real(f, g)
-
+    # x's denominator for *.  With sympy's heuristic gcd failing on every
+    # call, each result, on a fresh field whose gcd memo has decided no
+    # pair yet, is still the one sympy's plain fields give.
+    x, y = operands(GF)
+    want = {op: references(OPS[op], x, y) for op in OPS}
+    calls = request.getfixturevalue("heuristic_gcd_fails")
     for op in sorted(OPS):
-        failures.clear()
-        monkeypatch.setattr(sympy_rings, "heugcd", fail_once)
-        got = OPS[op](x, y)
-        monkeypatch.setattr(sympy_rings, "heugcd", real)
-        assert failures, f"{op} never reached the heuristic gcd"
-        assert_reference(got, OPS[op], x, y)
+        calls.clear()
+        got = OPS[op](*operands(GroundField(params=("alpha", "beta"))))
+        assert calls, f"{op} never reached the heuristic gcd"
+        assert_matches(got, *want[op])
 
 
 # --------------------------------------------------------------------------
@@ -327,50 +310,6 @@ def sum_terms(draw):
 def test_fraction_sum_matches_the_pairwise_fold(case):
     pairs, xs = case
     assert_same(fraction_sum(pairs, GF.zero), fold(xs))
-
-
-def test_fraction_sum_falls_back_when_the_heuristic_gcd_fails(monkeypatch):
-    # the sum is (S^2 + ALPHA + BETA) / (S^2 + ALPHA)^2: the denominators
-    # share S - BETA + 1 or S^2 + ALPHA, and the summed numerator shares
-    # S - BETA + 1 with the lcm, gcds in two generators that the gate passes
-    # on to sympy's heuristic gcd; each of its calls fails in turn.  Each
-    # run sums on a fresh field, whose gcd memo has decided none of the
-    # pairs, and the fold that gives the wanted sum runs on another one.
-    def terms():
-        gf = GroundField(params=("alpha", "beta"))
-        s, alpha, beta = gf.s, gf.gen("alpha"), gf.gen("beta")
-        xs = [1 / (s**2 + alpha) + 1 / (s - beta + 1),
-              -1 / (s - beta + 1),
-              beta / (s**2 + alpha) ** 2]
-        return gf.zero, [(x.num, x.den) for x in xs], xs
-
-    zero, _, xs = terms()
-    want = fold(xs, zero)
-    real = sympy_rings.heugcd
-    seen = []
-
-    def fail_at(k):
-        def heugcd(f, g):
-            seen.append((f, g))
-            if len(seen) == k + 1:
-                raise HeuristicGCDFailed("forced")
-            return real(f, g)
-        return heugcd
-
-    zero, pairs, _ = terms()
-    monkeypatch.setattr(sympy_rings, "heugcd", fail_at(-1))
-    assert_same(fraction_sum(pairs, zero), want)
-    monkeypatch.setattr(sympy_rings, "heugcd", real)
-    calls = len(seen)
-    assert calls == 3
-    for k in range(calls):
-        zero, pairs, _ = terms()
-        seen.clear()
-        monkeypatch.setattr(sympy_rings, "heugcd", fail_at(k))
-        got = fraction_sum(pairs, zero)
-        monkeypatch.setattr(sympy_rings, "heugcd", real)
-        assert len(seen) > k
-        assert_same(got, want)
 
 
 # --------------------------------------------------------------------------
@@ -479,6 +418,80 @@ def test_s_free_denominators_are_not_factored(monkeypatch):
     facs = gf.monic_s_factors(alpha / ((alpha - 1) * (s**2 + alpha)))
     assert [(p.to_element(), v) for p, v in facs] == [(s**2 + alpha, -1)]
     assert len(factored) == 1 and len(gf._factor_cache) == 1
+
+
+# --------------------------------------------------------------------------
+# a failing heuristic gcd
+
+
+def diff_s_case(gf):
+    # gcd(b, b') = s^2 + alpha, in two generators
+    s, alpha, beta = gf.s, gf.gen("alpha"), gf.gen("beta")
+    return gf.diff_s((beta + s) / ((s**2 + alpha) ** 2 * (s - beta + 1)))
+
+
+def fraction_sum_case(gf):
+    # (s^2 + alpha + beta) / (s^2 + alpha)^2: the denominators share
+    # s - beta + 1 or s^2 + alpha, and the summed numerator shares
+    # s - beta + 1 with the lcm
+    s, alpha, beta = gf.s, gf.gen("alpha"), gf.gen("beta")
+    xs = [1 / (s**2 + alpha) + 1 / (s - beta + 1), -1 / (s - beta + 1),
+          beta / (s**2 + alpha) ** 2]
+    return fraction_sum([(x.num, x.den) for x in xs], gf.zero)
+
+
+def to_element_case(gf):
+    # the coefficients' denominators share alpha + beta; building them
+    # takes no gcd in two generators, so only to_element meets one
+    alpha, beta = gf.gen("alpha"), gf.gen("beta")
+    return SPoly(gf, [1 / ((alpha + beta) * (alpha - beta)),
+                      alpha / ((alpha + beta) * (alpha * beta + 1)),
+                      beta / (alpha * beta + 1)]).to_element()
+
+
+def operation_case(op):
+    return lambda gf: op(*operands(gf))
+
+
+FAILING_GCD_CASES = {
+    "add": operation_case(operator.add),
+    "sub": operation_case(operator.sub),
+    "mul": operation_case(operator.mul),
+    "truediv": operation_case(operator.truediv),
+    "diff_s": diff_s_case,
+    "fraction_sum": fraction_sum_case,
+    "to_element": to_element_case,
+    "one_dw_flow": lambda gf: one_dw_flow(6),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILING_GCD_CASES))
+def test_a_failing_heuristic_gcd_changes_no_result(request, monkeypatch,
+                                                    case):
+    # with sympy's heuristic gcd failing on every call, the subresultant
+    # PRS gcd decides what the gate leaves to sympy, and each result, the
+    # 1dw formal flow at N = 6 included, is the one the heuristic gcd
+    # gives; nothing calls sympy's cancel, whose heuristic gcd has no
+    # fallback.  Each run builds a fresh field, whose gcd memo has decided
+    # no pair yet.
+    compute = FAILING_GCD_CASES[case]
+    want = compute(GroundField(params=("alpha", "beta")))
+    calls = request.getfixturevalue("heuristic_gcd_fails")
+    cancels = []
+    cancel = sympy_rings.PolyElement.cancel
+
+    def spy(f, g):
+        cancels.append((f, g))
+        return cancel(f, g)
+
+    monkeypatch.setattr(sympy_rings.PolyElement, "cancel", spy)
+    got = compute(GroundField(params=("alpha", "beta")))
+    assert calls, f"{case} never reached the heuristic gcd"
+    assert not cancels
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same(got, want)
 
 
 # --------------------------------------------------------------------------
@@ -826,7 +839,7 @@ def test_memo_matches_the_gate_and_sympy(polys):
         assert got in (ref, tuple(-x for x in ref))
 
 
-def test_memo_stores_no_constant_and_no_large_pair(monkeypatch):
+def test_memo_stores_no_constant_and_no_large_pair(request, monkeypatch):
     field = fresh_field()
     p = ZS**2 + ZA
 
@@ -855,17 +868,17 @@ def test_memo_stores_no_constant_and_no_large_pair(monkeypatch):
     assert field.cofactors(small, b) == _cofactors(small, b)
     assert list(field._gcd_memo) == [(small, b)]
 
-    # a heuristic gcd that fails stores nothing
+    # a pair whose heuristic gcd fails is stored with the subresultant PRS
+    # triple, sympy's own triple up to sign
     c = K.from_sympy((ZS**2 + ZA) * (ZS + ZB))
     d = K.from_sympy((ZS**2 + ZA) * (ZS - ZB + 1))
-
-    def fail(f, g):
-        raise HeuristicGCDFailed("forced")
-
-    monkeypatch.setattr(sympy_rings, "heugcd", fail)
-    with pytest.raises(HeuristicGCDFailed):
-        field.cofactors(c, d)
-    assert list(field._gcd_memo) == [(small, b)]
+    ref = _sympy_cofactors(c, d)
+    calls = request.getfixturevalue("heuristic_gcd_fails")
+    got = field.cofactors(c, d)
+    assert calls
+    assert got in (ref, tuple(-x for x in ref))
+    assert list(field._gcd_memo) == [(small, b), (c, d)]
+    assert field._gcd_memo[(c, d)] is got
 
 
 def test_memo_dies_with_its_field():
