@@ -370,15 +370,14 @@ def solve_rational_system(ground, M, G, *, extra_cols=(), conditions=None):
                [[one if k == j else zero for k in range(ncols)]
                 for j in range(ncols)])
     if conditions is not None:
-        seen = {str(c) for c in conditions}
+        seen = set(conditions)
         for pv in pivots:
-            for part in (gf.field.new(pv.num, gf.kernel.one),
-                         gf.field.new(pv.den, gf.kernel.one)):
+            for part in (gf.new(pv.num, gf.kernel.one),
+                         gf.new(pv.den, gf.kernel.one)):
                 if gf.is_rational_const(part):
                     continue
-                k = str(part)
-                if k not in seen:
-                    seen.add(k)
+                if part not in seen:
+                    seen.add(part)
                     conditions.append(part)
     if sol is None:
         if sound_detail is None:

@@ -48,7 +48,7 @@ from fractions import Fraction
 from math import gcd
 
 from ..errors import NotExpandable, TowerError, VerificationFailed, ZeroDivisor
-from .scalars import SPoly
+from .scalars import SPoly, Scalar
 from .tower import AlgebraicTower, FieldElem
 
 __all__ = [
@@ -251,12 +251,12 @@ class Lau:
         return Lau(self.ct, self.v + k, list(self.cs))
 
     def binom_pow(self, exponent, rel_prec):
-        """(self)^exponent for Fraction exponent, valid when cs[0] invertible.
+        """(1 + x)^e for this series 1 + x, x = O(u), by the binomial
+        series sum_k binom(e, k) x^k to relative precision ``rel_prec``.
 
-        Returns (leading-free) the series (cs[0] + cs[1]u + ...)^e as
-        1-leading form requires factoring out cs[0]; the caller handles the
-        leading coefficient and the u^{v·e} shift.  Here self must have v = 0
-        and cs[0] = 1 (tangent form); exponent may be any Fraction.
+        Self must have v = 0 and cs[0] = 1, and e may be any Fraction.  A
+        series with another leading term c u^v is first divided by it; the
+        caller then scales by c^e, a chosen root, and shifts by u^(v e).
         """
         ct = self.ct
         if self.v != 0 or not self.cs or self.cs[0] != ct.one:
@@ -301,7 +301,7 @@ def _normalize_location(gf, loc):
         return loc
     if isinstance(loc, SingularPlace):
         return _normalize_location(gf, loc.location)
-    if gf is not None and not isinstance(loc, type(gf.zero)):
+    if gf is not None and not isinstance(loc, Scalar):
         return gf.from_rational(loc)
     return loc
 
@@ -321,7 +321,7 @@ class PlaceContext:
         self.tower = tower
         self.gf = gf = tower.gf
         self.loc = _normalize_location(gf, location)
-        if isinstance(self.loc, type(gf.zero)) and not gf.is_param_scalar(self.loc):
+        if isinstance(self.loc, Scalar) and not gf.is_param_scalar(self.loc):
             raise NotExpandable("place location must be a scalar (s-free) value")
         ct = AlgebraicTower(gf)
         if isinstance(self.loc, SPoly):

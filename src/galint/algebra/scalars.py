@@ -2,10 +2,12 @@
 
 Everything upstairs (radical towers, local expansions, the ODE solver) works
 with elements of a single rational function field: the formal parameters
-``alpha_i`` and the curve coordinate ``s`` over Q.  An element is a
-:class:`Scalar`, a reduced pair of polynomials of Z[alpha_1, ..., alpha_p, s]
-held on the packed-exponent kernel of :mod:`galint.algebra.packed`, and
-:class:`GroundField` adds the structure the rest of the package needs:
+``alpha_i`` and the curve coordinate ``s`` over Q.  That field is one
+object, a :class:`GroundField`.  An element is a :class:`Scalar`, a reduced
+pair of polynomials of Z[alpha_1, ..., alpha_p, s] held on the field's
+packed-exponent kernel (:mod:`galint.algebra.packed`), and its ``field`` is
+the ground field itself, which holds the arithmetic's gcd memo and adds the
+structure the rest of the package needs:
 
 * the distinguished role of ``s`` (derivation d/ds, degrees in s,
   polynomial-in-s views with coefficients in the parameter subfield);
@@ -39,7 +41,8 @@ positive.  So equal elements have equal pairs, and every printed result is
 the one sympy's ``FracField`` over ZZ gives.
 
 sympy's ``PolyElement`` is built from the kernel on demand, for four uses
-only, where sympy does work that the kernel does not:
+only, where sympy does work that the kernel does not (sympy is imported
+only under :mod:`galint.algebra`, and its ``FracField`` only here):
 
 1. ``factor_list``, in :meth:`GroundField.monic_s_factors` and
    :meth:`GroundField.nth_root`;
@@ -81,22 +84,22 @@ Gathen and Gerhard, *Modern Computer Algebra*, 6.7).
 Every gcd is the one sympy gives, up to a sign that the normal form fixes,
 so every result is unchanged.
 
-Each field decides a pair once: ``ScalarField.cofactors`` keeps a gcd memo
-from a pair (a, b) of its polynomials, compared by content and in that
-order, to the triple the gate gave.  Pairs repeat because the pipeline
+Each ground field decides a pair once: ``GroundField.cofactors`` keeps a
+gcd memo from a pair (a, b) of its polynomials, compared by content and in
+that order, to the triple the gate gave.  Pairs repeat because the pipeline
 checks its results on purpose, the check engine and the certificate
 verifier deriving again what construction computed, and because a few
 denominators (powers of alpha^2 - 1, 1 + s^2) meet again across cells.
-The memo lives as long as its field, so as long as the ``GroundField``
-that built it.  A pair with a constant operand takes the content gcd at
-once, with no gate and no entry; a pair of more than ``_MEMO_TERMS`` terms
-in all runs the gate every time, which bounds the memo on deep flows.  A
-stored cofactor becomes the numerator or denominator of many elements, so
-no polynomial here is changed in place after it is built, and each hashes
-by its content.  The gate relies on the same rule: a polynomial's degrees
-and images mod q are computed once and stored on the polynomial object,
-where every later pair that has it as an operand finds them.  A product
-with a factor 1 is that other factor itself, with no new polynomial.
+The memo lives as long as its ground field.  A pair with a constant
+operand takes the content gcd at once, with no gate and no entry; a pair of
+more than ``_MEMO_TERMS`` terms in all runs the gate every time, which
+bounds the memo on deep flows.  A stored cofactor becomes the numerator or
+denominator of many elements, so no polynomial here is changed in place
+after it is built, and each hashes by its content.  The gate relies on the
+same rule: a polynomial's degrees and images mod q are computed once and
+stored on the polynomial object, where every later pair that has it as an
+operand finds them.  A product with a factor 1 is that other factor
+itself, with no new polynomial.
 
 A "scalar" below always means an element of the ground field; a "parameter
 scalar" is one whose numerator and denominator are free of ``s``.
@@ -115,13 +118,13 @@ from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
 from sympy.polys.polyerrors import HeuristicGCDFailed
 
+from ..errors import InputError
 from .packed import PackedRing
 
 __all__ = [
     "GroundField",
     "SPoly",
     "Scalar",
-    "ScalarField",
     "fraction_sum",
 ]
 
@@ -138,118 +141,6 @@ def _fraction_nth_root(c, d):
     if not (en and ed):
         return None
     return Fraction(int(pn), int(pd))
-
-
-class ScalarField:
-    """Q(x_1, ..., x_n) with :class:`Scalar` elements on the packed kernel.
-
-    ``kernel`` is the :class:`~galint.algebra.packed.PackedRing` that holds
-    every numerator and denominator: one int key per monomial, 16 bits per
-    generator with x_1 the most significant, exponents at most 2^15 - 1,
-    and ``OverflowError`` from any operation whose result would exceed
-    that.  ``ring`` is its sympy twin, the ``PolyRing`` over ZZ in lex
-    order on the same symbols, which the ``numer``/``denom`` views,
-    :meth:`raw_new`, printing, ``factor_list`` and the gate's sympy
-    fallback convert through.  The field equals and hashes like sympy's
-    plain ``FracField`` over ZZ on the same generators, whose elements
-    print as these do.  Each field carries its own gcd memo
-    (:meth:`cofactors`).
-    """
-
-    def __init__(self, symbols):
-        self.kernel = kernel = PackedRing(symbols)
-        self.ring = kernel.sympy
-        self.symbols = kernel.symbols
-        self.ngens = kernel.ngens
-        self.domain = ZZ
-        self.order = lex
-        self._plain = FracField(self.symbols, ZZ, lex)
-        one = kernel.one
-        self.zero = Scalar(self, kernel.zero, one)
-        self.one = Scalar(self, one, one)
-        self.gens = tuple(Scalar(self, g, one) for g in kernel.gens)
-        self._gcd_memo = {}
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, (ScalarField, FracField)) and (
-            self.symbols, self.ngens, self.domain, self.order) == (
-            other.symbols, other.ngens, other.domain, other.order)
-
-    def __hash__(self):
-        return hash(self._plain)
-
-    def __repr__(self):
-        return f"ScalarField({', '.join(map(str, self.symbols))})"
-
-    # -- elements ----------------------------------------------------------
-
-    def new(self, num, den):
-        """The element num/den from a reduced pair of kernel polynomials,
-        den's leading coefficient positive."""
-        return Scalar(self, num, den)
-
-    def rational(self, value):
-        """An int / Fraction / sympy Rational / QQ element.  Each keeps its
-        numerator and a positive denominator coprime, so the two integers
-        are already the canonical pair and no gcd is taken."""
-        K = self.kernel
-        d = int(value.denominator)
-        return Scalar(self, K.ground(int(value.numerator)),
-                      K.one if d == 1 else K.ground(d))
-
-    def _rational(self, n, d):
-        """n/d for integers n and d > 0, reduced by their gcd."""
-        if not n:
-            return self.zero
-        g = math.gcd(n, d)
-        K = self.kernel
-        d //= g
-        return Scalar(self, K.ground(n // g), K.one if d == 1 else K.ground(d))
-
-    def __call__(self, value):
-        """An element of an equal field as it is, and a rational number as
-        an element (:meth:`rational`)."""
-        if isinstance(value, Scalar) and value.field == self:
-            return value
-        return self.rational(value)
-
-    def raw_new(self, numer, denom=None):
-        """The element numer/denom from a reduced pair of ``ring``'s
-        polynomials (sympy's), denom's leading coefficient positive."""
-        K = self.kernel
-        return Scalar(self, K.from_sympy(numer),
-                      K.one if denom is None else K.from_sympy(denom))
-
-    def plain(self, f):
-        """f as an element of sympy's ``FracField`` over ZZ."""
-        return self._plain.raw_new(f.numer, f.denom)
-
-    # -- the gcd memo ------------------------------------------------------
-
-    def cofactors(self, a, b):
-        """``_cofactors(a, b)`` for nonzero kernel polynomials, each pair
-        decided once per field.
-
-        A constant operand needs no gate: the gcd is that of the contents,
-        and (1, a, b) at once when either operand has constant term 1, an
-        operand 1 included.  A pair of at most ``_MEMO_TERMS`` terms in all
-        is looked up by the content of (a, b), in that order; a miss runs
-        the gate and stores its triple.  Larger pairs run the gate every
-        time.
-        """
-        if len(a) == 1 and 0 in a or len(b) == 1 and 0 in b:
-            if a.get(0) == 1 or b.get(0) == 1:
-                return self.kernel.one, a, b
-            return _content_cofactors(a, b)
-        if len(a) + len(b) > _MEMO_TERMS:
-            return _cofactors(a, b)
-        key = (a, b)
-        got = self._gcd_memo.get(key)
-        if got is None:
-            got = self._gcd_memo[key] = _cofactors(a, b)
-        return got
 
 
 # The coprimality gate's prime and the points the other generators take, by
@@ -564,8 +455,9 @@ def fraction_sum(pairs, zero):
 
 
 class Scalar(CantSympify):
-    """Element of a :class:`ScalarField`: the reduced pair ``num``/``den``
-    of kernel polynomials, in sympy's canonical form.
+    """Element of a :class:`GroundField`, its ``field``: the reduced pair
+    ``num``/``den`` of the field's kernel polynomials, in sympy's canonical
+    form.
 
     Between two field elements, ``+ - * /`` use the Henrici-Knuth rules
     (Knuth, TAOCP vol. 2, 4.5.1), which rely on both operands being reduced:
@@ -578,19 +470,14 @@ class Scalar(CantSympify):
 
     Two rational constants take the gcd of their integers instead.  Each
     other gcd goes through the field's gcd memo,
-    :meth:`ScalarField.cofactors`, and on a miss through the gate
+    :meth:`GroundField.cofactors`, and on a miss through the gate
     ``_cofactors`` (see the module docstring): proven coprime from one
     image mod q per shared generator, computed modularly when the operands
-    share one generator, and left to sympy otherwise (its heuristic gcd,
-    then the subresultant PRS gcd when that fails).  The memo
-    stores the gate's triple under the content of the pair, for the life
-    of the field, when neither operand is constant and the two have at
-    most ``_MEMO_TERMS`` terms; pairs repeat because the check engine and
-    the verifier derive again what construction computed.  So a stored
-    polynomial may be the numerator or denominator of many elements, and
-    none is changed in place.  A pair of terms keeps these rules; a sum of
-    more, taken by :func:`fraction_sum`, takes one final gcd instead of one
-    per partial sum.
+    share one generator, and left to sympy otherwise.  A stored polynomial
+    may be the numerator or denominator of many elements, so none is
+    changed in place.  A pair of terms keeps these rules; a sum of more,
+    taken by :func:`fraction_sum`, takes one final gcd instead of one per
+    partial sum.
 
     An int, a ``Fraction`` or another exact rational operand is that
     rational's element; an int divided by a field element is that int's
@@ -598,9 +485,11 @@ class Scalar(CantSympify):
     and zero divided by a nonzero element is that zero, with no product.
 
     Equal elements have equal pairs and hash alike; a rational constant
-    equals the int or ``Fraction`` of its value and hashes as it.  Any
-    other operand, a tower element included, gets ``NotImplemented``, so
-    that its own comparison or operator answers.
+    equals the int or ``Fraction`` of its value and hashes as it.  An
+    element of an equal ground field, one built apart on the same names,
+    counts as an element of this one.  Any other operand, an element of an
+    unequal ground field or a tower element included, gets
+    ``NotImplemented``, so that its own comparison or operator answers.
 
     ``num`` and ``den`` are polynomials of the field's packed kernel (one
     int key per monomial, 16 bits per generator, ``OverflowError`` for an
@@ -668,7 +557,7 @@ class Scalar(CantSympify):
                 else NotImplemented
         if isinstance(g, int) or (hasattr(g, "numerator")
                                   and hasattr(g, "denominator")):
-            return f.field.rational(g)
+            return f.field.from_rational(g)
         return NotImplemented
 
     def __pos__(f):
@@ -779,7 +668,8 @@ class Scalar(CantSympify):
 
 
 class GroundField:
-    """Rational function field Q(alpha_1, ..., alpha_p, s).
+    """Rational function field Q(alpha_1, ..., alpha_p, s), the one field
+    object: every :class:`Scalar` of it has it as its ``field``.
 
     Parameters
     ----------
@@ -790,15 +680,16 @@ class GroundField:
     curve_var : str
         Name of the curve coordinate (defaults to ``"s"``).
 
-    Its ``field`` is a :class:`ScalarField` built for this ground field
-    alone, and so is the field's gcd memo: every gcd the arithmetic takes
-    (``+ - * /``, :func:`fraction_sum`, :meth:`diff_s`) stores the gate's
-    triple there, keyed by the content of the pair, unless an operand is
-    constant or the pair has more than ``_MEMO_TERMS`` terms.  Pairs repeat
-    because results are checked again by code independent of the code that
-    built them.  The memo dies with the ground field; nothing else empties
-    it.  ``kernel`` is the field's packed polynomial ring and ``ring`` its
-    sympy twin.
+    ``kernel`` is the packed ring on the parameters and then ``s`` that
+    holds every numerator and denominator (see the module docstring), and
+    ``ring`` its sympy twin, the ``PolyRing`` over ZZ in lex order, which
+    the ``numer``/``denom`` views, ``factor_list`` and the gate's sympy
+    fallback convert through; elements print through sympy's ``FracField``
+    over ZZ.  Each ground field keeps its own gcd memo (:meth:`cofactors`),
+    which every gcd of ``+ - * /``, :func:`fraction_sum` and :meth:`diff_s`
+    goes through; it dies with the ground field, and nothing else empties
+    it.  Two ground fields on the same names are equal, and their elements
+    mix.
     """
 
     def __init__(self, params=(), curve_var="s"):
@@ -812,17 +703,18 @@ class GroundField:
             seen.add(p)
         self.param_names = params
         self.curve_var = curve_var
-        self.field = ScalarField(list(params) + [curve_var])
-        self.kernel = self.field.kernel
-        self.ring = self.field.ring
-        gens = self.field.gens
-        self.param_gens = gens[: len(params)]
-        self.s = gens[-1]
-        self.zero = self.field.zero
-        self.one = self.field.one
-        self._gen_by_name = {n: g for n, g in zip(params, self.param_gens)}
+        self.kernel = K = PackedRing(params + (curve_var,))
+        self.ring = K.sympy
+        self._plain = FracField(K.symbols, ZZ, lex)
+        one = K.one
+        self.zero = Scalar(self, K.zero, one)
+        self.one = Scalar(self, one, one)
+        gens = tuple(Scalar(self, g, one) for g in K.gens)
+        self.param_gens, self.s = gens[:-1], gens[-1]
+        self._gen_by_name = dict(zip(params, self.param_gens))
         self._gen_by_name[curve_var] = self.s
         self._s_index = len(params)
+        self._gcd_memo = {}
         self._factor_cache = {}
 
     # ---------------------------------------------------------------- basics
@@ -847,10 +739,61 @@ class GroundField:
         except KeyError:
             raise KeyError(f"unknown generator {name!r}") from None
 
+    # -------------------------------------------------------------- elements
+
+    def new(self, num, den):
+        """The element num/den from a reduced pair of kernel polynomials,
+        den's leading coefficient positive."""
+        return Scalar(self, num, den)
+
     def from_rational(self, value):
         """Embed an int / Fraction / sympy Rational / QQ element, with no
-        gcd (:meth:`ScalarField.rational`)."""
-        return self.field.rational(value)
+        gcd: each keeps its numerator and a positive denominator coprime,
+        so the two integers are already the canonical pair.  Raises
+        InputError for a value with no numerator and denominator."""
+        try:
+            n, d = value.numerator, value.denominator
+        except AttributeError:
+            raise InputError(f"{value!r} is not a rational number") from None
+        K = self.kernel
+        d = int(d)
+        return Scalar(self, K.ground(int(n)), K.one if d == 1 else K.ground(d))
+
+    def _rational(self, n, d):
+        """n/d for integers n and d > 0, reduced by their gcd."""
+        if not n:
+            return self.zero
+        g = math.gcd(n, d)
+        K = self.kernel
+        d //= g
+        return Scalar(self, K.ground(n // g), K.one if d == 1 else K.ground(d))
+
+    def plain(self, f):
+        """f as an element of sympy's ``FracField`` over ZZ."""
+        return self._plain.dtype(f.numer, f.denom)
+
+    def cofactors(self, a, b):
+        """``_cofactors(a, b)`` for nonzero kernel polynomials, each pair
+        decided once per ground field.
+
+        A constant operand needs no gate: the gcd is that of the contents,
+        and (1, a, b) at once when either operand has constant term 1, an
+        operand 1 included.  A pair of at most ``_MEMO_TERMS`` terms in all
+        is looked up by the content of (a, b), in that order; a miss runs
+        the gate and stores its triple.  Larger pairs run the gate every
+        time.
+        """
+        if len(a) == 1 and 0 in a or len(b) == 1 and 0 in b:
+            if a.get(0) == 1 or b.get(0) == 1:
+                return self.kernel.one, a, b
+            return _content_cofactors(a, b)
+        if len(a) + len(b) > _MEMO_TERMS:
+            return _cofactors(a, b)
+        key = (a, b)
+        got = self._gcd_memo.get(key)
+        if got is None:
+            got = self._gcd_memo[key] = _cofactors(a, b)
+        return got
 
     # ------------------------------------------------------------ derivation
 
@@ -871,7 +814,7 @@ class GroundField:
         i = self._s_index
         a, b = f.num, f.den
         da = a.diff(i)
-        cofactors = self.field.cofactors
+        cofactors = self.cofactors
         if b.degree(i) <= 0:
             if not da:
                 return self.zero
@@ -903,7 +846,7 @@ class GroundField:
         if f.den.degree(i) > 0:
             raise ValueError(f"{f} has s in its denominator")
         K = self.kernel
-        new, one = self.field.new, K.one
+        new, one = self.new, K.one
         den = new(f.den, one)
         sh, mask = K.shifts[i], K.mask
         groups = {}
@@ -917,10 +860,10 @@ class GroundField:
 
     def numer_spoly(self, f):
         """Numerator of f as a polynomial in s (parameter-scalar coefficients)."""
-        return self.spoly(self.field.new(f.num, self.kernel.one))
+        return self.spoly(self.new(f.num, self.kernel.one))
 
     def denom_spoly(self, f):
-        return self.spoly(self.field.new(f.den, self.kernel.one))
+        return self.spoly(self.new(f.den, self.kernel.one))
 
     def nth_root(self, f, d):
         """Exact d-th root of a field element, or None when not a d-th power.
@@ -941,8 +884,7 @@ class GroundField:
                 return None
             acc = self.from_rational(croot)
             for base, mult in facs:
-                acc = acc * self.field.new(K.from_sympy(base) ** (mult // d),
-                                           K.one)
+                acc = acc * self.new(K.from_sympy(base) ** (mult // d), K.one)
             parts.append(acc)
         return parts[0] / parts[1]
 
@@ -988,7 +930,7 @@ class GroundField:
             else:
                 return None
             groups.setdefault(key, K.dtype())[m & s_field] = f.num[m]
-        new, one = self.field.new, K.one
+        new, one = self.new, K.one
         den = new(f.den, one)
         out = {key: new(num, one) / den for key, num in groups.items()}
         const = out.pop(None, self.zero)
@@ -1021,8 +963,7 @@ class GroundField:
             return hit
         K = self.kernel
         _, facs = K.to_sympy(p).factor_list()
-        out = [(self.spoly(self.field.new(K.from_sympy(base), K.one)).monic(),
-                mult)
+        out = [(self.spoly(self.new(K.from_sympy(base), K.one)).monic(), mult)
                for base, mult in facs if base.degree(i) > 0]
         self._factor_cache[p] = out
         return out

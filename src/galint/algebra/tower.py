@@ -51,7 +51,7 @@ from ..errors import (
     ZeroDivisor,
 )
 from . import linalg
-from .scalars import _times, fraction_sum
+from .scalars import Scalar, _times, fraction_sum
 
 __all__ = [
     "AlgebraicTower", "FieldElem", "GenInfo", "GaloisGen", "deepest_tower",
@@ -205,7 +205,7 @@ class AlgebraicTower:
         gf = self.gf
         if isinstance(c, FieldElem):
             return self.coerce(c)
-        if not isinstance(c, type(gf.zero)):
+        if not isinstance(c, Scalar):
             c = gf.from_rational(c)
         if not c:
             return self.zero
@@ -582,7 +582,7 @@ class FieldElem:
                     return self == self.tower.lift(other)
                 return NotImplemented
             return self.coords == other.coords
-        if isinstance(other, type(self.tower.gf.zero)):
+        if isinstance(other, Scalar):
             return self == self.tower.from_ground(other)
         # a tower element equals only tower elements and ground scalars;
         # an int or Fraction is left to its own comparison
@@ -629,7 +629,7 @@ class FieldElem:
             if t.ancestor_of(other.tower):
                 return None  # caller should re-dispatch in the bigger tower
             raise TowerError("operands live in unrelated towers")
-        if isinstance(other, type(t.gf.zero)) or (
+        if isinstance(other, Scalar) or (
                 hasattr(other, "numerator") and hasattr(other, "denominator")):
             return t.from_ground(other)
         return NotImplemented

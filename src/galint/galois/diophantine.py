@@ -280,7 +280,7 @@ def diophantine_eval(eigenvalues=None, *, angles=None, places=None,
     generators.  Shells nu = 1 .. nu_max cover |k| <= 2^nu; the report
     records each shell's exact minimum, the clamped partial sums of
     2^{-nu} ln(1/eps), and a verdict that is explicitly a bounded-horizon
-    heuristic.       ``work_limit`` caps the number of multi-indices visited;
+    heuristic.  ``work_limit`` caps the number of multi-indices visited;
     hitting it truncates the sweep (recorded in ``notes``), it never aborts.
     """
     import numpy as np

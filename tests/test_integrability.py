@@ -45,6 +45,7 @@ from galint.integrability import (
     Linearization,
     LogSymbol,
     Obstruction,
+    build_certificate,
     commuting_fields,
     first_integrals,
     formal_flow,
@@ -186,6 +187,17 @@ def test_cubic_drag_flow(gf, T):
     assert base == T.from_ground(s**2 / 2 - Fraction(1, 8))
     assert flow.logs == ()
     assert flow.resonant == ((2, (0,)),)
+
+
+def test_cubic_drag_certificate_records_its_pivot_conditions(gf, T):
+    # the parameter values where a pivot of the solver vanishes, each once,
+    # in the order the solves first met them
+    a = gf.gen("alpha")
+    conds = []
+    build_certificate(cubic_drag(gf, T), 4, conditions=conds)
+    assert conds == [2 * a, 2 * a + 1, 2 * a + 2, 3 * a, 3 * a + 1]
+    assert [str(c) for c in conds] == [
+        "2*alpha", "2*alpha + 1", "2*alpha + 2", "3*alpha", "3*alpha + 1"]
 
 
 def test_cubic_drag_flow_at_given_base_point(gf, T):

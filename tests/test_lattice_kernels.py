@@ -72,7 +72,7 @@ def reference_integer_eigs(R):
         common = gf.ring.one
         for _, ce in terms:
             common = common * ce.denom
-        commel = gf.field.raw_new(common, gf.ring.one)
+        commel = gf.new(gf.kernel.from_sympy(common), gf.kernel.one)
         grouped = {}
         for td, ce in terms:
             scaled = ce * commel
@@ -154,7 +154,7 @@ def test_integer_eigs_match_the_reference_over_a_residue_tower(R):
 
 
 def matrix(tower, rows):
-    return [[tower.from_ground(GF.field(x)) for x in row] for row in rows]
+    return [[tower.from_ground(x) for x in row] for row in rows]
 
 
 def test_integer_eig_only_inside_a_two_by_two_block():

@@ -75,6 +75,24 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{modname}.__all__ lists {name!r}"
 
 
+def test_sympy_stays_behind_the_algebra_package():
+    # the boundary the ground-field module states: sympy is imported only
+    # under galint/algebra/, and its FracField, which prints ground-field
+    # elements, only by algebra/scalars.py
+    src = ROOT / "src" / "galint"
+    imports = {path.relative_to(src).as_posix(): set(_imports(path))
+               for path in src.rglob("*.py")}
+
+    def importers(module):
+        return {name for name, mods in imports.items()
+                if any(m == module or m.startswith(module + ".")
+                       for m in mods)}
+
+    assert importers("sympy")
+    assert all(name.startswith("algebra/") for name in importers("sympy"))
+    assert importers("sympy.polys.fields") == {"algebra/scalars.py"}
+
+
 def _fresh_python(code):
     """The stdout of ``code`` run in a new interpreter on this checkout."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),

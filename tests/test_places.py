@@ -14,7 +14,7 @@ from galint.algebra import (
     fiber_tower,
 )
 from galint.algebra.places import INF, place_context, residue_exponent
-from galint.errors import NotExpandable
+from galint.errors import InputError, NotExpandable
 
 
 @pytest.fixture()
@@ -170,3 +170,15 @@ def test_valuation_below_reads_the_leading_exponent(gf, T):
             v = ctx.m * fe_local_exponent(a, place).rational
             for k in range(-3, 4):
                 assert ctx.valuation_below(a, k) == (v if v <= k else None)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda T, a: place_context(T, "x"),
+    lambda T, a: evaluate_at(a, 1.5),
+    lambda T, a: fe_local_exponent(a, None),
+    lambda T, a: T.from_ground("x"),
+], ids=["place_context", "evaluate_at", "fe_local_exponent", "from_ground"])
+def test_a_value_that_is_not_rational_is_an_input_error(gf, T, entry):
+    T1 = T.extend("w", 2, T.from_ground(1 + gf.s**2))
+    with pytest.raises(InputError, match="is not a rational number"):
+        entry(T1, T1.gen("w") + T1.from_ground(gf.s))

@@ -50,9 +50,9 @@ from test_series import one_dw_flow
 
 GF = GroundField(params=("alpha", "beta"))
 S, ALPHA, BETA = GF.s, GF.gen("alpha"), GF.gen("beta")
-PLAIN = FracField(GF.field.symbols, ZZ)
-PLAIN_QQ = FracField(GF.field.symbols, QQ)
 K = GF.kernel
+PLAIN = FracField(K.symbols, ZZ)
+PLAIN_QQ = FracField(K.symbols, QQ)
 
 PROPS = settings(max_examples=25, deadline=None, database=None,
                  derandomize=True)
@@ -84,7 +84,7 @@ def scalars(draw):
 
 def plain(x, field=PLAIN):
     ring = field.ring
-    return field.raw_new(x.numer.set_ring(ring), x.denom.set_ring(ring))
+    return field.dtype(x.numer.set_ring(ring), x.denom.set_ring(ring))
 
 
 def diff_s(f):
@@ -102,7 +102,7 @@ def assert_matches(got, ref, ref_qq):
     field, and prints as ref and as ref_qq, sympy's result over QQ."""
     assert type(got) is Scalar
     assert (got.numer, got.denom) == (ref.numer, ref.denom)
-    back = GF.field.raw_new(ref.numer, ref.denom)
+    back = GF.new(K.from_sympy(ref.numer), K.from_sympy(ref.denom))
     assert got == back and hash(got) == hash(back) and str(got) == str(ref)
     qring = PLAIN_QQ.ring
     assert str(got) == str(ref_qq)
@@ -119,10 +119,32 @@ def assert_reference(got, compute, *xs):
 # the ground field
 
 
-def test_field_equals_the_plain_field():
-    assert GF.field == PLAIN and hash(GF.field) == hash(PLAIN)
-    assert all(type(g) is Scalar for g in GF.field.gens)
-    assert type(GF.zero) is Scalar and type(GF.one) is Scalar
+def test_the_field_is_one_object():
+    # every scalar's field is the ground field that built it
+    gf = GroundField(params=("alpha", "beta"))
+    assert gf.zero.field is gf
+    for x in (gf.zero, gf.one, *gf.param_gens, gf.s, gf.from_rational(3),
+              (1 + gf.s) / gf.gen("alpha")):
+        assert type(x) is Scalar and x.field is gf
+
+
+def test_equal_fields_mix_and_unequal_fields_do_not():
+    twin = GroundField(params=("alpha", "beta"))
+    assert twin is not GF and twin == GF and hash(twin) == hash(GF)
+    x = (1 + S) / (ALPHA - BETA)
+    y = (1 + twin.s) / (twin.gen("alpha") - twin.gen("beta"))
+    assert x == y and y == x and hash(x) == hash(y)
+    assert str(x + y) == str(y + x) == "(2*s + 2)/(alpha - beta)"
+    assert x - y == 0 and x / y == 1
+    for other in (GroundField(params=("alpha",)),
+                  GroundField(params=("alpha", "beta"), curve_var="t"),
+                  GroundField(params=("beta", "alpha"))):
+        assert other != GF
+        z = other.gen("alpha") + 1
+        assert z != ALPHA + 1 and ALPHA + 1 != z
+        for op in OPS.values():
+            with pytest.raises(TypeError):
+                op(ALPHA + 1, z)
 
 
 @PROPS
@@ -214,8 +236,8 @@ def test_a_square_is_stored_under_the_products_memo_key():
     assert str(square) == str(product)
     assert square.den is not product.den
     other = (s - alpha).num
-    got = gf.field.cofactors(square.den, other)
-    assert gf.field._gcd_memo[(product.den, other)] is got
+    got = gf.cofactors(square.den, other)
+    assert gf._gcd_memo[(product.den, other)] is got
 
 
 def test_inverse_of_a_negated_generator():
@@ -338,9 +360,9 @@ def per_term_coeffs(f):
     coeffs = {}
     for mono, c in f.numer.terms():
         free = mono[:i] + (0,) + mono[i + 1:]
-        term = GF.field.raw_new(GF.ring.from_terms([(free, c)]), GF.ring.one)
+        term = GF.new(K.from_sympy(GF.ring.from_terms([(free, c)])), K.one)
         coeffs[mono[i]] = coeffs.get(mono[i], GF.zero) + term
-    den = GF.field.raw_new(f.denom, GF.ring.one)
+    den = GF.new(f.den, K.one)
     return {k: v / den for k, v in coeffs.items()}
 
 
@@ -806,12 +828,12 @@ def test_one_shared_generator_never_reaches_sympy(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# the gcd memo of a field
+# the gcd memo of a ground field
 
 
 def fresh_field():
-    """The ground field's ScalarField, built anew with an empty gcd memo."""
-    return GroundField(params=("alpha", "beta")).field
+    """The ground field built anew, with an empty gcd memo."""
+    return GroundField(params=("alpha", "beta"))
 
 
 @st.composite
@@ -888,8 +910,8 @@ def test_memo_dies_with_its_field():
     x = T.from_ground((1 + s) / (s**2 + alpha)) + T.gen("w") / (s - alpha)
     assert T.invert(x) * x == T.one
     assert gf.diff_s(s / (s**2 + alpha) + alpha / (s - 1))
-    assert gf.field._gcd_memo
-    ref = weakref.ref(gf.field)
+    assert gf._gcd_memo
+    ref = weakref.ref(gf)
     del gf, s, alpha, T, x
     gc.collect()
     assert ref() is None
