@@ -49,8 +49,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import sympy
-
 from ..errors import (
     DegreeBoundExceeded,
     IntegrationIncomplete,
@@ -59,7 +57,7 @@ from ..errors import (
 )
 from . import linalg
 from .places import INF, place_context
-from .scalars import SPoly
+from .scalars import SPoly, divisors
 from .tower import FieldElem, deepest_tower
 
 __all__ = ["rational_ode_solve", "fe_integrate_rational", "solve_rational_system"]
@@ -186,7 +184,7 @@ def _integer_eigs(R):
                 grouped.setdefault(mono, [0] * (D + 1))[td] = q
         comps.extend(grouped.values())
     lows = [next(c for c in p if c) for p in comps]
-    divs = sympy.divisors(math.gcd(*lows))
+    divs = divisors(math.gcd(*lows))
     return [r for r in [-d for d in reversed(divs)] + [0] + divs
             if all(_horner(p, r) == 0 for p in comps)]
 

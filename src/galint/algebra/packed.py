@@ -22,17 +22,17 @@ Each :class:`PackedRing` has its own subclass of :class:`Poly`, whose
 ``ring`` attribute names it.  A polynomial is not changed in place once it
 is built: it hashes by its content, computed once, and may carry the gcd
 gate's data (``_gate``, see ``scalars``).
+
+This module imports no sympy.  ``str`` of a polynomial is the text sympy
+prints for its twin in sympy's ring over ZZ on the same names, and the twin
+itself is built only on request (``PackedRing.sympy``, through
+:mod:`galint.algebra.bridge`).
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 from operator import neg, or_
-
-from sympy import ZZ
-from sympy.polys.orderings import lex
-from sympy.polys.polyerrors import ExactQuotientFailed
-from sympy.polys.rings import PolyRing
 
 __all__ = ["WIDTH", "PackedRing", "Poly"]
 
@@ -41,13 +41,12 @@ WIDTH = 16
 
 
 class PackedRing:
-    """Z[x_1, ..., x_n] on packed exponents, with its sympy twin ``sympy``
-    (the ring over ZZ on the same symbols in lex order) for conversions."""
+    """Z[x_1, ..., x_n] on packed exponents, the generators named by
+    ``names``."""
 
-    def __init__(self, symbols):
-        self.sympy = sympy_ring = PolyRing(symbols, ZZ, lex)
-        self.symbols = sympy_ring.symbols
-        n = self.ngens = sympy_ring.ngens
+    def __init__(self, names):
+        self.names = tuple(names)
+        n = self.ngens = len(self.names)
         self.shifts = tuple(WIDTH * (n - 1 - i) for i in range(n))
         self.mask = (1 << WIDTH) - 1
         self.limit = (1 << (WIDTH - 1)) - 1
@@ -74,6 +73,14 @@ class PackedRing:
     def ground(self, c):
         """The constant polynomial c."""
         return self.dtype({0: c}) if c else self.dtype()
+
+    @cached_property
+    def sympy(self):
+        """The sympy twin: sympy's ring over ZZ on the same names in lex
+        order, built on first use."""
+        from .bridge import poly_ring
+
+        return poly_ring(self.names)
 
     def from_sympy(self, p):
         """A polynomial of the sympy twin (or any mapping from exponent
@@ -108,7 +115,26 @@ class Poly(dict):
             return h
 
     def __repr__(self):
-        return f"Poly({self.ring.to_sympy(self)})"
+        return f"Poly({self})"
+
+    def __str__(p):
+        """p as sympy prints its twin: the terms in descending lex order,
+        each as its sign, then the absolute coefficient unless it is 1 on a
+        nonconstant monomial, then ``name**e`` factors joined by ``*``."""
+        if not p:
+            return "0"
+        names, unpack = p.ring.names, p.ring.unpack
+        out = []
+        for k in sorted(p, reverse=True):
+            c = p[k]
+            out.append(" - " if c < 0 else " + ")
+            mono = [name if e == 1 else f"{name}**{e}"
+                    for name, e in zip(names, unpack(k)) if e]
+            if abs(c) != 1 or not mono:
+                mono.insert(0, str(abs(c)))
+            out.append("*".join(mono))
+        out[0] = "-" if out[0] == " - " else ""
+        return "".join(out)
 
     # -- ring operations ---------------------------------------------------
 
@@ -185,7 +211,17 @@ class Poly(dict):
         return type(p)(zip(p, (v // c for v in p.values())))
 
     def exquo(p, q):
-        """p / q when q divides p exactly, else ``ExactQuotientFailed``."""
+        """p / q when q divides p exactly, else sympy's
+        ``ExactQuotientFailed``."""
+        out = p.quo_exact(q)
+        if out is None:
+            from .bridge import ExactQuotientFailed
+
+            raise ExactQuotientFailed(p, q)
+        return out
+
+    def quo_exact(p, q):
+        """p / q when q divides p exactly, else None."""
         guard = p.ring.guard
         lk = max(q)
         lc = q[lk]
@@ -196,7 +232,7 @@ class Poly(dict):
             d = k - lk
             t, r = divmod(rest[k], lc)
             if d < 0 or d & guard or r:
-                raise ExactQuotientFailed(p, q)
+                return None
             out[d] = t
             for kq, cq in q.items():
                 kk = kq + d

@@ -40,17 +40,23 @@ jointly content-free, the denominator's leading coefficient in lex order
 positive.  So equal elements have equal pairs, and every printed result is
 the one sympy's ``FracField`` over ZZ gives.
 
-sympy's ``PolyElement`` is built from the kernel on demand, for four uses
-only, where sympy does work that the kernel does not (sympy is imported
-only under :mod:`galint.algebra`, and its ``FracField`` only here):
+The kernel does the work sympy did: its printer writes a reduced pair byte
+for byte as sympy's ``FracField`` over ZZ prints it, so the location keys
+and ``SPoly.key`` strings that places are sorted by stay as they were; the
+heuristic gcd below is sympy's ``heugcd`` on packed polynomials; a
+polynomial in s alone is factored over Z by content, squarefree parts and
+rational roots (:meth:`GroundField.monic_s_factors`) and tested for a d-th
+power by its squarefree parts (:meth:`GroundField.nth_root`).  This module
+imports no sympy.  :mod:`galint.algebra.bridge` imports it the first time
+one of its remaining uses runs, none of which a pass of the benchmark
+workloads reaches:
 
-1. ``factor_list``, in :meth:`GroundField.monic_s_factors` and
-   :meth:`GroundField.nth_root`;
-2. the gcds that the gate below leaves to sympy: its heuristic gcd
-   (``cofactors``), then the subresultant PRS gcd when that fails;
-3. conversion to expressions and printing (``as_expr``, ``str``), through
-   sympy's ``FracField`` over ZZ;
-4. the ``numer``/``denom`` views that code outside the kernel reads.
+1. the subresultant PRS gcd, when the heuristic gcd fails;
+2. ``factor_list``, for a polynomial that involves a parameter, and for one
+   in s alone that leaves a factor of degree 4 or more with no rational
+   root (or whose gcds give up);
+3. the ``numer``/``denom`` views and ``as_expr``, through sympy's
+   ``PolyRing`` and ``FracField`` over ZZ.
 
 Each gcd has one of three outcomes (Brown, J. ACM 18 (1971); von zur
 Gathen and Gerhard, *Modern Computer Algebra*, 6.7).
@@ -68,18 +74,18 @@ Gathen and Gerhard, *Modern Computer Algebra*, 6.7).
   size; a smaller q only fails to prove a coprime pair more often (a
   vanishing leading coefficient or a common root mod q, each about
   deg / q likely), and q below 2^30 keeps every residue one CPython digit.
-* One shared generator, computed modularly.  When x_i is the only
-  generator in which both have positive degree, the gcd lies in Z[x_i]:
-  it is the gcd of their coefficients as polynomials in the other
-  generators.  Those univariate gcds are taken mod a prime that divides
-  neither leading coefficient, lifted, and accepted only when the lift
-  divides both exactly; a failed check retries with a larger prime.  The
-  lift reads the gcd's coefficients off symmetric residues, so its primes
-  are 2^61 - 1 and larger, whatever the gate's q.
-* Otherwise sympy's gcd decides: for two or more shared generators, or
-  once the primes are used up.  Its heuristic gcd (Char, Geddes and
-  Gonnet, JSC 7 (1989)) can fail; the subresultant PRS gcd then decides,
-  so every gcd has an answer.
+* One generator left open, computed modularly.  When the images prove
+  degree 0 in every shared generator but x_i (or x_i is the only shared
+  one), the gcd lies in Z[x_i]: it is the gcd of their coefficients as
+  polynomials in the other generators.  Those univariate gcds are taken
+  mod a prime that divides neither leading coefficient, lifted, and
+  accepted only when the lift divides both exactly; a failed check retries
+  with a larger prime.  The lift reads the gcd's coefficients off symmetric
+  residues, so its primes are 2^61 - 1 and larger, whatever the gate's q.
+* Otherwise the heuristic gcd (Char, Geddes and Gonnet, JSC 7 (1989))
+  decides: for two or more generators left open, or once the primes are
+  used up.  It can fail; sympy's subresultant PRS gcd then decides, so
+  every gcd has an answer.
 
 Every gcd is the one sympy gives, up to a sign that the normal form fixes,
 so every result is unchanged.
@@ -109,14 +115,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import sympy
-from sympy import ZZ
-from sympy.core.sympify import CantSympify
-from sympy.polys.euclidtools import dmp_rr_prs_gcd
-from sympy.polys.fields import FracField
-from sympy.polys.orderings import lex
-from sympy.polys.polyerrors import HeuristicGCDFailed
+from functools import cached_property
 
 from ..errors import InputError
 from .packed import PackedRing
@@ -129,6 +128,19 @@ __all__ = [
 ]
 
 
+def _integer_root(n, d):
+    """The integer d-th root of an int n >= 0 when n is a d-th power, else
+    None: Newton's iteration from above stops at the floor of the root."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // d)
+    while True:
+        y = ((d - 1) * x + n // x ** (d - 1)) // d
+        if y >= x:
+            return x if x**d == n else None
+        x = y
+
+
 def _fraction_nth_root(c, d):
     """Exact rational d-th root of a Fraction, or None."""
     if c < 0:
@@ -136,11 +148,27 @@ def _fraction_nth_root(c, d):
             return None
         r = _fraction_nth_root(-c, d)
         return None if r is None else -r
-    pn, en = sympy.integer_nthroot(c.numerator, d)
-    pd, ed = sympy.integer_nthroot(c.denominator, d)
-    if not (en and ed):
+    pn = _integer_root(c.numerator, d)
+    pd = _integer_root(c.denominator, d)
+    if pn is None or pd is None:
         return None
-    return Fraction(int(pn), int(pd))
+    return Fraction(pn, pd)
+
+
+def divisors(n):
+    """The positive divisors of an int n, ascending; none for 0.  By trial
+    division up to the square root, so meant for the small contents and
+    leading coefficients of the polynomials this package meets."""
+    n = abs(n)
+    low, high = [], []
+    d = 1
+    while d * d <= n:
+        if not n % d:
+            low.append(d)
+            if d * d != n:
+                high.append(n // d)
+        d += 1
+    return low + high[::-1]
 
 
 # The coprimality gate's prime and the points the other generators take, by
@@ -287,6 +315,122 @@ def _gcd_z(f, g):
     return None
 
 
+def _sqf_parts(f):
+    """[(f_1, 1), (f_2, 2), ...] with f = f_1 f_2^2 ... for a primitive dense
+    f over Z of positive degree and positive leading entry: the f_k
+    squarefree, pairwise coprime, primitive with positive leading entries,
+    and only the nonconstant ones listed (Musser's algorithm on ``_gcd_z``
+    gcds, exact over Z by Gauss's lemma).  None when a gcd gives up."""
+    c = _gcd_z(f, _primitive([k * x for k, x in enumerate(f)][1:]))
+    if c is None:
+        return None
+    w = _quo(f, c)
+    out, k = [], 1
+    while len(w) > 1:
+        y = _gcd_z(w, c)
+        if y is None:
+            return None
+        if len(y) < len(w):
+            out.append((_quo(w, y), k))
+        w, c = y, _quo(c, y)
+        k += 1
+    return out
+
+
+def _irreducible_factors(f):
+    """The irreducible factors over Z of a squarefree f as ``_sqf_parts``
+    gives it, or None when they are not found here.
+
+    Each rational root r/q (r dividing the constant entry, q the leading
+    one; 0 when the constant entry is 0) splits off the factor q x - r.
+    What is left is irreducible when its degree is 0, 2 or 3, since a
+    reducible polynomial of degree at most 3 has a linear factor; a
+    cofactor of degree 4 or more is left open.
+    """
+    out = []
+    if not f[0]:
+        out.append([0, 1])
+        f = f[1:]
+    for q in divisors(f[-1]):
+        for p in divisors(f[0]):
+            if math.gcd(p, q) != 1:
+                continue
+            for r in (p, -p):
+                n = len(f) - 1
+                if n and not sum(c * r**k * q**(n - k)
+                                 for k, c in enumerate(f)):
+                    out.append([-r, q])
+                    f = _quo(f, [-r, q])
+    if len(f) > 4:
+        return None
+    return out + [f] if len(f) > 1 else out
+
+
+def _s_sqf(p):
+    """(c, ``_sqf_parts`` of p / c) for a kernel polynomial p of positive
+    degree in the last generator alone, as dense lists, c its content with
+    the sign of its leading coefficient; None for any other p and when a
+    gcd gives up.  That generator's field is the least significant, so a
+    key involves it alone exactly when it is at most the field mask."""
+    top = max(p)
+    if top > p.ring.mask:
+        return None
+    f = [0] * (top + 1)
+    for k, x in p.items():
+        f[k] = x
+    c = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
+    parts = _sqf_parts([x // c for x in f])
+    return None if parts is None else (c, parts)
+
+
+def _coprime_powers(p):
+    """(c, [(f, k), ...]) with p = c * prod f^k for a nonzero kernel
+    polynomial p: c an int, the f pairwise coprime with positive leading
+    coefficients.  A constant is its own c; a polynomial in the last
+    generator alone takes ``_s_sqf``; any other, or one whose gcds give up,
+    takes sympy's ``factor_list``."""
+    if p.is_ground():
+        return p[0], []
+    got = _s_sqf(p)
+    if got is None:
+        from .bridge import factor_list
+
+        return factor_list(p)
+    ring = p.ring
+    return got[0], [(_from_rows(ring, ring.ngens - 1, {0: g}), k)
+                    for g, k in got[1]]
+
+
+def _s_factor_list(p):
+    """sympy's ``factor_list(p)[1]`` for a kernel polynomial p of positive
+    degree in the last generator alone: its irreducible factors over Z,
+    primitive with positive leading coefficients, with multiplicities, in
+    sympy's order.  None for any other p, and when a gcd gives up or
+    ``_irreducible_factors`` leaves a factor open.
+
+    sympy sorts the factors by their dense forms: by (degree, multiplicity,
+    coefficients from the leading one) in a ring of one generator, and in
+    more by (multiplicity, coefficients), each dense form being one entry
+    long at every outer level.
+    """
+    got = _s_sqf(p)
+    if got is None:
+        return None
+    facs = []
+    for g, k in got[1]:
+        irreducible = _irreducible_factors(g)
+        if irreducible is None:
+            return None
+        facs.extend((h, k) for h in irreducible)
+    ring = p.ring
+    last = ring.ngens - 1
+    if last:
+        facs.sort(key=lambda hk: (hk[1], hk[0][::-1]))
+    else:
+        facs.sort(key=lambda hk: (len(hk[0]), hk[1], hk[0][::-1]))
+    return [(_from_rows(ring, last, {0: h}), k) for h, k in facs]
+
+
 def _content_cofactors(a, b):
     """``a.cofactors(b)`` when the gcd is c, the gcd of the contents."""
     c = math.gcd(*a.values(), *b.values())
@@ -295,19 +439,114 @@ def _content_cofactors(a, b):
     return a.ring.ground(c), a.quo_ground(c), b.quo_ground(c)
 
 
-def _sympy_cofactors(a, b):
-    """``a.cofactors(b)`` by sympy, on the sympy twins of a and b: its
-    sparse heuristic gcd, and when that fails the subresultant PRS gcd on
-    their dense forms, which always has an answer."""
-    ring = a.ring
-    f, g = ring.to_sympy(a), ring.to_sympy(b)
-    try:
-        got = f.cofactors(g)
-    except HeuristicGCDFailed:
-        R = f.ring
-        got = map(R.from_dense, dmp_rr_prs_gcd(f.to_dense(), g.to_dense(),
-                                               R.ngens - 1, R.domain))
-    return tuple(map(ring.from_sympy, got))
+# The evaluation points the heuristic gcd tries before it gives up, as in
+# sympy's heugcd.
+_HEU_GCD_MAX = 6
+
+
+def _evaluate(p, i, x):
+    """p at x_i = x, for p free of the generators before x_i: an int when
+    x_i is the last generator, else a polynomial free of x_i too."""
+    ring = p.ring
+    if i == ring.ngens - 1:
+        return sum(c * x**k for k, c in p.items())
+    sh, mask = ring.shifts[i], ring.mask
+    out = {}
+    for k, c in p.items():
+        e = (k >> sh) & mask
+        k -= e << sh
+        out[k] = out.get(k, 0) + c * x**e
+    return ring.dtype({k: c for k, c in out.items() if c})
+
+
+def _interpolate(h, x, i, ring):
+    """The polynomial of ``ring`` whose coefficient of x_i^j in each
+    monomial of h (a mapping from keys to ints) is the j-th digit of that
+    coefficient in the symmetric base x, with a positive leading
+    coefficient."""
+    sh, half = ring.shifts[i], x // 2
+    out = ring.dtype()
+    for k, c in h.items():
+        j = 0
+        while c:
+            d = c % x
+            if d > half:
+                d -= x
+            c = (c - d) // x
+            if d:
+                out[k | (j << sh)] = d
+            j += 1
+    return -out if out.LC < 0 else out
+
+
+def _heugcd(f, g, i=0):
+    """``f.cofactors(g)`` for nonzero f, g free of the generators before
+    x_i, or None when the heuristic gcd fails.
+
+    The heuristic gcd of Char, Geddes and Gonnet (JSC 7 (1989)), as sympy's
+    ``heugcd`` runs it on its sparse polynomials: take out the gcd c of
+    every coefficient, evaluate x_i at an integer x larger than twice the
+    coefficients, take the gcd and cofactors of the images (recursively in
+    the generators after x_i, of two ints at the last one), and read
+    candidates back from their symmetric base-x digits.  A candidate counts
+    only when both operands divide exactly, so every answer is a true gcd
+    and cofactors; after six points the gcd fails.
+    """
+    ring = f.ring
+    c = math.gcd(*f.values(), *g.values())
+    if c != 1:
+        f, g = f.quo_ground(c), g.quo_ground(c)
+    f_norm = max(map(abs, f.values()))
+    g_norm = max(map(abs, g.values()))
+    b = 2 * min(f_norm, g_norm) + 29
+    x = max(min(b, 99 * math.isqrt(b)),
+            2 * min(f_norm // abs(f.LC), g_norm // abs(g.LC)) + 4)
+    for _ in range(_HEU_GCD_MAX):
+        ff, gg = _evaluate(f, i, x), _evaluate(g, i, x)
+        if ff and gg:
+            if i == ring.ngens - 1:
+                h = math.gcd(ff, gg)
+                h, cff, cfg = {0: h}, {0: ff // h}, {0: gg // h}
+            else:
+                got = _heugcd(ff, gg, i + 1)
+                if got is None:
+                    return None
+                h, cff, cfg = got
+            h = _interpolate(h, x, i, ring)
+            got = _divides_both(h.quo_ground(math.gcd(*h.values())), f, g)
+            if got is None:
+                cff = _interpolate(cff, x, i, ring)
+                got = _divides_both(f.quo_exact(cff), f, g)
+            if got is None:
+                cfg = _interpolate(cfg, x, i, ring)
+                got = _divides_both(g.quo_exact(cfg), f, g)
+            if got is not None:
+                h, cff, cfg = got
+                return (h if c == 1 else h * ring.ground(c)), cff, cfg
+        x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
+    return None
+
+
+def _divides_both(h, f, g):
+    """(h, f / h, g / h) when h divides f and g exactly, else None (also
+    for h None)."""
+    if h is None:
+        return None
+    cff = f.quo_exact(h)
+    cfg = None if cff is None else g.quo_exact(h)
+    return None if cfg is None else (h, cff, cfg)
+
+
+def _general_cofactors(a, b):
+    """``a.cofactors(b)`` for any nonzero a, b: the heuristic gcd
+    (``_heugcd``), and when that fails sympy's subresultant PRS gcd, which
+    always has an answer (imported then, through ``bridge``)."""
+    got = _heugcd(a, b)
+    if got is None:
+        from .bridge import prs_cofactors
+
+        got = prs_cofactors(a, b)
+    return got
 
 
 def _rows(p, i):
@@ -334,11 +573,12 @@ def _from_rows(ring, i, rows):
 
 
 def _one_generator_cofactors(a, b, i):
-    """``a.cofactors(b)`` when x_i is the only generator in which both have
-    positive degree, or None when the modular gcd gives up.
+    """``a.cofactors(b)`` when G = gcd(a, b) is known to have degree 0 in
+    every generator but x_i, or None when the modular gcd gives up.
 
-    G = gcd(a, b) then has degree 0 in every other generator, so it lies
-    in Z[x_i]: it is the gcd of a's and b's coefficients as polynomials in
+    The gate knows it when x_i is the only generator in which both have
+    positive degree, or when its images prove degree 0 in every other
+    shared generator.  G then lies in Z[x_i]: it is the gcd of a's and b's coefficients as polynomials in
     the other generators, with coefficients in Z[x_i].  Its content is the
     gcd c of every integer coefficient, and its primitive part H the gcd of
     the primitive parts of those coefficient polynomials, folded by
@@ -382,30 +622,32 @@ def _cofactors(a, b):
       for every such x_i, G has degree 0 everywhere: G = c, the gcd of the
       contents.  Degrees and images are those ``_gate_data`` stores on
       each operand.
-    * One shared generator: when x_i is the only generator in which both
-      have positive degree and its image proves nothing (a vanishing
-      leading coefficient or an image gcd of positive degree), G lies in
-      Z[x_i] and ``_one_generator_cofactors`` computes it modularly and
-      checks it by exact division.
-    * Otherwise sympy decides (``_sympy_cofactors``): for two or more
-      shared generators, after the prime list is used up, and in a field
-      with more generators than there are points.
+    * One generator left open: when the images prove nothing (a vanishing
+      leading coefficient or an image gcd of positive degree) in exactly
+      one shared generator x_i, G has degree 0 in every other generator,
+      so it lies in Z[x_i], and ``_one_generator_cofactors`` computes it
+      modularly and checks it by exact division.
+    * Otherwise ``_general_cofactors`` decides: when two or more shared
+      generators are left open, after the prime list is used up, and in a
+      field with more generators than there are points.
     """
     if a.ring.ngens > len(_POINTS):
-        return _sympy_cofactors(a, b)
+        return _general_cofactors(a, b)
     da = _gate_data(a)[0]
     db = _gate_data(b)[0]
-    shared = [i for i, (x, y) in enumerate(zip(da, db)) if x and y]
-    for i in shared:
-        f = _image(a, i)
-        g = _image(b, i)
-        if not (f[-1] and g[-1] and len(_gcd_mod(f[:], g[:], _Q)) == 1):
-            if len(shared) == 1:
-                got = _one_generator_cofactors(a, b, i)
-                if got is not None:
-                    return got
-            return _sympy_cofactors(a, b)
-    return _content_cofactors(a, b)
+    unproven = []
+    for i, (x, y) in enumerate(zip(da, db)):
+        if x and y:
+            f = _image(a, i)
+            g = _image(b, i)
+            if not (f[-1] and g[-1] and len(_gcd_mod(f[:], g[:], _Q)) == 1):
+                unproven.append(i)
+                if len(unproven) > 1:
+                    return _general_cofactors(a, b)
+    if not unproven:
+        return _content_cofactors(a, b)
+    got = _one_generator_cofactors(a, b, unproven[0])
+    return _general_cofactors(a, b) if got is None else got
 
 
 def _times(p, q):
@@ -454,7 +696,7 @@ def fraction_sum(pairs, zero):
     return zero._reduced(num, den)
 
 
-class Scalar(CantSympify):
+class Scalar:
     """Element of a :class:`GroundField`, its ``field``: the reduced pair
     ``num``/``den`` of the field's kernel polynomials, in sympy's canonical
     form.
@@ -472,12 +714,12 @@ class Scalar(CantSympify):
     other gcd goes through the field's gcd memo,
     :meth:`GroundField.cofactors`, and on a miss through the gate
     ``_cofactors`` (see the module docstring): proven coprime from one
-    image mod q per shared generator, computed modularly when the operands
-    share one generator, and left to sympy otherwise.  A stored polynomial
-    may be the numerator or denominator of many elements, so none is
-    changed in place.  A pair of terms keeps these rules; a sum of more,
-    taken by :func:`fraction_sum`, takes one final gcd instead of one per
-    partial sum.
+    image mod q per shared generator, computed modularly when one
+    generator is left open, and by the heuristic gcd otherwise.  A stored
+    polynomial may be the numerator or denominator of many elements, so
+    none is changed in place.  A pair of terms keeps these rules; a sum of
+    more, taken by :func:`fraction_sum`, takes one final gcd instead of one
+    per partial sum.
 
     An int, a ``Fraction`` or another exact rational operand is that
     rational's element; an int divided by a field element is that int's
@@ -493,12 +735,13 @@ class Scalar(CantSympify):
 
     ``num`` and ``den`` are polynomials of the field's packed kernel (one
     int key per monomial, 16 bits per generator, ``OverflowError`` for an
-    exponent beyond 2^15 - 1).  sympy objects are built from them for the
-    module docstring's four uses only: ``factor_list``, the gcds the gate
-    leaves to sympy, expressions and printing (``as_expr``, ``str``, which
-    go through sympy's ``FracElement``), and ``numer`` and ``denom``, the
-    pair as ``PolyElement`` objects of the field's ``ring``, built on each
-    read.
+    exponent beyond 2^15 - 1).  ``str`` prints the pair on the kernel, as
+    sympy's ``FracField`` over ZZ prints it.  Only the views build sympy
+    objects, through :mod:`galint.algebra.bridge` on first use: ``numer``
+    and ``denom``, the pair as ``PolyElement`` objects of the field's
+    ``ring``, built on each read, and ``as_expr``.  ``sympify`` refuses a
+    scalar (``SympifyError``), so a sympy operation with one returns
+    ``NotImplemented`` and the scalar's reflected operator answers.
     """
 
     __slots__ = ("field", "num", "den")
@@ -521,8 +764,25 @@ class Scalar(CantSympify):
     def as_expr(f):
         return f.field.plain(f).as_expr()
 
+    def _sympy_(f):
+        from .bridge import SympifyError
+
+        raise SympifyError(f)
+
     def __str__(f):
-        return str(f.field.plain(f))
+        """num/den as sympy prints the ``FracField`` element: the numerator
+        alone over 1; else the numerator in parentheses when it has two
+        terms or more, and the denominator unless it is a constant or a
+        generator."""
+        num, den = f.num, f.den
+        text = str(num)
+        if len(den) == 1 and den.get(0) == 1:
+            return text
+        if len(num) > 1:
+            text = f"({text})"
+        if den.is_ground() or den in den.ring.gens:
+            return f"{text}/{den}"
+        return f"{text}/({den})"
 
     __repr__ = __str__
 
@@ -681,11 +941,12 @@ class GroundField:
         Name of the curve coordinate (defaults to ``"s"``).
 
     ``kernel`` is the packed ring on the parameters and then ``s`` that
-    holds every numerator and denominator (see the module docstring), and
-    ``ring`` its sympy twin, the ``PolyRing`` over ZZ in lex order, which
-    the ``numer``/``denom`` views, ``factor_list`` and the gate's sympy
-    fallback convert through; elements print through sympy's ``FracField``
-    over ZZ.  Each ground field keeps its own gcd memo (:meth:`cofactors`),
+    holds every numerator and denominator (see the module docstring).
+    ``ring``, its sympy twin (the ``PolyRing`` over ZZ in lex order, which
+    the ``numer``/``denom`` views convert to), and the ``FracField`` over ZZ
+    behind :meth:`plain` and ``as_expr`` are built on first use, through
+    :mod:`galint.algebra.bridge`; building a field imports no sympy.  Each
+    ground field keeps its own gcd memo (:meth:`cofactors`),
     which every gcd of ``+ - * /``, :func:`fraction_sum` and :meth:`diff_s`
     goes through; it dies with the ground field, and nothing else empties
     it.  Two ground fields on the same names are equal, and their elements
@@ -704,8 +965,6 @@ class GroundField:
         self.param_names = params
         self.curve_var = curve_var
         self.kernel = K = PackedRing(params + (curve_var,))
-        self.ring = K.sympy
-        self._plain = FracField(K.symbols, ZZ, lex)
         one = K.one
         self.zero = Scalar(self, K.zero, one)
         self.one = Scalar(self, one, one)
@@ -768,6 +1027,17 @@ class GroundField:
         d //= g
         return Scalar(self, K.ground(n // g), K.one if d == 1 else K.ground(d))
 
+    @cached_property
+    def ring(self):
+        """The kernel's sympy twin, built on first use."""
+        return self.kernel.sympy
+
+    @cached_property
+    def _plain(self):
+        from .bridge import frac_field
+
+        return frac_field(self.kernel.names)
+
     def plain(self, f):
         """f as an element of sympy's ``FracField`` over ZZ."""
         return self._plain.dtype(f.numer, f.denom)
@@ -800,9 +1070,9 @@ class GroundField:
     def diff_s(self, f):
         """d/ds, the derivation every tower extends, by the quotient rule on
         the reduced pair a/b, its gcds taken by the field's gcd memo and
-        gate: proven coprime, computed modularly when the two polynomials
-        share one generator (say b free of s and in one parameter), or left
-        to sympy (its heuristic gcd, then the subresultant PRS gcd).
+        gate: proven coprime, computed modularly when one generator is left
+        open (say b free of s and in one parameter), or by the heuristic
+        gcd (sympy's subresultant PRS gcd when that fails).
 
         When b is free of s, (a/b)' = a'/b and only gcd(a', b) can cancel.
         Otherwise write b = g b1 and b' = g c with g = gcd(b, b'): then
@@ -878,13 +1148,13 @@ class GroundField:
         K = self.kernel
         parts = []
         for poly in (f.num, f.den):
-            content, facs = K.to_sympy(poly).factor_list()
+            content, facs = _coprime_powers(poly)
             croot = _fraction_nth_root(Fraction(content), d)
             if croot is None or any(mult % d for _, mult in facs):
                 return None
             acc = self.from_rational(croot)
             for base, mult in facs:
-                acc = acc * self.new(K.from_sympy(base) ** (mult // d), K.one)
+                acc = acc * self.new(base ** (mult // d), K.one)
             parts.append(acc)
         return parts[0] / parts[1]
 
@@ -961,9 +1231,13 @@ class GroundField:
         hit = self._factor_cache.get(p)
         if hit is not None:
             return hit
-        K = self.kernel
-        _, facs = K.to_sympy(p).factor_list()
-        out = [(self.spoly(self.new(K.from_sympy(base), K.one)).monic(), mult)
+        facs = _s_factor_list(p)
+        if facs is None:
+            from .bridge import factor_list
+
+            facs = factor_list(p)[1]
+        one = self.kernel.one
+        out = [(self.spoly(self.new(base, one)).monic(), mult)
                for base, mult in facs if base.degree(i) > 0]
         self._factor_cache[p] = out
         return out
@@ -1022,7 +1296,7 @@ class SPoly:
             c = self.coeffs[k]
             if not c:
                 continue
-            cs = str(c.as_expr())
+            cs = str(c)
             term = cs if k == 0 else (f"({cs})*{var}^{k}" if k > 1 else f"({cs})*{var}")
             bits.append(term)
         return "SPoly(" + " + ".join(bits) + ")"

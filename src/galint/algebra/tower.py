@@ -40,8 +40,7 @@ decreases and the worklist empties.
 from __future__ import annotations
 
 import math
-
-from sympy import QQ
+from fractions import Fraction
 
 from ..errors import (
     DivisionByZero,
@@ -481,7 +480,7 @@ class AlgebraicTower:
                          for f in row] for row in mat]
             except ZeroDivisionError:
                 continue
-            if linalg.det(spec, QQ.zero, QQ.one):
+            if linalg.det(spec, Fraction(0), Fraction(1)):
                 return
         self.invert(a)
 
@@ -510,14 +509,14 @@ def _value(p, point):
     """A kernel polynomial at a point of Q^n, over Q."""
     unpack = p.ring.unpack
     return sum((c * math.prod(x**e for x, e in zip(point, unpack(m)) if e)
-                for m, c in p.items()), QQ.zero)
+                for m, c in p.items()), Fraction(0))
 
 
 def _unit_points(n):
     """Three fixed rational points of Q^n, for ``require_unit``: the i-th
     coordinate of point k is (2i + 5k + 3)/(k + 2), away from 0 and +-1."""
     for k in range(3):
-        yield tuple(QQ(2 * i + 5 * k + 3, k + 2) for i in range(n))
+        yield tuple(Fraction(2 * i + 5 * k + 3, k + 2) for i in range(n))
 
 
 def _trim(e):

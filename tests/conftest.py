@@ -1,21 +1,21 @@
 """Fixtures shared by the test modules."""
 
 import pytest
-import sympy.polys.rings as sympy_rings
-from sympy.polys.polyerrors import HeuristicGCDFailed
+
+from galint.algebra import scalars
 
 
 @pytest.fixture
 def heuristic_gcd_fails():
-    """Make sympy's sparse heuristic gcd raise ``HeuristicGCDFailed`` on
-    every call, for the rest of the test; the list it gives records the
-    operands of each call."""
+    """Make the ground field's heuristic gcd (``scalars._heugcd``) fail on
+    every call, for the rest of the test, so that sympy's subresultant PRS
+    gcd decides; the list it gives records the operands of each call."""
     calls = []
 
-    def fail(f, g):
+    def fail(f, g, i=0):
         calls.append((f, g))
-        raise HeuristicGCDFailed("forced")
+        return None
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sympy_rings, "heugcd", fail)
+        patch.setattr(scalars, "_heugcd", fail)
         yield calls

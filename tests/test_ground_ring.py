@@ -18,13 +18,13 @@ import sympy
 import sympy.polys.rings as sympy_rings
 from sympy import QQ, ZZ
 
-from galint.algebra import AlgebraicTower, GroundField
+from galint.algebra import AlgebraicTower, GroundField, scalars
 from galint.algebra.places import evaluate_at, scalarize_constant
 
 
 def operands(gf):
     """Two elements of gf whose sum, difference, product and quotient each
-    meet a gcd in two generators, which sympy's heuristic gcd decides."""
+    meet a gcd in two generators, which the heuristic gcd decides."""
     s, alpha, beta = gf.s, gf.gen("alpha"), gf.gen("beta")
     return ((1 + s) / ((s**2 + alpha) * (s - beta + 1)),
             (beta - s) * (s - beta + 1) / (s**2 + alpha))
@@ -52,7 +52,7 @@ def test_gated_operations_yield_integer_polynomials(op):
 def test_heuristic_gcd_fallback_yields_integer_polynomials(
         heuristic_gcd_fails, op):
     # on a fresh field, whose gcd memo has decided none of the pairs yet,
-    # with sympy's heuristic gcd failing on every call
+    # with the heuristic gcd failing on every call
     got = op(*operands(GroundField(params=("alpha", "beta"))))
     assert heuristic_gcd_fails
     assert_integral(got)
@@ -79,8 +79,8 @@ def test_constructors_and_views_yield_integer_polynomials():
 
 
 def test_from_rational_takes_no_gcd(monkeypatch):
-    # no gcd of the kernel (the field's memo and gate, the gcd of two
-    # integer constants) and none of sympy's
+    # no gcd of the kernel (the field's memo and gate, its heuristic gcd,
+    # the gcd of two integer constants) and none of sympy's
     calls = []
 
     def spy(owner, name):
@@ -94,12 +94,23 @@ def test_from_rational_takes_no_gcd(monkeypatch):
 
     spy(GroundField, "cofactors")
     spy(GroundField, "_rational")
+    spy(scalars, "_cofactors")
+    spy(scalars, "_heugcd")
     spy(sympy_rings.PolyElement, "cancel")
     spy(sympy_rings.PolyElement, "cofactors")
     got = GF.from_rational(Fraction(-6, 4))
     assert not calls
     assert (got.numer, got.denom) == (GF.ring(-3), GF.ring(2))
     assert str(got) == "-3/2"
+
+
+def test_sympify_refuses_a_scalar():
+    # a scalar has no sympy twin but its views, so sympify refuses it and
+    # sympy's own operators leave a scalar operand to the scalar's
+    with pytest.raises(sympy.SympifyError):
+        sympy.sympify(S)
+    assert sympy.Integer(2) * S == 2 * S
+    assert sympy.Rational(1, 2) + S == S + Fraction(1, 2)
 
 
 def test_scalars_and_tower_elements_compare_both_ways():

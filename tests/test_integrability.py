@@ -23,10 +23,9 @@
 from fractions import Fraction
 
 import pytest
-import sympy.polys.rings as sympy_rings
 
 from galint import check
-from galint.algebra import AlgebraicTower, GroundField, places
+from galint.algebra import AlgebraicTower, GroundField, places, scalars
 from galint.check import check_flow, frame_residuals, integral_defect
 from galint.errors import (
     BasePointSingular,
@@ -515,16 +514,18 @@ def one_dw(gf, order=4):
 
 def test_most_ground_field_gcds_skip_the_heuristic_gcd(monkeypatch):
     # q' = (alpha/w) q + beta q^2 + s q^3 (the benchmark's 1dw system) at
-    # N = 5: sympy's heugcd was called 379 times from the top before the
-    # modular coprimality gate in the ground field, and 182 times with it
-    real = sympy_rings.heugcd
+    # N = 5: the heuristic gcd (sympy's heugcd then, recursive calls
+    # included) was called 379 times before the modular coprimality gate in
+    # the ground field, and 182 times with it; the ground field's own
+    # heuristic gcd is counted the same way
+    real = scalars._heugcd
     calls = []
 
-    def counting(f, g):
+    def counting(f, g, i=0):
         calls.append(1)
-        return real(f, g)
+        return real(f, g, i)
 
-    monkeypatch.setattr(sympy_rings, "heugcd", counting)
+    monkeypatch.setattr(scalars, "_heugcd", counting)
     gf = GroundField(params=("alpha", "beta"))
     s, a = gf.s, gf.gen("alpha")
     T = AlgebraicTower(gf).extend("w", 2, 1 + s**2)

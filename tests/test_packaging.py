@@ -76,9 +76,10 @@ def test_every_exported_name_resolves():
 
 
 def test_sympy_stays_behind_the_algebra_package():
-    # the boundary the ground-field module states: sympy is imported only
-    # under galint/algebra/, and its FracField, which prints ground-field
-    # elements, only by algebra/scalars.py
+    # the boundary the ground-field module states: sympy is imported by one
+    # module, algebra/bridge.py, and that module only inside the functions
+    # of galint/algebra/ that need it (test_no_run_imports_sympy checks
+    # that no import of a module reaches it)
     src = ROOT / "src" / "galint"
     imports = {path.relative_to(src).as_posix(): set(_imports(path))
                for path in src.rglob("*.py")}
@@ -88,9 +89,9 @@ def test_sympy_stays_behind_the_algebra_package():
                 if any(m == module or m.startswith(module + ".")
                        for m in mods)}
 
-    assert importers("sympy")
-    assert all(name.startswith("algebra/") for name in importers("sympy"))
-    assert importers("sympy.polys.fields") == {"algebra/scalars.py"}
+    assert importers("sympy") == {"algebra/bridge.py"}
+    assert importers("galint.algebra.bridge") == {"algebra/packed.py",
+                                                  "algebra/scalars.py"}
 
 
 def _fresh_python(code):
@@ -136,3 +137,25 @@ def test_a_first_flow_imports_nothing():
     # process pays no lazy import (sympy's expression layer pulls in
     # sympy.combinatorics the first time an Add is built)
     assert _fresh_python(FIRST_FLOW).strip() == "[]"
+
+
+# every case of each benchmark workload at its smallest size, as bench/run.py
+# builds, decides and checks it
+SMALL_WORKLOADS = """
+sys.path.insert(0, {bench!r})
+import cases
+
+for workload in ("flow-deep", "certify-suite", "lattice-towers"):
+    for case in cases.cases(workload, 0, small=True):
+        case.check(case.decide(case.build(), cases.Clock()))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
+"""
+
+
+def test_no_run_imports_sympy():
+    # sympy serves the ground field's fallbacks and views alone, which import
+    # it when they run: importing galint, a first flow and the small
+    # workloads, inputs and checks included, take none of them
+    code = FIRST_FLOW + SMALL_WORKLOADS.format(bench=str(ROOT / "bench"))
+    assert _fresh_python(code).splitlines() == ["[]", "[]"]
+

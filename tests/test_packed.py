@@ -6,7 +6,8 @@ either equals sympy's, or raises ``OverflowError`` exactly when sympy's
 result has an exponent beyond the limit, so no exponent carries silently
 into a neighbouring field.  A deep flow runs its polynomial arithmetic on
 the kernel alone; sympy's ``PolyElement`` arithmetic runs only inside
-sympy's own gcd and factorization.
+sympy's own gcd and factorization, which the ground field keeps as
+fallbacks.
 """
 
 from collections import Counter
@@ -15,6 +16,7 @@ import pytest
 import sympy.polys.rings as sympy_rings
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.polyerrors import ExactQuotientFailed
 
 from galint.algebra import AlgebraicTower, GroundField
 from galint.algebra.packed import WIDTH, PackedRing
@@ -133,6 +135,17 @@ def test_exact_quotients_match_sympy(a, b, c):
         return
     xy = x * y
     assert K.to_sympy(xy.exquo(y)) == (a * b).exquo(b) == a
+
+
+def test_a_failed_exact_division_raises_sympys_error():
+    # quo_exact answers None where exquo raises what sympy's exquo raises,
+    # an error imported only when one is raised
+    x, y = K.gens[0], K.gens[1] + K.one
+    assert (x * y).quo_exact(y) == x and x.quo_exact(y) is None
+    assert (K.ground(6) * x).quo_exact(K.ground(4)) is None
+    for fail in (lambda: x.exquo(y), lambda: S.gens[0].exquo(S.gens[1] + 1)):
+        with pytest.raises(ExactQuotientFailed):
+            fail()
 
 
 def test_monomial_product_and_power_raise_at_the_limit():

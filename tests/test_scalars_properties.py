@@ -40,7 +40,6 @@ from galint.algebra.scalars import (
     _cofactors,
     _gcd_mod,
     _image,
-    _sympy_cofactors,
     fraction_sum,
 )
 from galint.series import HyperexpBasis, TruncSeries
@@ -51,8 +50,8 @@ from test_series import one_dw_flow
 GF = GroundField(params=("alpha", "beta"))
 S, ALPHA, BETA = GF.s, GF.gen("alpha"), GF.gen("beta")
 K = GF.kernel
-PLAIN = FracField(K.symbols, ZZ)
-PLAIN_QQ = FracField(K.symbols, QQ)
+PLAIN = FracField(K.names, ZZ)
+PLAIN_QQ = FracField(K.names, QQ)
 
 PROPS = settings(max_examples=25, deadline=None, database=None,
                  derandomize=True)
@@ -272,11 +271,11 @@ def test_diff_s_matches_sympy(f):
 
 def test_failed_heuristic_gcd_falls_back(request):
     # every operation meets a gcd of positive degree, which the modular
-    # coprimality gate passes on to sympy: the shared S^2 + ALPHA of the
-    # denominators for + - and /, and S - BETA + 1 of y's numerator and
-    # x's denominator for *.  With sympy's heuristic gcd failing on every
-    # call, each result, on a fresh field whose gcd memo has decided no
-    # pair yet, is still the one sympy's plain fields give.
+    # coprimality gate passes on to the heuristic gcd: the shared
+    # S^2 + ALPHA of the denominators for + - and /, and S - BETA + 1 of y's
+    # numerator and x's denominator for *.  With the heuristic gcd failing
+    # on every call, each result, on a fresh field whose gcd memo has
+    # decided no pair yet, is still the one sympy's plain fields give.
     x, y = operands(GF)
     want = {op: references(OPS[op], x, y) for op in OPS}
     calls = request.getfixturevalue("heuristic_gcd_fails")
@@ -490,8 +489,8 @@ FAILING_GCD_CASES = {
 @pytest.mark.parametrize("case", list(FAILING_GCD_CASES))
 def test_a_failing_heuristic_gcd_changes_no_result(request, monkeypatch,
                                                     case):
-    # with sympy's heuristic gcd failing on every call, the subresultant
-    # PRS gcd decides what the gate leaves to sympy, and each result, the
+    # with the heuristic gcd failing on every call, sympy's subresultant
+    # PRS gcd decides what the gate leaves open, and each result, the
     # 1dw formal flow at N = 6 included, is the one the heuristic gcd
     # gives; nothing calls sympy's cancel, whose heuristic gcd has no
     # fallback.  Each run builds a fresh field, whose gcd memo has decided
@@ -653,22 +652,22 @@ def test_gate_data_is_stored_once_and_left_intact(g, x, y):
 # Common factors in one generator, planted in pairs that share only that
 # generator: a = g x with x in ZZ[alpha, beta, s] and b = g y with y in the
 # generator alone.  Their gcd is computed modularly in that generator, and
-# sympy's gcd must not be reached.
+# the general gcd (the heuristic gcd, then sympy's) must not be reached.
 
 
-def cofactors_without_sympy(a, b):
-    """``_cofactors(a, b)``, failing if it reaches sympy's gcd."""
+def cofactors_without_the_general_gcd(a, b):
+    """``_cofactors(a, b)``, failing if it reaches the general gcd."""
 
     def refuse(f, g):
-        raise AssertionError(f"sympy's gcd reached on {f} and {g}")
+        raise AssertionError(f"the general gcd reached on {f} and {g}")
 
-    with mock.patch.object(sympy_rings.PolyElement, "cofactors", refuse):
+    with mock.patch.object(scalars_module, "_general_cofactors", refuse):
         return gate(a, b)
 
 
 def assert_one_generator_gcd(a, b):
     ref = a.cofactors(b)
-    got = cofactors_without_sympy(a, b)
+    got = cofactors_without_the_general_gcd(a, b)
     assert got in (ref, tuple(-x for x in ref))
 
 
@@ -754,11 +753,11 @@ def test_each_prime_lifts_what_the_smaller_ones_cannot(monkeypatch, bits,
     assert primes == [_Q, *_PRIMES[:_PRIMES.index(prime) + 1]]
 
 
-def test_one_generator_gcd_beyond_every_prime_asks_sympy():
+def test_one_generator_gcd_beyond_every_prime_takes_the_general_gcd():
     g = (2**600 + 1) * ZA + 3
     a, b = g * (ZA + 2) * (ZS + ZB), g * (ZA - 3)
-    with pytest.raises(AssertionError, match="sympy's gcd reached"):
-        cofactors_without_sympy(a, b)
+    with pytest.raises(AssertionError, match="the general gcd reached"):
+        cofactors_without_the_general_gcd(a, b)
     assert_gate_matches_sympy(a, b)
 
 
@@ -803,14 +802,14 @@ def test_one_shared_generator_never_reaches_sympy(monkeypatch):
     b = 18 * (ZA**2 - 1) * (ZA + 3)
     x = (1 + S) / ((ALPHA**2 - 1)**3 * (S + BETA))
     y = BETA / (18 * (ALPHA**2 - 1) * (ALPHA + 3))
-    real = sympy_rings.PolyElement.cofactors
+    real = scalars_module._general_cofactors
     calls = []
 
     def spy(f, g):
         calls.append((f, g))
         return real(f, g)
 
-    monkeypatch.setattr(sympy_rings.PolyElement, "cofactors", spy)
+    monkeypatch.setattr(scalars_module, "_general_cofactors", spy)
     got = gate(a, b)
     assert not calls
     assert got == (ZA**2 - 1, (ZA**2 - 1)**2 * (ZS + ZB), 18 * ZA + 54)
@@ -819,12 +818,12 @@ def test_one_shared_generator_never_reaches_sympy(monkeypatch):
     for op, got in gots.items():
         assert_reference(got, OPS[op], x, y)
     calls.clear()
-    # a pair sharing alpha and s still goes to sympy
+    # a pair whose images leave alpha and s open goes to the general gcd
     c = (ZS**2 + ZA) * (ZS + ZB)
     d = (ZS**2 + ZA) * (ZS - ZB + 1)
     got = gate(c, d)
-    assert calls == [(c, d)]
-    assert got == real(c, d)
+    assert calls == [(K.from_sympy(c), K.from_sympy(d))]
+    assert got == c.cofactors(d)
 
 
 # --------------------------------------------------------------------------
@@ -894,7 +893,7 @@ def test_memo_stores_no_constant_and_no_large_pair(request, monkeypatch):
     # triple, sympy's own triple up to sign
     c = K.from_sympy((ZS**2 + ZA) * (ZS + ZB))
     d = K.from_sympy((ZS**2 + ZA) * (ZS - ZB + 1))
-    ref = _sympy_cofactors(c, d)
+    ref = tuple(map(K.from_sympy, K.to_sympy(c).cofactors(K.to_sympy(d))))
     calls = request.getfixturevalue("heuristic_gcd_fails")
     got = field.cofactors(c, d)
     assert calls
