@@ -21,10 +21,23 @@ partial sums, and classify the observed growth:
 
 Arithmetic is two-layered.  Angles are held exactly (inputs are converted
 through ``fractions.Fraction``, so a float contributes its exact binary
-value); the sweep runs in vectorized float64 (numpy, imported only when a
-sweep runs, so importing galint does not load it) and every shell's
-near-minimal band is re-evaluated exactly, so reported minima are exact
-evaluations and zero detection never rides on rounding.  Eigenvalues given
+value), and each shell evaluates a few candidate (j, k) exactly, so
+reported minima are exact evaluations and zero detection never rides on
+rounding.  The candidates come from one of two sources:
+
+* one generator with one eigenvalue e^{2 pi i theta}: eps(2^nu) is the
+  minimum of ||m theta|| over 1 <= m < 2^nu, with k = m + 1, and the
+  smallest m attaining it is a continued-fraction denominator of theta
+  (Lagrange's best-approximation theorem; Khinchin, *Continued Fractions*,
+  Thms 16-17).  A shell's candidates are the denominators it covers, so the
+  whole horizon costs O(nu_max) exact evaluations;
+* several generators or eigenvalues: a vectorized float64 sweep of every k
+  (numpy, imported only when such a sweep runs, so importing galint does
+  not load it) whose near-minimal band is re-evaluated exactly.
+
+Candidates are evaluated in increasing (j, k), and the running minimum
+moves only on a strict improvement, so among equal distances the smallest
+k wins; the first candidate that is a hit ends the sweep.  Eigenvalues given
 as complex numbers only determine their angles to roughly double precision;
 such inputs get a nonzero default ``hit_tol`` and a ``PrecisionLoss`` error
 when a shell's minimum falls below what that provenance can distinguish
@@ -269,6 +282,65 @@ def _shell_vectors(d, lo, hi, work_left):
         yield _compositions(t, d), False
 
 
+def _band_candidates(theta, noise):
+    """Candidate source for several generators or eigenvalues.
+
+    ``shell(lo, hi, work_left)`` yields, per batch of ``_shell_vectors``,
+    the set of (j, k) whose float64 distance is within
+    ``_FLOAT_SLACK + noise(hi)`` of the batch minimum (at most ``_BAND_CAP``
+    per j), then ``None`` if the work budget runs out inside the shell.
+    """
+    import numpy as np
+
+    d = len(theta[0])
+    thf = np.array([[float(v) for v in row] for row in theta])
+
+    def shell(lo, hi, work_left):
+        for K, exhausted in _shell_vectors(d, lo, hi, work_left):
+            if exhausted:
+                yield None
+                return
+            proj = K.astype(np.float64) @ thf.T   # (n, rows): k . theta_i
+            cands = set()
+            for j in range(1, d + 1):
+                f = proj - thf[:, j - 1][None, :]
+                f -= np.floor(f)
+                dist = np.minimum(f, 1.0 - f).max(axis=1)
+                band = float(dist.min()) + _FLOAT_SLACK + noise(hi)
+                idx = np.nonzero(dist <= band)[0]
+                for t in idx[:_BAND_CAP]:
+                    cands.add((j, tuple(int(v) for v in K[t])))
+            yield cands
+
+    return shell
+
+
+def _convergent_candidates(theta):
+    """Candidate source for one generator with one angle ``theta``.
+
+    The shell (lo, hi] yields one set: the k = q + 1 it covers, q running
+    over the continued-fraction denominators of ``theta`` (exact, so the
+    expansion ends at its denominator; q_1 = q_0 = 1 when theta > 1/2).
+    The work budget is charged per covered k, as the sweep charges it, and
+    ``None`` follows when it runs out inside the shell.
+    """
+    qs, q_prev = [1], 0
+    n, d = theta.numerator, theta.denominator
+    while n:                        # theta = n/d -> d/n = a + (d % n)/n
+        a, n, d = d // n, d % n, n
+        qs.append(a * qs[-1] + q_prev)
+        q_prev = qs[-2]
+
+    def shell(lo, hi, work_left):
+        end = lo + max(0, min(hi - lo, work_left[0]))
+        work_left[0] -= end - lo
+        yield {(1, (q + 1,)) for q in qs if lo <= q < end}
+        if end < hi:
+            yield None
+
+    return shell
+
+
 def diophantine_eval(eigenvalues=None, *, angles=None, places=None,
                      params=None, nu_max=24, hit_tol=None,
                      work_limit=(1 << 25)):
@@ -280,11 +352,15 @@ def diophantine_eval(eigenvalues=None, *, angles=None, places=None,
     generators.  Shells nu = 1 .. nu_max cover |k| <= 2^nu; the report
     records each shell's exact minimum, the clamped partial sums of
     2^{-nu} ln(1/eps), and a verdict that is explicitly a bounded-horizon
-    heuristic.  ``work_limit`` caps the number of multi-indices visited;
+    heuristic.  Among multi-indices at equal distance the smallest k is
+    reported.  One generator with one eigenvalue takes its candidates from
+    the continued-fraction denominators of its angle (Lagrange's
+    best-approximation theorem; Khinchin, *Continued Fractions*,
+    Thms 16-17); any other shape sweeps every k in float64 and rechecks the
+    near-minimal band exactly.  ``work_limit`` caps the number of
+    multi-indices the shells cover, counted the same way on both routes;
     hitting it truncates the sweep (recorded in ``notes``), it never aborts.
     """
-    import numpy as np
-
     modes = [eigenvalues is not None, angles is not None, places is not None]
     if sum(modes) != 1:
         raise InputError(
@@ -308,11 +384,14 @@ def diophantine_eval(eigenvalues=None, *, angles=None, places=None,
     hit_tol = float(hit_tol)
 
     d = len(theta[0])
-    thf = np.array([[float(v) for v in row] for row in theta])
     # float-guided selection needs a bound on the rounding of k.theta
     def noise(hi):
         return 4.0 * (hi * d + 2.0) * 2.0 ** -52
 
+    if len(theta) == d == 1:
+        candidates = _convergent_candidates(theta[0][0])
+    else:
+        candidates = _band_candidates(theta, noise)
     shells = []
     notes = []
     hit = None
@@ -324,22 +403,10 @@ def diophantine_eval(eigenvalues=None, *, angles=None, places=None,
         lo = 1 << (nu - 1) if nu > 1 else 1
         hi = 1 << nu
         truncated = False
-        for K, exhausted in _shell_vectors(d, lo, hi, work_left):
-            if exhausted:
+        for cands in candidates(lo, hi, work_left):
+            if cands is None:
                 truncated = True
                 break
-            Kf = K.astype(np.float64)
-            proj = Kf @ thf.T           # (n, rows): k . theta_i
-            cands = set()
-            for j in range(1, d + 1):
-                f = proj - thf[:, j - 1][None, :]
-                f -= np.floor(f)
-                dist = np.minimum(f, 1.0 - f).max(axis=1)
-                m = float(dist.min())
-                band = m + _FLOAT_SLACK + noise(hi)
-                idx = np.nonzero(dist <= band)[0]
-                for t in idx[:_BAND_CAP]:
-                    cands.add((j, tuple(int(v) for v in K[t])))
             for j, k in sorted(cands):
                 dx = _exact_dist(theta, j, k)
                 if best is None or dx < best[0]:

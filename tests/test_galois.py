@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galint.algebra import AlgebraicTower, Exponent, GroundField
 from galint.algebra.places import INF, SingularPlace
@@ -267,6 +269,41 @@ def test_hnf_transform_consistency():
 # diophantine_eval
 # ---------------------------------------------------------------------------
 
+# one angle: an exact fraction with denominator <= 5000 (ties and exact
+# hits), a float at its binary value or a float within 1e-7 of a fraction
+# (hits within tolerance, and PrecisionLoss), as an angle or as a
+# unit-circle eigenvalue with the tolerances the sweep is used with
+ANGLE = st.one_of(
+    st.builds(Fraction, st.integers(-5000, 10000), st.integers(1, 5000)),
+    st.floats(-2.0, 2.0),
+    st.builds(lambda a, b, off: a / b + off, st.integers(0, 60),
+              st.integers(1, 60), st.sampled_from([0.0, 1e-13, -1e-11,
+                                                   1e-9, -1e-7])),
+)
+ONE_ANGLE = st.one_of(
+    st.tuples(st.just("angles"), ANGLE, st.none()),
+    st.tuples(st.just("eigenvalues"),
+              ANGLE.map(lambda t: cmath.exp(2j * math.pi * float(t))),
+              st.sampled_from([None, 1e-6, 1e-12])),
+)
+
+
+def _one_angle_and_swept(kind, value, hit_tol, **kw):
+    """The reports (or ``PrecisionLoss`` messages) of ``value`` as a 1x1
+    matrix, which takes the continued-fraction candidates, and of ``value``
+    repeated as a second generator, which takes the float sweep at the same
+    distances."""
+    out = []
+    for rows in ([value], [(value,), (value,)]):
+        try:
+            rep = diophantine_eval(**{kind: rows}, hit_tol=hit_tol, **kw)
+        except PrecisionLoss as exc:
+            out.append(str(exc))
+        else:
+            out.append(rep.to_json_dict())
+    return out
+
+
 class TestDiophantine:
     def test_golden_angle_stays_diophantine(self):
         theta = 0.6180339887498949
@@ -341,6 +378,28 @@ class TestDiophantine:
         assert rep.nu_reached < 12
         assert any("truncated" in n for n in rep.notes)
         assert rep.verdict == "diophantine-up-to-nu_max"
+
+    # 150 drawn cases and 7 explicit ones, two evaluations each at
+    # nu_max <= 13: under a second
+    @settings(max_examples=150, deadline=None, database=None,
+              derandomize=True)
+    @given(ONE_ANGLE, st.integers(1, 13),
+           st.sampled_from([1, 2, 3, 100, 1000, None]))
+    @example(("angles", Fraction(0), None), 13, None)
+    @example(("angles", Fraction(1, 2), None), 13, None)
+    @example(("angles", Fraction(1, 3), None), 13, None)
+    @example(("angles", Fraction(2, 5), None), 13, None)
+    @example(("angles", Fraction(7, 8), None), 13, 3)
+    @example(("angles", 0.6180339887498949, None), 13, None)
+    @example(("eigenvalues", cmath.exp(2j * math.pi * (1 / 3 + 1e-13)),
+              1e-12), 13, None)       # PrecisionLoss in shell 9
+    def test_one_angle_candidates_match_the_sweep(self, case, nu_max,
+                                                  work_limit):
+        kind, value, hit_tol = case
+        kw = {} if work_limit is None else {"work_limit": work_limit}
+        one, swept = _one_angle_and_swept(kind, value, hit_tol,
+                                          nu_max=nu_max, **kw)
+        assert one == swept
 
     def test_compositions_match_the_filtered_product(self):
         for d in (2, 3, 4):

@@ -10,6 +10,8 @@ import sys
 import tomllib
 from pathlib import Path
 
+import pytest
+
 import galint
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,7 +106,8 @@ def _fresh_python(code):
 
 
 def test_importing_the_package_does_not_import_numpy():
-    # numpy serves diophantine_eval alone, which imports it when it runs
+    # numpy serves diophantine_eval's several-angle sweep alone, which
+    # imports it when it runs
     code = ("import sys, galint, galint.galois, galint.integrability, "
             "galint.reduction; print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'numpy'))")
@@ -140,22 +143,44 @@ def test_a_first_flow_imports_nothing():
 
 
 # every case of each benchmark workload at its smallest size, as bench/run.py
-# builds, decides and checks it
+# builds, decides and checks it, then one angle far past lattice-towers' own
+# horizon
 SMALL_WORKLOADS = """
 sys.path.insert(0, {bench!r})
 import cases
 
+def loaded(package):
+    print(sorted(m for m in sys.modules if m.split(".")[0] == package))
+
 for workload in ("flow-deep", "certify-suite", "lattice-towers"):
     for case in cases.cases(workload, 0, small=True):
         case.check(case.decide(case.build(), cases.Clock()))
-print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
+loaded("sympy")
+loaded("numpy")
+from galint.galois import diophantine_eval
+diophantine_eval(angles=[0.6180339887498949], nu_max=20)
+loaded("numpy")
 """
 
 
-def test_no_run_imports_sympy():
+@pytest.fixture(scope="module")
+def small_run():
+    """The lines a fresh process prints for ``FIRST_FLOW`` and then
+    ``SMALL_WORKLOADS``."""
+    return _fresh_python(
+        FIRST_FLOW + SMALL_WORKLOADS.format(bench=str(ROOT / "bench"))
+    ).splitlines()
+
+
+def test_no_run_imports_sympy(small_run):
     # sympy serves the ground field's fallbacks and views alone, which import
     # it when they run: importing galint, a first flow and the small
     # workloads, inputs and checks included, take none of them
-    code = FIRST_FLOW + SMALL_WORKLOADS.format(bench=str(ROOT / "bench"))
-    assert _fresh_python(code).splitlines() == ["[]", "[]"]
+    assert small_run[:2] == ["[]", "[]"]
 
+
+def test_no_run_imports_numpy(small_run):
+    # one angle takes its Diophantine candidates from its continued
+    # fraction, so neither lattice-towers' golden angle nor the same angle at
+    # nu_max = 20 loads numpy
+    assert small_run[2:] == ["[]", "[]"]
