@@ -10,6 +10,8 @@ it, so sympy is loaded the first time one of these runs:
 * :func:`factor_list`, for a polynomial that involves a parameter or whose
   factorization over Z the kernel leaves open (``GroundField._poly_factors``
   and ``GroundField.nth_root``);
+* :func:`divisors`, for an integer that trial division up to its bound
+  cannot factor (``scalars.divisors``);
 * :func:`poly_ring` and :func:`frac_field`, behind the ``numer``/``denom``
   and ``as_expr`` views of a scalar and the kernel's sympy twin
   (``PackedRing.sympy``);
@@ -19,14 +21,15 @@ it, so sympy is loaded the first time one of these runs:
 
 from sympy import ZZ
 from sympy.core.sympify import SympifyError
+from sympy.ntheory import divisors
 from sympy.polys.euclidtools import dmp_rr_prs_gcd
 from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
 from sympy.polys.polyerrors import ExactQuotientFailed
 from sympy.polys.rings import PolyRing
 
-__all__ = ["ExactQuotientFailed", "SympifyError", "factor_list",
-           "frac_field", "poly_ring", "prs_cofactors"]
+__all__ = ["ExactQuotientFailed", "SympifyError", "divisors",
+           "factor_list", "frac_field", "poly_ring", "prs_cofactors"]
 
 
 def poly_ring(names):

@@ -54,11 +54,14 @@ workloads reaches:
 1. the subresultant PRS gcd, when the heuristic gcd fails;
 2. ``factor_list``, for a polynomial that involves a parameter, and for one
    in s alone that leaves a factor of degree 4 or more with no rational
-   root (or whose gcds give up);
-3. the ``numer``/``denom`` views and ``as_expr``, through sympy's
+   root (or whose gcds give up, or whose leading or constant coefficient
+   trial division cannot factor);
+3. ``divisors``, for an integer that trial division up to ``_TRIAL``
+   cannot factor;
+4. the ``numer``/``denom`` views and ``as_expr``, through sympy's
    ``PolyRing`` and ``FracField`` over ZZ.
 
-Each gcd has one of three outcomes (Brown, J. ACM 18 (1971); von zur
+Each gcd has one of four outcomes (Brown, J. ACM 18 (1971); von zur
 Gathen and Gerhard, *Modern Computer Algebra*, 6.7).
 
 * Proven coprime.  Most are an integer, the gcd of the two contents, and
@@ -74,6 +77,15 @@ Gathen and Gerhard, *Modern Computer Algebra*, 6.7).
   size; a smaller q only fails to prove a coprime pair more often (a
   vanishing leading coefficient or a common root mod q, each about
   deg / q likely), and q below 2^30 keeps every residue one CPython digit.
+* One operand divides the other, proven by one exact division.  The same
+  images tell when to try it: if a divides b, then a's degree in every
+  generator is at most b's, lc(a) divides lc(b), and where both leading
+  coefficients in a shared x_i stay nonzero mod q the image of a divides
+  that of b, so the gcd of the images has a's degree in x_i.  A pair that
+  passes these tests takes one exact division, and only a failed one goes
+  on to the outcomes below.  Flow denominators are products of a few pivot
+  factors, so this is most of the gcds that are not constant: 268 of 349
+  in a seed-0 pass of the flow-deep workload.
 * One generator left open, computed modularly.  When the images prove
   degree 0 in every shared generator but x_i (or x_i is the only shared
   one), the gcd lies in Z[x_i]: it is the gcd of their coefficients as
@@ -104,7 +116,11 @@ denominator of many elements, so no polynomial here is changed in place
 after it is built, and each hashes by its content.  The gate relies on the
 same rule: a polynomial's degrees and images mod q are computed once and
 stored on the polynomial object, where every later pair that has it as an
-operand finds them.  A product with a factor 1 is that other factor
+operand finds them.  Equal polynomials share those data: before the gate
+runs, on a miss of the memo or for a pair above its cap, the field replaces
+each operand of at most ``_MEMO_TERMS`` terms by the first polynomial of
+equal content that it has gated (its intern table, which dies with the
+field as the memo does).  A product with a factor 1 is that other factor
 itself, with no new polynomial.
 
 A "scalar" below always means an element of the ground field; a "parameter
@@ -155,20 +171,45 @@ def _fraction_nth_root(c, d):
     return Fraction(pn, pd)
 
 
-def divisors(n):
-    """The positive divisors of an int n, ascending; none for 0.  By trial
-    division up to the square root, so meant for the small contents and
+# The largest trial divisor: an int whose prime factors all but the largest
+# lie below it, and the largest below its square, is factored by trial
+# division; any other is left to sympy.
+_TRIAL = 2**16
+
+
+def _trial_divisors(n):
+    """The positive divisors of an int n, ascending (none for 0), from its
+    factorization by trial division up to ``_TRIAL``; None when that leaves
+    a cofactor that may be composite.  Meant for the small contents and
     leading coefficients of the polynomials this package meets."""
     n = abs(n)
-    low, high = [], []
-    d = 1
+    if not n:
+        return []
+    out = [1]
+    d = 2
     while d * d <= n:
-        if not n % d:
-            low.append(d)
-            if d * d != n:
-                high.append(n // d)
-        d += 1
-    return low + high[::-1]
+        if d > _TRIAL:
+            return None
+        k = len(out)
+        while not n % d:
+            n //= d
+            out += [x * d for x in out[-k:]]
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out += [x * n for x in out]
+    return sorted(out)
+
+
+def divisors(n):
+    """The positive divisors of an int n, ascending; none for 0.  By
+    ``_trial_divisors``, and past its bound by sympy's ``divisors``
+    (imported then, through ``bridge``)."""
+    out = _trial_divisors(n)
+    if out is None:
+        from .bridge import divisors as sympy_divisors
+
+        out = sympy_divisors(abs(n))
+    return out
 
 
 # The coprimality gate's prime and the points the other generators take, by
@@ -192,12 +233,13 @@ _P = 2**61 - 1
 _PRIMES = (_P, 2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1)
 
 # The largest pair, in terms of both operands together, that a field's gcd
-# memo stores.  An entry lives as long as its field, and a deep flow decides
-# many large pairs that never repeat: one 1dw formal_flow at N = 12 stores
-# 1415 pairs with no cap, and its process peaks 13 MB above the same flow
-# with no memo; with this cap it stores 728 and peaks 3 MB above.  The
-# repeats are small: every hit of the certify and lattice workloads is of
-# at most 16 terms.
+# memo stores, and the largest polynomial its intern table holds.  Entries
+# live as long as their field, and a deep flow decides many large pairs that
+# never repeat: one 1dw formal_flow at N = 12 stores 1311 pairs with no cap,
+# and its process peaks 12-13 MB above the same flow with no memo; with this
+# cap it stores 665 pairs and interns 834 polynomials, and peaks 3 MB above,
+# of which the intern table is about 0.6 MB.  The repeats are small: every
+# hit of the certify and lattice workloads is of at most 16 terms.
 _MEMO_TERMS = 32
 
 
@@ -345,14 +387,21 @@ def _irreducible_factors(f):
     one; 0 when the constant entry is 0) splits off the factor q x - r.
     What is left is irreducible when its degree is 0, 2 or 3, since a
     reducible polynomial of degree at most 3 has a linear factor; a
-    cofactor of degree 4 or more is left open.
+    cofactor of degree 4 or more is left open, and so is f when
+    ``_trial_divisors`` cannot list the divisors of an end entry.
     """
     out = []
     if not f[0]:
         out.append([0, 1])
         f = f[1:]
-    for q in divisors(f[-1]):
-        for p in divisors(f[0]):
+    lead = _trial_divisors(f[-1])
+    if lead is None:
+        return None
+    for q in lead:
+        trail = _trial_divisors(f[0])
+        if trail is None:
+            return None
+        for p in trail:
             if math.gcd(p, q) != 1:
                 continue
             for r in (p, -p):
@@ -612,7 +661,7 @@ def _cofactors(a, b):
     """``a.cofactors(b)`` for nonzero a, b over ZZ, up to a common sign.
 
     Let G = gcd(a, b).  In a generator x_i where a or b has degree 0 so has
-    G.  There are three outcomes.
+    G.  There are four outcomes, in this order.
 
     * Proven coprime: in each generator x_i where both have positive
       degree, a and b go to F_q[x_i] (q = _Q), the other generators at
@@ -622,6 +671,12 @@ def _cofactors(a, b):
       for every such x_i, G has degree 0 everywhere: G = c, the gcd of the
       contents.  Degrees and images are those ``_gate_data`` stores on
       each operand.
+    * One operand divides the other: if a | b, a's degree in each
+      generator is at most b's, lc(a) divides lc(b), and where lc_{x_i} of
+      a and of b stay nonzero mod q, the image of a divides that of b, so
+      the gcd of the images has a's degree in x_i.  A candidate that passes
+      these tests takes one exact division (``_divisor_cofactors``); a
+      failed one moves on.
     * One generator left open: when the images prove nothing (a vanishing
       leading coefficient or an image gcd of positive degree) in exactly
       one shared generator x_i, G has degree 0 in every other generator,
@@ -630,24 +685,55 @@ def _cofactors(a, b):
     * Otherwise ``_general_cofactors`` decides: when two or more shared
       generators are left open, after the prime list is used up, and in a
       field with more generators than there are points.
+
+    ``GroundField.cofactors`` calls this on operands it has interned
+    (``GroundField._interned``), so equal polynomials share the data
+    ``_gate_data`` stores.
     """
     if a.ring.ngens > len(_POINTS):
         return _general_cofactors(a, b)
     da = _gate_data(a)[0]
     db = _gate_data(b)[0]
+    a_divides = all(x <= y for x, y in zip(da, db))
+    b_divides = all(y <= x for x, y in zip(da, db))
     unproven = []
     for i, (x, y) in enumerate(zip(da, db)):
         if x and y:
             f = _image(a, i)
             g = _image(b, i)
-            if not (f[-1] and g[-1] and len(_gcd_mod(f[:], g[:], _Q)) == 1):
-                unproven.append(i)
-                if len(unproven) > 1:
-                    return _general_cofactors(a, b)
+            if f[-1] and g[-1]:
+                h = len(_gcd_mod(f[:], g[:], _Q)) - 1
+                a_divides = a_divides and h == x
+                b_divides = b_divides and h == y
+                if not h:
+                    continue
+            unproven.append(i)
+            if len(unproven) > 1 and not (a_divides or b_divides):
+                return _general_cofactors(a, b)
     if not unproven:
         return _content_cofactors(a, b)
-    got = _one_generator_cofactors(a, b, unproven[0])
+    got = None
+    if a_divides:
+        got = _divisor_cofactors(a, b)
+    if got is None and b_divides:
+        got = _divisor_cofactors(b, a)
+        if got is not None:
+            got = got[0], got[2], got[1]
+    if got is None and len(unproven) == 1:
+        got = _one_generator_cofactors(a, b, unproven[0])
     return _general_cofactors(a, b) if got is None else got
+
+
+def _divisor_cofactors(a, b):
+    """(g, +-1, b / g) with g = +-a, lc(g) > 0, when a divides b exactly,
+    else None; only one exact division, after lc(a) divides lc(b)."""
+    if b.LC % a.LC:
+        return None
+    q = b.quo_exact(a)
+    if q is None:
+        return None
+    one = a.ring.one
+    return (a, one, q) if a.LC > 0 else (-a, -one, -q)
 
 
 def _times(p, q):
@@ -714,8 +800,9 @@ class Scalar:
     other gcd goes through the field's gcd memo,
     :meth:`GroundField.cofactors`, and on a miss through the gate
     ``_cofactors`` (see the module docstring): proven coprime from one
-    image mod q per shared generator, computed modularly when one
-    generator is left open, and by the heuristic gcd otherwise.  A stored
+    image mod q per shared generator, settled by one exact division when
+    one operand divides the other, computed modularly when one generator
+    is left open, and by the heuristic gcd otherwise.  A stored
     polynomial may be the numerator or denominator of many elements, so
     none is changed in place.  A pair of terms keeps these rules; a sum of
     more, taken by :func:`fraction_sum`, takes one final gcd instead of one
@@ -974,6 +1061,7 @@ class GroundField:
         self._gen_by_name[curve_var] = self.s
         self._s_index = len(params)
         self._gcd_memo = {}
+        self._intern = {}
         self._factor_cache = {}
 
     # ---------------------------------------------------------------- basics
@@ -1051,28 +1139,39 @@ class GroundField:
         operand 1 included.  A pair of at most ``_MEMO_TERMS`` terms in all
         is looked up by the content of (a, b), in that order; a miss runs
         the gate and stores its triple.  Larger pairs run the gate every
-        time.
+        time.  Each time the gate runs, never on a hit, its operands are
+        interned first (``_interned``), so that the gate data of a content
+        are computed once per field.
         """
         if len(a) == 1 and 0 in a or len(b) == 1 and 0 in b:
             if a.get(0) == 1 or b.get(0) == 1:
                 return self.kernel.one, a, b
             return _content_cofactors(a, b)
         if len(a) + len(b) > _MEMO_TERMS:
-            return _cofactors(a, b)
+            return _cofactors(self._interned(a), self._interned(b))
         key = (a, b)
         got = self._gcd_memo.get(key)
         if got is None:
-            got = self._gcd_memo[key] = _cofactors(a, b)
+            got = self._gcd_memo[key] = _cofactors(self._interned(a),
+                                                   self._interned(b))
         return got
+
+    def _interned(self, p):
+        """The first polynomial of p's content that this field has gated,
+        for p of at most ``_MEMO_TERMS`` terms; a larger p itself."""
+        if len(p) > _MEMO_TERMS:
+            return p
+        return self._intern.setdefault(p, p)
 
     # ------------------------------------------------------------ derivation
 
     def diff_s(self, f):
         """d/ds, the derivation every tower extends, by the quotient rule on
         the reduced pair a/b, its gcds taken by the field's gcd memo and
-        gate: proven coprime, computed modularly when one generator is left
-        open (say b free of s and in one parameter), or by the heuristic
-        gcd (sympy's subresultant PRS gcd when that fails).
+        gate: proven coprime, settled by one exact division, computed
+        modularly when one generator is left open (say b free of s and in
+        one parameter), or by the heuristic gcd (sympy's subresultant PRS
+        gcd when that fails).
 
         When b is free of s, (a/b)' = a'/b and only gcd(a', b) can cancel.
         Otherwise write b = g b1 and b' = g c with g = gcd(b, b'): then

@@ -24,10 +24,12 @@ from galint.algebra.places import evaluate_at, scalarize_constant
 
 def operands(gf):
     """Two elements of gf whose sum, difference, product and quotient each
-    meet a gcd in two generators, which the heuristic gcd decides."""
+    meet a gcd in two generators, which the heuristic gcd decides: neither
+    denominator divides the other, so no operand of that gcd divides the
+    other either."""
     s, alpha, beta = gf.s, gf.gen("alpha"), gf.gen("beta")
     return ((1 + s) / ((s**2 + alpha) * (s - beta + 1)),
-            (beta - s) * (s - beta + 1) / (s**2 + alpha))
+            (beta - s) * (s - beta + 1) / ((s**2 + alpha) * (s + beta)))
 
 
 GF = GroundField(params=("alpha", "beta"))

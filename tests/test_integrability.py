@@ -20,6 +20,8 @@
   integral q1^2 / q2 carries the negative entry in its denominator.
 """
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -534,6 +536,58 @@ def test_most_ground_field_gcds_skip_the_heuristic_gcd(monkeypatch):
     R = mk(T, [[T.from_ground(a) / T.gen("w")]], table, order=5)
     assert isinstance(formal_flow(R, 5), FormalFlow)
     assert len(calls) <= 250
+
+
+def test_divisible_gcds_skip_the_lift_and_interning_is_bounded(
+        monkeypatch):
+    # 1dw-alpha at N = 6: a gcd where one operand divides the other is
+    # settled by one exact division (112 of them when this was written),
+    # so no such pair reaches the one-generator lift or the general gcd
+    settled, opened = [], []
+    divide = scalars._divisor_cofactors
+
+    def division(a, b):
+        got = divide(a, b)
+        if got is not None:
+            settled.append(got)
+        return got
+
+    def opening(fn):
+        def wrapper(a, b, *rest):
+            opened.append((a, b))
+            return fn(a, b, *rest)
+        return wrapper
+
+    monkeypatch.setattr(scalars, "_divisor_cofactors", division)
+    for name in ("_one_generator_cofactors", "_general_cofactors"):
+        monkeypatch.setattr(scalars, name, opening(getattr(scalars, name)))
+    gf = GroundField(params=("alpha",))
+    flow = formal_flow(one_dw(gf, order=6), 6)
+    assert isinstance(flow, FormalFlow)
+    assert len(settled) >= 100
+    assert opened
+    for a, b in opened:
+        assert a.quo_exact(b) is None and b.quo_exact(a) is None
+
+    # the intern table holds each gated polynomial of at most _MEMO_TERMS
+    # terms as the first object of its content, never a larger one: a new
+    # s^2 + 1 gated against a larger polynomial meets the flow's s^2 + 1
+    K = gf.kernel
+    s = K.gens[-1]
+    big = sum((s**k for k in range(scalars._MEMO_TERMS + 1)), K.zero)
+    small = s**2 + K.one
+    table = gf._intern
+    assert small in table
+    assert gf.cofactors(big, small)[0] == K.one
+    assert big not in table and table[small] is not small
+    assert all(len(p) <= scalars._MEMO_TERMS and table[p] is p
+               for p in table)
+
+    # and it dies with its field, as the gcd memo does
+    ref = weakref.ref(gf)
+    del gf, flow, table
+    gc.collect()
+    assert ref() is None
 
 
 def test_place_contexts_are_built_once_per_tower_and_place(monkeypatch):

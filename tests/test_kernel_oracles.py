@@ -4,10 +4,14 @@ Each routine that took the place of a sympy call is checked against that
 call on drawn inputs: the printer against ``str`` of sympy's ``FracField``
 element, the heuristic gcd against sympy's ``cofactors``, the factoring of
 polynomials in s against ``factor_list``, and the integer helpers against
-``divisors`` and ``integer_nthroot``.
+``divisors`` and ``integer_nthroot``.  The gcd gate's division route is
+checked against sympy's ``gcd`` on pairs where one operand divides the
+other and on near-misses.
 """
 
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -118,6 +122,72 @@ def test_the_one_generator_route_takes_no_heuristic_gcd(monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# the gate's division route
+
+
+DIVISIBLE = ("product", "negated product", "multiple", "equal")
+
+
+@st.composite
+def gate_pairs(draw):
+    """(kind, a, b) with b = +-a c, k a or a when kind is in DIVISIBLE, and
+    b a near-miss of a's degrees that divides neither way otherwise: a
+    shifted by q (a - lt(a)), whose images equal a's and whose leading
+    coefficient is a's, so only the exact division tells them apart, or
+    a + 1."""
+    a = draw(polys(3))
+    assume(a and not a.is_ground)
+    kind = draw(st.sampled_from(DIVISIBLE + ("shifted by q", "plus one")))
+    if kind == "product":
+        c = draw(polys(3))
+        assume(c)
+        b = a * c
+    elif kind == "negated product":
+        c = draw(polys(3))
+        assume(c)
+        b = -a * c
+    elif kind == "multiple":
+        b = draw(st.integers(-9, 9).filter(lambda k: k not in (0, 1))) * a
+    elif kind == "equal":
+        b = a
+    elif kind == "shifted by q":
+        assume(len(a) > 1)
+        b = a + scalars._Q * (a - a.LT[1] * R({a.LT[0]: 1}))
+    else:
+        b = a + 1
+    return kind, a, b
+
+
+@PROPS
+@given(gate_pairs(), st.booleans())
+def test_divisible_pairs_take_one_exact_division(pair, swap):
+    # g a1 = a and g b1 = b exactly, g sympy's gcd up to sign; a pair where
+    # one operand divides the other never reaches the one-generator lift
+    # or the general gcd
+    kind, a, b = pair
+    if swap:
+        a, b = b, a
+    ref = a.gcd(b)
+    reached = []
+
+    def spy(name):
+        real = getattr(scalars, name)
+
+        def wrapper(*args):
+            reached.append(name)
+            return real(*args)
+        return mock.patch.object(scalars, name, wrapper)
+
+    with spy("_one_generator_cofactors"), spy("_general_cofactors"):
+        g, a1, b1 = scalars._cofactors(K.from_sympy(a), K.from_sympy(b))
+    assert K.to_sympy(g) in (ref, -ref)
+    assert K.to_sympy(g * a1) == a and K.to_sympy(g * b1) == b
+    if kind in DIVISIBLE:
+        assert not reached, (kind, reached)
+        assert g.LC > 0
+
+
+# --------------------------------------------------------------------------
 # factoring polynomials in s
 
 
@@ -217,6 +287,28 @@ def test_nth_root_matches_the_factor_list_root(cn, fn, fd, d, power):
 def test_divisors_match_sympy(n):
     assert divisors(n) == sympy.divisors(n)
     assert divisors(-n) == sympy.divisors(n)
+
+
+def test_trial_division_stops_at_its_bound():
+    # a prime factor above _TRIAL left with a cofactor that may be
+    # composite is sympy's to find: each input took seconds or more when
+    # trial division ran up to the square root, so all of them together
+    # get one second
+    ints = [2**40 * 3**10, 65521 * 65537, 6 * (2**61 - 1),
+            -(2**31 - 1)**2, 65537 * 65539]
+    den = ((2**61 - 1) * ZS + 1) * (ZS**2 + 1)
+    start = time.perf_counter()
+    got = [divisors(n) for n in ints]
+    poles = GF.monic_s_factors(GF.new(K.one, K.from_sympy(den)))
+    assert time.perf_counter() - start < 1.0
+    assert got == [sympy.divisors(n) for n in ints]
+    assert [scalars._trial_divisors(n) is None for n in ints] == \
+        [False, False, True, True, True]
+    # the poles as sympy's factor_list gives them, in its order
+    want = [(GF.spoly(GF.new(K.from_sympy(f), K.one)).monic(), -k)
+            for f, k in den.factor_list()[1]]
+    assert [(f.key(), k) for f, k in poles] == \
+        [(f.key(), k) for f, k in want]
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
