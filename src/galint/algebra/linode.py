@@ -29,8 +29,9 @@ method:
 * the residues and the valuations at infinity come from the contexts of
   :mod:`places` on the ground tower K0 (one cached context per place): each
   residue is one coefficient of the exact local expansion
-  (``PlaceContext.residue``), so no norm is taken; at infinity they are
-  those of the system in tau = 1/s;
+  (``PlaceContext.residue``), so no norm is taken, and only the entries
+  with a pole at the place are expanded; at infinity they are those of the
+  system in tau = 1/s;
 * the substitution y = z/Den turns the finite bounds into a polynomial
   ansatz, whose degree is the bound at infinity;
 * the remaining finite-dimensional linear system is solved exactly, and every
@@ -211,20 +212,28 @@ def _times_poly(gf, f, Q):
     return (num * q).scale(gf.one / lead)
 
 
-def _local_bound(ground, M, vm, vg, place):
+def _local_bound(ground, M, poles, vg, place):
     """Bound on a rational solution of  z' + M z = rhs  at one place.
 
     ``place`` is a monic irreducible SPoly, where the bound is a pole order
     (floor 0), or None for infinity, where it is a degree (floor -1: no
-    polynomial part).  ``vm`` and ``vg`` are the valuations there of M and of
-    the right sides, clamped to at most 0; at infinity they are those of the
-    system in tau = 1/s.  Returns ``(bound, detail)``, where ``detail`` is
-    None when the bound is complete and otherwise says why it is heuristic.
+    polynomial part).  ``poles`` maps each position (i, j) of an entry of
+    M with a pole there to its (negative) valuation, and ``vg`` is the
+    valuation there of the right sides, clamped to at most 0; at infinity
+    both are those of the system in tau = 1/s.  At a simple pole only the
+    entries in ``poles`` are expanded for their residues: every other
+    entry's residue is zero.  Returns ``(bound, detail)``, where
+    ``detail`` is None when the bound is complete and otherwise says why
+    it is heuristic.
     """
     floor = 0 if place is not None else -1
+    vm = min(poles.values(), default=0)
     if vm >= -1:
         ctx = place_context(ground, INF if place is None else place)
-        eigs = _integer_eigs([[ctx.residue(f) for f in row] for row in M])
+        zero = ctx.ct.zero
+        eigs = _integer_eigs([[ctx.residue(f) if (i, j) in poles else zero
+                               for j, f in enumerate(row)]
+                              for i, row in enumerate(M)])
         return max([floor, -(vg + 1)] + eigs), None
     if len(M) == 1:
         # exact leading balance: v(y) = v(rhs) - v(M)
@@ -269,13 +278,13 @@ def solve_rational_system(ground, M, G, *, extra_cols=(), conditions=None):
     def pole_orders(entries):
         out = []
         for f in entries:
+            vals = {}
             if f:
-                vals = {}
                 for p, v in gf.monic_s_factors(f):
                     key = p.key()
                     places.setdefault(key, p)
                     vals[key] = v
-                out.append(vals)
+            out.append(vals)
         return out
 
     m_vals = pole_orders(f for row in M for f in row)
@@ -284,9 +293,10 @@ def solve_rational_system(ground, M, G, *, extra_cols=(), conditions=None):
     sound_detail = None
     Den = SPoly(gf, [one])
     for key, p in places.items():
-        vm = min([0] + [v.get(key, 0) for v in m_vals])
+        poles = {divmod(k, D): v[key]
+                 for k, v in enumerate(m_vals) if key in v}
         vg = min([0] + [v.get(key, 0) for v in g_vals])
-        mp, detail = _local_bound(ground, M, vm, vg, p)
+        mp, detail = _local_bound(ground, M, poles, vg, p)
         sound_detail = detail or sound_detail
         for _ in range(mp):
             Den = Den * p
@@ -299,9 +309,11 @@ def solve_rational_system(ground, M, G, *, extra_cols=(), conditions=None):
 
     # -- degree bound at infinity, on the transformed system
     inf = place_context(ground, INF)
-    vm = min([0] + [_inf_order(inf, f) for row in Mt for f in row if f])
+    orders = {(i, j): _inf_order(inf, f)
+              for i, row in enumerate(Mt) for j, f in enumerate(row) if f}
+    poles = {ij: v for ij, v in orders.items() if v < 0}
     vg = min([0] + [_inf_order(inf, f) for vec in rhs_t for f in vec if f])
-    N, detail = _local_bound(ground, Mt, vm, vg, None)
+    N, detail = _local_bound(ground, Mt, poles, vg, None)
     sound_detail = detail or sound_detail
 
     # -- common denominator and polynomial identity

@@ -14,14 +14,19 @@ the derivation, the Galois action and the Laurent products of
 reaches takes Henrici's ``+`` or ``*``; where more meet,
 :func:`~galint.algebra.scalars.fraction_sum` reduces their sum once.  The
 kernel runs on the deepest tower of its operands, whichever tower it is
-called on.  On top of the plain field structure the tower carries
+called on, and reads each product of two basis monomials from the tower's
+product table, filled on first use.  On top of the plain field structure
+the tower carries
 
 * the derivation extending d/ds, via  w_i' = b_i' w_i / (d_i b_i);
 * user-declared Galois generators (verified ring automorphisms commuting
   with the derivation), see :meth:`AlgebraicTower.declare_galois`;
-* the regular-representation machinery (inverse, norm, unit test) that
-  downstream code uses both for division and for valuation caps in local
-  expansions.
+* the inverse: through the quadratic conjugate of the top generator when
+  that has degree 2, recursively down the tower, and otherwise, or at a
+  zero divisor, by solving the regular-representation system over K0,
+  whose nullspace gives the witness (:meth:`AlgebraicTower.invert`);
+* the regular-representation machinery (norm, unit test) that downstream
+  code uses both for division and for valuation caps in local expansions.
 
 Internally a generator may carry a general monic replacement rule
 ``w^d = rep`` where ``rep`` involves lower powers of ``w`` itself — that is
@@ -111,6 +116,12 @@ class AlgebraicTower:
         self.degree = deg
         self._name_index = {n: i for i, n in enumerate(self.names)}
         self._mono_cache = {}
+        self._products = {}
+        # (-p0, p1) when the top rule is w^2 = p1*w + p0: invert's conjugate
+        self._quadratic = None
+        if self.degrees and self.degrees[-1] == 2:
+            p0, p1 = self._halves(self.gens[-1].rep)
+            self._quadratic = (-p0, p1)
         self._dfac_cache = {}
         self._galois = {}
         self.zero = FieldElem(self, {})
@@ -281,30 +292,38 @@ class AlgebraicTower:
 
     def dot(self, pairs):
         """The sum of a*b over (a, b) in ``pairs``, each output coordinate
-        reduced once; operands are placed as in :meth:`sum`.
+        reduced once; operands are placed as in :meth:`sum`, and skip that
+        placement when every one of them already lives in this tower.
 
-        A coordinate that one coordinate product c*c' reaches takes
-        Henrici's ``*`` (times the coordinate of the reduced monomial when
-        the exponents reach a degree).  Where two or more meet, each is
+        Monomial products come from the tower's product table, which maps
+        a pair of reduced exponent tuples (e, f) to the coordinates of
+        w^e * w^f as ((monomial, reduction coefficient or None), ...),
+        None where e + f is already reduced; an entry is filled from
+        :meth:`_reduce_monomial` on first use.  A coordinate that one
+        coordinate product c*c' reaches takes Henrici's ``*`` (times the
+        reduction coefficient, if any).  Where two or more meet, each is
         kept unreduced, as the pair (numer*numer', denom*denom'), and
         :func:`fraction_sum` sums them with one final gcd; reduced pairs
         have denominators with positive leading coefficients, so these
         products do too.
         """
         pairs = list(pairs)
-        t = deepest_tower([self, *(x.tower for pair in pairs for x in pair
-                                   if isinstance(x, FieldElem))])
-        degrees = t.degrees
+        t = self
+        if not all(type(x) is FieldElem and x.tower is t
+                   for pair in pairs for x in pair):
+            t = deepest_tower([self, *(x.tower for pair in pairs for x in pair
+                                       if isinstance(x, FieldElem))])
+            pairs = [(t.coerce(a), t.coerce(b)) for a, b in pairs]
+        table = t._products
         cols = {}
         for a, b in pairs:
-            b = t.coerce(b).coords
-            for e, ce in t.coerce(a).coords.items():
+            b = b.coords
+            for e, ce in a.coords.items():
                 for f, cf in b.items():
-                    key = tuple(x + y for x, y in zip(e, f))
-                    if all(k < d for k, d in zip(key, degrees)):
-                        cols.setdefault(key, []).append((ce, cf, None))
-                        continue
-                    for mono, c in t._reduce_monomial(key).items():
+                    prods = table.get((e, f))
+                    if prods is None:
+                        prods = t._product(e, f)
+                    for mono, c in prods:
                         cols.setdefault(mono, []).append((ce, cf, c))
         zero = t.gf.zero
         out = {}
@@ -324,6 +343,16 @@ class AlgebraicTower:
         return FieldElem(t, out)
 
     # ------------------------------------------------------- normalization
+
+    def _product(self, e, f):
+        """The product table's entry for w^e * w^f, filled on this call."""
+        key = tuple(x + y for x, y in zip(e, f))
+        if all(k < d for k, d in zip(key, self.degrees)):
+            prods = ((key, None),)
+        else:
+            prods = tuple(self._reduce_monomial(key).items())
+        self._products[(e, f)] = prods
+        return prods
 
     def _reduce_monomial(self, e):
         """Coordinates of w^e (arbitrary exponents >= 0) in the reduced basis."""
@@ -485,10 +514,31 @@ class AlgebraicTower:
         self.invert(a)
 
     def invert(self, a):
+        """The inverse of ``a``; ``ZeroDivisor`` with a witness when ``a``
+        is a zero divisor.
+
+        A ground scalar is divided directly.  When the top generator has
+        degree 2, w^2 = p1*w + p0 over the parent tower, a = A + B*w
+        inverts through its conjugate: 1/a = (A + p1*B - B*w)/N with
+        N = A^2 + p1*A*B - p0*B^2 in the parent tower, where N is inverted
+        the same way, recursively (and a with B = 0 is A's inverse there).
+        Otherwise, and when N is zero or the parent tower meets a zero
+        divisor, the regular-matrix system a*x = 1 is solved over K0, and
+        a failed solve takes its witness from the matrix's nullspace.
+        """
         if a.is_zero():
             raise DivisionByZero("division by zero tower element")
-        if self.r == 0:
-            return FieldElem(self, {(): self.gf.one / a.coords[()]})
+        return self._inverse(a)
+
+    def _inverse(self, a):
+        """:meth:`invert` of a nonzero ``a``, without re-entering it."""
+        if a.is_scalar():
+            inv = self.gf.one / a.scalar_part()
+            return FieldElem(self, {(0,) * self.r: inv})
+        if self._quadratic is not None:
+            inv = self._conjugate_inverse(a)
+            if inv is not None:
+                return inv
         mat, basis, idx = self.regular_matrix(a)
         rhs = [self.gf.zero] * len(basis)
         rhs[idx[(0,) * self.r]] = self.gf.one
@@ -503,6 +553,35 @@ class AlgebraicTower:
                 witness=witness)
         x, _ = sol
         return FieldElem(self, {basis[k]: c for k, c in enumerate(x) if c})
+
+    def _conjugate_inverse(self, a):
+        """1/a through the conjugate over the parent tower, for a top
+        generator of degree 2; None when a is a zero divisor there."""
+        parent = self.parent
+        neg_p0, p1 = self._quadratic
+        A, B = self._halves(a.coords)
+        try:
+            if not B:
+                return self.lift(parent._inverse(A))
+            C = parent.sum((A, p1 * B)) if p1 else A
+            N = parent.dot(((A, C), (neg_p0 * B, B)))
+            if not N:
+                return None
+            Ninv = parent._inverse(N)
+        except ZeroDivisor:
+            return None
+        x0, x1 = parent.dot(((C, Ninv),)), parent.dot(((B, Ninv),))
+        coords = {e + (0,): c for e, c in x0.coords.items()}
+        coords.update((e + (1,), -c) for e, c in x1.coords.items())
+        return FieldElem(self, coords)
+
+    def _halves(self, coords):
+        """(A, B) in the parent tower with A + B*w the element of these
+        coordinates, w the top generator, of degree 2."""
+        halves = ({}, {})
+        for e, c in coords.items():
+            halves[e[-1]][e[:-1]] = c
+        return tuple(FieldElem(self.parent, h) for h in halves)
 
 
 def _value(p, point):

@@ -13,8 +13,10 @@ from galint.algebra import (
     AlgebraicTower,
     GroundField,
     fe_integrate_rational,
+    linode,
     rational_ode_solve,
 )
+from galint.algebra.places import PlaceContext
 from galint.errors import (
     DegreeBoundExceeded,
     IntegrationIncomplete,
@@ -217,6 +219,40 @@ def test_only_denominators_are_factored(gf, T, monkeypatch):
     rational_ode_solve(T.from_ground(2 * alpha / s),
                        T.from_ground(s**3 + alpha * s + 1))
     assert set(factored) == {"s", "1"}
+
+
+def test_local_bounds_expand_only_the_pole_entries(gf, T, monkeypatch):
+    # y' = (n'/n) y over w1^2 = s, w2^2 = 2 + 2 w1 + s, w3^2 = 2 - 2 w1 + s:
+    # the flattened 8x8 matrix has simple poles, each met by a few entries
+    s = gf.s
+    T1 = T.extend("w1", 2, s)
+    T2 = T1.extend("w2", 2, 2 + 2 * T1.gen("w1") + s)
+    T3 = T2.extend("w3", 2, 2 - 2 * T2.gen("w1") + s)
+    n = T3.one + T3.gen("w1") + T3.gen("w2")
+    expanded, bounds = [], []
+    residue = PlaceContext.residue
+    monkeypatch.setattr(PlaceContext, "residue",
+                        lambda ctx, f: expanded.append(f) or residue(ctx, f))
+    local_bound = linode._local_bound
+
+    def spy(ground, M, poles, vg, place):
+        out = local_bound(ground, M, poles, vg, place)
+        bounds.append((ground, M, poles, vg, place, out))
+        return out
+
+    monkeypatch.setattr(linode, "_local_bound", spy)
+    _, hom, _ = rational_ode_solve(-n.derive() / n, T3.zero)
+    assert hom and all((h / n).derive().is_zero() for h in hom)
+    simple = [(M, poles) for _, M, poles, _, _, _ in bounds
+              if min(poles.values(), default=0) >= -1]
+    entries = sum(len(M) ** 2 for M, _ in simple)
+    assert 0 < len(expanded) == sum(len(p) for _, p in simple) < entries
+    # every entry expanded gives the same bounds
+    for ground, M, poles, vg, place, out in bounds:
+        every = {(i, j): poles.get((i, j), 0)
+                 for i in range(len(M)) for j in range(len(M))}
+        assert local_bound(ground, M, every, vg, place) == out
+    assert len(expanded) == sum(len(p) for _, p in simple) + entries
 
 
 

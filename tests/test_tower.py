@@ -9,13 +9,16 @@ w1^2 = s, w2^2 = 1 + w1 at s = 9 gives (w1, w2) = (3, 2); alpha = 2/7.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from galint import GroundField
-from galint.algebra.places import Lau
+from galint.algebra import linalg
+from galint.algebra.places import Lau, place_context
+from galint.algebra.scalars import SPoly
 from galint.algebra.tower import AlgebraicTower
 from galint.errors import (
     DivisionByZero,
@@ -422,3 +425,91 @@ def test_laurent_products_over_a_shallower_constant_tower(xs, ys):
             for i in range(k + 1))
     one = x.mul(x.invert(3), 3)
     assert [value(one.coeff(k), point) for k in range(3)] == [1, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# inversion through the top quadratic conjugate, against the flat solve
+
+NESTED_2 = W1.extend("w2", 2, 2 + 2 * W1.gen("w1") + S)
+NESTED = NESTED_2.extend("w3", 2, NESTED_2.lift(2 - 2 * W1.gen("w1") + S))
+# the residue field at s^2 + s + 1: xi^2 = -xi - 1, not a pure square root
+RESIDUE = place_context(BASE, SPoly(GF, [GF.one] * 3)).ct
+CUBE = BASE.extend("w", 3, BASE.from_ground(1 + S**2))
+CUBE_V = CUBE.extend("v", 2, CUBE.from_ground(S + ALPHA))
+# tower -> the sizes of the flat solves its inversions may take: only a
+# parent whose top generator has degree 3 is solved flat
+FLAT_SIZES = {NESTED: set(), RESIDUE: set(), CUBE_V: {3}}
+
+CONJUGATE_PROPS = settings(max_examples=40, deadline=None, database=None,
+                           derandomize=True)
+
+
+def sparse_elements(tower, k):
+    """Elements with at most k nonzero coordinates (a + b*s + c*alpha) /
+    DENS[i]: the flat reference solve over the degree-8 tower takes seconds
+    on a dense element."""
+    basis = tower.basis_monomials()
+    return st.lists(st.tuples(st.sampled_from(basis), coefficient),
+                    min_size=1, max_size=k).map(lambda cs: tower.from_coords({
+                        e: (a + b * S + c * ALPHA) / DENS[i]
+                        for e, (a, b, c, i) in cs}))
+
+
+def flat_inverse(tower, a):
+    """The regular-matrix solve a*x = 1 over K0."""
+    mat, basis, idx = tower.regular_matrix(a)
+    rhs = [GF.zero] * len(basis)
+    rhs[idx[(0,) * tower.r]] = GF.one
+    x, _ = linalg.solve(mat, rhs, GF.zero, GF.one)
+    return tower.from_coords(dict(zip(basis, x)))
+
+
+def flat_witness(tower, a):
+    """The first nullspace vector of a's regular matrix, as an element."""
+    mat, basis, _ = tower.regular_matrix(a)
+    return tower.from_coords(dict(zip(
+        basis, linalg.nullspace(mat, GF.zero, GF.one)[0])))
+
+
+# time budget: about 2 s for the 40 examples, mostly in the flat solves
+@CONJUGATE_PROPS
+@given(st.sampled_from(list(FLAT_SIZES)).flatmap(
+    lambda t: st.tuples(st.just(t), sparse_elements(t, 3))))
+def test_the_conjugate_route_matches_the_flat_solve(case):
+    tower, a = case
+    assume(a)
+    sizes = []
+    solve = linalg.solve
+    with mock.patch.object(linalg, "solve", lambda mat, *args, **kw: (
+            sizes.append(len(mat)) or solve(mat, *args, **kw))):
+        inv = tower.invert(a)
+    assert set(sizes) <= FLAT_SIZES[tower]
+    assert a * inv == tower.one
+    # equal coordinates are equal reduced (numerator, denominator) pairs
+    assert inv == flat_inverse(tower, a)
+
+
+def test_a_zero_norm_takes_the_flat_witness():
+    # v^2 = s^2 splits: N = s^2 - s^2 = 0 for v - s
+    split = BASE.extend("v", 2, BASE.from_ground(S**2))
+    a = split.gen("v") - S
+    with pytest.raises(ZeroDivisor) as err:
+        split.invert(a)
+    assert err.value.witness == flat_witness(split, a)
+    assert (err.value.witness * a).is_zero()
+
+
+def test_a_zero_divisor_of_the_parent_takes_the_flat_witness():
+    # u^2 = s^2 splits, v^2 = s^2 + s - u: a = u + v has
+    # N = u^2 - (s^2 + s - u) = u - s, nonzero but a zero divisor of the
+    # parent tower, so a is one too
+    parent = BASE.extend("u", 2, BASE.from_ground(S**2))
+    u = parent.gen("u")
+    t = parent.extend("v", 2, parent.from_ground(S**2 + S) - u)
+    a = t.lift(u) + t.gen("v")
+    with pytest.raises(ZeroDivisor):
+        parent.invert(u - S)
+    with pytest.raises(ZeroDivisor) as err:
+        t.invert(a)
+    assert err.value.witness == flat_witness(t, a)
+    assert (err.value.witness * a).is_zero()
