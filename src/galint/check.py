@@ -1,14 +1,22 @@
-"""The independent check engine: a series is a plain dict ``{i: c}``.
+"""The independent check engine, the one place where a claim is evaluated.
 
-Its products, derivatives, inverses, substitutions and point values share
-no code with the construction's calculus (``series.py``) or with the code
-that builds flows, integrals and frames, so a bug on the construction path
-would have to be invented twice to slip through.  It is the one place where
-a claim is evaluated: :func:`check_flow` re-checks every formal flow,
-:func:`integral_defect` every first integral, :func:`straightening_defect`
-every linearizing map; :func:`frame_residuals` (brackets and Lie
-derivatives), :func:`sample_rank` (independence) and :func:`galois_moved`
-check certificates, for construction and ``verify_certificate`` alike.
+:func:`check_flow` re-checks every formal flow by evaluation mod p: each
+defining equation at two random points, each mod a random prime p of 61
+bits, through :mod:`galint.jets`, which shares no arithmetic with
+construction, the tower's included.  A correct flow always passes; a
+wrong one passes with probability at most ((d + b)/2^60)^2 when the tower
+is a field, d and b the degree and coefficient bits of a residual's norm.
+
+The other checks are exact, over the tower's arithmetic, with a series as
+a plain dict ``{i: c}``.  Their products, derivatives, inverses,
+substitutions and point values share no code with the construction's
+calculus (``series.py``) or with the code that builds flows, integrals and
+frames, so a bug on the construction path would have to be invented twice
+to slip through.  :func:`integral_defect` re-checks every first integral,
+:func:`straightening_defect` every linearizing map; :func:`frame_residuals`
+(brackets and Lie derivatives), :func:`sample_rank` (independence) and
+:func:`galois_moved` check certificates, for construction and
+``verify_certificate`` alike.
 """
 
 from fractions import Fraction
@@ -16,6 +24,7 @@ from math import prod
 
 from .algebra.linalg import rank
 from .errors import NotExpandable, VerificationFailed, ZeroDivisor
+from .jets import flow_defect
 
 __all__ = [
     "check_flow",
@@ -366,56 +375,24 @@ def galois_moved(group, fields, integrals):
 
 def check_flow(flow):
     """Re-check a formal flow's defining equations through its order N:
-    rhs_j(phi) = d/ds phi_j for each component and t(phi) = d/ds phi_t.
+    rhs_j(phi) = d/ds phi_j for each component and, when ``flow.time`` is
+    not None, t(phi) = d/ds phi_t.
 
-    The dynamics come from the system's raw tables (``qdot_series``, ``t``),
+    The equations are checked at two random points mod p
+    (:func:`galint.jets.flow_defect`), on arithmetic of their own.  The
+    dynamics come from the system's raw tables (``qdot_series``, ``t``),
     the H weights h_j from its ``lambdas``.  A u-cell c u^i carries H^i, so
     d/ds gives (c' + <i, h> c) u^i.  The logarithmic cells of phi_t are
     read from ``flow.logs``: a record's cell c u^i H^i L gives
     (c' + <i, h> c) u^i H^i L, which must vanish since t(phi) has no L
-    part, and c L' u^i H^i, which joins plain cell i.  Each side sums a
-    cell once and the sides are compared with ``==`` (reduced tower
-    coordinates are canonical).  Raises VerificationFailed naming the
-    equation and its lowest bad order.
+    part, and c L' u^i H^i, which joins plain cell i.  A correct flow always
+    passes; when the tower is a field, a wrong one passes with probability
+    at most ((d + b)/2^60)^2, d and b the degree and coefficient bits of a
+    nonzero residual's norm.  Raises VerificationFailed naming the equation
+    and its lowest bad order.
     """
-    R, N, tower = flow.system, flow.N, flow.system.tower
-    hs = R.lambdas
-    phi = [p.table for p in flow.components]
-    origin = (0,) * R.nq
-    powers = {origin: {origin: tower.one}}
-
-    def power(i):
-        if i not in powers:
-            j = next(j for j, e in enumerate(i) if e)
-            rest = i[:j] + (i[j] - 1,) + i[j + 1:]
-            powers[i] = _dmul(power(rest), phi[j], N) if any(rest) else phi[j]
-        return powers[i]
-
-    def dcell(i, c):
-        """The terms of (c' + <i, h> c)."""
-        return [c.derive()] + [hs[j] * tower.from_ground(e) * c
-                               for j, e in enumerate(i) if e]
-
-    eqs = [(f"component {j + 1}", R.qdot_series(j), p.table, ())
-           for j, p in enumerate(flow.components)]
-    eqs.append(("the time series", R.t, flow.time.table, flow.logs))
-    for name, table, cells, logs in eqs:
-        image, deriv = {}, {}
-        for i, c in table.items():
-            for k, p in (power(i) if sum(i) <= N else {}).items():
-                image.setdefault((k, None), []).append(c * p)
-        for i, c in cells.items():
-            deriv.setdefault((i, None), []).extend(dcell(i, c))
-        for rec in logs:
-            deriv.setdefault((rec.index, rec.name), []).extend(
-                dcell(rec.index, rec.coeff))
-            deriv.setdefault((rec.index, None), []).append(
-                rec.coeff * rec.deriv)
-        image, deriv = ({k: tower.sum(cs) for k, cs in d.items()}
-                        for d in (image, deriv))
-        bad = [sum(k[0]) for k in image.keys() | deriv.keys()
-               if image.get(k, tower.zero) != deriv.get(k, tower.zero)]
-        if bad:
-            raise VerificationFailed(
-                f"defining residual of {name} is nonzero at order {min(bad)}"
-            )
+    bad = flow_defect(flow)
+    if bad is not None:
+        name, order = bad
+        raise VerificationFailed(
+            f"defining residual of {name} is nonzero at order {order}")

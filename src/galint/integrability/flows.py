@@ -298,7 +298,10 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
 
     Returns a :class:`FormalFlow`, or an :class:`Obstruction` describing
     the first transverse cell with no rational coefficient (a mathematical
-    conclusion about the system, not a failure of the computation).
+    conclusion about the system, not a failure of the computation).  The
+    flow, or the Obstruction's partial flow (its components only), passes
+    :func:`~galint.check.check_flow` first, which evaluates the defining
+    equations at two random points mod p; VerificationFailed otherwise.
     """
     if not isinstance(R, ReducedSystem):
         raise InputError("formal_flow expects a ReducedSystem")
@@ -333,8 +336,12 @@ def formal_flow(R, N=None, s0=None, *, conditions=None):
     rhs = R.rhs_series(basis, N)
 
     def partial(upto):
+        """The components through order ``upto``, checked: an Obstruction
+        rests on a checked partial flow."""
         comps = tuple(p.truncate(upto) for p in phi)
-        return FormalFlow(basis, comps, None, s0, upto, R, tuple(resonant))
+        flow = FormalFlow(basis, comps, None, s0, upto, R, tuple(resonant))
+        check_flow(flow)
+        return flow
 
     resonant = []
     # One Powers object keeps the monomials of phi degree by degree for

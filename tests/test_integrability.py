@@ -541,8 +541,9 @@ def test_most_ground_field_gcds_skip_the_heuristic_gcd(monkeypatch):
 def test_divisible_gcds_skip_the_lift_and_interning_is_bounded(
         monkeypatch):
     # 1dw-alpha at N = 6: a gcd where one operand divides the other is
-    # settled by one exact division (112 of them when this was written),
-    # so no such pair reaches the one-generator lift or the general gcd
+    # settled by one exact division (112 of them when this was written, 92
+    # once the flow check stopped taking gcds), so no such pair reaches the
+    # one-generator lift or the general gcd
     settled, opened = [], []
     divide = scalars._divisor_cofactors
 
@@ -564,7 +565,7 @@ def test_divisible_gcds_skip_the_lift_and_interning_is_bounded(
     gf = GroundField(params=("alpha",))
     flow = formal_flow(one_dw(gf, order=6), 6)
     assert isinstance(flow, FormalFlow)
-    assert len(settled) >= 100
+    assert len(settled) >= 90
     assert opened
     for a, b in opened:
         assert a.quo_exact(b) is None and b.quo_exact(a) is None

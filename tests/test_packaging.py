@@ -60,6 +60,16 @@ def test_the_check_engine_imports_no_construction_code():
             and node.name.startswith("_d")] == []
 
 
+def test_the_flow_check_imports_only_the_standard_library_and_errors():
+    # galint.jets evaluates flows on arithmetic of its own, so it imports
+    # nothing from galint.algebra, galint.series or galint.integrability
+    names = set(_imports(ROOT / "src" / "galint" / "jets.py"))
+    assert names
+    assert {name for name in names
+            if name.split(".")[0] not in sys.stdlib_module_names
+            and not name.startswith("galint.errors")} == set()
+
+
 def test_every_runtime_dependency_is_imported():
     imported = _imported_top_level_modules()
     for spec in PROJECT["dependencies"]:

@@ -45,7 +45,6 @@ from galint.algebra.scalars import (
 from galint.series import HyperexpBasis, TruncSeries
 
 from test_ground_ring import operands
-from test_series import one_dw_flow
 
 GF = GroundField(params=("alpha", "beta"))
 S, ALPHA, BETA = GF.s, GF.gen("alpha"), GF.gen("beta")
@@ -482,7 +481,6 @@ FAILING_GCD_CASES = {
     "diff_s": diff_s_case,
     "fraction_sum": fraction_sum_case,
     "to_element": to_element_case,
-    "one_dw_flow": lambda gf: one_dw_flow(6),
 }
 
 
@@ -490,10 +488,9 @@ FAILING_GCD_CASES = {
 def test_a_failing_heuristic_gcd_changes_no_result(request, monkeypatch,
                                                     case):
     # with the heuristic gcd failing on every call, sympy's subresultant
-    # PRS gcd decides what the gate leaves open, and each result, the
-    # 1dw formal flow at N = 6 included, is the one the heuristic gcd
-    # gives; nothing calls sympy's cancel, whose heuristic gcd has no
-    # fallback.  Each run builds a fresh field, whose gcd memo has decided
+    # PRS gcd decides what the gate leaves open, and each result is the one
+    # the heuristic gcd gives; nothing calls sympy's cancel, whose
+    # heuristic gcd has no fallback.  Each run builds a fresh field, whose gcd memo has decided
     # no pair yet.
     compute = FAILING_GCD_CASES[case]
     want = compute(GroundField(params=("alpha", "beta")))

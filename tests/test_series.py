@@ -292,7 +292,8 @@ def test_deep_flow_is_pinned(monkeypatch):
     # per-degree engine (N = 8) and before one reduction per coefficient
     # (N = 10); at N = 8 the gcds are counted too, those of the ground
     # field's gate and those left to sympy.  The gate runs only on a miss of
-    # the field's gcd memo (631 times), and sympy's gcd 6 times
+    # the field's gcd memo (510 times, 631 while the flow check took gcds),
+    # and sympy's gcd not at all
     calls = {"gate": 0, "sympy": 0}
     gate, cofactors = scalars._cofactors, sympy_rings.PolyElement.cofactors
 
